@@ -2,8 +2,14 @@
 
 Three flavors of the same primitive: single coordinate steps (``dv_step``,
 ``perceptron_step``) and the von Neumann loop that drives the aggregate vector
-``y`` toward either a strict separator or a short vector. All of them work in
-an arbitrary positive definite metric Q; passing ``None`` means euclidean.
+``y`` toward either a strict separator or a short vector, with its perceptron
+and coordinate-descent variants. All of them work in an arbitrary positive
+definite metric Q; passing ``None`` means euclidean.
+
+Cost model of the three loops (``von_neumann``, ``perceptron_inner``,
+``dv_inner``): one set-up per call whitens the columns through the Cholesky
+factor of Q, O(m^2 n), and each step is one O(mn) matrix-vector product. No
+n x n Gram matrix is ever formed, so memory stays O(mn).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateColumnError
-from .linalg import SymPosDef, as_matrix
+from .linalg import SymPosDef, as_matrix, column_norms
 
 __all__ = [
     "FOState",
@@ -102,13 +108,34 @@ def perceptron_step(state: FOState, k: int) -> FOState:
     return FOState(mat=state.mat, x=x, y=y, metric=state.metric)
 
 
-def _gram(mat: np.ndarray, metric: SymPosDef | None) -> np.ndarray:
-    if metric is None:
-        return mat.T @ mat
-    return mat.T @ metric.mat @ mat
+def _whitened(mat, metric: SymPosDef | None, eps: float):
+    """Shared set-up of the inner loops: validate, whiten, normalize.
+
+    Returns ``(mat, bhat, qnorms)`` where ``bhat = L^T A / |L^T a_j|`` for
+    ``Q = L L^T``, so that ``bhat_i . bhat_j`` is the Q-cosine of a_i and a_j
+    and ``qnorms`` holds the |a_j|_Q. O(m^2 n) work, no n x n array.
+    """
+    mat = as_matrix(mat)
+    if eps <= 0:
+        raise ContractViolationError("eps must be positive")
+    whitened = mat if metric is None else metric.embed(mat)
+    qnorms = column_norms(whitened)
+    if np.any(qnorms == 0.0):
+        raise DegenerateColumnError("all columns must be nonzero")
+    return mat, whitened / qnorms, qnorms
 
 
-def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = None, gram: np.ndarray | None = None):
+def _vn_cap(eps: float, budget: int | None) -> int:
+    cap = math.ceil(1.0 / (eps * eps))
+    return cap if budget is None else min(cap, int(budget))
+
+
+def _result(mat, metric, x, qnorms, status, iterations):
+    state = FOState(mat=mat, x=x, y=mat @ (x / qnorms), metric=metric)
+    return state, FOOutcome(status=status, iterations=iterations)
+
+
+def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = None):
     """Drive a convex combination of Q-normalized columns toward 0 or a separator.
 
     Starts from the first column. Each iteration either certifies
@@ -118,224 +145,139 @@ def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = 
     iterations are ever needed; a smaller ``budget`` may stop the loop early
     with status ``budget_exhausted``.
 
+    The loop runs in whitened coordinates: with ``Q = L L^T`` it keeps
+    ``w = L^T y``, so ``|y|_Q^2 = w . w`` and the Q-cosines of y with the
+    columns are one matrix-vector product with the whitened, normalized
+    columns. Set-up costs O(m^2 n), each step O(mn); no n x n array is formed.
+
     Parameters
     ----------
     mat : array (m, n), nonzero columns
     metric : SymPosDef or None for the euclidean metric
     eps : target norm, > 0
     budget : optional iteration cap below the intrinsic bound
-    gram : optional precomputed ``A^T Q A``
 
     Returns
     -------
     (FOState, FOOutcome)
     """
-    mat = as_matrix(mat)
-    if eps <= 0:
-        raise ContractViolationError("eps must be positive")
-    n = mat.shape[1]
-    if gram is None:
-        gram = _gram(mat, metric)
-    diag = np.diag(gram).copy()
-    if np.any(diag <= 0.0):
-        raise DegenerateColumnError("all columns must be nonzero")
-    qnorms = np.sqrt(diag)
-    cap = math.ceil(1.0 / (eps * eps))
-    if budget is not None:
-        cap = min(cap, int(budget))
-
-    # Normalized Gram: entries <a_i, a_j>_Q / (|a_i|_Q |a_j|_Q).
-    ghat = gram / np.outer(qnorms, qnorms)
-
-    x = np.zeros(n)
+    mat, bhat, qnorms = _whitened(mat, metric, eps)
+    cap = _vn_cap(eps, budget)
+    x = np.zeros(mat.shape[1])
     x[0] = 1.0
-    z = ghat[:, 0].copy()  # A-hat^T Q y, for y = a_1 / |a_1|_Q
-    ynorm2 = 1.0
+    w = bhat[:, 0].copy()
+    fresh = True  # w equals bhat @ x as recomputed, not updated
     iterations = 0
-
-    def recompute():
-        nonlocal z, ynorm2
-        z = ghat @ x
-        ynorm2 = float(x @ z)
-
-    def exact_y():
-        return mat @ (x / qnorms)
-
-    status = None
     while True:
-        if iterations % _DRIFT_INTERVAL == 0 and iterations > 0:
-            recompute()
-        if ynorm2 <= eps * eps:
-            recompute()
-            if ynorm2 <= eps * eps:
-                status = SMALL_NORM
-                break
-        zmin = float(z.min())
-        if zmin > 0.0:
-            recompute()
-            if float(z.min()) > 0.0:
-                status = SEPARATED
-                break
-            continue
+        if iterations % _DRIFT_INTERVAL == 0 and not fresh:
+            w, fresh = bhat @ x, True
+        z = bhat.T @ w
+        k = int(z.argmin())  # lowest index among ties
+        zk = float(z[k])
+        ynorm2 = float(w @ w)
+        if ynorm2 <= eps * eps or zk > 0.0:
+            # Verdicts are taken on a freshly recomputed w only.
+            if not fresh:
+                w, fresh = bhat @ x, True
+                continue
+            status = SMALL_NORM if ynorm2 <= eps * eps else SEPARATED
+            break
         if iterations >= cap:
             status = BUDGET_EXHAUSTED
             break
-        k = int(np.argmin(z))
         # Step length minimizing |(1-l) y + l a_hat_k|_Q over l in [0, 1].
-        zk = z[k]
-        denom = ynorm2 - 2.0 * zk + 1.0
-        lam = (ynorm2 - zk) / denom
+        lam = (ynorm2 - zk) / (ynorm2 - 2.0 * zk + 1.0)
         assert -1e-12 <= lam <= 1.0 + 1e-12
         lam = min(max(lam, 0.0), 1.0)
         x *= 1.0 - lam
         x[k] += lam
-        ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * zk + lam * lam
-        z = (1.0 - lam) * z + lam * ghat[:, k]
+        w *= 1.0 - lam
+        w += lam * bhat[:, k]
+        fresh = False
         iterations += 1
-
-    state = FOState(mat=mat, x=x, y=exact_y(), metric=metric)
-    return state, FOOutcome(status=status, iterations=iterations)
+    return _result(mat, metric, x, qnorms, status, iterations)
 
 
-def perceptron_inner(mat, metric, eps, budget=None, gram=None):
+def perceptron_inner(mat, metric, eps, budget=None):
     """Perceptron analogue of ``von_neumann`` with the same output contract.
 
     Accumulates unit steps instead of taking convex combinations; the
     returned x and y are scaled down by the step count so x stays convex.
+    Same whitened set-up and per-step cost as ``von_neumann``.
     """
-    mat = as_matrix(mat)
-    if eps <= 0:
-        raise ContractViolationError("eps must be positive")
-    n = mat.shape[1]
-    if gram is None:
-        gram = _gram(mat, metric)
-    diag = np.diag(gram).copy()
-    if np.any(diag <= 0.0):
-        raise DegenerateColumnError("all columns must be nonzero")
-    qnorms = np.sqrt(diag)
-    ghat = gram / np.outer(qnorms, qnorms)
-    cap = math.ceil(1.0 / (eps * eps))
-    if budget is not None:
-        cap = min(cap, int(budget))
-
-    counts = np.zeros(n)
+    mat, bhat, qnorms = _whitened(mat, metric, eps)
+    cap = _vn_cap(eps, budget)
+    counts = np.zeros(mat.shape[1])
     counts[0] = 1.0
-    z = ghat[:, 0].copy()
-    ynorm2 = 1.0
-    steps = 1
-    status = None
+    w = bhat[:, 0].copy()
+    fresh = True
     iterations = 0
-
-    def recompute():
-        nonlocal z, ynorm2
-        z = ghat @ counts
-        ynorm2 = float(counts @ z)
-
     while True:
-        if iterations % _DRIFT_INTERVAL == 0 and iterations > 0:
-            recompute()
-        if float(z.min()) > 0.0:
-            recompute()
-            if float(z.min()) > 0.0:
-                status = SEPARATED
-                break
-            continue
-        if ynorm2 <= (eps * steps) ** 2:
-            recompute()
-            if ynorm2 <= (eps * steps) ** 2:
-                status = SMALL_NORM
-                break
+        if iterations % _DRIFT_INTERVAL == 0 and not fresh:
+            w, fresh = bhat @ counts, True
+        z = bhat.T @ w
+        k = int(z.argmin())
+        separated = float(z[k]) > 0.0
+        short = float(w @ w) <= (eps * (iterations + 1)) ** 2
+        if separated or short:
+            if not fresh:
+                w, fresh = bhat @ counts, True
+                continue
+            status = SEPARATED if separated else SMALL_NORM
+            break
         if iterations >= cap:
             status = BUDGET_EXHAUSTED
             break
-        k = int(np.argmin(z))
-        # |y + a_hat_k|^2 = |y|^2 + 2 z_k + 1 in the Q metric.
-        ynorm2 = ynorm2 + 2.0 * float(z[k]) + 1.0
         counts[k] += 1.0
-        z = z + ghat[:, k]
-        steps += 1
+        w += bhat[:, k]
+        fresh = False
         iterations += 1
-
-    x = counts / steps
-    y = mat @ (x / qnorms)
-    return FOState(mat=mat, x=x, y=y, metric=metric), FOOutcome(status=status, iterations=iterations)
+    return _result(mat, metric, counts / (iterations + 1), qnorms, status, iterations)
 
 
-def dv_inner(mat, metric, eps, budget=None, gram=None):
+def dv_inner(mat, metric, eps, budget=None):
     """Coordinate-descent analogue of ``von_neumann``; heuristic budget.
 
     Runs unguarded DV steps on the Q-normalized columns and stops when the
     aggregate is strictly separated or short relative to the accumulated
     coefficient mass. No iteration bound like the von Neumann one applies,
-    so the default budget is a generous multiple of it.
+    so the default budget is a generous multiple of it. Same whitened set-up
+    and per-step cost as ``von_neumann``.
     """
-    mat = as_matrix(mat)
-    if eps <= 0:
-        raise ContractViolationError("eps must be positive")
-    n = mat.shape[1]
-    if gram is None:
-        gram = _gram(mat, metric)
-    diag = np.diag(gram).copy()
-    if np.any(diag <= 0.0):
-        raise DegenerateColumnError("all columns must be nonzero")
-    qnorms = np.sqrt(diag)
-    ghat = gram / np.outer(qnorms, qnorms)
+    mat, bhat, qnorms = _whitened(mat, metric, eps)
     cap = 16 * math.ceil(1.0 / (eps * eps)) if budget is None else int(budget)
-
-    x = np.zeros(n)
+    x = np.zeros(mat.shape[1])
     x[0] = 1.0
-    z = ghat[:, 0].copy()
-    ynorm2 = 1.0
-    status = None
+    w = bhat[:, 0].copy()
+    fresh = True
     iterations = 0
-
-    def recompute():
-        nonlocal z, ynorm2
-        z = ghat @ x
-        ynorm2 = float(x @ z)
-
     while True:
-        if iterations % _DRIFT_INTERVAL == 0 and iterations > 0:
-            recompute()
-        zmin = float(z.min())
-        if zmin > 0.0:
-            recompute()
-            zmin = float(z.min())
-            scale = math.sqrt(max(ynorm2, 0.0)) + 1e-300
-            if zmin > 1e-12 * scale:
+        if iterations % _DRIFT_INTERVAL == 0 and not fresh:
+            w, fresh = bhat @ x, True
+        z = bhat.T @ w
+        k = int(z.argmin())
+        c = float(z[k])
+        ynorm2 = float(w @ w)
+        # A DV step pins z_k to 0 up to rounding, so a worst margin this
+        # close to 0 is float noise: the method has stalled.
+        noise = 1e-12 * (math.sqrt(ynorm2) + 1e-300)
+        short = ynorm2 <= (eps * float(x.sum())) ** 2
+        if c > -noise or short:
+            if not fresh:
+                w, fresh = bhat @ x, True
+                continue
+            if c > noise:
                 status = SEPARATED
-                break
-            if zmin > 0.0:
-                # A DV step pins z_k to exactly 0, so a strict separation this
-                # thin is float noise; the method has stalled.
-                status = BUDGET_EXHAUSTED
-                break
-            continue
-        mass = float(x.sum())
-        if ynorm2 <= (eps * mass) ** 2:
-            recompute()
-            if ynorm2 <= (eps * mass) ** 2:
+            elif short and c <= 0.0:
                 status = SMALL_NORM
-                break
+            else:
+                status = BUDGET_EXHAUSTED
+            break
         if iterations >= cap:
             status = BUDGET_EXHAUSTED
             break
-        k = int(np.argmin(z))
-        c = z[k]
-        if c == 0.0:
-            # boundary stall: the worst margin is exactly zero, so the
-            # correction is a no-op and no further progress is possible
-            recompute()
-            if float(z.min()) == 0.0:
-                status = BUDGET_EXHAUSTED
-                break
-            continue
         x[k] -= c
-        ynorm2 = max(ynorm2 - c * c, 0.0)
-        z = z - c * ghat[:, k]
+        w -= c * bhat[:, k]
+        fresh = False
         iterations += 1
-
-    mass = float(x.sum())
-    x = x / mass
-    y = mat @ (x / qnorms)
-    return FOState(mat=mat, x=x, y=y, metric=metric), FOOutcome(status=status, iterations=iterations)
+    return _result(mat, metric, x / float(x.sum()), qnorms, status, iterations)

@@ -176,8 +176,7 @@ def full_support_image(
     cert = ImageCertificate(y=np.zeros(m), support=np.arange(0), min_margin=0.0, residual_zero=0.0)
 
     while True:
-        gram = ahat.T @ state.Q.mat @ ahat
-        fstate, outcome = fo(ahat, state.Q, eps, gram=gram)
+        fstate, outcome = fo(ahat, state.Q, eps)
         report.fo_iters += outcome.iterations
         max_phase_iters = max(max_phase_iters, outcome.iterations)
         if outcome.status == SEPARATED:
@@ -283,12 +282,12 @@ def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool
     """
     mat = as_matrix(mat)
     m, n = mat.shape
-    encoding_length(mat)  # integrality gate
+    ell = encoding_length(mat)  # also the integrality gate
     if pivoted_rank(mat) != m:
         raise ContractViolationError("image solver requires full row rank")
     th = theta(mat)
     if limits is None:
-        limits = default_limits(m, n, encoding_estimate=float(encoding_length(mat)))
+        limits = default_limits(m, n, encoding_estimate=float(ell))
     eps = 1.0 / (11.0 * m)
     if limits.epsilon is not None:
         eps = min(limits.epsilon, eps)
@@ -322,8 +321,7 @@ def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool
             status = SOLVED
             ybar = np.zeros(m)
             break
-        gram = state.A_cur.T @ state.Q.mat @ state.A_cur
-        fstate, outcome = fo(state.A_cur, state.Q, eps, gram=gram)
+        fstate, outcome = fo(state.A_cur, state.Q, eps)
         report.fo_iters += outcome.iterations
         max_phase_iters = max(max_phase_iters, outcome.iterations)
         if outcome.status == SEPARATED:

@@ -124,6 +124,15 @@ class SymPosDef:
         """
         return solve_triangular(self._cho[0], mat, lower=True)
 
+    def embed(self, mat: np.ndarray) -> np.ndarray:
+        """Return ``L^T mat`` where ``self.mat = L L^T``.
+
+        The columns of the result have the euclidean geometry that the columns
+        of ``mat`` have in this metric: ``embed(A).T @ embed(A) = A^T M A``.
+        """
+        # cho_factor leaves the upper triangle filled with stale entries.
+        return np.tril(self._cho[0]).T @ mat
+
     def __repr__(self):
         return f"SymPosDef(dim={self.dim}, logdet={self.logdet:.6g})"
 

@@ -161,3 +161,26 @@ def margin_on_grid(mat, count=200000, rng=None):
         dirs /= np.linalg.norm(dirs, axis=0)
     vals = (basis.T @ hat).T @ dirs
     return float(vals.min(axis=0).max())
+
+
+def flat_image_cone(rng, m, n, rho):
+    """Unit columns whose margins against a hidden unit y* lie in [rho, 2 rho].
+
+    Column j is ``c_j y* + sqrt(1 - c_j^2) w_j`` with ``c_j`` uniform in
+    [rho, 2 rho] and ``w_j`` a unit vector orthogonal to y*. Every column has
+    margin ``a_j . y* = c_j >= rho`` against the unit vector y*, so the cone
+    is image feasible with rho_A >= rho; every column also lies within angle
+    ~2 rho of the hyperplane y*-perp, so the cone is flat and the image
+    solvers must rescale. Draws without full row rank are redrawn. Returns
+    ``(mat, ystar)``.
+    """
+    while True:
+        ystar = rng.standard_normal(m)
+        ystar /= np.linalg.norm(ystar)
+        w = rng.standard_normal((m, n))
+        w -= np.outer(ystar, ystar @ w)
+        w /= np.linalg.norm(w, axis=0)
+        c = rng.uniform(rho, 2.0 * rho, size=n)
+        mat = np.outer(ystar, c) + np.sqrt(1.0 - c * c) * w
+        if np.linalg.matrix_rank(mat) == m:
+            return mat, ystar

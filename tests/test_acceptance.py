@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import symmetric_hull_intersection_area
+from helpers import flat_image_cone, symmetric_hull_intersection_area
 from lincone import (
     ImageCertificate,
     LPFeasibilityProblem,
@@ -311,6 +311,43 @@ def test_full_support_image_batch_meets_bounds(capsys):
         "image batch vs rho bound",
         f"100/100 solved, max rescalings {max_resc}, max phase iters {max_phase}, "
         f"{elapsed:.1f}s (< 120s){extra}",
+    )
+
+
+def test_flat_image_batch_binds_rho_bound(capsys):
+    # 20 flat cones with rho_A >= 1e-3 by construction (every column has
+    # margin >= rho against the hidden y*). Unlike the rho >= 0.05 batch,
+    # these instances rescale, so the rescaling bound is actually exercised.
+    rng = np.random.default_rng(211)
+    rho = 1e-3
+    problems = []
+    counts = []
+    t0 = time.perf_counter()
+    for i in range(20):
+        m = 5 + i % 6
+        n = int(rng.integers(100, 301))
+        mat, _ = flat_image_cone(rng, m, n, rho)
+        cert, report = full_support_image(mat, known_rho=rho)
+        tag = f"#{i} m={m} n={n}"
+        if report.status != SOLVED:
+            problems.append(f"{tag}: {report.status}")
+            continue
+        if not check_image_certificate(mat, cert).valid:
+            problems.append(f"{tag}: certificate rejected")
+        chk = {c.name: c for c in report.bound_checks}["rescalings_vs_rho"]
+        if not chk.passed:
+            problems.append(f"{tag}: {chk.observed:.0f} rescalings above bound {chk.bound:.0f}")
+        counts.append(report.rescalings)
+    elapsed = time.perf_counter() - t0
+    median = float(np.median(counts)) if counts else 0.0
+    ok = not problems and median >= 1 and elapsed < 20.0
+    extra = f"; issues: {problems[:3]}" if problems else ""
+    _emit(
+        capsys,
+        ok,
+        "flat image batch vs rho bound",
+        f"{len(counts)}/20 solved, median rescalings {median:.0f} (>= 1), max {max(counts, default=0)}, "
+        f"{elapsed:.1f}s (< 20s){extra}",
     )
 
 

@@ -27,6 +27,37 @@ def random_spd(rng, m):
     return SymPosDef(b @ b.T + m * np.eye(m))
 
 
+def gram_von_neumann(mat, metric, eps):
+    """The von Neumann loop on the normalized n x n Gram matrix, as a reference.
+
+    Keeps z = G-hat x and |y|^2 incrementally; verdicts are re-checked from
+    scratch. Returns (x, status, iterations).
+    """
+    q = np.eye(mat.shape[0]) if metric is None else metric.mat
+    gram = mat.T @ q @ mat
+    qnorms = np.sqrt(np.diag(gram))
+    ghat = gram / np.outer(qnorms, qnorms)
+    x = np.zeros(mat.shape[1])
+    x[0] = 1.0
+    z, ynorm2, iterations = ghat[:, 0].copy(), 1.0, 0
+    while True:
+        if ynorm2 <= eps * eps or z.min() > 0.0:
+            z = ghat @ x
+            ynorm2 = float(x @ z)
+            if ynorm2 <= eps * eps:
+                return x, SMALL_NORM, iterations
+            if z.min() > 0.0:
+                return x, SEPARATED, iterations
+        k = int(np.argmin(z))
+        zk = z[k]
+        lam = (ynorm2 - zk) / (ynorm2 - 2.0 * zk + 1.0)
+        x *= 1.0 - lam
+        x[k] += lam
+        ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * zk + lam * lam
+        z = (1.0 - lam) * z + lam * ghat[:, k]
+        iterations += 1
+
+
 class TestDvStep:
     def test_removes_component_along_column(self):
         mat = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -131,6 +162,15 @@ class TestVonNeumannTraces:
         assert state.x[1] > 0.0
         assert state.x[2] == 0.0
 
+    def test_tie_break_lowest_index_in_metric(self):
+        # At m = 1 all negative columns tie at cosine -1 in any metric; a
+        # Gram built as Q a_i a_j / (|a_i|_Q |a_j|_Q) misses this tie by rounding.
+        mat = np.array([[1.5, -1.9, -0.6, -1.6]])
+        state, outcome = von_neumann(mat, SymPosDef(np.array([[2.6]])), 0.9)
+        assert outcome.iterations == 1
+        assert state.x[1] > 0.0
+        assert np.all(state.x[2:] == 0.0)
+
 
 class TestVonNeumannInvariants:
     def test_convexity_and_reconstruction(self):
@@ -167,16 +207,25 @@ class TestVonNeumannInvariants:
         assert outcome.status == SMALL_NORM
         assert np.linalg.norm(state.y) <= 1e-3 * (1 + 1e-9)
 
-    def test_gram_argument_changes_nothing(self):
+    def test_matches_gram_reference_trajectory(self):
+        # The whitened loop must retrace the Gram-based loop step for step.
+        # m >= 2: at m = 1 every normalized column is +-1, so the reference's
+        # rounded Gram breaks exact ties by noise (see the tie-break tests).
         rng = np.random.default_rng(13)
-        mat = rng.standard_normal((3, 7))
-        metric = random_spd(rng, 3)
-        gram = mat.T @ metric.mat @ mat
-        s1, o1 = von_neumann(mat, metric, 0.2)
-        s2, o2 = von_neumann(mat, metric, 0.2, gram=gram)
-        assert o1.status == o2.status
-        assert o1.iterations == o2.iterations
-        assert np.allclose(s1.x, s2.x)
+        seen = set()
+        for trial in range(100):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(1, 31))
+            mat = rng.standard_normal((m, n))
+            metric = random_spd(rng, m) if trial % 2 else None
+            eps = float(rng.uniform(0.05, 0.5))
+            state, outcome = von_neumann(mat, metric, eps)
+            x_ref, status_ref, iters_ref = gram_von_neumann(mat, metric, eps)
+            assert outcome.status == status_ref
+            assert outcome.iterations == iters_ref
+            assert np.max(np.abs(state.x - x_ref)) <= 1e-9
+            seen.add(outcome.status)
+        assert seen == {SEPARATED, SMALL_NORM}
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):

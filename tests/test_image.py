@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import flat_image_cone
+from lincone.certify import check_image_certificate
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
 from lincone.firstorder import perceptron_inner
 from lincone.image import (
@@ -149,6 +153,19 @@ class TestFullSupportImage:
         for r in metrics:
             vals = np.einsum("ij,jk,ik->i", pts, r.mat, pts)
             assert vals.max() <= 1.0 + 1e-8
+
+    def test_flat_cone_at_n_20000_stays_within_memory(self):
+        # A Gram matrix of this instance alone would take 3.2 GB.
+        mat, _ = flat_image_cone(np.random.default_rng(3), 5, 20_000, 1e-2)
+        tracemalloc.start()
+        try:
+            cert, report = full_support_image(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.status == SOLVED
+        assert check_image_certificate(mat, cert).valid
+        assert peak < 64 * 2**20
 
     def test_alternative_inner_loop(self):
         rng = np.random.default_rng(39)

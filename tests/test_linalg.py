@@ -51,6 +51,13 @@ class TestSymPosDef:
         gram = r.whiten(a).T @ r.whiten(a)
         assert np.allclose(gram, a.T @ r.inv @ a, atol=1e-10)
 
+    def test_embed_gram(self):
+        rng = np.random.default_rng(10)
+        q = SymPosDef(random_spd(rng, 4))
+        a = rng.standard_normal((4, 7))
+        gram = q.embed(a).T @ q.embed(a)
+        assert np.allclose(gram, a.T @ q.mat @ a, atol=1e-10)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractViolationError):
             SymPosDef(np.array([[1.0, 0.5], [0.0, 1.0]]))
