@@ -55,7 +55,6 @@ from .kernel import (
     full_support_kernel,
     kernel_rescale,
     max_support_kernel,
-    rescale_matrix,
 )
 from .linalg import SymPosDef, kernel_projector
 from .oracle import (
@@ -94,7 +93,6 @@ __all__ = [
     "dv_step",
     "perceptron_step",
     # rescaling primitives
-    "rescale_matrix",
     "kernel_rescale",
     "image_rescale",
     # oracles and adapters

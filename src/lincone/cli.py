@@ -36,7 +36,7 @@ from .instances import (
 from .kernel import KernelCertificate, full_support_kernel, max_support_kernel
 from .image import ImageCertificate
 from .oracle import SubprocessOracle, strict_conic_feasibility
-from .report import Limits, default_limits
+from .report import Limits, default_limits, rescale_epsilon
 
 __all__ = ["run", "main"]
 
@@ -111,7 +111,7 @@ def _limits_from_args(args, m: int, n: int) -> Limits | None:
     base = default_limits(m, n)
     eps = args.epsilon
     if eps is not None:
-        cap = 1.0 / (11.0 * m)
+        cap = rescale_epsilon(m)
         if eps > cap:
             print(f"warning: epsilon {eps} exceeds 1/(11m) = {cap:.6g}; clamped", file=sys.stderr)
             eps = cap

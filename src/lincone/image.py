@@ -1,11 +1,12 @@
 """Multi-rank rescaling solvers for A^T y > 0 and its max-support form.
 
-The metric R grows by the convex combination the inner loop returns whenever
-that combination is short, which inflates det(R) geometrically while the
-feasible cap stays inside the ellipsoid E(R). The max-support variant watches
-for columns whose Q-norm drops below theta: such a column can never be
-strictly positive, so the problem is projected onto its orthogonal complement
-and the column leaves with the dimension.
+Both solvers run one loop, ``_rescaling_loop``. The metric R grows by the
+convex combination the inner loop returns whenever that combination is short,
+which inflates det(R) geometrically while the feasible cap stays inside the
+ellipsoid E(R). The max-support solver passes theta and the full-support
+solver passes 0: after each rescale the loop projects out every column whose
+Q-norm dropped below theta (such a column can never be strictly positive), so
+with theta = 0 no column is ever scanned or removed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
-from .firstorder import BUDGET_EXHAUSTED, SEPARATED, SMALL_NORM, von_neumann
+from .firstorder import BUDGET_EXHAUSTED, SEPARATED, von_neumann
 from .linalg import (
     SymPosDef,
     as_matrix,
@@ -26,7 +27,16 @@ from .linalg import (
     orthocomplement_basis,
     pivoted_rank,
 )
-from .report import NO_CONVERGE, SOLVED, BoundCheck, Limits, SolveReport, default_limits, rescaling_bound
+from .report import (
+    NO_CONVERGE,
+    SOLVED,
+    BoundCheck,
+    Limits,
+    SolveReport,
+    default_limits,
+    rescale_epsilon,
+    rescaling_bound,
+)
 
 __all__ = [
     "ImageState",
@@ -37,6 +47,8 @@ __all__ = [
     "short_column_scan",
 ]
 
+# Determinant growth floor per rescale and its float slack; the oracle solver
+# keeps the same ledger.
 _DET_GROWTH = 16.0 / 9.0
 _LEDGER_SLACK = 1e-8
 _DROP_FACTOR = 1e-9
@@ -44,7 +56,7 @@ _DROP_FACTOR = 1e-9
 
 @dataclass
 class ImageState:
-    """Metric pair plus the projected problem the max-support loop works on.
+    """Metric pair plus the projected problem the rescaling loop works on.
 
     A_cur holds the current columns (r x |T|), already pushed through the
     accumulated orthonormal map U (so A_cur = U^T A_hat on the survivors);
@@ -139,6 +151,129 @@ def _check_decomposition(state: ImageState) -> float:
     return float(np.abs(state.R.mat - recon).max()) / scale
 
 
+def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, fo, debug: bool, hook):
+    """Inner-loop phases and rescales over the columns ``ahat[:, active]``.
+
+    ``th = 0`` is the full-support policy: no column scan and no removal.
+    A positive theta projects out every active column whose Q-norm drops
+    below it after a rescale. Counters and ledger bound checks go to
+    ``report``. Returns (ImageCertificate, support).
+    """
+    m, n = ahat.shape
+    eps = rescale_epsilon(m, limits)
+    if fo is None:
+        fo = von_neumann
+
+    state = _initial_state(ahat, active, th, eps)
+    min_growth = math.inf
+    min_removal = math.inf
+    removal_floor = th * th / (2.0 * (n + 1.0))
+    max_phase_iters = 0
+    status = NO_CONVERGE
+    ybar = np.zeros(m)
+
+    def ledger_checks():
+        gammas = state.gamma
+        if th > 0.0 and gammas.size and float(gammas.max()) > 2.0 / (th * th) * (1.0 + _LEDGER_SLACK):
+            raise ContractViolationError("gamma exceeded 2/theta^2")
+        if debug:
+            err = _check_decomposition(state)
+            if err > 1e-8:
+                raise ContractViolationError(f"gamma decomposition drifted: {err}")
+
+    while True:
+        if len(state.T) == 0:
+            status = SOLVED
+            break
+        fstate, outcome = fo(state.A_cur, state.Q, eps)
+        report.fo_iters += outcome.iterations
+        max_phase_iters = max(max_phase_iters, outcome.iterations)
+        if outcome.status == SEPARATED:
+            # y_bar = U Qy satisfies the strict inequalities the inner loop checked.
+            ybar = state.U @ (state.Q.mat @ fstate.y)
+            ybar = ybar / np.linalg.norm(ybar)
+            status = SOLVED
+            break
+        if outcome.status == BUDGET_EXHAUSTED:
+            break
+        if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
+            break
+        before = state
+        state = image_rescale(state, fstate.x, fstate.y)
+        ratio = math.exp(state.R.logdet - before.R.logdet)
+        min_growth = min(min_growth, ratio)
+        report.rescalings += 1
+        ledger_checks()
+        if hook is not None:
+            hook(
+                "rescale", state=state, R_before=before.R, R_after=state.R, x=fstate.x, y=fstate.y, ratio=ratio
+            )
+        if th == 0.0:
+            continue
+        # Project out short columns one at a time, re-scanning after each.
+        while True:
+            short = short_column_scan(state)
+            if short.size == 0:
+                break
+            pos = int(np.flatnonzero(state.T == short[0])[0])
+            old_logdet = state.R.logdet
+            state, ratio, dropped = _remove_column(state, pos, n)
+            report.removals += 1
+            min_removal = min(min_removal, ratio)
+            if ratio < removal_floor * (1.0 - _LEDGER_SLACK):
+                raise ContractViolationError(f"removal det ratio {ratio} below theta^2/(2(n+1))")
+            if state.R is not None:
+                drift = abs(math.exp(state.R.logdet - old_logdet) - ratio) / ratio
+                if drift > 1e-6:
+                    raise ContractViolationError("removal det ledger drifted")
+            if hook is not None:
+                hook("remove", state=state, ratio=ratio, dropped=dropped)
+            if state.r == 0 or len(state.T) == 0:
+                break
+            ledger_checks()
+        if state.r == 0:
+            state.T = np.arange(0)
+
+    if status == SOLVED:
+        support = np.asarray(state.T, dtype=int)
+        report.status = SOLVED
+        margins = ahat[:, support].T @ ybar if support.size else np.zeros(0)
+        off = np.setdiff1d(np.arange(n), support)
+        residual = float(np.abs(ahat[:, off].T @ ybar).max()) if off.size else 0.0
+        cert = ImageCertificate(
+            y=ybar,
+            support=support,
+            min_margin=float(margins.min()) if margins.size else 0.0,
+            residual_zero=residual,
+        )
+        report.margin = cert.min_margin
+        report.residual = residual
+    else:
+        support = np.arange(0)
+        cert = ImageCertificate(y=np.zeros(m), support=support, min_margin=0.0, residual_zero=0.0)
+
+    if report.rescalings > 0:
+        report.bound_checks.append(
+            BoundCheck(
+                name="det_growth_per_rescale_min",
+                bound=_DET_GROWTH,
+                observed=min_growth,
+                passed=min_growth >= _DET_GROWTH * (1.0 - _LEDGER_SLACK),
+            )
+        )
+    if report.removals > 0:
+        report.bound_checks.append(
+            BoundCheck(
+                name="removal_det_ratio_min",
+                bound=removal_floor,
+                observed=min_removal,
+                passed=min_removal >= removal_floor * (1.0 - _LEDGER_SLACK),
+            )
+        )
+    report.add_bound_check("fo_iters_per_phase", float(math.ceil(1.0 / (eps * eps))), float(max_phase_iters))
+    return cert, support
+
+
 def full_support_image(
     mat,
     limits: Limits | None = None,
@@ -151,10 +286,9 @@ def full_support_image(
     """Find y with A^T y > 0 strictly, assuming full row rank.
 
     Alternates the inner first-order loop (von Neumann by default) under the
-    current metric Q with multi-rank rescales of R = Q^{-1}. A separated
-    outcome hands back y_bar = Qy, which satisfies the strict inequalities
-    exactly as checked by the inner loop. Returns (ImageCertificate,
-    SolveReport).
+    current metric Q with multi-rank rescales of R = Q^{-1}: the shared loop
+    with theta = 0, so no column is ever removed. A separated outcome hands
+    back y_bar = Qy. Returns (ImageCertificate, SolveReport).
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -163,59 +297,9 @@ def full_support_image(
     ahat = normalize_columns(mat)
     if limits is None:
         limits = default_limits(m, n)
-    eps = 1.0 / (11.0 * m)
-    if limits.epsilon is not None:
-        eps = min(limits.epsilon, eps)
-    if fo is None:
-        fo = von_neumann
 
-    state = _initial_state(ahat, np.arange(n), 0.0, eps)
     report = SolveReport(status=NO_CONVERGE)
-    min_ratio = math.inf
-    max_phase_iters = 0
-    cert = ImageCertificate(y=np.zeros(m), support=np.arange(0), min_margin=0.0, residual_zero=0.0)
-
-    while True:
-        fstate, outcome = fo(ahat, state.Q, eps)
-        report.fo_iters += outcome.iterations
-        max_phase_iters = max(max_phase_iters, outcome.iterations)
-        if outcome.status == SEPARATED:
-            ybar = state.Q.mat @ fstate.y
-            ybar = ybar / np.linalg.norm(ybar)
-            margins = ahat.T @ ybar
-            cert = ImageCertificate(
-                y=ybar, support=np.arange(n), min_margin=float(margins.min()), residual_zero=0.0
-            )
-            report.status = SOLVED
-            report.margin = cert.min_margin
-            break
-        if outcome.status == BUDGET_EXHAUSTED:
-            break
-        if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
-            break
-        before = state
-        state = image_rescale(state, fstate.x, fstate.y)
-        ratio = math.exp(state.R.logdet - before.R.logdet)
-        min_ratio = min(min_ratio, ratio)
-        report.rescalings += 1
-        if debug:
-            err = _check_decomposition(state)
-            if err > 1e-8:
-                raise ContractViolationError(f"gamma decomposition drifted: {err}")
-        if hook is not None:
-            hook("rescale", R_before=before.R, R_after=state.R, x=fstate.x, y=fstate.y, ratio=ratio)
-
-    if report.rescalings > 0:
-        report.bound_checks.append(
-            BoundCheck(
-                name="det_growth_per_rescale_min",
-                bound=_DET_GROWTH,
-                observed=min_ratio,
-                passed=min_ratio >= _DET_GROWTH * (1.0 - _LEDGER_SLACK),
-            )
-        )
-    vn_cap = math.ceil(1.0 / (eps * eps))
-    report.add_bound_check("fo_iters_per_phase", float(vn_cap), float(max_phase_iters))
+    cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, fo=fo, debug=debug, hook=hook)
     if known_rho is not None and known_rho > 0.0:
         report.add_bound_check(
             "rescalings_vs_rho", rescaling_bound(m, known_rho, image=True), float(report.rescalings)
@@ -275,10 +359,11 @@ def _remove_column(state: ImageState, pos: int, n_total: int):
 def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool = False, hook=None):
     """Find y maximizing the set of strict inequalities a_i^T y > 0.
 
-    Integral full-row-rank input. Columns whose Q-norm falls below theta are
-    provably zero in every image vector; each such column is projected out,
-    shrinking the working dimension, until the inner loop separates whatever
-    is left. Returns (ImageCertificate, support, SolveReport).
+    Integral full-row-rank input. Runs the shared loop with theta: columns
+    whose Q-norm falls below theta are provably zero in every image vector;
+    each such column is projected out, shrinking the working dimension, until
+    the inner loop separates whatever is left. Returns (ImageCertificate,
+    support, SolveReport).
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -288,120 +373,12 @@ def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool
     th = theta(mat)
     if limits is None:
         limits = default_limits(m, n, encoding_estimate=float(ell))
-    eps = 1.0 / (11.0 * m)
-    if limits.epsilon is not None:
-        eps = min(limits.epsilon, eps)
-    if fo is None:
-        fo = von_neumann
 
     norms = column_norms(mat)
     active = np.flatnonzero(norms > 0.0)
     ahat = np.zeros_like(mat, dtype=float)
     ahat[:, active] = mat[:, active] / norms[active]
 
-    state = _initial_state(ahat, active, th, eps)
     report = SolveReport(status=NO_CONVERGE)
-    min_growth = math.inf
-    min_removal = math.inf
-    max_phase_iters = 0
-    status = None
-    ybar = np.zeros(m)
-
-    def ledger_checks():
-        gammas = state.gamma
-        if gammas.size and float(gammas.max()) > 2.0 / (th * th) * (1.0 + _LEDGER_SLACK):
-            raise ContractViolationError("gamma exceeded 2/theta^2")
-        if debug:
-            err = _check_decomposition(state)
-            if err > 1e-8:
-                raise ContractViolationError(f"gamma decomposition drifted: {err}")
-
-    while True:
-        if len(state.T) == 0:
-            status = SOLVED
-            ybar = np.zeros(m)
-            break
-        fstate, outcome = fo(state.A_cur, state.Q, eps)
-        report.fo_iters += outcome.iterations
-        max_phase_iters = max(max_phase_iters, outcome.iterations)
-        if outcome.status == SEPARATED:
-            qy = state.Q.mat @ fstate.y
-            ybar = state.U @ qy
-            ybar = ybar / np.linalg.norm(ybar)
-            status = SOLVED
-            break
-        if outcome.status == BUDGET_EXHAUSTED:
-            break
-        if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
-            break
-        before_logdet = state.R.logdet
-        state = image_rescale(state, fstate.x, fstate.y)
-        min_growth = min(min_growth, math.exp(state.R.logdet - before_logdet))
-        report.rescalings += 1
-        ledger_checks()
-        if hook is not None:
-            hook("rescale", state=state)
-        # Project out short columns one at a time, re-scanning after each.
-        while True:
-            short = short_column_scan(state)
-            if short.size == 0:
-                break
-            pos = int(np.flatnonzero(state.T == short[0])[0])
-            old_logdet = state.R.logdet
-            state, ratio, dropped = _remove_column(state, pos, n)
-            report.removals += 1
-            min_removal = min(min_removal, ratio)
-            bound = th * th / (2.0 * (n + 1.0))
-            if ratio < bound * (1.0 - _LEDGER_SLACK):
-                raise ContractViolationError(f"removal det ratio {ratio} below theta^2/(2(n+1))")
-            if state.R is not None:
-                drift = abs(math.exp(state.R.logdet - old_logdet) - ratio) / ratio
-                if drift > 1e-6:
-                    raise ContractViolationError("removal det ledger drifted")
-            if hook is not None:
-                hook("remove", state=state, ratio=ratio, dropped=dropped)
-            if state.r == 0 or len(state.T) == 0:
-                break
-            ledger_checks()
-        if state.r == 0:
-            state.T = np.arange(0)
-
-    support = np.asarray(state.T, dtype=int) if status == SOLVED else np.arange(0)
-    if status == SOLVED:
-        report.status = SOLVED
-        margins = ahat[:, support].T @ ybar if support.size else np.zeros(0)
-        off = np.setdiff1d(np.arange(n), support)
-        residual = float(np.abs(ahat[:, off].T @ ybar).max()) if off.size else 0.0
-        cert = ImageCertificate(
-            y=ybar,
-            support=support,
-            min_margin=float(margins.min()) if margins.size else 0.0,
-            residual_zero=residual,
-        )
-        report.margin = cert.min_margin
-        report.residual = residual
-    else:
-        report.status = NO_CONVERGE
-        cert = ImageCertificate(y=np.zeros(m), support=np.arange(0), min_margin=0.0, residual_zero=0.0)
-
-    if report.rescalings > 0:
-        report.bound_checks.append(
-            BoundCheck(
-                name="det_growth_per_rescale_min",
-                bound=_DET_GROWTH,
-                observed=min_growth,
-                passed=min_growth >= _DET_GROWTH * (1.0 - _LEDGER_SLACK),
-            )
-        )
-    if report.removals > 0:
-        bound = th * th / (2.0 * (n + 1.0))
-        report.bound_checks.append(
-            BoundCheck(
-                name="removal_det_ratio_min",
-                bound=bound,
-                observed=min_removal,
-                passed=min_removal >= bound * (1.0 - _LEDGER_SLACK),
-            )
-        )
-    report.add_bound_check("fo_iters_per_phase", float(math.ceil(1.0 / (eps * eps))), float(max_phase_iters))
+    cert, support = _rescaling_loop(ahat, active, limits, report, th, fo=fo, debug=debug, hook=hook)
     return cert, support, report

@@ -1,66 +1,52 @@
 """Rescaled coordinate-descent solvers for Ax = 0, x > 0 and its max-support form.
 
-Two variants share the DV update. The full-support solver keeps the rescaled
-matrix explicitly and multiplies it by (I + y_hat y_hat^T) whenever no column
-makes an angle of more than roughly 90 + eps degrees with y. The max-support
-solver leaves the columns alone and rescales the metric Q instead, marking
-columns whose Q-norm outgrows 1/theta as provably absent from the support and
-deleting them once they drop the rank.
+Both solvers run one loop, ``_rescaling_loop``, over the active columns A_hat_S
+(unit columns of A) with the metric held as a factor, Q = U^T U. While some
+column makes an angle of more than roughly 90 + eps degrees with y = A_hat_S x
+in the Q metric, a DV step moves x; otherwise ``kernel_rescale`` stretches U
+along Uy. The columns never move, the metric does.
+
+The two entry points differ only in the policy passed to the loop. Full
+support passes no theta: every column stays active, and a y that strictly
+separates all of them is reported as the image witness Qy once
+``check_image_certificate`` accepts it. Max support passes theta: a column
+whose Q-norm outgrows 1/theta provably lies outside the maximum support and is
+marked, and marked columns are deleted once dropping them lowers the rank.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import check_image_certificate
 from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
-from .linalg import (
-    Projector,
-    SymPosDef,
-    as_matrix,
-    column_norms,
-    kernel_projector,
-    normalize_columns,
-    pivoted_rank,
+from .image import ImageCertificate
+from .linalg import as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
+from .report import (
+    INFEASIBLE_DETECTED,
+    NO_CONVERGE,
+    SOLVED,
+    Limits,
+    SolveReport,
+    default_limits,
+    rescale_epsilon,
+    rescaling_bound,
 )
-from .report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits, SolveReport, default_limits, rescaling_bound
 
 __all__ = [
-    "KernelState",
     "KernelCertificate",
     "full_support_kernel",
     "kernel_rescale",
-    "rescale_matrix",
     "max_support_kernel",
 ]
 
 # Incremental caches are rebuilt from scratch this often.
 _DV_REFRESH = 10_000
 _RESCALE_REFRESH = 25
-
-
-@dataclass
-class KernelState:
-    """Q-form solver state over the active column set S.
-
-    x, y and the caches F (= A_hat_S^T Q A_hat_S), z (= A_hat_S^T Q y) are
-    indexed by position in S; S and T hold original column indices. The
-    max-support solver carries the metric as a factor outside the state and
-    leaves Q unset.
-    """
-
-    Q: SymPosDef | None
-    t: int
-    x: np.ndarray
-    y: np.ndarray
-    Pi: Projector
-    S: np.ndarray
-    T: set
-    F: np.ndarray
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -71,184 +57,39 @@ class KernelCertificate:
     min_support_value: float
 
 
-def _epsilon(m: int, limits: Limits | None) -> float:
-    eps = 1.0 / (11.0 * m)
-    if limits is not None and limits.epsilon is not None:
-        eps = min(limits.epsilon, eps)
-    return eps
+def _no_certificate(n: int) -> KernelCertificate:
+    return KernelCertificate(x=np.zeros(n), support=np.arange(0), residual=0.0, min_support_value=0.0)
 
 
-def rescale_matrix(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix-form rescale (I + y_hat y_hat^T) A."""
-    nrm = float(np.linalg.norm(y))
-    if nrm == 0.0:
-        raise ContractViolationError("rescale with y = 0: termination should have fired")
-    yhat = y / nrm
-    return mat + np.outer(yhat, yhat @ mat)
-
-
-def kernel_rescale(state: KernelState) -> KernelState:
-    """Q-form rescale: Q' = (Q + 3 Qy y^T Q / |y|_Q^2) / (1+3 eps)^2.
-
-    y is left untouched (the metric moves instead); F is refreshed by the
-    matching rank-1 formula so columns are never touched either.
-    """
-    q = state.Q.mat @ state.y
-    ynorm_q2 = float(state.y @ q)
-    if ynorm_q2 <= 0.0:
-        raise ContractViolationError("rescale with y = 0: termination should have fired")
-    scale = (1.0 + 3.0 * state.eps) ** 2
-    qmat = (state.Q.mat + 3.0 * np.outer(q, q) / ynorm_q2) / scale
-    z = state.F @ state.x
-    fmat = (state.F + 3.0 * np.outer(z, z) / ynorm_q2) / scale
-    return replace(state, Q=SymPosDef(qmat), F=fmat, t=state.t + 1)
-
-
-def _kernel_certificate(mat_hat: np.ndarray, xbar_full: np.ndarray, support: np.ndarray) -> KernelCertificate:
-    x = np.zeros(mat_hat.shape[1] if xbar_full is None else len(xbar_full))
-    x[support] = xbar_full[support]
-    residual = float(np.abs(mat_hat @ x).max()) if x.size else 0.0
+def _certificate(ahat, active: np.ndarray, xbar: np.ndarray, zero_cols: np.ndarray) -> KernelCertificate:
+    """Kernel point xbar on the active columns, ones on the zero columns."""
+    x = np.zeros(ahat.shape[1])
+    x[active] = xbar
+    x[zero_cols] = 1.0
+    support = np.sort(np.concatenate([active, zero_cols])).astype(int)
+    residual = float(np.abs(ahat @ x).max())
     min_val = float(x[support].min()) if support.size else 0.0
     return KernelCertificate(x=x, support=support, residual=residual, min_support_value=min_val)
 
 
-def full_support_kernel(
-    mat,
-    limits: Limits | None = None,
-    *,
-    known_rho: float | None = None,
-    rescaling: bool = True,
-    hook=None,
-):
-    """Find x > 0 with Ax = 0 by DV steps plus matrix rescaling.
+def kernel_rescale(ufac, fmat, z, ynorm_q2, y, eps):
+    """Q-form rescale Q' = (Q + 3 Qy y^T Q / |y|_Q^2) / (1+3 eps)^2 on the factor.
 
-    Columns are normalized up front; the kernel projector of the normalized
-    matrix never changes, so the positivity test Pi x > 0 is exact bookkeeping.
-    Returns (KernelCertificate, SolveReport). Status is ``infeasible_detected``
-    when some iterate strictly separates all columns (then A^T y > 0 is
-    feasible instead), ``no_converge`` when budgets run out.
-
-    ``rescaling=False`` disables the rescale branch (plain coordinate descent,
-    exposed for tests); ``hook(event, **data)`` observes dv/rescale events.
+    With Q = U^T U and w = Uy, sqrt(I + 3 w_hat w_hat^T) = I + w_hat w_hat^T,
+    so U' = (I + w_hat w_hat^T) U / (1+3 eps). The caches F = A_hat^T Q A_hat
+    and z = A_hat^T Q y follow by the matching rank-1 formulas, so the columns
+    are never touched; y stays put while its Q-norm grows by 2/(1+3 eps).
+    Returns (U', F', z', |y|_Q'^2).
     """
-    mat = as_matrix(mat)
-    m, n = mat.shape
-    ahat = normalize_columns(mat)
-    if limits is None:
-        limits = default_limits(m, n)
-    eps = _epsilon(m, limits)
-
-    pi = kernel_projector(ahat)
-    cur = ahat.copy()
-    basis_map = np.eye(m)
-    x = np.ones(n)
-    f = cur.T @ cur
-    y = cur @ x
-    z = f @ x
-    ynorm2 = float(x @ z)
-    xbar = pi(x)
-
-    report = SolveReport(status=NO_CONVERGE)
-    dv_since_refresh = 0
-    rescales_since_refresh = 0
-
-    def refresh():
-        nonlocal f, y, z, ynorm2, xbar, dv_since_refresh, rescales_since_refresh
-        f = cur.T @ cur
-        y = cur @ x
-        z = cur.T @ y
-        ynorm2 = float(y @ y)
-        xbar = pi(x)
-        dv_since_refresh = 0
-        rescales_since_refresh = 0
-
-    status = None
-    while True:
-        if np.all(xbar > 0.0):
-            refresh()
-            # Positivity alone admits float-noise vectors like 1e-16 * e; a
-            # genuine kernel point also has a residual tiny relative to its
-            # own scale, which noise around Pi x = 0 never does.
-            if np.all(xbar > 0.0) and np.abs(ahat @ xbar).max() <= 1e-10 * n * np.abs(xbar).max():
-                status = SOLVED
-                break
-        fdiag = np.diag(f)
-        norms = np.sqrt(np.maximum(fdiag, 1e-300))
-        ratios = z / norms
-        k = int(np.argmin(ratios))
-        if z[k] > 0.0:
-            refresh()
-            if z.min() > 0.0:
-                status = INFEASIBLE_DETECTED
-                break
-            continue
-        if report.fo_iters >= limits.max_iterations:
-            break
-        if ynorm2 <= 0.0:
-            refresh()
-            if ynorm2 <= 0.0:
-                break
-            continue
-        v = ratios[k] / math.sqrt(ynorm2)
-        if v < -eps or not rescaling:
-            c = z[k] / fdiag[k]
-            before = ynorm2
-            x[k] -= c
-            y = y - c * cur[:, k]
-            z = z - c * f[:, k]
-            ynorm2 = max(ynorm2 - c * c * fdiag[k], 0.0)
-            xbar = xbar - c * pi.mat[:, k]
-            report.fo_iters += 1
-            dv_since_refresh += 1
-            if hook is not None:
-                hook("dv", ynorm2_before=before, ynorm2_after=ynorm2, cos=v)
-            if dv_since_refresh >= _DV_REFRESH:
-                refresh()
-        else:
-            if report.rescalings >= limits.max_rescalings:
-                break
-            before_mat = cur.copy() if hook is not None else None
-            before_norm2 = ynorm2
-            yhat = y / math.sqrt(ynorm2)
-            cur = cur + np.outer(yhat, yhat @ cur)
-            basis_map = basis_map + np.outer(yhat, yhat @ basis_map)
-            f = f + 3.0 * np.outer(z, z) / ynorm2
-            y = 2.0 * y
-            z = 4.0 * z
-            ynorm2 *= 4.0
-            report.rescalings += 1
-            rescales_since_refresh += 1
-            if hook is not None:
-                hook(
-                    "rescale",
-                    mat_before=before_mat,
-                    mat_after=cur.copy(),
-                    y=y / 2.0,
-                    ynorm2_before=before_norm2,
-                    ynorm2_after=ynorm2,
-                )
-            if rescales_since_refresh >= _RESCALE_REFRESH:
-                refresh()
-
-    if status == SOLVED:
-        report.status = SOLVED
-        cert = _kernel_certificate(ahat, xbar, np.arange(n))
-        report.residual = cert.residual
-        report.margin = cert.min_support_value
-    elif status == INFEASIBLE_DETECTED:
-        report.status = INFEASIBLE_DETECTED
-        witness = basis_map.T @ y
-        wn = float(np.linalg.norm(witness))
-        report.margin = float((ahat.T @ witness).min() / wn) if wn > 0 else 0.0
-        cert = KernelCertificate(x=np.zeros(n), support=np.arange(0), residual=0.0, min_support_value=0.0)
-    else:
-        report.status = NO_CONVERGE
-        cert = KernelCertificate(x=np.zeros(n), support=np.arange(0), residual=0.0, min_support_value=0.0)
-
-    if known_rho is not None and known_rho < 0.0:
-        bound = rescaling_bound(m, known_rho) + m
-        report.add_bound_check("rescalings_vs_rho", bound, float(report.rescalings))
-    return cert, report
+    w = ufac @ y
+    wn = float(np.linalg.norm(w))
+    if ynorm_q2 <= 0.0 or wn == 0.0:
+        raise ContractViolationError("rescale with y = 0: termination should have fired")
+    what = w / wn
+    ufac = (ufac + np.outer(what, what @ ufac)) / (1.0 + 3.0 * eps)
+    fmat = (fmat + 3.0 * np.outer(z, z) / ynorm_q2) / (1.0 + 3.0 * eps) ** 2
+    scale = 4.0 / (1.0 + 3.0 * eps) ** 2
+    return ufac, fmat, z * scale, ynorm_q2 * scale
 
 
 def _positive_beyond_noise(v: np.ndarray) -> bool:
@@ -264,15 +105,200 @@ def _positive_beyond_noise(v: np.ndarray) -> bool:
     return mx > 0.0 and bool(np.all(v > 1e-12 * mx))
 
 
+def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=None, hook=None):
+    """DV steps and rescales over the columns ``ahat[:, active]``.
+
+    ``th=None`` is the full-support policy: no marking or removal, and a
+    worst cosine that stays positive after a refresh ends the run with
+    INFEASIBLE_DETECTED. A theta value turns on marking and removal instead.
+    Counters go to ``report``. Returns (status, S, v) with S the final active
+    set; v is the kernel point Pi x on S when SOLVED, the witness Qy when
+    INFEASIBLE_DETECTED, None otherwise.
+    """
+    m = ahat.shape[0]
+    eps = rescale_epsilon(m, limits)
+    ufac = np.eye(m)
+    S = np.asarray(active, dtype=int)
+    marked: set = set()
+    # Per-S data, set by rebuild(); F and Pi are symmetric, so row k is column k.
+    cols = x = pimat = None
+    rank_s = 0
+    # Caches, set by refresh(): F = cols^T Q cols, z = F x, |y|_Q^2 = x^T F x, xbar = Pi x.
+    fmat = fdiag = qnorms = z = xbar = None
+    ynorm_q2 = 0.0
+    dv_since_refresh = rescales_since_refresh = 0
+
+    def diagonal():
+        nonlocal fdiag, qnorms
+        fdiag = fmat.diagonal().copy()
+        qnorms = np.sqrt(np.maximum(fdiag, 1e-300))
+
+    def refresh():
+        """Recompute the caches from (U, x) without touching S."""
+        nonlocal fmat, z, ynorm_q2, xbar, dv_since_refresh, rescales_since_refresh
+        wcols = ufac @ cols
+        fmat = wcols.T @ wcols
+        diagonal()
+        wy = wcols @ x
+        z = wcols.T @ wy
+        ynorm_q2 = float(wy @ wy)
+        xbar = pimat @ x
+        dv_since_refresh = rescales_since_refresh = 0
+
+    def rebuild():
+        """Restart from x = ones on a new active set S."""
+        nonlocal cols, x, pimat, rank_s, xbar
+        cols = ahat[:, S]
+        x = np.ones(S.size)
+        xbar = np.zeros(0)
+        if S.size:
+            pimat = kernel_projector(cols).mat
+            if th is not None:
+                rank_s = pivoted_rank(cols)
+            refresh()
+
+    rebuild()
+    while True:
+        if S.size == 0:
+            return SOLVED, S, xbar
+        if xbar.min() > 0.0 and _positive_beyond_noise(xbar):
+            refresh()
+            # Positivity alone admits float-noise vectors like 1e-16 * e; a
+            # genuine kernel point also has a residual tiny relative to its
+            # own scale, which noise around Pi x = 0 never does.
+            scale_ok = np.abs(cols @ xbar).max() <= 1e-10 * S.size * np.abs(xbar).max()
+            if _positive_beyond_noise(xbar) and scale_ok:
+                return SOLVED, S, xbar
+        ratios = z / qnorms
+        k = int(np.argmin(ratios))
+        if th is None and z[k] > 0.0:
+            refresh()
+            if z.min() > 0.0:
+                return INFEASIBLE_DETECTED, S, ufac.T @ (ufac @ (cols @ x))
+            continue
+        if report.fo_iters >= limits.max_iterations:
+            break
+        if ynorm_q2 <= 0.0:
+            refresh()
+            if ynorm_q2 <= 0.0:
+                break
+            continue
+        v = ratios[k] / math.sqrt(ynorm_q2)
+        if v < -eps:
+            c = z[k] / fdiag[k]
+            before = ynorm_q2
+            x[k] -= c
+            z -= c * fmat[k]
+            ynorm_q2 = max(ynorm_q2 - c * c * fdiag[k], 0.0)
+            xbar -= c * pimat[k]
+            report.fo_iters += 1
+            dv_since_refresh += 1
+            if hook is not None:
+                hook("dv", ynorm_q2_before=before, ynorm_q2_after=ynorm_q2, cos=v)
+            if dv_since_refresh >= _DV_REFRESH:
+                refresh()
+            continue
+
+        if report.rescalings >= limits.max_rescalings:
+            break
+        y = cols @ x
+        if not y.any():
+            refresh()
+            continue
+        before = ynorm_q2
+        if hook is not None:
+            w, mat_before = ufac @ y, ufac @ cols
+        ufac, fmat, z, ynorm_q2 = kernel_rescale(ufac, fmat, z, ynorm_q2, y, eps)
+        diagonal()
+        report.rescalings += 1
+        rescales_since_refresh += 1
+        if hook is not None:
+            hook(
+                "rescale",
+                ynorm_q2_before=before,
+                ynorm_q2_after=ynorm_q2,
+                y=w,
+                mat_before=mat_before,
+                mat_after=ufac @ cols,
+            )
+        if rescales_since_refresh >= _RESCALE_REFRESH:
+            refresh()
+        if th is None:
+            continue
+
+        # Mark columns whose Q-norm has outgrown the theta bound.
+        new_marks = [int(j) for j in S[fdiag > 1.0 / (th * th)] if j not in marked]
+        if not new_marks:
+            continue
+        marked.update(new_marks)
+        if hook is not None:
+            hook("mark", marked=new_marks)
+        keep = np.array([i for i, j in enumerate(S) if j not in marked], dtype=int)
+        kept_rank = pivoted_rank(ahat[:, S[keep]]) if keep.size else 0
+        if kept_rank < rank_s:
+            removed = sorted(marked)
+            S = S[keep]
+            marked = set()
+            report.removals += 1
+            rebuild()
+            if hook is not None:
+                hook("remove", removed=removed)
+    return NO_CONVERGE, S, None
+
+
+def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float | None = None, hook=None):
+    """Find x > 0 with Ax = 0 by DV steps plus rescaling.
+
+    Columns are normalized up front; the kernel projector of the normalized
+    matrix never changes, so the positivity test Pi x > 0 is exact bookkeeping.
+    Returns (KernelCertificate, SolveReport). Status is ``infeasible_detected``
+    when some iterate y strictly separates all columns and the witness Qy
+    passes ``check_image_certificate`` (then A^T y > 0 is feasible instead),
+    ``no_converge`` when budgets run out or the witness fails the check.
+    ``hook(event, **data)`` observes dv and rescale events.
+    """
+    mat = as_matrix(mat)
+    m, n = mat.shape
+    ahat = normalize_columns(mat)
+    if limits is None:
+        limits = default_limits(m, n)
+
+    report = SolveReport(status=NO_CONVERGE)
+    status, support, v = _rescaling_loop(ahat, np.arange(n), limits, report, hook=hook)
+    cert = _no_certificate(n)
+    if status == SOLVED:
+        cert = _certificate(ahat, support, v, np.arange(0))
+        report.residual = cert.residual
+        report.margin = cert.min_support_value
+    elif status == INFEASIBLE_DETECTED:
+        # A DV step leaves its pivot at cosine 0 and a rescale keeps it there,
+        # so strict separation can be float noise; only a checked witness counts.
+        wn = float(np.linalg.norm(v))
+        status = NO_CONVERGE
+        if math.isfinite(wn) and wn > 0.0:
+            witness = v / wn
+            margin = float((ahat.T @ witness).min())
+            claim = ImageCertificate(y=witness, support=np.arange(n), min_margin=margin, residual_zero=0.0)
+            if check_image_certificate(ahat, claim).valid:
+                status = INFEASIBLE_DETECTED
+                report.margin = margin
+    report.status = status
+
+    if known_rho is not None and known_rho < 0.0:
+        bound = rescaling_bound(m, known_rho) + m
+        report.add_bound_check("rescalings_vs_rho", bound, float(report.rescalings))
+    return cert, report
+
+
 def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     """Find x >= 0 with Ax = 0 whose support is the largest possible.
 
-    Q-form solver for integral A: columns stay fixed while the metric is
-    rescaled. A column whose Q-norm exceeds 1/theta provably lies outside the
-    maximum support (its Goffin bound is violated otherwise) and is marked;
-    marked columns are deleted in bulk the moment dropping them lowers the
-    rank, with x reset to ones on the survivors. Zero columns trivially belong
-    to the support and are filtered up front.
+    Integral A. Runs the shared loop with theta: a column whose Q-norm
+    exceeds 1/theta provably lies outside the maximum support (its Goffin
+    bound is violated otherwise) and is marked; marked columns are deleted in
+    bulk the moment dropping them lowers the rank, with x reset to ones on
+    the survivors. Zero columns trivially belong to the support and are
+    filtered up front.
 
     The metric is held as a factor U with Q = U^T U: the column norms that
     drive marking reach 1/theta, so Q itself would need condition 1/theta^2
@@ -286,172 +312,18 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     th = theta(mat)
     if limits is None:
         limits = default_limits(m, n, encoding_estimate=float(enc))
-    eps = _epsilon(m, limits)
 
     norms = column_norms(mat)
-    zero_cols = np.flatnonzero(norms == 0.0)
-    ahat = np.zeros_like(mat, dtype=float)
     nz = norms > 0.0
+    ahat = np.zeros_like(mat, dtype=float)
     ahat[:, nz] = mat[:, nz] / norms[nz]
 
     report = SolveReport(status=NO_CONVERGE)
-
-    def finish(support_active: np.ndarray, xbar_active: np.ndarray | None) -> KernelCertificate:
-        x_full = np.zeros(n)
-        if xbar_active is not None and support_active.size:
-            x_full[support_active] = xbar_active
-        x_full[zero_cols] = 1.0
-        support = np.sort(np.concatenate([support_active, zero_cols])).astype(int)
-        residual = float(np.abs(ahat @ x_full).max()) if support.size else 0.0
-        min_val = float(x_full[support].min()) if support.size else 0.0
-        return KernelCertificate(x=x_full, support=support, residual=residual, min_support_value=min_val)
-
-    state = KernelState(
-        Q=None,
-        t=0,
-        x=np.ones(int(nz.sum())),
-        y=np.zeros(m),
-        Pi=None,
-        S=np.flatnonzero(nz),
-        T=set(),
-        F=np.zeros((0, 0)),
-        eps=eps,
-    )
-    ufac = np.eye(m)
-
-    z = np.zeros(0)
-    ynorm_q2 = 0.0
-    xbar = np.zeros(0)
-    rank_s = 0
-
-    def rebuild_for_s():
-        """Recompute everything that depends on the active set S."""
-        nonlocal z, ynorm_q2, xbar, rank_s
-        cols = ahat[:, state.S]
-        state.x = np.ones(len(state.S))
-        state.Pi = kernel_projector(cols) if len(state.S) else None
-        wcols = ufac @ cols
-        state.F = wcols.T @ wcols
-        state.y = cols @ state.x
-        wy = wcols @ state.x
-        z = wcols.T @ wy
-        ynorm_q2 = float(wy @ wy)
-        xbar = state.Pi(state.x) if state.Pi is not None else np.zeros(0)
-        rank_s = pivoted_rank(cols) if len(state.S) else 0
-
-    def refresh():
-        """Recompute caches from (U, x) without touching S."""
-        nonlocal z, ynorm_q2, xbar
-        cols = ahat[:, state.S]
-        wcols = ufac @ cols
-        state.F = wcols.T @ wcols
-        state.y = cols @ state.x
-        wy = wcols @ state.x
-        z = wcols.T @ wy
-        ynorm_q2 = float(wy @ wy)
-        xbar = state.Pi(state.x)
-
-    rebuild_for_s()
-    dv_since_refresh = 0
-    rescales_since_refresh = 0
-    status = None
-
-    while True:
-        if len(state.S) == 0:
-            status = SOLVED
-            xbar = np.zeros(0)
-            break
-        if _positive_beyond_noise(xbar):
-            refresh()
-            cols = ahat[:, state.S]
-            scale_ok = np.abs(cols @ xbar).max() <= 1e-10 * len(state.S) * np.abs(xbar).max()
-            if _positive_beyond_noise(xbar) and scale_ok:
-                status = SOLVED
-                break
-        fdiag = np.diag(state.F)
-        qnorms = np.sqrt(np.maximum(fdiag, 1e-300))
-        ratios = z / qnorms
-        k = int(np.argmin(ratios))
-        if report.fo_iters >= limits.max_iterations:
-            break
-        if ynorm_q2 <= 0.0:
-            refresh()
-            if ynorm_q2 <= 0.0:
-                break
-            continue
-        v = ratios[k] / math.sqrt(ynorm_q2)
-        if v < -eps:
-            c = z[k] / fdiag[k]
-            before = ynorm_q2
-            state.x[k] -= c
-            state.y = state.y - c * ahat[:, state.S[k]]
-            z = z - c * state.F[:, k]
-            ynorm_q2 = max(ynorm_q2 - c * c * fdiag[k], 0.0)
-            xbar = xbar - c * state.Pi.mat[:, k]
-            report.fo_iters += 1
-            dv_since_refresh += 1
-            if hook is not None:
-                hook("dv", ynorm_q2_before=before, ynorm_q2_after=ynorm_q2, cos=v)
-            if dv_since_refresh >= _DV_REFRESH:
-                refresh()
-                dv_since_refresh = 0
-        else:
-            if report.rescalings >= limits.max_rescalings:
-                break
-            before = ynorm_q2
-            # Factored form of Q' = (Q + 3 Qy y^T Q / |y|_Q^2) / (1+3 eps)^2:
-            # with w = Uy, sqrt(I + 3 w_hat w_hat^T) = I + w_hat w_hat^T.
-            w = ufac @ state.y
-            wn = float(np.linalg.norm(w))
-            if wn == 0.0:
-                refresh()
-                continue
-            what = w / wn
-            ufac = (ufac + np.outer(what, what @ ufac)) / (1.0 + 3.0 * eps)
-            state.F = (state.F + 3.0 * np.outer(z, z) / ynorm_q2) / (1.0 + 3.0 * eps) ** 2
-            state.t += 1
-            scale = 4.0 / (1.0 + 3.0 * eps) ** 2
-            z = z * scale
-            ynorm_q2 *= scale
-            report.rescalings += 1
-            rescales_since_refresh += 1
-            if hook is not None:
-                hook("rescale", state=state, ynorm_q2_before=before, ynorm_q2_after=ynorm_q2)
-            if rescales_since_refresh >= _RESCALE_REFRESH:
-                refresh()
-                rescales_since_refresh = 0
-            # Mark columns whose Q-norm has outgrown the theta bound.
-            fdiag = np.diag(state.F)
-            new_marks = [
-                int(state.S[i])
-                for i in range(len(state.S))
-                if state.S[i] not in state.T and fdiag[i] > 1.0 / (th * th)
-            ]
-            if new_marks:
-                state.T.update(new_marks)
-                if hook is not None:
-                    hook("mark", marked=list(new_marks), state=state)
-                keep = np.array([i for i, orig in enumerate(state.S) if orig not in state.T], dtype=int)
-                kept_rank = pivoted_rank(ahat[:, state.S[keep]]) if keep.size else 0
-                if kept_rank < rank_s:
-                    removed = sorted(state.T)
-                    state.S = state.S[keep]
-                    state.T = set()
-                    report.removals += 1
-                    rebuild_for_s()
-                    dv_since_refresh = 0
-                    rescales_since_refresh = 0
-                    if hook is not None:
-                        hook("remove", removed=removed, state=state)
-
-    if status == SOLVED:
-        report.status = SOLVED
-        cert = finish(np.asarray(state.S, dtype=int), xbar if len(state.S) else None)
-        report.residual = cert.residual
-        report.margin = cert.min_support_value
-        support = cert.support
-    else:
-        report.status = NO_CONVERGE
-        cert = KernelCertificate(x=np.zeros(n), support=np.arange(0), residual=0.0, min_support_value=0.0)
-        support = cert.support
-    return cert, support, report
+    status, support, xbar = _rescaling_loop(ahat, np.flatnonzero(nz), limits, report, th=th, hook=hook)
+    if status != SOLVED:
+        return _no_certificate(n), np.arange(0), report
+    cert = _certificate(ahat, support, xbar, np.flatnonzero(~nz))
+    report.status = SOLVED
+    report.residual = cert.residual
+    report.margin = cert.min_support_value
+    return cert, cert.support, report

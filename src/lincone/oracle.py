@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import ContractViolationError, OracleFaultError
 from .firstorder import BUDGET_EXHAUSTED
+from .image import _DET_GROWTH, _LEDGER_SLACK
 from .linalg import SymPosDef, as_matrix
-from .report import NO_CONVERGE, SOLVED, BoundCheck, Limits, SolveReport
+from .report import NO_CONVERGE, SOLVED, BoundCheck, Limits, SolveReport, rescale_epsilon
 
 __all__ = [
     "INTERIOR",
@@ -40,10 +41,6 @@ __all__ = [
 
 INTERIOR = "interior"
 SMALL_NORM = "small_norm"
-
-# growth floor per rescaling, identical to the explicit-matrix ledger
-_DET_GROWTH = 16.0 / 9.0
-_LEDGER_SLACK = 1e-8
 
 
 @runtime_checkable
@@ -291,12 +288,10 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     the phase's active set. Returns ``(y, report)``; on success the oracle
     approved y itself, so ``oracle.query(y) is None`` by construction.
     """
-    eps = 1.0 / (11.0 * m)
     if limits is None:
-        per_phase = int(math.ceil(1.0 / (eps * eps)))
+        per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
         limits = Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
-    if limits.epsilon is not None:
-        eps = min(eps, limits.epsilon)
+    eps = rescale_epsilon(m, limits)
 
     report = SolveReport(status=NO_CONVERGE)
     metric_r = SymPosDef(np.eye(m))

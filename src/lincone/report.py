@@ -13,6 +13,7 @@ __all__ = [
     "SolveReport",
     "Limits",
     "default_limits",
+    "rescale_epsilon",
     "rescaling_bound",
 ]
 
@@ -85,6 +86,14 @@ def default_limits(m: int, n: int, encoding_estimate: float | None = None) -> Li
     per_phase = math.ceil(300.0 * m * m * (math.log2(max(n, 2)) + 4.0))
     max_iterations = per_phase * (max_rescalings + 1)
     return Limits(max_rescalings=max_rescalings, max_iterations=max_iterations)
+
+
+def rescale_epsilon(m: int, limits: Limits | None = None) -> float:
+    """The rescaling threshold eps = 1/(11m), lowered by ``limits.epsilon`` if smaller."""
+    eps = 1.0 / (11.0 * m)
+    if limits is not None and limits.epsilon is not None:
+        eps = min(limits.epsilon, eps)
+    return eps
 
 
 def rescaling_bound(m: int, rho: float, image: bool = False) -> float:

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import symmetric_hull_intersection_area
+from helpers import flat_image_cone, symmetric_hull_intersection_area
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
-from lincone.kernel import (
-    KernelState,
-    full_support_kernel,
-    kernel_rescale,
-    max_support_kernel,
-    rescale_matrix,
-)
-from lincone.linalg import SymPosDef, kernel_projector, normalize_columns
+from lincone.kernel import full_support_kernel, kernel_rescale, max_support_kernel
+from lincone.linalg import normalize_columns
 from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits
 
 
@@ -35,65 +29,43 @@ def narrow_instance(rng, n):
 
 
 class TestRescalePrimitives:
-    def test_matrix_form_example(self):
-        out = rescale_matrix(np.eye(2), np.array([1.0, 0.0]))
-        assert np.allclose(out, [[2.0, 0.0], [0.0, 1.0]])
-
-    def test_matrix_form_doubles_y(self):
-        rng = np.random.default_rng(0)
-        mat = rng.standard_normal((3, 5))
-        x = rng.uniform(1, 2, 5)
-        y = mat @ x
-        out = rescale_matrix(mat, y)
-        assert np.allclose(out @ x, 2 * y, rtol=1e-12)
-
-    def test_matrix_form_zero_y_rejected(self):
-        with pytest.raises(ContractViolationError):
-            rescale_matrix(np.eye(2), np.zeros(2))
-
     def test_q_form_example(self):
         eps = 1.0 / 22.0
-        ahat = np.eye(2)
-        state = KernelState(
-            Q=SymPosDef(np.eye(2)),
-            t=0,
-            x=np.ones(2),
-            y=np.array([1.0, 0.0]),
-            Pi=kernel_projector(ahat),
-            S=np.arange(2),
-            T=set(),
-            F=ahat.T @ ahat,
-            eps=eps,
-        )
-        out = kernel_rescale(state)
+        y = np.array([1.0, 0.0])
+        # A_hat = I and Q = I, so F = I and z = A_hat^T Q y = y.
+        ufac, fmat, z, ynorm_q2 = kernel_rescale(np.eye(2), np.eye(2), y.copy(), 1.0, y, eps)
         expect = np.diag([4.0, 1.0]) / (1.0 + 3.0 * eps) ** 2
-        assert np.allclose(out.Q.mat, expect, rtol=1e-12)
-        assert out.t == 1
+        assert np.allclose(ufac.T @ ufac, expect, rtol=1e-12)
+        assert np.allclose(fmat, expect, rtol=1e-12)
+        assert np.allclose(z, expect @ y, rtol=1e-12)
+        assert ynorm_q2 == pytest.approx(4.0 / (1.0 + 3.0 * eps) ** 2, rel=1e-12)
 
     def test_q_form_f_update_matches_definition(self):
         rng = np.random.default_rng(1)
         mat = normalize_columns(rng.standard_normal((3, 6)))
         b = rng.standard_normal((3, 3))
-        q = SymPosDef(b @ b.T + 3 * np.eye(3))
+        q = b @ b.T + 3 * np.eye(3)
+        ufac = np.linalg.cholesky(q).T  # Q = U^T U
         x = rng.uniform(1, 2, 6)
         y = mat @ x
-        state = KernelState(
-            Q=q,
-            t=4,
-            x=x,
-            y=y,
-            Pi=kernel_projector(mat),
-            S=np.arange(6),
-            T=set(),
-            F=mat.T @ q.mat @ mat,
-            eps=1.0 / 33.0,
-        )
-        out = kernel_rescale(state)
-        assert np.allclose(out.F, mat.T @ out.Q.mat @ mat, atol=1e-10)
+        eps = 1.0 / 33.0
+        fmat = mat.T @ q @ mat
+        out_u, out_f, out_z, out_yq2 = kernel_rescale(ufac, fmat, fmat @ x, float(y @ q @ y), y, eps)
+        qy = q @ y
+        new_q = out_u.T @ out_u
+        expect_q = (q + 3.0 * np.outer(qy, qy) / (y @ qy)) / (1.0 + 3.0 * eps) ** 2
+        assert np.allclose(new_q, expect_q, atol=1e-10)
+        assert np.allclose(out_f, mat.T @ new_q @ mat, atol=1e-10)
+        assert np.allclose(out_z, mat.T @ new_q @ y, atol=1e-10)
+        assert out_yq2 == pytest.approx(float(y @ new_q @ y), rel=1e-12)
         # y is untouched in the Q-form; its Q-norm grows by 2/(1+3 eps)
-        before = np.sqrt(y @ q.mat @ y)
-        after = np.sqrt(y @ out.Q.mat @ y)
-        assert after / before == pytest.approx(2.0 / (1.0 + 3.0 * state.eps), rel=1e-12)
+        before = np.sqrt(y @ q @ y)
+        after = np.sqrt(y @ new_q @ y)
+        assert after / before == pytest.approx(2.0 / (1.0 + 3.0 * eps), rel=1e-12)
+
+    def test_q_form_zero_y_rejected(self):
+        with pytest.raises(ContractViolationError):
+            kernel_rescale(np.eye(2), np.eye(2), np.zeros(2), 0.0, np.zeros(2), 1.0 / 22.0)
 
 
 class TestFullSupportKernel:
@@ -138,20 +110,23 @@ class TestFullSupportKernel:
 
     def test_norm_ledger_and_guard(self):
         rng = np.random.default_rng(31)
-        mat = feasible_instance(rng, 2, 6)
         eps = 1.0 / 22.0
         events = []
-        full_support_kernel(mat, hook=lambda kind, **d: events.append((kind, d)))
+        for _ in range(8):
+            mat = narrow_instance(rng, 5)
+            full_support_kernel(mat, hook=lambda kind, **d: events.append((kind, d)))
         dv = [d for kind, d in events if kind == "dv"]
         rs = [d for kind, d in events if kind == "rescale"]
+        assert dv and rs
         for d in dv:
-            expect = d["ynorm2_before"] * (1.0 - d["cos"] ** 2)
-            assert d["ynorm2_after"] == pytest.approx(expect, rel=1e-10, abs=1e-12)
+            expect = d["ynorm_q2_before"] * (1.0 - d["cos"] ** 2)
+            assert d["ynorm_q2_after"] == pytest.approx(expect, rel=1e-10, abs=1e-12)
             # the DV branch only fires strictly below the guard
             assert d["cos"] < -eps
         for d in rs:
-            assert d["ynorm2_after"] == pytest.approx(4.0 * d["ynorm2_before"], rel=1e-10)
-            # guard: no column is more than eps below the y hyperplane
+            scale = 4.0 / (1.0 + 3.0 * eps) ** 2
+            assert d["ynorm_q2_after"] == pytest.approx(scale * d["ynorm_q2_before"], rel=1e-10)
+            # guard: no column is more than eps below the y hyperplane (both whitened)
             hat = normalize_columns(d["mat_before"])
             yhat = d["y"] / np.linalg.norm(d["y"])
             assert (hat.T @ yhat).min() >= -eps - 1e-9
@@ -181,12 +156,19 @@ class TestFullSupportKernel:
         assert check.passed
         assert report.rescalings <= check.bound
 
-    def test_non_rescaling_mode_still_solves_tiny(self):
-        mat = feasible_instance(np.random.default_rng(41), 2, 5)
-        cert, report = full_support_kernel(mat, rescaling=False)
-        assert report.status == SOLVED
-        assert report.rescalings == 0
-        assert np.all(cert.x > 0)
+    def test_infeasible_verdict_is_checked(self):
+        # These cones are image feasible and flat. A DV step leaves its pivot
+        # at cosine 0, so a strictly separating y can be float noise; the
+        # verdict must come with a witness whose margins are really positive.
+        rng = np.random.default_rng(0)
+        for m in (3, 5):
+            for _ in range(4):
+                mat, _ = flat_image_cone(rng, m, 40, 1e-3)
+                cert, report = full_support_kernel(mat)
+                assert report.status in (INFEASIBLE_DETECTED, NO_CONVERGE)
+                if report.status == INFEASIBLE_DETECTED:
+                    assert report.margin > 0
+                assert cert.support.size == 0
 
 
 class TestMaxSupportKernel:
