@@ -18,7 +18,6 @@ from .conditioning import (
     encoding_length,
     goffin_oracle,
     hadamard_delta,
-    omega_oracle,
     theta,
 )
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     ParseError,
     UnsupportedInstanceError,
 )
-from .firstorder import dv_inner, dv_step, perceptron_inner, perceptron_step, von_neumann
+from .firstorder import dv_inner, perceptron_inner, von_neumann
 from .image import (
     ImageCertificate,
     full_support_image,
@@ -90,8 +89,6 @@ __all__ = [
     "von_neumann",
     "dv_inner",
     "perceptron_inner",
-    "dv_step",
-    "perceptron_step",
     # rescaling primitives
     "kernel_rescale",
     "image_rescale",
@@ -103,7 +100,6 @@ __all__ = [
     "oracle_von_neumann",
     # conditioning
     "goffin_oracle",
-    "omega_oracle",
     "hadamard_delta",
     "theta",
     "encoding_length",

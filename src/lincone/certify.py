@@ -9,6 +9,7 @@ matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     x = np.asarray(cert.x, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise ContractViolationError(f"certificate length {x.shape[0]} != n = {n}")
+    # NaN compares false both ways, so it would slip through every test below.
+    if not np.isfinite(x).all():
+        return CertReport(False, math.nan, math.nan, "certificate has non-finite entries")
     if tol is None:
         tol = 1e-8 * n
     mask = _support_mask(cert.support, n)
@@ -60,6 +64,8 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     ahat = mat / np.where(norms > 0.0, norms, 1.0)
     residual = float(np.abs(ahat @ np.where(mask, x, 0.0)).max()) if m else 0.0
     margin = float(x[mask].min()) if mask.any() else 0.0
+    if not (math.isfinite(residual) and math.isfinite(margin)):
+        return CertReport(False, residual, margin, "residual or margin is not finite")
     if np.any(x[~mask] != 0.0):
         return CertReport(False, residual, margin, "nonzero entries off the support")
     if mask.any() and margin <= 0.0:
@@ -76,12 +82,16 @@ def check_image_certificate(mat, cert, tol: float | None = None) -> CertReport:
     y = np.asarray(cert.y, dtype=float).reshape(-1)
     if y.shape[0] != m:
         raise ContractViolationError(f"certificate length {y.shape[0]} != m = {m}")
+    if not np.isfinite(y).all():
+        return CertReport(False, math.nan, math.nan, "certificate has non-finite entries")
     if tol is None:
         tol = 1e-8 * float(np.abs(mat).max())
     mask = _support_mask(cert.support, n)
     margins = mat.T @ y
     residual = float(np.abs(margins[~mask]).max()) if (~mask).any() else 0.0
     margin = float(margins[mask].min()) if mask.any() else 0.0
+    if not (math.isfinite(residual) and math.isfinite(margin)):
+        return CertReport(False, residual, margin, "residual or margin is not finite")
     if mask.any() and margin <= 0.0:
         return CertReport(False, residual, margin, "support margin not strictly positive")
     if residual > tol:

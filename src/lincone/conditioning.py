@@ -25,7 +25,6 @@ __all__ = [
     "theta",
     "encoding_length",
     "goffin_oracle",
-    "omega_oracle",
     "condition_report",
 ]
 
@@ -203,74 +202,6 @@ def goffin_oracle(mat, tol: float = 1e-6) -> float:
         centers = (centers[:, :, None] + offsets[:, None, :]).reshape(k, -1)
         if centers.shape[1] > _MAX_CELLS:
             raise UnsupportedInstanceError("sphere refinement exceeded its cell budget")
-
-
-def _feasible(candidates: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Mask of candidate unit vectors satisfying every ``n_j . u >= 0`` loosely."""
-    if normals.shape[1] == 0:
-        return np.ones(candidates.shape[1], dtype=bool)
-    return (normals.T @ candidates).min(axis=0) >= -1e-12
-
-
-def omega_oracle(mat, t_star, tol: float = 1e-6) -> float:
-    """Least width of the cap ``{u : A^T u >= 0, |u| <= 1}`` along marked columns.
-
-    For each marked column the width is ``max { a_hat_i . z }`` over the cap.
-    The maximum sits either at the column direction itself, on a constraint
-    boundary, or at a pairwise constraint intersection, so for m <= 3 the
-    candidate set is enumerated exactly instead of refined on a grid; the
-    result is accurate to roundoff, well inside any reasonable ``tol``.
-    """
-    mat = as_matrix(mat)
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
-    m, n = mat.shape
-    t_star = sorted(int(i) for i in t_star)
-    if not t_star:
-        raise ContractViolationError("the marked index set must be nonempty")
-    if any(i < 0 or i >= n for i in t_star):
-        raise ContractViolationError("marked index out of range")
-    if m > 3:
-        raise UnsupportedInstanceError("cap widths are supported for m <= 3 only")
-    norms = column_norms(mat)
-    if np.any(norms[t_star] == 0.0):
-        raise ContractViolationError("marked columns must be nonzero")
-    nz = norms > 0.0
-    normals = mat[:, nz] / norms[nz]
-
-    def cap_width(direction: np.ndarray) -> float:
-        cands = [direction]
-        if m == 2:
-            for j in range(normals.shape[1]):
-                p = np.array([-normals[1, j], normals[0, j]])
-                cands.extend([p, -p])
-        elif m == 3:
-            for j in range(normals.shape[1]):
-                proj = direction - (normals[:, j] @ direction) * normals[:, j]
-                pn = np.linalg.norm(proj)
-                if pn > 1e-13:
-                    cands.append(proj / pn)
-            for j in range(normals.shape[1]):
-                for l in range(j + 1, normals.shape[1]):
-                    c = np.cross(normals[:, j], normals[:, l])
-                    cn = np.linalg.norm(c)
-                    if cn > 1e-13:
-                        cands.extend([c / cn, -c / cn])
-        arr = np.stack(cands, axis=1)
-        ok = _feasible(arr, normals)
-        if not np.any(ok):
-            return 0.0
-        return max(0.0, float((direction @ arr[:, ok]).max()))
-
-    if m == 1:
-        widths = []
-        for i in t_star:
-            d = mat[:, i] / norms[i]
-            vals = [float(d @ u) for u in (np.array([1.0]), np.array([-1.0])) if _feasible(u.reshape(1, 1), normals)[0]]
-            widths.append(max([0.0] + vals))
-        return min(widths)
-
-    return min(cap_width(mat[:, i] / norms[i]) for i in t_star)
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Inner-loop update rules shared by the solvers.
+"""Inner loops shared by the solvers.
 
-Three flavors of the same primitive: single coordinate steps (``dv_step``,
-``perceptron_step``) and the von Neumann loop that drives the aggregate vector
-``y`` toward either a strict separator or a short vector, with its perceptron
-and coordinate-descent variants. All of them work in an arbitrary positive
-definite metric Q; passing ``None`` means euclidean.
+The von Neumann loop drives a convex combination ``y`` of the normalized
+columns toward either a strict separator or a short vector; its perceptron
+and coordinate-descent variants keep the same output contract. All of them
+work in an arbitrary positive definite metric Q; passing ``None`` means
+euclidean.
 
 Cost model of the three loops (``von_neumann``, ``perceptron_inner``,
 ``dv_inner``): one set-up per call whitens the columns through the Cholesky
@@ -28,8 +28,6 @@ __all__ = [
     "SEPARATED",
     "SMALL_NORM",
     "BUDGET_EXHAUSTED",
-    "dv_step",
-    "perceptron_step",
     "von_neumann",
     "dv_inner",
     "perceptron_inner",
@@ -47,9 +45,7 @@ _DRIFT_INTERVAL = 10_000
 class FOState:
     """Coefficient vector x and aggregate y for one first-order run.
 
-    In von Neumann mode x is a convex combination and
-    ``y = sum_i x_i a_i / |a_i|_Q``; in coordinate-step mode x collects the
-    accumulated step sizes and ``y = A x``.
+    x is a convex combination and ``y = sum_i x_i a_i / |a_i|_Q``.
     """
 
     mat: np.ndarray
@@ -64,52 +60,8 @@ class FOOutcome:
     iterations: int
 
 
-def _metric_inner(metric: SymPosDef | None, v: np.ndarray, w: np.ndarray) -> float:
-    if metric is None:
-        return float(v @ w)
-    return metric.inner(v, w)
-
-
-def _column(state: FOState, k: int) -> np.ndarray:
-    n = state.mat.shape[1]
-    if not 0 <= k < n:
-        raise ContractViolationError(f"column index {k} out of range for n={n}")
-    return state.mat[:, k]
-
-
-def dv_step(state: FOState, k: int) -> FOState:
-    """One coordinate-descent step on column k.
-
-    Subtracts from y its component along a_k and pays for it in x_k, so the
-    norm of y never grows: ``|y'| = |y| sqrt(1 - cos^2)`` where cos is the
-    normalized inner product of a_k and y in the state metric.
-    """
-    a = _column(state, k)
-    qq = _metric_inner(state.metric, a, a)
-    if qq == 0.0:
-        raise DegenerateColumnError(f"column {k} is zero")
-    ay = _metric_inner(state.metric, a, state.y)
-    x = state.x.copy()
-    x[k] -= ay / qq
-    y = state.y - (ay / qq) * a
-    return FOState(mat=state.mat, x=x, y=y, metric=state.metric)
-
-
-def perceptron_step(state: FOState, k: int) -> FOState:
-    """Add the normalized column k to y and record the weight on x."""
-    a = _column(state, k)
-    qq = _metric_inner(state.metric, a, a)
-    if qq == 0.0:
-        raise DegenerateColumnError(f"column {k} is zero")
-    nrm = math.sqrt(qq)
-    x = state.x.copy()
-    x[k] += 1.0 / nrm
-    y = state.y + a / nrm
-    return FOState(mat=state.mat, x=x, y=y, metric=state.metric)
-
-
 def _whitened(mat, metric: SymPosDef | None, eps: float):
-    """Shared set-up of the inner loops: validate, whiten, normalize.
+    """Shared set-up of the inner loops: validate, embed through Q's factor, normalize.
 
     Returns ``(mat, bhat, qnorms)`` where ``bhat = L^T A / |L^T a_j|`` for
     ``Q = L L^T``, so that ``bhat_i . bhat_j`` is the Q-cosine of a_i and a_j
@@ -128,6 +80,18 @@ def _whitened(mat, metric: SymPosDef | None, eps: float):
 def _vn_cap(eps: float, budget: int | None) -> int:
     cap = math.ceil(1.0 / (eps * eps))
     return cap if budget is None else min(cap, int(budget))
+
+
+def _vn_step(ynorm2: float, z: float) -> float:
+    """Step length minimizing |(1-l) y + l a|_Q over l in [0, 1].
+
+    ``ynorm2`` is |y|_Q^2 and ``z`` the Q-inner product of y with the unit
+    vector a; the von Neumann loops of the image and oracle solvers both take
+    this step.
+    """
+    lam = (ynorm2 - z) / (ynorm2 - 2.0 * z + 1.0)
+    assert -1e-12 <= lam <= 1.0 + 1e-12
+    return min(max(lam, 0.0), 1.0)
 
 
 def _result(mat, metric, x, qnorms, status, iterations):
@@ -185,10 +149,7 @@ def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = 
         if iterations >= cap:
             status = BUDGET_EXHAUSTED
             break
-        # Step length minimizing |(1-l) y + l a_hat_k|_Q over l in [0, 1].
-        lam = (ynorm2 - zk) / (ynorm2 - 2.0 * zk + 1.0)
-        assert -1e-12 <= lam <= 1.0 + 1e-12
-        lam = min(max(lam, 0.0), 1.0)
+        lam = _vn_step(ynorm2, zk)
         x *= 1.0 - lam
         x[k] += lam
         w *= 1.0 - lam

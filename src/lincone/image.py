@@ -47,8 +47,8 @@ __all__ = [
     "short_column_scan",
 ]
 
-# Determinant growth floor per rescale and its float slack; the oracle solver
-# keeps the same ledger.
+# Determinant growth floor per rescale and its float slack, for every solver
+# that rescales through ``_grow_metric``.
 _DET_GROWTH = 16.0 / 9.0
 _LEDGER_SLACK = 1e-8
 _DROP_FACTOR = 1e-9
@@ -66,7 +66,6 @@ class ImageState:
 
     R: SymPosDef
     Q: SymPosDef
-    t: int
     gamma: np.ndarray
     alpha: float
     U: np.ndarray
@@ -90,7 +89,6 @@ def _initial_state(ahat: np.ndarray, active: np.ndarray, theta_val: float, eps: 
     return ImageState(
         R=SymPosDef(np.eye(m)),
         Q=SymPosDef(np.eye(m)),
-        t=0,
         gamma=np.zeros(len(active)),
         alpha=1.0,
         U=np.eye(m),
@@ -99,6 +97,32 @@ def _initial_state(ahat: np.ndarray, active: np.ndarray, theta_val: float, eps: 
         r=m,
         theta=theta_val,
         eps=eps,
+    )
+
+
+def _grow_metric(metric_r: SymPosDef, cols: np.ndarray, w: np.ndarray, eps: float):
+    """The ledgered growth step R' = (R + sum_i w_i c_i c_i^T) / (1+eps).
+
+    Shared by the image and oracle solvers; each passes weights that make
+    the sum a convex combination of outer products of Q-normalized vectors.
+    The determinant must then grow by at least 16/9; anything less means the
+    caller rescaled on a combination that was not short, and raises.
+    Returns (R', det ratio).
+    """
+    new_r = SymPosDef((metric_r.mat + (cols * w) @ cols.T) / (1.0 + eps))
+    ratio = math.exp(new_r.logdet - metric_r.logdet)
+    if ratio < _DET_GROWTH * (1.0 - _LEDGER_SLACK):
+        raise ContractViolationError(f"determinant grew only by {ratio}, below 16/9")
+    return new_r, ratio
+
+
+def _growth_check(min_ratio: float) -> BoundCheck:
+    """Ledger report: the least determinant growth seen over a run's rescales."""
+    return BoundCheck(
+        name="det_growth_per_rescale_min",
+        bound=_DET_GROWTH,
+        observed=min_ratio,
+        passed=min_ratio >= _DET_GROWTH * (1.0 - _LEDGER_SLACK),
     )
 
 
@@ -116,20 +140,12 @@ def image_rescale(state: ImageState, x: np.ndarray, y: np.ndarray) -> ImageState
     qnorm2 = np.einsum("ij,ij->j", cols, state.Q.mat @ cols)
     if np.any(qnorm2 <= 0.0):
         raise ContractViolationError("zero Q-norm column in rescale")
-    w = x / qnorm2
-    rmat = (state.R.mat + (cols * w) @ cols.T) / (1.0 + state.eps)
-    new_r = SymPosDef(rmat)
-
-    ratio = math.exp(new_r.logdet - state.R.logdet)
-    if ratio < _DET_GROWTH * (1.0 - _LEDGER_SLACK):
-        raise ContractViolationError(f"determinant grew only by {ratio}, below 16/9")
-
+    new_r, _ = _grow_metric(state.R, cols, x / qnorm2, state.eps)
     eucl2 = np.einsum("ij,ij->j", cols, cols)
     gamma = (state.gamma + x * eucl2 / qnorm2) / (1.0 + state.eps)
     return ImageState(
         R=new_r,
         Q=SymPosDef(new_r.inv),
-        t=state.t + 1,
         gamma=gamma,
         alpha=state.alpha / (1.0 + state.eps),
         U=state.U,
@@ -253,14 +269,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         cert = ImageCertificate(y=np.zeros(m), support=support, min_margin=0.0, residual_zero=0.0)
 
     if report.rescalings > 0:
-        report.bound_checks.append(
-            BoundCheck(
-                name="det_growth_per_rescale_min",
-                bound=_DET_GROWTH,
-                observed=min_growth,
-                passed=min_growth >= _DET_GROWTH * (1.0 - _LEDGER_SLACK),
-            )
-        )
+        report.bound_checks.append(_growth_check(min_growth))
     if report.removals > 0:
         report.bound_checks.append(
             BoundCheck(
@@ -343,7 +352,6 @@ def _remove_column(state: ImageState, pos: int, n_total: int):
     new_state = ImageState(
         R=new_r,
         Q=SymPosDef(new_r.inv) if new_r is not None else None,
-        t=state.t,
         gamma=(state.gamma * shrink)[keep],
         alpha=state.alpha,
         U=state.U @ w,

@@ -7,7 +7,7 @@ over asymptotics. Factorizations are recomputed eagerly rather than updated.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ContractViolationError, DegenerateColumnError
 
@@ -21,8 +21,6 @@ __all__ = [
     "independent_rows",
     "pivoted_rank",
     "kernel_projector",
-    "ellipsoid_width",
-    "projected_determinant",
     "orthocomplement_basis",
     "column_norms",
     "normalize_columns",
@@ -88,10 +86,6 @@ class SymPosDef:
         self.inv = cho_solve(self._cho, np.eye(n))
         self.inv = 0.5 * (self.inv + self.inv.T)
 
-    @property
-    def det(self) -> float:
-        return float(np.exp(self.logdet))
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Return ``self.mat^{-1} rhs`` via the cached factorization."""
         return cho_solve(self._cho, rhs)
@@ -107,23 +101,6 @@ class SymPosDef:
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(v @ self.mat @ w)
 
-    def inv_quad(self, v: np.ndarray) -> float:
-        """Quadratic form in the inverse metric, ``v^T M^{-1} v``.
-
-        Computed as the squared norm of a triangular solve, which keeps the
-        value nonnegative even for ill-conditioned matrices.
-        """
-        lower = solve_triangular(self._cho[0], v, lower=True)
-        return float(lower @ lower)
-
-    def whiten(self, mat: np.ndarray) -> np.ndarray:
-        """Return ``L^{-1} mat`` where ``self.mat = L L^T``.
-
-        ``whiten(A).T @ whiten(A)`` is the Gram matrix of the columns of ``A``
-        in the inverse metric.
-        """
-        return solve_triangular(self._cho[0], mat, lower=True)
-
     def embed(self, mat: np.ndarray) -> np.ndarray:
         """Return ``L^T mat`` where ``self.mat = L L^T``.
 
@@ -138,17 +115,15 @@ class SymPosDef:
 
 
 class Projector:
-    """An orthogonal projector onto the kernel or row space of a matrix.
+    """An orthogonal projector, as ``kernel_projector`` builds it.
 
     Construction validates symmetry, idempotency, and that the trace is an
     integer (the rank of the target subspace) within tolerance.
     """
 
-    __slots__ = ("mat", "kind", "dim", "rank")
+    __slots__ = ("mat", "dim", "rank")
 
-    def __init__(self, mat, kind: str):
-        if kind not in ("kernel", "image"):
-            raise ContractViolationError(f"unknown projector kind {kind!r}")
+    def __init__(self, mat):
         mat = as_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ContractViolationError("projector must be square")
@@ -161,19 +136,14 @@ class Projector:
         if abs(trace - round(trace)) > 1e-9 * mat.shape[0]:
             raise ContractViolationError(f"projector trace {trace} is not near an integer")
         self.mat = 0.5 * (mat + mat.T)
-        self.kind = kind
         self.dim = mat.shape[0]
         self.rank = int(round(trace))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ v
 
-    def complement(self) -> "Projector":
-        other = "image" if self.kind == "kernel" else "kernel"
-        return Projector(np.eye(self.dim) - self.mat, other)
-
     def __repr__(self):
-        return f"Projector(kind={self.kind!r}, dim={self.dim}, rank={self.rank})"
+        return f"Projector(dim={self.dim}, rank={self.rank})"
 
 
 def independent_rows(mat: np.ndarray) -> list[int]:
@@ -222,46 +192,18 @@ def kernel_projector(mat: np.ndarray) -> Projector:
 
     Returns
     -------
-    Projector of kind "kernel", an (n, n) matrix of rank ``n - rank(mat)``.
+    Projector, an (n, n) matrix of rank ``n - rank(mat)``.
     """
     mat = as_matrix(mat)
     rows = independent_rows(mat)
     n = mat.shape[1]
     if not rows:
-        return Projector(np.eye(n), "kernel")
+        return Projector(np.eye(n))
     basis = mat[rows, :]
     gram = SymPosDef(basis @ basis.T)
     row_proj = basis.T @ gram.solve(basis)
     proj = np.eye(n) - row_proj
-    return Projector(0.5 * (proj + proj.T), "kernel")
-
-
-def ellipsoid_width(metric: SymPosDef, direction: np.ndarray) -> float:
-    """Width of the ellipsoid ``{z : z^T R z <= 1}`` along ``direction``.
-
-    Equals ``max { direction^T z : z^T R z <= 1 } = ||direction||_{R^{-1}}``,
-    attained at ``z* = R^{-1} direction / ||direction||_{R^{-1}}``.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (metric.dim,):
-        raise ContractViolationError("direction has wrong dimension")
-    if np.all(direction == 0.0):
-        raise DegenerateColumnError("width along the zero vector is undefined")
-    return float(np.sqrt(metric.inv_quad(direction)))
-
-
-def projected_determinant(metric: SymPosDef, normal: np.ndarray) -> float:
-    """Determinant of the metric restricted to the hyperplane ``normal^{perp}``.
-
-    For a unit ``normal`` this equals ``det(R) * ||normal||^2_{R^{-1}}``; a
-    non-unit normal is normalized first.
-    """
-    normal = np.asarray(normal, dtype=float)
-    nrm = np.linalg.norm(normal)
-    if nrm == 0.0:
-        raise DegenerateColumnError("hyperplane normal must be nonzero")
-    unit = normal / nrm
-    return float(metric.det * metric.inv_quad(unit))
+    return Projector(0.5 * (proj + proj.T))
 
 
 def orthocomplement_basis(vector: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 The solver here never sees a matrix. It talks to a strict separation oracle:
 given a query point v, the oracle either certifies v is interior to the cone
-or hands back a vector a with a^T v <= 0. The von Neumann inner loop and the
-rescaling outer loop are the same as in the explicit-matrix image solver, but
-all bookkeeping is restricted to the set of vectors the oracle has actually
+or hands back a vector a with a^T v <= 0. The von Neumann step, the rescale
+and its determinant ledger are the explicit-matrix image solver's own, with
+all bookkeeping restricted to the set of vectors the oracle has actually
 returned.
 
 Two adapters are provided: one wrapping an explicit matrix (each column is a
@@ -23,10 +23,10 @@ from typing import Optional, Protocol, runtime_checkable
 import numpy as np
 
 from .errors import ContractViolationError, OracleFaultError
-from .firstorder import BUDGET_EXHAUSTED
-from .image import _DET_GROWTH, _LEDGER_SLACK
+from .firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
+from .image import _grow_metric, _growth_check
 from .linalg import SymPosDef, as_matrix
-from .report import NO_CONVERGE, SOLVED, BoundCheck, Limits, SolveReport, rescale_epsilon
+from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, rescale_epsilon
 
 __all__ = [
     "INTERIOR",
@@ -207,10 +207,8 @@ def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, 
     if eps <= 0.0:
         raise ContractViolationError("eps must be positive")
     m = oracle.dim
-    cap = int(math.ceil(1.0 / (eps * eps)))
-    if budget is not None:
-        cap = min(cap, int(budget))
-    size_cap = int(math.ceil(1.0 / (eps * eps)))
+    cap = _vn_cap(eps, budget)
+    size_cap = _vn_cap(eps, None)
 
     active = ActiveSet()
     first = oracle.query(np.zeros(m))
@@ -240,10 +238,7 @@ def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, 
         _fault_check(answer, v)
         anorm = metric.norm(answer)
         ahat = answer / anorm
-        z = metric.inner(ahat, y)
-        lam = (ynorm * ynorm - z) / (ynorm * ynorm - 2.0 * z + 1.0)
-        assert -1e-12 <= lam <= 1.0 + 1e-12
-        lam = min(max(lam, 0.0), 1.0)
+        lam = _vn_step(ynorm * ynorm, metric.inner(ahat, y))
         pos = active.slot(ahat)
         active.mix(pos, lam)
         y = (1.0 - lam) * y + lam * ahat
@@ -254,31 +249,6 @@ def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, 
         # the norm decays like 1/sqrt(t), so the intrinsic cap ends small
         status = SMALL_NORM if metric.norm(y) <= eps else BUDGET_EXHAUSTED
     return active, y, status, iters
-
-
-def _oracle_rescale(metric_r: SymPosDef, active: ActiveSet, eps: float) -> SymPosDef:
-    """Multi-rank rescaling restricted to the active set.
-
-    Same formula as the explicit-matrix image rescaling, with the sum
-    running over the oracle-returned vectors only. The determinant must
-    grow by at least 16/9 per application; anything less means the caller
-    handed over a combination with ||y||_Q > eps and is a bug.
-    """
-    m = metric_r.dim
-    bump = np.zeros((m, m))
-    for vec, coeff in zip(active.vectors, active.coeffs):
-        if coeff == 0.0:
-            continue
-        # vectors are stored Q-normalized, so each outer product is
-        # a_i a_i^T / ||a_i||_Q^2 already
-        bump += coeff * np.outer(vec, vec)
-    out = SymPosDef((metric_r.mat + bump) / (1.0 + eps))
-    ratio = math.exp(out.logdet - metric_r.logdet)
-    if ratio < _DET_GROWTH * (1.0 - _LEDGER_SLACK):
-        raise ContractViolationError(
-            f"rescaling grew the determinant by {ratio:.6f} < 16/9"
-        )
-    return out
 
 
 def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | None = None):
@@ -297,7 +267,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     metric_r = SymPosDef(np.eye(m))
     metric_q = SymPosDef(np.eye(m))
     ybar = np.zeros(m)
-    min_ratio = None
+    min_ratio = math.inf
     while report.rescalings <= limits.max_rescalings:
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
@@ -312,22 +282,15 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
             break
         if report.rescalings == limits.max_rescalings:
             break
-        before = metric_r.logdet
-        metric_r = _oracle_rescale(metric_r, active, eps)
+        # The active vectors are stored Q-normalized, so their coefficients
+        # are the weights of the image rescale.
+        cols = np.stack(active.vectors, axis=1)
+        metric_r, ratio = _grow_metric(metric_r, cols, np.asarray(active.coeffs), eps)
         metric_q = SymPosDef(metric_r.inv)
-        ratio = math.exp(metric_r.logdet - before)
-        min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
+        min_ratio = min(min_ratio, ratio)
         report.rescalings += 1
         ybar = metric_q.mat @ y
 
-    if min_ratio is not None:
-        floor = _DET_GROWTH * (1.0 - _LEDGER_SLACK)
-        report.bound_checks.append(
-            BoundCheck(
-                name="det_growth_per_rescale_min",
-                bound=floor,
-                observed=min_ratio,
-                passed=min_ratio >= floor,
-            )
-        )
+    if report.rescalings > 0:
+        report.bound_checks.append(_growth_check(min_ratio))
     return ybar, report

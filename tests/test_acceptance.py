@@ -37,10 +37,8 @@ from lincone import (
     strict_conic_feasibility,
     theta,
 )
-from lincone.firstorder import FOState, dv_step
 from lincone.image import _check_decomposition
 from lincone.instances import _fm_solve
-from lincone.linalg import SymPosDef
 from lincone.report import SOLVED
 
 
@@ -50,59 +48,6 @@ def _emit(capsys, ok, label, detail):
     with capsys.disabled():
         print(f"\n[{tag}] {label}: {detail}", flush=True)
     assert ok, f"{label}: {detail}"
-
-
-def test_dv_step_norm_identity_bulk(capsys):
-    # The step must shrink |y| exactly by sqrt(1 - cos^2) in its own metric.
-    # Deviation is measured relative to the pre-step norm, the scale on which
-    # the identity is stated; every fourth matrix runs under a random SPD
-    # metric rather than the euclidean one. Draws with |cos| > 0.9999 are
-    # redrawn: there the reference value 1 - cos^2 loses half its digits to
-    # cancellation, so it cannot arbitrate a 1e-12 comparison.
-    rng = np.random.default_rng(2024)
-    total = 100_000
-    per_mat = 250
-    worst = 0.0
-    steps = 0
-    mats_done = 0
-    t0 = time.perf_counter()
-    while steps < total:
-        m = int(rng.integers(2, 6))
-        n = int(rng.integers(m + 1, m + 8))
-        mat = rng.standard_normal((m, n))
-        metric = None
-        if mats_done % 4 == 3:
-            b = rng.standard_normal((m, m))
-            metric = SymPosDef(b @ b.T + np.eye(m))
-        mats_done += 1
-        q = np.eye(m) if metric is None else metric.mat
-        qmat = q @ mat
-        col_qnorm = np.sqrt(np.einsum("ij,ij->j", mat, qmat))
-        ys = rng.standard_normal((per_mat, m))
-        ks = rng.integers(0, n, size=per_mat)
-        x0 = np.zeros(n)
-        for y, k in zip(ys, ks):
-            k = int(k)
-            qy = q @ y
-            ynorm = math.sqrt(float(y @ qy))
-            cos = float(mat[:, k] @ qy) / (col_qnorm[k] * ynorm)
-            if abs(cos) > 0.9999:
-                continue
-            nxt = dv_step(FOState(mat=mat, x=x0, y=y, metric=metric), k)
-            got = math.sqrt(float(nxt.y @ q @ nxt.y))
-            predicted = ynorm * math.sqrt(max(1.0 - cos * cos, 0.0))
-            worst = max(worst, abs(got - predicted) / ynorm)
-            steps += 1
-            if steps >= total:
-                break
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 5.0
-    _emit(
-        capsys,
-        ok,
-        "dv step norm identity",
-        f"{steps} steps, max deviation {worst:.2e} of |y|, {elapsed:.2f}s (< 5s)",
-    )
 
 
 def _narrow_kernel_instance(rng, n):

@@ -58,6 +58,11 @@ class TestKernelCertificate:
         rep = check_kernel_certificate(mat, kcert([2, 1, 1], [0, 1, 2]))
         assert rep.valid
 
+    def test_nan_rejected(self):
+        # NaN fails neither the positivity test nor the residual test.
+        rep = check_kernel_certificate(np.array([[1.0, -1.0]]), kcert([np.nan, np.nan], [0, 1]))
+        assert not rep.valid
+
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolationError):
             check_kernel_certificate(np.eye(2), kcert([1, 1, 1], [0]))
@@ -85,6 +90,10 @@ class TestImageCertificate:
 
     def test_strictness_has_no_epsilon(self):
         rep = check_image_certificate(np.eye(2), icert([0.5, 0.0], [0, 1]))
+        assert not rep.valid
+
+    def test_nan_rejected(self):
+        rep = check_image_certificate(np.eye(2), icert([np.nan, np.nan], [0, 1]))
         assert not rep.valid
 
     def test_dimension_mismatch(self):

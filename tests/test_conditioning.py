@@ -11,7 +11,6 @@ from lincone.conditioning import (
     goffin_oracle,
     hadamard_delta,
     hadamard_delta_sq_exact,
-    omega_oracle,
     theta,
 )
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
@@ -188,74 +187,6 @@ class TestGoffinOracle:
         # Regular simplex columns in R^4: margin of the identity-like frame.
         rho = goffin_oracle(np.eye(4), tol=1e-4)
         assert rho == pytest.approx(0.5, abs=1e-4)
-
-
-class TestOmegaOracle:
-    def test_identity_full_marks(self):
-        # Widths of the nonnegative quadrant cap along each axis are 1.
-        assert omega_oracle(np.eye(2), [0, 1]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_single_ray(self):
-        assert omega_oracle(np.array([[1.0]]), [0]) == pytest.approx(1.0)
-
-    def test_thin_cone(self):
-        # Cap {y1 >= 0, -y1 + 10 y2 >= 0} is thin along the first column.
-        mat = np.array([[1.0, -1.0], [0.0, 10.0]])
-        w = omega_oracle(mat, [0, 1])
-        # Width along (1,0): the cap reaches x = 10/sqrt(101) at the boundary ray.
-        assert w == pytest.approx(10.0 / np.sqrt(101.0), abs=1e-9)
-
-    def test_dominates_goffin_when_all_marked(self):
-        rng = np.random.default_rng(130)
-        done = 0
-        while done < 15:
-            m = int(rng.integers(2, 4))
-            n = int(rng.integers(m, 7))
-            ystar = rng.standard_normal(m)
-            ystar /= np.linalg.norm(ystar)
-            cols = []
-            for _ in range(n):
-                c = rng.uniform(0.2, 0.9)
-                w = rng.standard_normal(m)
-                w -= (w @ ystar) * ystar
-                wn = np.linalg.norm(w)
-                if wn < 1e-12:
-                    continue
-                cols.append(c * ystar + np.sqrt(1 - c * c) * w / wn)
-            if len(cols) < m:
-                continue
-            mat = np.stack(cols, axis=1)
-            rho = goffin_oracle(mat, tol=1e-6)
-            if rho <= 0:
-                continue
-            w = omega_oracle(mat, list(range(mat.shape[1])))
-            assert w >= rho - 1e-5
-            done += 1
-
-    def test_matches_sampling(self):
-        # The reported value is the least width over the marked columns, so
-        # the min of the per-column sampled widths is a valid lower bound.
-        rng = np.random.default_rng(131)
-        for _ in range(10):
-            mat = rng.standard_normal((3, 4))
-            if np.any(np.linalg.norm(mat, axis=0) < 1e-9):
-                continue
-            t_star = [0, 1]
-            w = omega_oracle(mat, t_star)
-            z = rng.standard_normal((20000, 3))
-            z /= np.maximum(np.linalg.norm(z, axis=1), 1.0)[:, None]
-            feas = z[(z @ mat).min(axis=1) >= 0.0]
-            if feas.shape[0] < 50:
-                continue
-            sampled = []
-            for i in t_star:
-                d = mat[:, i] / np.linalg.norm(mat[:, i])
-                sampled.append(float((feas @ d).max()))
-            assert min(sampled) <= w + 1e-9
-
-    def test_empty_marks_rejected(self):
-        with pytest.raises(ContractViolationError):
-            omega_oracle(np.eye(2), [])
 
 
 class TestLowerBoundChain:

@@ -6,11 +6,8 @@ from lincone.firstorder import (
     BUDGET_EXHAUSTED,
     SEPARATED,
     SMALL_NORM,
-    FOState,
     dv_inner,
-    dv_step,
     perceptron_inner,
-    perceptron_step,
     von_neumann,
 )
 from lincone.linalg import SymPosDef
@@ -56,75 +53,6 @@ def gram_von_neumann(mat, metric, eps):
         ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * zk + lam * lam
         z = (1.0 - lam) * z + lam * ghat[:, k]
         iterations += 1
-
-
-class TestDvStep:
-    def test_removes_component_along_column(self):
-        mat = np.array([[1.0, 0.0], [0.0, -1.0]])
-        state = FOState(mat=mat, x=np.zeros(2), y=np.array([3.0, 4.0]))
-        out = dv_step(state, 1)
-        assert np.allclose(out.y, [3.0, 0.0])
-        assert out.x[1] == pytest.approx(4.0)
-        assert out.x[0] == 0.0
-
-    def test_norm_identity_euclidean(self):
-        rng = np.random.default_rng(7)
-        for _ in range(2000):
-            m = rng.integers(2, 6)
-            n = rng.integers(2, 9)
-            mat = rng.standard_normal((m, n))
-            y = rng.standard_normal(m)
-            k = int(rng.integers(0, n))
-            state = FOState(mat=mat, x=np.zeros(n), y=y)
-            out = dv_step(state, k)
-            a = mat[:, k]
-            cos = (a @ y) / (np.linalg.norm(a) * np.linalg.norm(y))
-            expect = np.linalg.norm(y) * np.sqrt(max(1.0 - cos * cos, 0.0))
-            assert np.linalg.norm(out.y) == pytest.approx(expect, rel=1e-12, abs=1e-12)
-
-    def test_norm_identity_in_metric(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            m = int(rng.integers(2, 5))
-            metric = random_spd(rng, m)
-            mat = rng.standard_normal((m, 4))
-            y = rng.standard_normal(m)
-            k = int(rng.integers(0, 4))
-            state = FOState(mat=mat, x=np.zeros(4), y=y, metric=metric)
-            out = dv_step(state, k)
-            a = mat[:, k]
-            cos = (a @ metric.mat @ y) / (qnorm(a, metric) * qnorm(y, metric))
-            expect = qnorm(y, metric) * np.sqrt(max(1.0 - cos * cos, 0.0))
-            assert qnorm(out.y, metric) == pytest.approx(expect, rel=1e-11, abs=1e-11)
-
-    def test_zero_column_rejected(self):
-        mat = np.array([[1.0, 0.0]])
-        state = FOState(mat=mat, x=np.zeros(2), y=np.array([1.0]))
-        with pytest.raises(DegenerateColumnError):
-            dv_step(state, 1)
-
-    def test_bad_index_rejected(self):
-        state = FOState(mat=np.eye(2), x=np.zeros(2), y=np.ones(2))
-        with pytest.raises(ContractViolationError):
-            dv_step(state, 5)
-
-
-class TestPerceptronStep:
-    def test_adds_normalized_column(self):
-        mat = np.array([[3.0, 0.0], [4.0, 1.0]])
-        state = FOState(mat=mat, x=np.zeros(2), y=np.array([1.0, 1.0]))
-        out = perceptron_step(state, 0)
-        assert np.allclose(out.y, [1.0 + 0.6, 1.0 + 0.8])
-        assert out.x[0] == pytest.approx(0.2)
-
-    def test_metric_normalization(self):
-        metric = SymPosDef(np.diag([4.0, 1.0]))
-        mat = np.array([[1.0], [0.0]])
-        state = FOState(mat=mat, x=np.zeros(1), y=np.zeros(2), metric=metric)
-        out = perceptron_step(state, 0)
-        # |a|_Q = 2, so y gains a/2 and x gains 1/2
-        assert np.allclose(out.y, [0.5, 0.0])
-        assert out.x[0] == pytest.approx(0.5)
 
 
 class TestVonNeumannTraces:

@@ -3,12 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import flat_image_cone
+from scipy.linalg import null_space
+
+from helpers import flat_image_cone, sampled_width
 from lincone.certify import check_image_certificate
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
 from lincone.firstorder import perceptron_inner
 from lincone.image import (
     ImageState,
+    _grow_metric,
+    _remove_column,
     full_support_image,
     image_rescale,
     max_support_image,
@@ -46,7 +50,6 @@ def fresh_state(mat, eps=1.0 / 22.0):
     return ImageState(
         R=SymPosDef(np.eye(m)),
         Q=SymPosDef(np.eye(m)),
-        t=0,
         gamma=np.zeros(n),
         alpha=1.0,
         U=np.eye(m),
@@ -91,6 +94,13 @@ class TestImageRescale:
         state = fresh_state(np.eye(2))
         with pytest.raises(ContractViolationError):
             image_rescale(state, np.array([0.7, 0.7]), np.zeros(2))
+
+    def test_growth_step_rejects_growth_below_16_9(self):
+        # R' = diag(2, 1) / 1.5 grows det by 2 / 2.25 < 16/9: the ledger must refuse it.
+        with pytest.raises(ContractViolationError):
+            _grow_metric(SymPosDef(np.eye(2)), np.array([[1.0], [0.0]]), np.array([1.0]), 0.5)
+        r, ratio = _grow_metric(SymPosDef(np.eye(2)), np.array([[1.0], [0.0]]), np.array([1.0]), 1.0 / 22.0)
+        assert ratio == pytest.approx(2.0 / (1.0 + 1.0 / 22.0) ** 2, rel=1e-12)
 
 
 class TestFullSupportImage:
@@ -269,3 +279,49 @@ class TestShortColumnScan:
         state.Q = SymPosDef(big.inv)
         found = short_column_scan(state)
         assert list(found) == [0]
+
+    def test_flags_iff_sampled_width_below_theta(self):
+        # The width of E(R) = {z : z^T R z <= 1} along a_hat_k is |a_hat_k|_Q.
+        # Sampling bounds each width within 5% from below, so with theta inside
+        # a gap wider than that, a column is flagged iff its sampled width is
+        # below theta.
+        rng = np.random.default_rng(42)
+        b = rng.standard_normal((3, 3))
+        rmat = b @ b.T + 1.1 * np.eye(3)
+        mat = rng.standard_normal((3, 8))
+        state = fresh_state(mat)
+        state.R = SymPosDef(rmat)
+        state.Q = SymPosDef(state.R.inv)
+        unit = mat / np.linalg.norm(mat, axis=0)
+        sampled = np.array([sampled_width(rmat, unit[:, k], rng) for k in range(8)])
+        qnorms = np.sqrt(np.einsum("ij,ij->j", unit, np.linalg.inv(rmat) @ unit))
+        assert np.all(sampled <= qnorms + 1e-9)
+        assert np.all(sampled > 0.95 * qnorms)
+        order = np.sort(sampled)
+        gaps = [i for i in range(7) if order[i] / 0.95 < order[i + 1]]
+        assert gaps
+        i = gaps[len(gaps) // 2]
+        state.theta = 0.5 * (order[i] / 0.95 + order[i + 1])
+        assert sorted(short_column_scan(state)) == list(np.flatnonzero(sampled < state.theta))
+
+
+class TestRemoveColumn:
+    def test_ratio_matches_restricted_form(self):
+        # Projecting out a_k restricts R to the hyperplane a_k^perp; the
+        # returned det ratio must be det(W^T R W) / det(R) for any orthonormal
+        # basis W of that hyperplane.
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            b = rng.standard_normal((4, 4))
+            rmat = b @ b.T + 1.1 * np.eye(4)
+            mat = rng.standard_normal((4, 6))
+            state = fresh_state(mat)
+            state.R = SymPosDef(rmat)
+            state.Q = SymPosDef(state.R.inv)
+            pos = int(rng.integers(0, 6))
+            new_state, ratio, dropped = _remove_column(state, pos, 6)
+            w = null_space(mat[:, pos][None, :])
+            direct = np.linalg.det(w.T @ rmat @ w) / np.linalg.det(rmat)
+            assert ratio == pytest.approx(direct, rel=1e-8)
+            assert np.exp(new_state.R.logdet - state.R.logdet) == pytest.approx(direct, rel=1e-8)
+            assert list(dropped) == [pos]

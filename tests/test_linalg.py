@@ -5,16 +5,14 @@ from lincone.errors import ContractViolationError, DegenerateColumnError
 from lincone.linalg import (
     SymPosDef,
     Projector,
-    ellipsoid_width,
     independent_rows,
     kernel_projector,
     normalize_columns,
     orthocomplement_basis,
     pivoted_rank,
-    projected_determinant,
 )
 
-from helpers import gs_kernel_projector, sampled_width
+from helpers import gs_kernel_projector
 
 
 def random_spd(rng, dim, spread=1.0):
@@ -42,14 +40,6 @@ class TestSymPosDef:
         q = SymPosDef(np.diag([4.0, 1.0]))
         assert q.norm(np.array([1.0, 0.0])) == pytest.approx(2.0)
         assert q.quad(np.array([1.0, 2.0])) == pytest.approx(8.0)
-        assert q.inv_quad(np.array([1.0, 0.0])) == pytest.approx(0.25)
-
-    def test_whiten_gram(self):
-        rng = np.random.default_rng(9)
-        r = SymPosDef(random_spd(rng, 3))
-        a = rng.standard_normal((3, 6))
-        gram = r.whiten(a).T @ r.whiten(a)
-        assert np.allclose(gram, a.T @ r.inv @ a, atol=1e-10)
 
     def test_embed_gram(self):
         rng = np.random.default_rng(10)
@@ -103,10 +93,6 @@ class TestKernelProjector:
             mat = rng.standard_normal((3, 7))
             proj = kernel_projector(mat)
             assert np.abs(mat @ proj.mat).max() < 1e-9
-            # Complement projects onto the row space.
-            row = proj.complement()
-            assert row.kind == "image"
-            assert np.abs(proj.mat + row.mat - np.eye(7)).max() < 1e-12
 
     def test_rank_identity(self):
         rng = np.random.default_rng(23)
@@ -121,11 +107,7 @@ class TestKernelProjector:
 class TestProjectorValidation:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ContractViolationError):
-            Projector(np.array([[0.5, 0.0], [0.0, 1.0]]), "kernel")
-
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ContractViolationError):
-            Projector(np.eye(2), "rowspace")
+            Projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
 
 
 class TestRank:
@@ -146,68 +128,6 @@ class TestRank:
             else:
                 mat = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
             assert pivoted_rank(mat) == np.linalg.matrix_rank(mat, tol=1e-9)
-
-
-class TestEllipsoidWidth:
-    def test_unit_ball(self):
-        q = SymPosDef(np.eye(3))
-        assert ellipsoid_width(q, np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0)
-
-    def test_diagonal_metric(self):
-        q = SymPosDef(np.diag([4.0, 1.0]))
-        assert ellipsoid_width(q, np.array([1.0, 0.0])) == pytest.approx(0.5)
-
-    def test_maximizer_is_on_boundary(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            mat = random_spd(rng, 3)
-            q = SymPosDef(mat)
-            a = rng.standard_normal(3)
-            w = ellipsoid_width(q, a)
-            zstar = q.solve(a) / w
-            assert zstar @ mat @ zstar == pytest.approx(1.0, abs=1e-9)
-            assert a @ zstar == pytest.approx(w, rel=1e-9)
-
-    def test_dominates_sampling(self):
-        rng = np.random.default_rng(42)
-        mat = random_spd(rng, 3)
-        q = SymPosDef(mat)
-        a = rng.standard_normal(3)
-        lo = sampled_width(mat, a, rng)
-        w = ellipsoid_width(q, a)
-        assert lo <= w + 1e-9
-        assert lo > 0.95 * w
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(DegenerateColumnError):
-            ellipsoid_width(SymPosDef(np.eye(2)), np.zeros(2))
-
-
-class TestProjectedDeterminant:
-    def test_identity(self):
-        q = SymPosDef(np.eye(2))
-        assert projected_determinant(q, np.array([1.0, 0.0])) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        q = SymPosDef(np.diag([4.0, 1.0]))
-        assert projected_determinant(q, np.array([0.0, 1.0])) == pytest.approx(4.0)
-
-    def test_matches_restricted_form(self):
-        # Restricting the quadratic form to the hyperplane via an explicit
-        # orthonormal basis must give the same determinant.
-        rng = np.random.default_rng(51)
-        for _ in range(20):
-            mat = random_spd(rng, 4)
-            q = SymPosDef(mat)
-            a = rng.standard_normal(4)
-            w = orthocomplement_basis(a)
-            direct = np.linalg.det(w.T @ mat @ w)
-            assert projected_determinant(q, a) == pytest.approx(direct, rel=1e-8)
-
-    def test_scale_invariant_in_normal(self):
-        q = SymPosDef(np.diag([2.0, 3.0, 4.0]))
-        a = np.array([1.0, 2.0, -1.0])
-        assert projected_determinant(q, a) == pytest.approx(projected_determinant(q, 5.0 * a), rel=1e-12)
 
 
 class TestOrthocomplementBasis:

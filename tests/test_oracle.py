@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import flat_image_cone
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
 from lincone.image import full_support_image
@@ -195,6 +196,18 @@ class TestStrictConicFeasibility:
         assert report.rescalings <= bound
         for check in report.bound_checks:
             assert check.passed, check
+
+    def test_ledger_report_matches_image_solver(self):
+        # Both solvers rescale through one ledgered step and report it alike.
+        rng = np.random.default_rng(0)
+        mat, _ = flat_image_cone(rng, 3, 40, 1e-3)
+        y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), 3)
+        cert, image_report = full_support_image(mat)
+        assert report.status == SOLVED and report.rescalings > 0
+        ours = {c.name: c for c in report.bound_checks}["det_growth_per_rescale_min"]
+        theirs = {c.name: c for c in image_report.bound_checks}["det_growth_per_rescale_min"]
+        assert ours.passed
+        assert ours.bound == theirs.bound == 16.0 / 9.0
 
     def test_empty_interior_no_converge(self):
         mat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
