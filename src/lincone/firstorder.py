@@ -3,13 +3,14 @@
 The von Neumann loop drives a convex combination ``y`` of the normalized
 columns toward either a strict separator or a short vector; its perceptron
 and coordinate-descent variants keep the same output contract. All of them
-work in an arbitrary positive definite metric Q; passing ``None`` means
-euclidean.
+are euclidean loops on the columns they are given: a solver working in a
+metric Q = W^T W passes the whitened columns W A, and then every euclidean
+quantity of the loop is the Q-quantity of the original columns.
 
 Cost model of the three loops (``von_neumann``, ``perceptron_inner``,
-``dv_inner``): one set-up per call whitens the columns through the Cholesky
-factor of Q, O(m^2 n), and each step is one O(mn) matrix-vector product. No
-n x n Gram matrix is ever formed, so memory stays O(mn).
+``dv_inner``): one O(mn) normalization per call, and each step is one O(mn)
+matrix-vector product. No n x n Gram matrix is ever formed, so memory stays
+O(mn).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateColumnError
-from .linalg import SymPosDef, as_matrix, column_norms
+from .linalg import as_matrix, column_norms
 
 __all__ = [
     "FOState",
@@ -45,13 +46,12 @@ _DRIFT_INTERVAL = 10_000
 class FOState:
     """Coefficient vector x and aggregate y for one first-order run.
 
-    x is a convex combination and ``y = sum_i x_i a_i / |a_i|_Q``.
+    x is a convex combination and ``y = sum_i x_i a_i / |a_i|``.
     """
 
     mat: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    metric: SymPosDef | None = None
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,20 @@ class FOOutcome:
     iterations: int
 
 
-def _whitened(mat, metric: SymPosDef | None, eps: float):
-    """Shared set-up of the inner loops: validate, embed through Q's factor, normalize.
+def _normalized(mat, eps: float):
+    """Shared set-up of the inner loops: validate and normalize the columns.
 
-    Returns ``(mat, bhat, qnorms)`` where ``bhat = L^T A / |L^T a_j|`` for
-    ``Q = L L^T``, so that ``bhat_i . bhat_j`` is the Q-cosine of a_i and a_j
-    and ``qnorms`` holds the |a_j|_Q. O(m^2 n) work, no n x n array.
+    Returns ``(mat, bhat, norms)`` with ``bhat = A / |a_j|``, so that
+    ``bhat_i . bhat_j`` is the cosine of a_i and a_j, and ``norms`` holds
+    the |a_j|. O(mn) work, no n x n array.
     """
     mat = as_matrix(mat)
     if eps <= 0:
         raise ContractViolationError("eps must be positive")
-    whitened = mat if metric is None else metric.embed(mat)
-    qnorms = column_norms(whitened)
-    if np.any(qnorms == 0.0):
+    norms = column_norms(mat)
+    if np.any(norms == 0.0):
         raise DegenerateColumnError("all columns must be nonzero")
-    return mat, whitened / qnorms, qnorms
+    return mat, mat / norms, norms
 
 
 def _vn_cap(eps: float, budget: int | None) -> int:
@@ -83,9 +82,9 @@ def _vn_cap(eps: float, budget: int | None) -> int:
 
 
 def _vn_step(ynorm2: float, z: float) -> float:
-    """Step length minimizing |(1-l) y + l a|_Q over l in [0, 1].
+    """Step length minimizing |(1-l) y + l a| over l in [0, 1].
 
-    ``ynorm2`` is |y|_Q^2 and ``z`` the Q-inner product of y with the unit
+    ``ynorm2`` is |y|^2 and ``z`` the inner product of y with the unit
     vector a; the von Neumann loops of the image and oracle solvers both take
     this step.
     """
@@ -94,30 +93,29 @@ def _vn_step(ynorm2: float, z: float) -> float:
     return min(max(lam, 0.0), 1.0)
 
 
-def _result(mat, metric, x, qnorms, status, iterations):
-    state = FOState(mat=mat, x=x, y=mat @ (x / qnorms), metric=metric)
+def _result(mat, x, norms, status, iterations):
+    state = FOState(mat=mat, x=x, y=mat @ (x / norms))
     return state, FOOutcome(status=status, iterations=iterations)
 
 
-def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = None):
-    """Drive a convex combination of Q-normalized columns toward 0 or a separator.
+def von_neumann(mat, eps: float, budget: int | None = None):
+    """Drive a convex combination of normalized columns toward 0 or a separator.
 
     Starts from the first column. Each iteration either certifies
-    ``A^T Q y > 0`` strictly (status ``separated``), moves y to the nearest
+    ``A^T y > 0`` strictly (status ``separated``), moves y to the nearest
     point of the segment toward the worst column, or stops with
-    ``|y|_Q <= eps`` (status ``small_norm``). At most ``ceil(1/eps^2)``
+    ``|y| <= eps`` (status ``small_norm``). At most ``ceil(1/eps^2)``
     iterations are ever needed; a smaller ``budget`` may stop the loop early
     with status ``budget_exhausted``.
 
-    The loop runs in whitened coordinates: with ``Q = L L^T`` it keeps
-    ``w = L^T y``, so ``|y|_Q^2 = w . w`` and the Q-cosines of y with the
-    columns are one matrix-vector product with the whitened, normalized
-    columns. Set-up costs O(m^2 n), each step O(mn); no n x n array is formed.
+    The loop keeps ``w = A_hat x``, so ``|y|^2 = w . w`` and the cosines of
+    y with the columns are one matrix-vector product with the normalized
+    columns. Set-up and each step cost O(mn); no n x n array is formed.
 
     Parameters
     ----------
-    mat : array (m, n), nonzero columns
-    metric : SymPosDef or None for the euclidean metric
+    mat : array (m, n), nonzero columns, already whitened for a non-euclidean
+        metric
     eps : target norm, > 0
     budget : optional iteration cap below the intrinsic bound
 
@@ -125,7 +123,7 @@ def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = 
     -------
     (FOState, FOOutcome)
     """
-    mat, bhat, qnorms = _whitened(mat, metric, eps)
+    mat, bhat, norms = _normalized(mat, eps)
     cap = _vn_cap(eps, budget)
     x = np.zeros(mat.shape[1])
     x[0] = 1.0
@@ -156,17 +154,17 @@ def von_neumann(mat, metric: SymPosDef | None, eps: float, budget: int | None = 
         w += lam * bhat[:, k]
         fresh = False
         iterations += 1
-    return _result(mat, metric, x, qnorms, status, iterations)
+    return _result(mat, x, norms, status, iterations)
 
 
-def perceptron_inner(mat, metric, eps, budget=None):
+def perceptron_inner(mat, eps, budget=None):
     """Perceptron analogue of ``von_neumann`` with the same output contract.
 
     Accumulates unit steps instead of taking convex combinations; the
     returned x and y are scaled down by the step count so x stays convex.
-    Same whitened set-up and per-step cost as ``von_neumann``.
+    Same set-up and per-step cost as ``von_neumann``.
     """
-    mat, bhat, qnorms = _whitened(mat, metric, eps)
+    mat, bhat, norms = _normalized(mat, eps)
     cap = _vn_cap(eps, budget)
     counts = np.zeros(mat.shape[1])
     counts[0] = 1.0
@@ -193,19 +191,19 @@ def perceptron_inner(mat, metric, eps, budget=None):
         w += bhat[:, k]
         fresh = False
         iterations += 1
-    return _result(mat, metric, counts / (iterations + 1), qnorms, status, iterations)
+    return _result(mat, counts / (iterations + 1), norms, status, iterations)
 
 
-def dv_inner(mat, metric, eps, budget=None):
+def dv_inner(mat, eps, budget=None):
     """Coordinate-descent analogue of ``von_neumann``; heuristic budget.
 
-    Runs unguarded DV steps on the Q-normalized columns and stops when the
+    Runs unguarded DV steps on the normalized columns and stops when the
     aggregate is strictly separated or short relative to the accumulated
     coefficient mass. No iteration bound like the von Neumann one applies,
-    so the default budget is a generous multiple of it. Same whitened set-up
-    and per-step cost as ``von_neumann``.
+    so the default budget is a generous multiple of it. Same set-up and
+    per-step cost as ``von_neumann``.
     """
-    mat, bhat, qnorms = _whitened(mat, metric, eps)
+    mat, bhat, norms = _normalized(mat, eps)
     cap = 16 * math.ceil(1.0 / (eps * eps)) if budget is None else int(budget)
     x = np.zeros(mat.shape[1])
     x[0] = 1.0
@@ -241,4 +239,4 @@ def dv_inner(mat, metric, eps, budget=None):
         w -= c * bhat[:, k]
         fresh = False
         iterations += 1
-    return _result(mat, metric, x / float(x.sum()), qnorms, status, iterations)
+    return _result(mat, x / float(x.sum()), norms, status, iterations)

@@ -3,10 +3,12 @@
 Both solvers run one loop, ``_rescaling_loop``. The metric R grows by the
 convex combination the inner loop returns whenever that combination is short,
 which inflates det(R) geometrically while the feasible cap stays inside the
-ellipsoid E(R). The max-support solver passes theta and the full-support
-solver passes 0: after each rescale the loop projects out every column whose
-Q-norm dropped below theta (such a column can never be strictly positive), so
-with theta = 0 no column is ever scanned or removed.
+ellipsoid E(R). R is the only metric stored; Q = R^{-1} enters through its
+factor W (Q = W^T W), so the inner loop runs on the whitened columns W A. The
+max-support solver passes theta and the full-support solver passes 0: after
+each rescale the loop projects out every column whose Q-norm |W a| dropped
+below theta (such a column can never be strictly positive), so with theta = 0
+no column is ever scanned or removed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .report import (
     default_limits,
     rescale_epsilon,
     rescaling_bound,
+    timed,
 )
 
 __all__ = [
@@ -56,22 +59,21 @@ _DROP_FACTOR = 1e-9
 
 @dataclass
 class ImageState:
-    """Metric pair plus the projected problem the rescaling loop works on.
+    """Metric R plus the projected problem the rescaling loop works on.
 
-    A_cur holds the current columns (r x |T|), already pushed through the
-    accumulated orthonormal map U (so A_cur = U^T A_hat on the survivors);
-    gamma and alpha track the decomposition R = alpha I + sum gamma_i a_hat_i
-    a_hat_i^T over the current unit columns for invariant checking.
+    A_cur holds the current columns (r x |T|, r = U.shape[1]), already pushed
+    through the accumulated orthonormal map U (so A_cur = U^T A_hat on the
+    survivors); gamma and alpha track the decomposition R = alpha I + sum
+    gamma_i a_hat_i a_hat_i^T over the current unit columns for invariant
+    checking. R is None once every dimension has been projected out.
     """
 
     R: SymPosDef
-    Q: SymPosDef
     gamma: np.ndarray
     alpha: float
     U: np.ndarray
     A_cur: np.ndarray
     T: np.ndarray
-    r: int
     theta: float
     eps: float
 
@@ -82,22 +84,6 @@ class ImageCertificate:
     support: np.ndarray
     min_margin: float
     residual_zero: float
-
-
-def _initial_state(ahat: np.ndarray, active: np.ndarray, theta_val: float, eps: float) -> ImageState:
-    m = ahat.shape[0]
-    return ImageState(
-        R=SymPosDef(np.eye(m)),
-        Q=SymPosDef(np.eye(m)),
-        gamma=np.zeros(len(active)),
-        alpha=1.0,
-        U=np.eye(m),
-        A_cur=ahat[:, active].copy(),
-        T=np.asarray(active, dtype=int),
-        r=m,
-        theta=theta_val,
-        eps=eps,
-    )
 
 
 def _grow_metric(metric_r: SymPosDef, cols: np.ndarray, w: np.ndarray, eps: float):
@@ -126,7 +112,7 @@ def _growth_check(min_ratio: float) -> BoundCheck:
     )
 
 
-def image_rescale(state: ImageState, x: np.ndarray, y: np.ndarray) -> ImageState:
+def image_rescale(state: ImageState, x: np.ndarray) -> ImageState:
     """Grow R by the weighted outer products of the active columns.
 
     R' = (R + sum_i x_i a_i a_i^T / |a_i|_Q^2) / (1+eps) for convex x; the
@@ -137,7 +123,7 @@ def image_rescale(state: ImageState, x: np.ndarray, y: np.ndarray) -> ImageState
     if abs(float(x.sum()) - 1.0) > 1e-8 or np.any(x < -1e-12):
         raise ContractViolationError("rescale weights must be a convex combination")
     cols = state.A_cur
-    qnorm2 = np.einsum("ij,ij->j", cols, state.Q.mat @ cols)
+    qnorm2 = column_norms(state.R.whiten(cols)) ** 2
     if np.any(qnorm2 <= 0.0):
         raise ContractViolationError("zero Q-norm column in rescale")
     new_r, _ = _grow_metric(state.R, cols, x / qnorm2, state.eps)
@@ -145,13 +131,11 @@ def image_rescale(state: ImageState, x: np.ndarray, y: np.ndarray) -> ImageState
     gamma = (state.gamma + x * eucl2 / qnorm2) / (1.0 + state.eps)
     return ImageState(
         R=new_r,
-        Q=SymPosDef(new_r.inv),
         gamma=gamma,
         alpha=state.alpha / (1.0 + state.eps),
         U=state.U,
         A_cur=state.A_cur,
         T=state.T,
-        r=state.r,
         theta=state.theta,
         eps=state.eps,
     )
@@ -162,7 +146,7 @@ def _check_decomposition(state: ImageState) -> float:
     cols = state.A_cur
     nrm = column_norms(cols)
     unit = cols / nrm
-    recon = state.alpha * np.eye(state.r) + (unit * state.gamma) @ unit.T
+    recon = state.alpha * np.eye(state.U.shape[1]) + (unit * state.gamma) @ unit.T
     scale = max(1.0, float(np.abs(state.R.mat).max()))
     return float(np.abs(state.R.mat - recon).max()) / scale
 
@@ -180,7 +164,16 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     if fo is None:
         fo = von_neumann
 
-    state = _initial_state(ahat, active, th, eps)
+    state = ImageState(
+        R=SymPosDef(np.eye(m)),
+        gamma=np.zeros(len(active)),
+        alpha=1.0,
+        U=np.eye(m),
+        A_cur=ahat[:, active].copy(),
+        T=np.asarray(active, dtype=int),
+        theta=th,
+        eps=eps,
+    )
     min_growth = math.inf
     min_removal = math.inf
     removal_floor = th * th / (2.0 * (n + 1.0))
@@ -201,12 +194,14 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if len(state.T) == 0:
             status = SOLVED
             break
-        fstate, outcome = fo(state.A_cur, state.Q, eps)
+        # On the whitened columns W A the inner loop's y is W y.
+        fstate, outcome = fo(state.R.whiten(state.A_cur), eps)
         report.fo_iters += outcome.iterations
         max_phase_iters = max(max_phase_iters, outcome.iterations)
         if outcome.status == SEPARATED:
-            # y_bar = U Qy satisfies the strict inequalities the inner loop checked.
-            ybar = state.U @ (state.Q.mat @ fstate.y)
+            # y_bar = U Qy = U W^T (W y) satisfies the strict inequalities the
+            # inner loop checked.
+            ybar = state.U @ (state.R.inv_factor.T @ fstate.y)
             ybar = ybar / np.linalg.norm(ybar)
             status = SOLVED
             break
@@ -215,7 +210,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
             break
         before = state
-        state = image_rescale(state, fstate.x, fstate.y)
+        state = image_rescale(state, fstate.x)
         ratio = math.exp(state.R.logdet - before.R.logdet)
         min_growth = min(min_growth, ratio)
         report.rescalings += 1
@@ -233,7 +228,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
                 break
             pos = int(np.flatnonzero(state.T == short[0])[0])
             old_logdet = state.R.logdet
-            state, ratio, dropped = _remove_column(state, pos, n)
+            state, ratio, dropped = _remove_column(state, pos)
             report.removals += 1
             min_removal = min(min_removal, ratio)
             if ratio < removal_floor * (1.0 - _LEDGER_SLACK):
@@ -244,11 +239,10 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
                     raise ContractViolationError("removal det ledger drifted")
             if hook is not None:
                 hook("remove", state=state, ratio=ratio, dropped=dropped)
-            if state.r == 0 or len(state.T) == 0:
+            # Projecting out the last dimension drops every column with it.
+            if len(state.T) == 0:
                 break
             ledger_checks()
-        if state.r == 0:
-            state.T = np.arange(0)
 
     if status == SOLVED:
         support = np.asarray(state.T, dtype=int)
@@ -283,6 +277,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     return cert, support
 
 
+@timed
 def full_support_image(
     mat,
     limits: Limits | None = None,
@@ -294,10 +289,11 @@ def full_support_image(
 ):
     """Find y with A^T y > 0 strictly, assuming full row rank.
 
-    Alternates the inner first-order loop (von Neumann by default) under the
-    current metric Q with multi-rank rescales of R = Q^{-1}: the shared loop
-    with theta = 0, so no column is ever removed. A separated outcome hands
-    back y_bar = Qy. Returns (ImageCertificate, SolveReport).
+    Alternates the inner first-order loop (von Neumann by default, or
+    ``fo(cols, eps)``) on the columns whitened by the current metric with
+    multi-rank rescales of R: the shared loop with theta = 0, so no column is
+    ever removed. A separated outcome hands back y_bar = Qy, Q = R^{-1}.
+    Returns (ImageCertificate, SolveReport).
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -318,52 +314,44 @@ def full_support_image(
 
 def short_column_scan(state: ImageState) -> np.ndarray:
     """Original indices of active columns with |a_hat_k|_Q below theta."""
-    if state.A_cur.shape[1] == 0:
-        return np.arange(0)
     nrm = column_norms(state.A_cur)
-    qnorm2 = np.einsum("ij,ij->j", state.A_cur, state.Q.mat @ state.A_cur)
-    short = np.sqrt(qnorm2) / nrm < state.theta
+    short = column_norms(state.R.whiten(state.A_cur)) / nrm < state.theta
     return state.T[short]
 
 
-def _remove_column(state: ImageState, pos: int, n_total: int):
+def _remove_column(state: ImageState, pos: int):
     """Project out the short column at position pos and drop everything in its span.
 
     Returns (new_state, det_ratio, dropped_original_indices).
     """
     a_k = state.A_cur[:, pos]
-    nrm_k = float(np.linalg.norm(a_k))
-    unit_k = a_k / nrm_k
-    qq = float(unit_k @ state.Q.mat @ unit_k)  # = |a_hat_k|_Q^2, the det ratio
+    wk = state.R.whiten(a_k) / np.linalg.norm(a_k)
+    qq = float(wk @ wk)  # = |a_hat_k|_Q^2, the det ratio
     w = orthocomplement_basis(a_k)
     proj = w.T @ state.A_cur
     old_norms = column_norms(state.A_cur)
-    new_norms = column_norms(proj) if proj.size else np.zeros(state.A_cur.shape[1])
+    new_norms = column_norms(proj)
     keep = new_norms > _DROP_FACTOR * old_norms
     keep[pos] = False
     dropped = state.T[~keep]
-
-    shrink = np.zeros(state.A_cur.shape[1])
-    nonzero_old = old_norms > 0
-    shrink[nonzero_old] = (new_norms[nonzero_old] / old_norms[nonzero_old]) ** 2
+    shrink = (new_norms / old_norms) ** 2
 
     rmat = w.T @ state.R.mat @ w
     new_r = SymPosDef(rmat) if rmat.size else None
     new_state = ImageState(
         R=new_r,
-        Q=SymPosDef(new_r.inv) if new_r is not None else None,
         gamma=(state.gamma * shrink)[keep],
         alpha=state.alpha,
         U=state.U @ w,
         A_cur=proj[:, keep],
         T=state.T[keep],
-        r=state.r - 1,
         theta=state.theta,
         eps=state.eps,
     )
     return new_state, qq, dropped
 
 
+@timed
 def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool = False, hook=None):
     """Find y maximizing the set of strict inequalities a_i^T y > 0.
 

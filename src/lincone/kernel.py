@@ -35,6 +35,7 @@ from .report import (
     default_limits,
     rescale_epsilon,
     rescaling_bound,
+    timed,
 )
 
 __all__ = [
@@ -246,6 +247,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
     return NO_CONVERGE, S, None
 
 
+@timed
 def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float | None = None, hook=None):
     """Find x > 0 with Ax = 0 by DV steps plus rescaling.
 
@@ -290,6 +292,7 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
     return cert, report
 
 
+@timed
 def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     """Find x >= 0 with Ax = 0 whose support is the largest possible.
 

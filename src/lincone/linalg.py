@@ -7,7 +7,7 @@ over asymptotics. Factorizations are recomputed eagerly rather than updated.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky, solve_triangular
 
 from .errors import ContractViolationError, DegenerateColumnError
 
@@ -53,11 +53,13 @@ def normalize_columns(mat: np.ndarray) -> np.ndarray:
 
 
 class SymPosDef:
-    """A symmetric positive definite matrix with cached factorization.
+    """A symmetric positive definite matrix R with its inverse Cholesky factor.
 
-    The Cholesky factor, the explicit inverse, and the log-determinant are
-    computed once at construction. Instances are treated as immutable: solver
-    state updates build a fresh ``SymPosDef`` from the updated entries.
+    With R = L L^T, the inverse lower factor W = L^{-1} and the log-determinant
+    are computed once at construction. W factors the inverse, R^{-1} = W^T W,
+    so every quantity in the inverse metric comes from ``whiten``. Instances
+    are treated as immutable: solver state updates build a fresh ``SymPosDef``
+    from the updated entries.
 
     Raises
     ------
@@ -66,7 +68,7 @@ class SymPosDef:
         positive definite.
     """
 
-    __slots__ = ("mat", "dim", "_cho", "inv", "logdet")
+    __slots__ = ("mat", "dim", "inv_factor", "logdet")
 
     def __init__(self, entries):
         mat = as_matrix(entries)
@@ -79,36 +81,20 @@ class SymPosDef:
         self.mat = 0.5 * (mat + mat.T)
         self.dim = n
         try:
-            self._cho = cho_factor(self.mat, lower=True)
+            lower = cholesky(self.mat, lower=True)
         except np.linalg.LinAlgError as exc:
             raise ContractViolationError("matrix is not positive definite") from exc
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
-        self.inv = cho_solve(self._cho, np.eye(n))
-        self.inv = 0.5 * (self.inv + self.inv.T)
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+        self.inv_factor = solve_triangular(lower, np.eye(n), lower=True)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Return ``self.mat^{-1} rhs`` via the cached factorization."""
-        return cho_solve(self._cho, rhs)
-
-    def norm(self, v: np.ndarray) -> float:
-        """Norm of ``v`` in the metric defined by this matrix."""
-        return float(np.sqrt(max(self.quad(v), 0.0)))
-
-    def quad(self, v: np.ndarray) -> float:
-        """Quadratic form ``v^T M v``."""
-        return float(v @ self.mat @ v)
-
-    def inner(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(v @ self.mat @ w)
-
-    def embed(self, mat: np.ndarray) -> np.ndarray:
-        """Return ``L^T mat`` where ``self.mat = L L^T``.
+    def whiten(self, mat: np.ndarray) -> np.ndarray:
+        """Return ``W mat`` for W = L^{-1}, R = L L^T.
 
         The columns of the result have the euclidean geometry that the columns
-        of ``mat`` have in this metric: ``embed(A).T @ embed(A) = A^T M A``.
+        of ``mat`` have in the inverse metric: ``whiten(A).T @ whiten(A) =
+        A^T R^{-1} A``.
         """
-        # cho_factor leaves the upper triangle filled with stale entries.
-        return np.tril(self._cho[0]).T @ mat
+        return self.inv_factor @ mat
 
     def __repr__(self):
         return f"SymPosDef(dim={self.dim}, logdet={self.logdet:.6g})"
@@ -138,9 +124,6 @@ class Projector:
         self.mat = 0.5 * (mat + mat.T)
         self.dim = mat.shape[0]
         self.rank = int(round(trace))
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ v
 
     def __repr__(self):
         return f"Projector(dim={self.dim}, rank={self.rank})"
@@ -183,8 +166,10 @@ def pivoted_rank(mat: np.ndarray) -> int:
 def kernel_projector(mat: np.ndarray) -> Projector:
     """Orthogonal projector onto the kernel (nullspace) of ``mat``.
 
-    Built from a basis B of linearly independent rows: the row-space projector
-    is ``B^T (B B^T)^{-1} B`` and the kernel projector is its complement.
+    Built from an orthonormal basis V of the row space, the Q factor of a QR
+    decomposition of the linearly independent rows: the kernel projector is
+    ``I - V V^T``. Unlike ``B^T (B B^T)^{-1} B`` this does not square the
+    condition number of the rows.
 
     Parameters
     ----------
@@ -199,10 +184,8 @@ def kernel_projector(mat: np.ndarray) -> Projector:
     n = mat.shape[1]
     if not rows:
         return Projector(np.eye(n))
-    basis = mat[rows, :]
-    gram = SymPosDef(basis @ basis.T)
-    row_proj = basis.T @ gram.solve(basis)
-    proj = np.eye(n) - row_proj
+    basis, _ = np.linalg.qr(mat[rows, :].T)
+    proj = np.eye(n) - basis @ basis.T
     return Projector(0.5 * (proj + proj.T))
 
 

@@ -26,7 +26,7 @@ from .errors import ContractViolationError, OracleFaultError
 from .firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
 from .image import _grow_metric, _growth_check
 from .linalg import SymPosDef, as_matrix
-from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, rescale_epsilon
+from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, rescale_epsilon, timed
 
 __all__ = [
     "INTERIOR",
@@ -193,13 +193,19 @@ def _fault_check(a: np.ndarray, v: np.ndarray):
         raise OracleFaultError("oracle returned a zero vector")
 
 
-def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, budget=None):
+def _query_point(wfac: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Qy = W^T (W y): the point the oracle is asked about, and the point returned."""
+    return wfac.T @ (wfac @ y)
+
+
+def oracle_von_neumann(oracle: SeparationOracle, metric_r: SymPosDef, eps: float, budget=None):
     """Von Neumann iteration driven by a separation oracle.
 
-    Maintains y as a convex combination of the Q-normalized vectors the
-    oracle has returned. Each round first checks whether ``||y||_Q <= eps``,
-    then queries the oracle at Qy. A YES answer stops with status interior;
-    a returned vector updates y by the usual line-search step.
+    Maintains y as a convex combination of the Q-normalized vectors the oracle
+    has returned, Q = R^{-1} = W^T W with W cached by ``metric_r``. Each round
+    checks ``|y|_Q = |W y| <= eps``, then queries the oracle at Qy. A YES
+    answer stops with status interior; a returned vector updates y by the
+    usual line-search step.
 
     Returns ``(active, y, status, iterations)``. ``iterations`` counts
     oracle queries after the seeding call at 0.
@@ -209,6 +215,7 @@ def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, 
     m = oracle.dim
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
+    wfac = metric_r.inv_factor
 
     active = ActiveSet()
     first = oracle.query(np.zeros(m))
@@ -216,29 +223,31 @@ def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, 
         # the cone is all of R^m; 0 itself is interior
         return active, np.zeros(m), INTERIOR, 0
     _fault_check(first, np.zeros(m))
-    y = first / metric.norm(first)
+    y = first / np.linalg.norm(wfac @ first)
     pos = active.slot(y)
     active.coeffs[pos] = 1.0
 
     status = None
     iters = 0
     for _ in range(cap + 1):
-        ynorm = metric.norm(y)
+        wy = wfac @ y
+        ynorm = float(np.linalg.norm(wy))
         if ynorm <= eps:
             status = SMALL_NORM
             break
         if iters >= cap:
             break
-        v = metric.mat @ y
+        v = _query_point(wfac, y)
         answer = oracle.query(v)
         iters += 1
         if answer is None:
             status = INTERIOR
             break
         _fault_check(answer, v)
-        anorm = metric.norm(answer)
+        wa = wfac @ answer
+        anorm = float(np.linalg.norm(wa))
         ahat = answer / anorm
-        lam = _vn_step(ynorm * ynorm, metric.inner(ahat, y))
+        lam = _vn_step(ynorm * ynorm, float(wa @ wy) / anorm)
         pos = active.slot(ahat)
         active.mix(pos, lam)
         y = (1.0 - lam) * y + lam * ahat
@@ -247,10 +256,11 @@ def oracle_von_neumann(oracle: SeparationOracle, metric: SymPosDef, eps: float, 
             raise ContractViolationError("active set outgrew its ceiling")
     if status is None:
         # the norm decays like 1/sqrt(t), so the intrinsic cap ends small
-        status = SMALL_NORM if metric.norm(y) <= eps else BUDGET_EXHAUSTED
+        status = SMALL_NORM if np.linalg.norm(wfac @ y) <= eps else BUDGET_EXHAUSTED
     return active, y, status, iters
 
 
+@timed
 def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | None = None):
     """Find an interior point of a full-dimensional cone given by an oracle.
 
@@ -265,17 +275,17 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
 
     report = SolveReport(status=NO_CONVERGE)
     metric_r = SymPosDef(np.eye(m))
-    metric_q = SymPosDef(np.eye(m))
     ybar = np.zeros(m)
     min_ratio = math.inf
     while report.rescalings <= limits.max_rescalings:
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
             break
-        active, y, status, iters = oracle_von_neumann(oracle, metric_q, eps, budget=fo_budget)
+        active, y, status, iters = oracle_von_neumann(oracle, metric_r, eps, budget=fo_budget)
         report.fo_iters += iters
         if status == INTERIOR:
-            ybar = metric_q.mat @ y
+            # The very expression of the approved query, so the bits match.
+            ybar = _query_point(metric_r.inv_factor, y)
             report.status = SOLVED
             break
         if status != SMALL_NORM:
@@ -286,10 +296,9 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
         # are the weights of the image rescale.
         cols = np.stack(active.vectors, axis=1)
         metric_r, ratio = _grow_metric(metric_r, cols, np.asarray(active.coeffs), eps)
-        metric_q = SymPosDef(metric_r.inv)
         min_ratio = min(min_ratio, ratio)
         report.rescalings += 1
-        ybar = metric_q.mat @ y
+        ybar = _query_point(metric_r.inv_factor, y)
 
     if report.rescalings > 0:
         report.bound_checks.append(_growth_check(min_ratio))

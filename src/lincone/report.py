@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -15,6 +17,7 @@ __all__ = [
     "default_limits",
     "rescale_epsilon",
     "rescaling_bound",
+    "timed",
 ]
 
 SOLVED = "solved"
@@ -107,3 +110,16 @@ def rescaling_bound(m: int, rho: float, image: bool = False) -> float:
     if ratio <= 1.0:
         return 0.0
     return float(math.ceil(m * math.log(ratio) / math.log(1.5)))
+
+
+def timed(solver):
+    """Fill ``wall_ms`` of the SolveReport a solver returns last in its tuple."""
+
+    @functools.wraps(solver)
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        out = solver(*args, **kwargs)
+        out[-1].wall_ms = (time.perf_counter() - start) * 1000.0
+        return out
+
+    return run

@@ -530,7 +530,7 @@ def test_gamma_ledger_on_max_support_runs(capsys):
         for st in states:
             if st.gamma.size and float(st.gamma.max()) > cap:
                 problems.append(f"{tag}: gamma {st.gamma.max():.2e} above 2/theta^2")
-            if st.R is not None and st.r > 0:
+            if st.R is not None:
                 err = _check_decomposition(st)
                 if err > 1e-8:
                     problems.append(f"{tag}: decomposition error {err:.2e}")

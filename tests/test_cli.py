@@ -208,6 +208,13 @@ class TestBench:
         for line in first.splitlines()[1:]:
             assert line.endswith(",0.0")
 
+    def test_timing_reports_solver_wall_clock(self, capsys):
+        assert run(["bench", "--seed", "3", "--timing"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 18
+        for line in rows:
+            assert float(line.rsplit(",", 1)[1]) > 0.0
+
     def test_all_rows_solve(self, capsys):
         assert run(["bench", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -13,24 +13,18 @@ from lincone.firstorder import (
 from lincone.linalg import SymPosDef
 
 
-def qnorm(v, metric):
-    if metric is None:
-        return float(np.linalg.norm(v))
-    return float(np.sqrt(v @ metric.mat @ v))
-
-
 def random_spd(rng, m):
     b = rng.standard_normal((m, m))
     return SymPosDef(b @ b.T + m * np.eye(m))
 
 
-def gram_von_neumann(mat, metric, eps):
+def gram_von_neumann(mat, q, eps):
     """The von Neumann loop on the normalized n x n Gram matrix, as a reference.
 
-    Keeps z = G-hat x and |y|^2 incrementally; verdicts are re-checked from
+    Runs in the metric q (an m x m positive definite array). Keeps
+    z = G-hat x and |y|_q^2 incrementally; verdicts are re-checked from
     scratch. Returns (x, status, iterations).
     """
-    q = np.eye(mat.shape[0]) if metric is None else metric.mat
     gram = mat.T @ q @ mat
     qnorms = np.sqrt(np.diag(gram))
     ghat = gram / np.outer(qnorms, qnorms)
@@ -57,27 +51,27 @@ def gram_von_neumann(mat, metric, eps):
 
 class TestVonNeumannTraces:
     def test_antipodal_pair_collapses_in_one_step(self):
-        state, outcome = von_neumann(np.array([[1.0, -1.0]]), None, 0.1)
+        state, outcome = von_neumann(np.array([[1.0, -1.0]]), 0.1)
         assert outcome.status == SMALL_NORM
         assert outcome.iterations == 1
         assert np.allclose(state.x, [0.5, 0.5])
         assert np.allclose(state.y, [0.0])
 
     def test_identity_loose_eps_stops_short(self):
-        state, outcome = von_neumann(np.eye(2), None, 0.8)
+        state, outcome = von_neumann(np.eye(2), 0.8)
         assert outcome.status == SMALL_NORM
         assert outcome.iterations == 1
         assert np.allclose(state.y, [0.5, 0.5])
 
     def test_identity_tight_eps_separates(self):
-        state, outcome = von_neumann(np.eye(2), None, 0.1)
+        state, outcome = von_neumann(np.eye(2), 0.1)
         assert outcome.status == SEPARATED
         assert outcome.iterations == 1
         z = state.mat.T @ state.y
         assert np.all(z > 0)
 
     def test_single_positive_column_separates_at_start(self):
-        state, outcome = von_neumann(np.array([[2.0]]), None, 0.5)
+        state, outcome = von_neumann(np.array([[2.0]]), 0.5)
         assert outcome.status == SEPARATED
         assert outcome.iterations == 0
         assert state.x[0] == 1.0
@@ -85,19 +79,10 @@ class TestVonNeumannTraces:
     def test_tie_break_lowest_index(self):
         # Columns 1 and 2 are identical; the minimizer must be column 1.
         mat = np.array([[1.0, -1.0, -1.0]])
-        state, outcome = von_neumann(mat, None, 0.9)
+        state, outcome = von_neumann(mat, 0.9)
         assert outcome.iterations == 1
         assert state.x[1] > 0.0
         assert state.x[2] == 0.0
-
-    def test_tie_break_lowest_index_in_metric(self):
-        # At m = 1 all negative columns tie at cosine -1 in any metric; a
-        # Gram built as Q a_i a_j / (|a_i|_Q |a_j|_Q) misses this tie by rounding.
-        mat = np.array([[1.5, -1.9, -0.6, -1.6]])
-        state, outcome = von_neumann(mat, SymPosDef(np.array([[2.6]])), 0.9)
-        assert outcome.iterations == 1
-        assert state.x[1] > 0.0
-        assert np.all(state.x[2:] == 0.0)
 
 
 class TestVonNeumannInvariants:
@@ -107,36 +92,36 @@ class TestVonNeumannInvariants:
             m = int(rng.integers(1, 5))
             n = int(rng.integers(1, 9))
             mat = rng.standard_normal((m, n))
-            metric = random_spd(rng, m) if trial % 3 == 0 else None
+            if trial % 3 == 0:
+                mat = random_spd(rng, m).whiten(mat)
             eps = float(rng.uniform(0.05, 0.5))
-            state, outcome = von_neumann(mat, metric, eps)
+            state, outcome = von_neumann(mat, eps)
             assert abs(state.x.sum() - 1.0) <= 1e-10
             assert np.all(state.x >= -1e-15)
-            q = metric.mat if metric is not None else np.eye(m)
-            qnorms = np.sqrt(np.einsum("ij,ij->j", mat, q @ mat))
-            recon = mat @ (state.x / qnorms)
+            recon = mat @ (state.x / np.linalg.norm(mat, axis=0))
             assert np.linalg.norm(recon - state.y) <= 1e-8 * max(1.0, np.linalg.norm(state.y))
             assert outcome.iterations <= int(np.ceil(1.0 / eps**2))
             if outcome.status == SEPARATED:
-                assert np.all(mat.T @ q @ state.y > 0)
+                assert np.all(mat.T @ state.y > 0)
             elif outcome.status == SMALL_NORM:
-                assert qnorm(state.y, metric) <= eps * (1 + 1e-9)
+                assert np.linalg.norm(state.y) <= eps * (1 + 1e-9)
             else:
                 pytest.fail("intrinsic cap should never exhaust")
 
     def test_budget_cuts_off(self):
         mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
         mat = mat / np.linalg.norm(mat, axis=0)
-        state, outcome = von_neumann(mat, None, 1e-3, budget=5)
+        state, outcome = von_neumann(mat, 1e-3, budget=5)
         assert outcome.status == BUDGET_EXHAUSTED
         assert outcome.iterations == 5
         # Unconstrained, the same instance converges in a few hundred steps.
-        state, outcome = von_neumann(mat, None, 1e-3)
+        state, outcome = von_neumann(mat, 1e-3)
         assert outcome.status == SMALL_NORM
         assert np.linalg.norm(state.y) <= 1e-3 * (1 + 1e-9)
 
     def test_matches_gram_reference_trajectory(self):
-        # The whitened loop must retrace the Gram-based loop step for step.
+        # The loop must retrace the Gram-based loop step for step, also on
+        # columns whitened by a metric R, where the reference runs in Q = R^-1.
         # m >= 2: at m = 1 every normalized column is +-1, so the reference's
         # rounded Gram breaks exact ties by noise (see the tie-break tests).
         rng = np.random.default_rng(13)
@@ -147,8 +132,12 @@ class TestVonNeumannInvariants:
             mat = rng.standard_normal((m, n))
             metric = random_spd(rng, m) if trial % 2 else None
             eps = float(rng.uniform(0.05, 0.5))
-            state, outcome = von_neumann(mat, metric, eps)
-            x_ref, status_ref, iters_ref = gram_von_neumann(mat, metric, eps)
+            if metric is None:
+                state, outcome = von_neumann(mat, eps)
+                x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.eye(m), eps)
+            else:
+                state, outcome = von_neumann(metric.whiten(mat), eps)
+                x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.linalg.inv(metric.mat), eps)
             assert outcome.status == status_ref
             assert outcome.iterations == iters_ref
             assert np.max(np.abs(state.x - x_ref)) <= 1e-9
@@ -157,9 +146,9 @@ class TestVonNeumannInvariants:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):
-            von_neumann(np.eye(2), None, 0.0)
+            von_neumann(np.eye(2), 0.0)
         with pytest.raises(DegenerateColumnError):
-            von_neumann(np.array([[1.0, 0.0]]), None, 0.1)
+            von_neumann(np.array([[1.0, 0.0]]), 0.1)
 
 
 class TestInnerAlternatives:
@@ -170,22 +159,21 @@ class TestInnerAlternatives:
             m = int(rng.integers(1, 4))
             n = int(rng.integers(1, 7))
             mat = rng.standard_normal((m, n))
-            metric = random_spd(rng, m) if trial % 2 else None
+            if trial % 2:
+                mat = random_spd(rng, m).whiten(mat)
             eps = float(rng.uniform(0.1, 0.5))
-            state, outcome = inner(mat, metric, eps)
+            state, outcome = inner(mat, eps)
             if outcome.status == BUDGET_EXHAUSTED:
                 continue
             assert abs(state.x.sum() - 1.0) <= 1e-10
             assert np.all(state.x >= -1e-12)
-            q = metric.mat if metric is not None else np.eye(m)
-            qnorms = np.sqrt(np.einsum("ij,ij->j", mat, q @ mat))
-            recon = mat @ (state.x / qnorms)
+            recon = mat @ (state.x / np.linalg.norm(mat, axis=0))
             assert np.linalg.norm(recon - state.y) <= 1e-8 * max(1.0, np.linalg.norm(state.y))
             if outcome.status == SEPARATED:
-                assert np.all(mat.T @ q @ state.y > 0)
+                assert np.all(mat.T @ state.y > 0)
             else:
-                assert qnorm(state.y, metric) <= eps * (1 + 1e-9)
+                assert np.linalg.norm(state.y) <= eps * (1 + 1e-9)
 
     def test_perceptron_on_identity(self):
-        state, outcome = perceptron_inner(np.eye(2), None, 0.9)
+        state, outcome = perceptron_inner(np.eye(2), 0.9)
         assert outcome.status in (SEPARATED, SMALL_NORM)

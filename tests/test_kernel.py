@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import flat_image_cone, symmetric_hull_intersection_area
+from lincone import kernel as kernel_module
+from lincone.certify import check_image_certificate
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
+from lincone.image import ImageCertificate
 from lincone.kernel import full_support_kernel, kernel_rescale, max_support_kernel
 from lincone.linalg import normalize_columns
 from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits
@@ -169,6 +172,32 @@ class TestFullSupportKernel:
                 if report.status == INFEASIBLE_DETECTED:
                     assert report.margin > 0
                 assert cert.support.size == 0
+
+    def test_ill_conditioned_flat_cones_do_not_crash(self, monkeypatch):
+        # At rho = 1e-5 the rows are nearly dependent; a projector built as
+        # B^T (B B^T)^-1 B squares their condition number and fails its own
+        # idempotency check. Every accepted witness must pass the checker on
+        # the raw matrix, not only on the normalized one the solver sees. The
+        # projector is built before the first step, so a small budget keeps
+        # the m = 10 draws, which never converge, from running for seconds.
+        witnesses = []
+
+        def recording_check(mat, claim, tol=None):
+            rep = check_image_certificate(mat, claim, tol)
+            if rep.valid:
+                witnesses.append(claim.y)
+            return rep
+
+        monkeypatch.setattr(kernel_module, "check_image_certificate", recording_check)
+        rng = np.random.default_rng(0)
+        for i in range(20):
+            mat, _ = flat_image_cone(rng, (3, 5, 10)[i % 3], 50, 1e-5)
+            witnesses.clear()
+            cert, report = full_support_kernel(mat, Limits(max_rescalings=500, max_iterations=20_000))
+            assert report.status in (INFEASIBLE_DETECTED, NO_CONVERGE)
+            if report.status == INFEASIBLE_DETECTED:
+                claim = ImageCertificate(y=witnesses[-1], support=np.arange(50), min_margin=0.0, residual_zero=0.0)
+                assert check_image_certificate(mat, claim).valid
 
 
 class TestMaxSupportKernel:

@@ -128,12 +128,14 @@ class TestOracleVonNeumann:
         assert np.abs(recon - y).max() <= 1e-8
 
     def test_metric_changes_normalization(self):
-        q = SymPosDef(np.diag([4.0, 1.0]))
+        # R = diag(1/4, 1), so the vectors are normalized in Q = R^-1 = diag(4, 1).
+        r = SymPosDef(np.diag([0.25, 1.0]))
+        q = np.diag([4.0, 1.0])
         oracle = MatrixSeparationOracle(np.eye(2))
-        active, y, status, iters = oracle_von_neumann(oracle, q, eps=0.05)
+        active, y, status, iters = oracle_von_neumann(oracle, r, eps=0.05)
         # every stored vector has unit Q-norm
         for vec in active.vectors:
-            assert q.norm(vec) == pytest.approx(1.0)
+            assert np.sqrt(vec @ q @ vec) == pytest.approx(1.0)
 
 
 class TestActiveSet:
