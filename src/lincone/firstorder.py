@@ -3,9 +3,9 @@
 The von Neumann loop drives a convex combination ``y`` of the normalized
 columns toward either a strict separator or a short vector; its perceptron
 and coordinate-descent variants keep the same output contract. All of them
-are euclidean loops on the columns they are given: a solver working in a
-metric Q = W^T W passes the whitened columns W A, and then every euclidean
-quantity of the loop is the Q-quantity of the original columns.
+are euclidean loops on the columns they are given: the image solvers pass
+their columns in coordinates where the metric is the identity, and then every
+euclidean quantity of the loop is the Q-quantity of the original columns.
 
 Cost model of the three loops (``von_neumann``, ``perceptron_inner``,
 ``dv_inner``): one O(mn) normalization per call, and each step is one O(mn)

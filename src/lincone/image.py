@@ -3,18 +3,19 @@
 Both solvers run one loop, ``_rescaling_loop``. The metric R grows by the
 convex combination the inner loop returns whenever that combination is short,
 which inflates det(R) geometrically while the feasible cap stays inside the
-ellipsoid E(R). R is the only metric stored; Q = R^{-1} enters through its
-factor W (Q = W^T W), so the inner loop runs on the whitened columns W A. The
-max-support solver passes theta and the full-support solver passes 0: after
-each rescale the loop projects out every column whose Q-norm |W a| dropped
-below theta (such a column can never be strictly positive), so with theta = 0
-no column is ever scanned or removed.
+ellipsoid E(R). R is never stored: each rescale moves it into the coordinates,
+so in the current ones R = I and a column's Q-norm is its euclidean length,
+and each step factors only R' = (I + sum x_i c_i c_i^T / |c_i|^2) / (1+eps),
+of condition at most 2. The max-support solver passes theta and the
+full-support solver passes 0: after each rescale the loop projects out every
+column whose Q-norm dropped below theta (such a column can never be strictly
+positive), so with theta = 0 no column is ever scanned or removed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,23 +60,27 @@ _DROP_FACTOR = 1e-9
 
 @dataclass
 class ImageState:
-    """Metric R plus the projected problem the rescaling loop works on.
+    """The projected problem the rescaling loop works on, in coordinates where R = I.
 
-    A_cur holds the current columns (r x |T|, r = U.shape[1]), already pushed
-    through the accumulated orthonormal map U (so A_cur = U^T A_hat on the
-    survivors); gamma and alpha track the decomposition R = alpha I + sum
-    gamma_i a_hat_i a_hat_i^T over the current unit columns for invariant
-    checking. R is None once every dimension has been projected out.
+    E (r x |T|, r = m until a removal) holds the surviving columns in
+    euclidean coordinates of the subspace left by the removals; A_cur = W E
+    holds them in the current coordinates (W the accumulated whitening, R =
+    W^-1 W^-T), so |A_cur_j| is a Q-norm. M maps a current point back, y =
+    M y_cur. gamma and alpha track alpha W W^T + sum gamma_i c_i c_i^T / |E_i|^2
+    = I over the current columns c_i for invariant checking, up to ``slack``:
+    the mass of the terms removals dropped, zero in exact arithmetic, but the
+    rounding a column shrunk to Q-norm q keeps is magnified by gamma_i ~ 1/q^2.
     """
 
-    R: SymPosDef
+    M: np.ndarray
+    E: np.ndarray
     gamma: np.ndarray
     alpha: float
-    U: np.ndarray
     A_cur: np.ndarray
     T: np.ndarray
     theta: float
     eps: float
+    slack: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,20 +91,22 @@ class ImageCertificate:
     residual_zero: float
 
 
-def _grow_metric(metric_r: SymPosDef, cols: np.ndarray, w: np.ndarray, eps: float):
-    """The ledgered growth step R' = (R + sum_i w_i c_i c_i^T) / (1+eps).
+def _grow_metric(cols: np.ndarray, w: np.ndarray, eps: float):
+    """The ledgered growth step R' = (I + sum_i w_i c_i c_i^T) / (1+eps).
 
-    Shared by the image and oracle solvers; each passes weights that make
-    the sum a convex combination of outer products of Q-normalized vectors.
-    The determinant must then grow by at least 16/9; anything less means the
-    caller rescaled on a combination that was not short, and raises.
-    Returns (R', det ratio).
+    Shared by the image and oracle solvers, in coordinates where the metric
+    so far is I. Each passes weights that make the sum a convex combination of
+    outer products of unit vectors, so R' has its eigenvalues in
+    [1/(1+eps), 2/(1+eps)]. det R' is the metric's growth and must be at least
+    16/9; anything less means the caller rescaled on a combination that was
+    not short, and raises. Returns (W' = L'^-1 for R' = L' L'^T, det R'): W'
+    maps to the next coordinates, where the metric is I again.
     """
-    new_r = SymPosDef((metric_r.mat + (cols * w) @ cols.T) / (1.0 + eps))
-    ratio = math.exp(new_r.logdet - metric_r.logdet)
+    new_r = SymPosDef((np.eye(cols.shape[0]) + (cols * w) @ cols.T) / (1.0 + eps))
+    ratio = math.exp(new_r.logdet)
     if ratio < _DET_GROWTH * (1.0 - _LEDGER_SLACK):
         raise ContractViolationError(f"determinant grew only by {ratio}, below 16/9")
-    return new_r, ratio
+    return new_r.inv_factor, ratio
 
 
 def _growth_check(min_ratio: float) -> BoundCheck:
@@ -112,43 +119,40 @@ def _growth_check(min_ratio: float) -> BoundCheck:
     )
 
 
-def image_rescale(state: ImageState, x: np.ndarray) -> ImageState:
-    """Grow R by the weighted outer products of the active columns.
+def image_rescale(state: ImageState, x: np.ndarray):
+    """Grow the metric by the weighted outer products of the active columns.
 
-    R' = (R + sum_i x_i a_i a_i^T / |a_i|_Q^2) / (1+eps) for convex x; the
-    determinant grows by at least 2/(1+eps)^r >= 16/9. gamma and alpha are
-    updated to keep the decomposition of R over unit columns exact.
+    R' = (R + sum_i x_i a_i a_i^T / |a_i|_Q^2) / (1+eps) for convex x reads
+    (I + sum_i x_i c_i c_i^T / |c_i|^2) / (1+eps) in the current coordinates;
+    det grows by at least 2/(1+eps)^r >= 16/9. Its factor W' re-bases,
+    A_cur <- W' A_cur and M <- M W'^T; gamma and alpha keep the decomposition
+    exact. Returns (new state, det growth).
     """
     x = np.asarray(x, dtype=float)
     if abs(float(x.sum()) - 1.0) > 1e-8 or np.any(x < -1e-12):
         raise ContractViolationError("rescale weights must be a convex combination")
     cols = state.A_cur
-    qnorm2 = column_norms(state.R.whiten(cols)) ** 2
+    qnorm2 = column_norms(cols) ** 2
     if np.any(qnorm2 <= 0.0):
         raise ContractViolationError("zero Q-norm column in rescale")
-    new_r, _ = _grow_metric(state.R, cols, x / qnorm2, state.eps)
-    eucl2 = np.einsum("ij,ij->j", cols, cols)
+    wfac, ratio = _grow_metric(cols, x / qnorm2, state.eps)
+    eucl2 = column_norms(state.E) ** 2
     gamma = (state.gamma + x * eucl2 / qnorm2) / (1.0 + state.eps)
-    return ImageState(
-        R=new_r,
-        gamma=gamma,
-        alpha=state.alpha / (1.0 + state.eps),
-        U=state.U,
-        A_cur=state.A_cur,
-        T=state.T,
-        theta=state.theta,
-        eps=state.eps,
-    )
+    alpha = state.alpha / (1.0 + state.eps)
+    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ cols), ratio
 
 
 def _check_decomposition(state: ImageState) -> float:
-    """Max entrywise error of R - alpha I - sum gamma_i a_hat_i a_hat_i^T, relative."""
+    """Max entrywise error of alpha W W^T + sum gamma_i c_i c_i^T / |E_i|^2 = I beyond the slack.
+
+    W = A_cur E^+, as E keeps full row rank: a removal drops only columns in
+    the span of the removed one.
+    """
     cols = state.A_cur
-    nrm = column_norms(cols)
-    unit = cols / nrm
-    recon = state.alpha * np.eye(state.U.shape[1]) + (unit * state.gamma) @ unit.T
-    scale = max(1.0, float(np.abs(state.R.mat).max()))
-    return float(np.abs(state.R.mat - recon).max()) / scale
+    wfac = cols @ np.linalg.pinv(state.E)
+    scaled = cols / column_norms(state.E)
+    recon = state.alpha * (wfac @ wfac.T) + (scaled * state.gamma) @ scaled.T
+    return max(float(np.abs(recon - np.eye(cols.shape[0])).max()) - state.slack, 0.0)
 
 
 def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, fo, debug: bool, hook):
@@ -165,10 +169,10 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         fo = von_neumann
 
     state = ImageState(
-        R=SymPosDef(np.eye(m)),
+        M=np.eye(m),
+        E=ahat[:, active].copy(),
         gamma=np.zeros(len(active)),
         alpha=1.0,
-        U=np.eye(m),
         A_cur=ahat[:, active].copy(),
         T=np.asarray(active, dtype=int),
         theta=th,
@@ -194,14 +198,13 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if len(state.T) == 0:
             status = SOLVED
             break
-        # On the whitened columns W A the inner loop's y is W y.
-        fstate, outcome = fo(state.R.whiten(state.A_cur), eps)
+        fstate, outcome = fo(state.A_cur, eps)
         report.fo_iters += outcome.iterations
         max_phase_iters = max(max_phase_iters, outcome.iterations)
         if outcome.status == SEPARATED:
-            # y_bar = U Qy = U W^T (W y) satisfies the strict inequalities the
-            # inner loop checked.
-            ybar = state.U @ (state.R.inv_factor.T @ fstate.y)
+            # a_hat_j^T (M y) = c_j^T y, so y_bar = M y satisfies the strict
+            # inequalities the inner loop checked.
+            ybar = state.M @ fstate.y
             ybar = ybar / np.linalg.norm(ybar)
             status = SOLVED
             break
@@ -209,16 +212,12 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             break
         if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
             break
-        before = state
-        state = image_rescale(state, fstate.x)
-        ratio = math.exp(state.R.logdet - before.R.logdet)
+        state, ratio = image_rescale(state, fstate.x)
         min_growth = min(min_growth, ratio)
         report.rescalings += 1
         ledger_checks()
         if hook is not None:
-            hook(
-                "rescale", state=state, R_before=before.R, R_after=state.R, x=fstate.x, y=fstate.y, ratio=ratio
-            )
+            hook("rescale", state=state, x=fstate.x, y=fstate.y, ratio=ratio)
         if th == 0.0:
             continue
         # Project out short columns one at a time, re-scanning after each.
@@ -227,16 +226,11 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             if short.size == 0:
                 break
             pos = int(np.flatnonzero(state.T == short[0])[0])
-            old_logdet = state.R.logdet
             state, ratio, dropped = _remove_column(state, pos)
             report.removals += 1
             min_removal = min(min_removal, ratio)
             if ratio < removal_floor * (1.0 - _LEDGER_SLACK):
                 raise ContractViolationError(f"removal det ratio {ratio} below theta^2/(2(n+1))")
-            if state.R is not None:
-                drift = abs(math.exp(state.R.logdet - old_logdet) - ratio) / ratio
-                if drift > 1e-6:
-                    raise ContractViolationError("removal det ledger drifted")
             if hook is not None:
                 hook("remove", state=state, ratio=ratio, dropped=dropped)
             # Projecting out the last dimension drops every column with it.
@@ -290,9 +284,10 @@ def full_support_image(
     """Find y with A^T y > 0 strictly, assuming full row rank.
 
     Alternates the inner first-order loop (von Neumann by default, or
-    ``fo(cols, eps)``) on the columns whitened by the current metric with
-    multi-rank rescales of R: the shared loop with theta = 0, so no column is
-    ever removed. A separated outcome hands back y_bar = Qy, Q = R^{-1}.
+    ``fo(cols, eps)``) on the columns in the current coordinates with
+    multi-rank rescales of the metric: the shared loop with theta = 0, so no
+    column is ever removed. A separated outcome hands back y_bar = M y, the
+    paper's Qy.
     Returns (ImageCertificate, SolveReport).
     """
     mat = as_matrix(mat)
@@ -313,42 +308,44 @@ def full_support_image(
 
 
 def short_column_scan(state: ImageState) -> np.ndarray:
-    """Original indices of active columns with |a_hat_k|_Q below theta."""
-    nrm = column_norms(state.A_cur)
-    short = column_norms(state.R.whiten(state.A_cur)) / nrm < state.theta
+    """Original indices of active columns with |a_hat_k|_Q = |c_k| / |E_k| below theta."""
+    short = column_norms(state.A_cur) / column_norms(state.E) < state.theta
     return state.T[short]
 
 
 def _remove_column(state: ImageState, pos: int):
     """Project out the short column at position pos and drop everything in its span.
 
-    Returns (new_state, det_ratio, dropped_original_indices).
+    a_k^T y = 0 reads c_k^T y_cur = 0, so the current coordinates restrict to
+    c_k^perp, where the metric stays I, and E to E_k^perp; columns whose E copy
+    is in the span of E_k drop out. det shrinks by |c_k|^2 / |E_k|^2 =
+    |a_hat_k|_Q^2. Returns (new_state, det_ratio, dropped_original_indices).
     """
-    a_k = state.A_cur[:, pos]
-    wk = state.R.whiten(a_k) / np.linalg.norm(a_k)
-    qq = float(wk @ wk)  # = |a_hat_k|_Q^2, the det ratio
-    w = orthocomplement_basis(a_k)
-    proj = w.T @ state.A_cur
-    old_norms = column_norms(state.A_cur)
+    c_k = state.A_cur[:, pos]
+    e_k = state.E[:, pos]
+    ratio = float(c_k @ c_k) / float(e_k @ e_k)
+    v = orthocomplement_basis(c_k)
+    w = orthocomplement_basis(e_k)
+    cur = v.T @ state.A_cur
+    proj = w.T @ state.E
+    old_norms = column_norms(state.E)
     new_norms = column_norms(proj)
     keep = new_norms > _DROP_FACTOR * old_norms
     keep[pos] = False
     dropped = state.T[~keep]
     shrink = (new_norms / old_norms) ** 2
+    lost = state.gamma * (column_norms(cur) / old_norms) ** 2
 
-    rmat = w.T @ state.R.mat @ w
-    new_r = SymPosDef(rmat) if rmat.size else None
-    new_state = ImageState(
-        R=new_r,
+    new_state = replace(
+        state,
+        M=state.M @ v,
+        E=proj[:, keep],
         gamma=(state.gamma * shrink)[keep],
-        alpha=state.alpha,
-        U=state.U @ w,
-        A_cur=proj[:, keep],
+        A_cur=cur[:, keep],
         T=state.T[keep],
-        theta=state.theta,
-        eps=state.eps,
+        slack=state.slack + float(lost[~keep].sum()),
     )
-    return new_state, qq, dropped
+    return new_state, ratio, dropped
 
 
 @timed

@@ -48,6 +48,8 @@ __all__ = [
 # Incremental caches are rebuilt from scratch this often.
 _DV_REFRESH = 10_000
 _RESCALE_REFRESH = 25
+# The loop ends before max(F_kk, 1) * max(|y|_Q^2, 1) passes this.
+_FLOAT_CEILING = 1e300
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,10 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
 
         if report.rescalings >= limits.max_rescalings:
             break
+        # |z_k|^2 <= F_kk |y|_Q^2, and a rescale multiplies F and |y|_Q^2 by
+        # at most 4 each: stop while the next one still stays in float range.
+        if max(float(fdiag.max()), 1.0) * max(ynorm_q2, 1.0) > _FLOAT_CEILING:
+            break
         y = cols @ x
         if not y.any():
             refresh()
@@ -256,7 +262,8 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
     Returns (KernelCertificate, SolveReport). Status is ``infeasible_detected``
     when some iterate y strictly separates all columns and the witness Qy
     passes ``check_image_certificate`` (then A^T y > 0 is feasible instead),
-    ``no_converge`` when budgets run out or the witness fails the check.
+    ``no_converge`` when budgets run out, the metric nears float range, or the
+    witness fails the check.
     ``hook(event, **data)`` observes dv and rescale events.
     """
     mat = as_matrix(mat)

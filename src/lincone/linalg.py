@@ -53,13 +53,12 @@ def normalize_columns(mat: np.ndarray) -> np.ndarray:
 
 
 class SymPosDef:
-    """A symmetric positive definite matrix R with its inverse Cholesky factor.
+    """A symmetric positive definite matrix R, held by its inverse Cholesky factor.
 
-    With R = L L^T, the inverse lower factor W = L^{-1} and the log-determinant
-    are computed once at construction. W factors the inverse, R^{-1} = W^T W,
-    so every quantity in the inverse metric comes from ``whiten``. Instances
-    are treated as immutable: solver state updates build a fresh ``SymPosDef``
-    from the updated entries.
+    With R = L L^T, the inverse lower factor W = L^{-1} (``inv_factor``) and
+    the log-determinant are computed once at construction. W R W^T = I, so W
+    maps to coordinates where R is the identity. The solvers build one per
+    rescale, for the step R', whose condition number is at most 2.
 
     Raises
     ------
@@ -68,7 +67,7 @@ class SymPosDef:
         positive definite.
     """
 
-    __slots__ = ("mat", "dim", "inv_factor", "logdet")
+    __slots__ = ("inv_factor", "logdet")
 
     def __init__(self, entries):
         mat = as_matrix(entries)
@@ -78,26 +77,12 @@ class SymPosDef:
         scale = np.abs(mat).max()
         if scale == 0.0 or np.abs(mat - mat.T).max() > 1e-12 * scale:
             raise ContractViolationError("matrix is not symmetric")
-        self.mat = 0.5 * (mat + mat.T)
-        self.dim = n
         try:
-            lower = cholesky(self.mat, lower=True)
+            lower = cholesky(0.5 * (mat + mat.T), lower=True)
         except np.linalg.LinAlgError as exc:
             raise ContractViolationError("matrix is not positive definite") from exc
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
         self.inv_factor = solve_triangular(lower, np.eye(n), lower=True)
-
-    def whiten(self, mat: np.ndarray) -> np.ndarray:
-        """Return ``W mat`` for W = L^{-1}, R = L L^T.
-
-        The columns of the result have the euclidean geometry that the columns
-        of ``mat`` have in the inverse metric: ``whiten(A).T @ whiten(A) =
-        A^T R^{-1} A``.
-        """
-        return self.inv_factor @ mat
-
-    def __repr__(self):
-        return f"SymPosDef(dim={self.dim}, logdet={self.logdet:.6g})"
 
 
 class Projector:

@@ -5,7 +5,9 @@ given a query point v, the oracle either certifies v is interior to the cone
 or hands back a vector a with a^T v <= 0. The von Neumann step, the rescale
 and its determinant ledger are the explicit-matrix image solver's own, with
 all bookkeeping restricted to the set of vectors the oracle has actually
-returned.
+returned. Since the oracle answers in its own coordinates, the metric is kept
+as a whitening map G (Q = G^T G), the product of the per-step factors W' of
+the image solver's growth step, and queries go out at Qy = G^T G y.
 
 Two adapters are provided: one wrapping an explicit matrix (each column is a
 constraint a_i^T y >= 0) and one driving an external program over a text
@@ -193,19 +195,20 @@ def _fault_check(a: np.ndarray, v: np.ndarray):
         raise OracleFaultError("oracle returned a zero vector")
 
 
-def _query_point(wfac: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Qy = W^T (W y): the point the oracle is asked about, and the point returned."""
-    return wfac.T @ (wfac @ y)
+def _query_point(gmap: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Qy = G^T (G y): the point the oracle is asked about, and the point returned."""
+    return gmap.T @ (gmap @ y)
 
 
-def oracle_von_neumann(oracle: SeparationOracle, metric_r: SymPosDef, eps: float, budget=None):
+def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, budget=None):
     """Von Neumann iteration driven by a separation oracle.
 
-    Maintains y as a convex combination of the Q-normalized vectors the oracle
-    has returned, Q = R^{-1} = W^T W with W cached by ``metric_r``. Each round
-    checks ``|y|_Q = |W y| <= eps``, then queries the oracle at Qy. A YES
-    answer stops with status interior; a returned vector updates y by the
-    usual line-search step.
+    ``gmap`` is the whitening map G of the metric Q = G^T G: it takes the
+    oracle's coordinates to ones where the metric is the identity. Maintains
+    y as a convex combination of the Q-normalized vectors the oracle has
+    returned. Each round checks ``|y|_Q = |G y| <= eps``, then queries the
+    oracle at Qy. A YES answer stops with status interior; a returned vector
+    updates y by the usual line-search step.
 
     Returns ``(active, y, status, iterations)``. ``iterations`` counts
     oracle queries after the seeding call at 0.
@@ -215,7 +218,6 @@ def oracle_von_neumann(oracle: SeparationOracle, metric_r: SymPosDef, eps: float
     m = oracle.dim
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
-    wfac = metric_r.inv_factor
 
     active = ActiveSet()
     first = oracle.query(np.zeros(m))
@@ -223,28 +225,28 @@ def oracle_von_neumann(oracle: SeparationOracle, metric_r: SymPosDef, eps: float
         # the cone is all of R^m; 0 itself is interior
         return active, np.zeros(m), INTERIOR, 0
     _fault_check(first, np.zeros(m))
-    y = first / np.linalg.norm(wfac @ first)
+    y = first / np.linalg.norm(gmap @ first)
     pos = active.slot(y)
     active.coeffs[pos] = 1.0
 
     status = None
     iters = 0
     for _ in range(cap + 1):
-        wy = wfac @ y
+        wy = gmap @ y
         ynorm = float(np.linalg.norm(wy))
         if ynorm <= eps:
             status = SMALL_NORM
             break
         if iters >= cap:
             break
-        v = _query_point(wfac, y)
+        v = _query_point(gmap, y)
         answer = oracle.query(v)
         iters += 1
         if answer is None:
             status = INTERIOR
             break
         _fault_check(answer, v)
-        wa = wfac @ answer
+        wa = gmap @ answer
         anorm = float(np.linalg.norm(wa))
         ahat = answer / anorm
         lam = _vn_step(ynorm * ynorm, float(wa @ wy) / anorm)
@@ -256,7 +258,7 @@ def oracle_von_neumann(oracle: SeparationOracle, metric_r: SymPosDef, eps: float
             raise ContractViolationError("active set outgrew its ceiling")
     if status is None:
         # the norm decays like 1/sqrt(t), so the intrinsic cap ends small
-        status = SMALL_NORM if np.linalg.norm(wfac @ y) <= eps else BUDGET_EXHAUSTED
+        status = SMALL_NORM if np.linalg.norm(gmap @ y) <= eps else BUDGET_EXHAUSTED
     return active, y, status, iters
 
 
@@ -274,31 +276,36 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     eps = rescale_epsilon(m, limits)
 
     report = SolveReport(status=NO_CONVERGE)
-    metric_r = SymPosDef(np.eye(m))
+    # G is the product of the per-step factors W' of ``_grow_metric``, so
+    # Q = G^T G. It starts as the factor of I built through ``SymPosDef``,
+    # which keeps a linalg span on the traced benchmark's rescale-free runs
+    # until the solvers report their own timings (ROADMAP item 4).
+    gmap = SymPosDef(np.eye(m)).inv_factor
     ybar = np.zeros(m)
     min_ratio = math.inf
     while report.rescalings <= limits.max_rescalings:
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
             break
-        active, y, status, iters = oracle_von_neumann(oracle, metric_r, eps, budget=fo_budget)
+        active, y, status, iters = oracle_von_neumann(oracle, gmap, eps, budget=fo_budget)
         report.fo_iters += iters
         if status == INTERIOR:
             # The very expression of the approved query, so the bits match.
-            ybar = _query_point(metric_r.inv_factor, y)
+            ybar = _query_point(gmap, y)
             report.status = SOLVED
             break
         if status != SMALL_NORM:
             break
         if report.rescalings == limits.max_rescalings:
             break
-        # The active vectors are stored Q-normalized, so their coefficients
-        # are the weights of the image rescale.
-        cols = np.stack(active.vectors, axis=1)
-        metric_r, ratio = _grow_metric(metric_r, cols, np.asarray(active.coeffs), eps)
+        # The active vectors are stored Q-normalized, so mapped by G they are
+        # unit vectors and their coefficients are the weights of the rescale.
+        cols = gmap @ np.stack(active.vectors, axis=1)
+        wfac, ratio = _grow_metric(cols, np.asarray(active.coeffs), eps)
+        gmap = wfac @ gmap
         min_ratio = min(min_ratio, ratio)
         report.rescalings += 1
-        ybar = _query_point(metric_r.inv_factor, y)
+        ybar = _query_point(gmap, y)
 
     if report.rescalings > 0:
         report.bound_checks.append(_growth_check(min_ratio))

@@ -174,7 +174,7 @@ def test_image_det_ledger_and_ellipsoid_cover(capsys):
 
         def hook(kind, **data):
             if kind == "rescale":
-                ledger.append((data["ratio"], data["R_after"]))
+                ledger.append((data["ratio"], data["state"].M))
 
         cert, report = full_support_image(mat, hook=hook)
         if report.status != SOLVED:
@@ -195,8 +195,9 @@ def test_image_det_ledger_and_ellipsoid_cover(capsys):
             pts.extend(z[:, good].T)
         pts = np.asarray(pts[:250])
         sampled += len(pts)
-        for _, r_after in ledger:
-            quad = np.einsum("ij,jk,ik->i", pts, r_after.mat, pts)
+        # p^T R p = |M^-1 p|^2, R being (M M^T)^-1 in the original coordinates
+        for _, mmap in ledger:
+            quad = np.linalg.norm(np.linalg.solve(mmap, pts.T), axis=0) ** 2
             worst_quad = max(worst_quad, float(quad.max()))
     elapsed = time.perf_counter() - t0
     ok = (
@@ -491,8 +492,8 @@ def test_lp_reduction_matches_exact_elimination(capsys):
 
 
 def test_gamma_ledger_on_max_support_runs(capsys):
-    # Along every max-support image run: R reconstructs from (alpha, gamma) to
-    # 1e-8, every gamma_i stays below 2/theta^2, and each column removal
+    # Along every max-support image run: the metric reconstructs from (alpha,
+    # gamma) to 1e-8, every gamma_i stays below 2/theta^2, and each column removal
     # shrinks det(R) by no more than the theta^2/(2(n+1)) floor allows.
     rng = np.random.default_rng(23)
     problems = []
@@ -530,7 +531,7 @@ def test_gamma_ledger_on_max_support_runs(capsys):
         for st in states:
             if st.gamma.size and float(st.gamma.max()) > cap:
                 problems.append(f"{tag}: gamma {st.gamma.max():.2e} above 2/theta^2")
-            if st.R is not None:
+            if st.M.shape[1]:
                 err = _check_decomposition(st)
                 if err > 1e-8:
                     problems.append(f"{tag}: decomposition error {err:.2e}")

@@ -15,7 +15,12 @@ from lincone.linalg import SymPosDef
 
 def random_spd(rng, m):
     b = rng.standard_normal((m, m))
-    return SymPosDef(b @ b.T + m * np.eye(m))
+    return b @ b.T + m * np.eye(m)
+
+
+def whiten(rmat, mat):
+    """W mat for the inverse Cholesky factor W of rmat, so (W a)^T (W b) = a^T rmat^-1 b."""
+    return SymPosDef(rmat).inv_factor @ mat
 
 
 def gram_von_neumann(mat, q, eps):
@@ -93,7 +98,7 @@ class TestVonNeumannInvariants:
             n = int(rng.integers(1, 9))
             mat = rng.standard_normal((m, n))
             if trial % 3 == 0:
-                mat = random_spd(rng, m).whiten(mat)
+                mat = whiten(random_spd(rng, m), mat)
             eps = float(rng.uniform(0.05, 0.5))
             state, outcome = von_neumann(mat, eps)
             assert abs(state.x.sum() - 1.0) <= 1e-10
@@ -136,8 +141,8 @@ class TestVonNeumannInvariants:
                 state, outcome = von_neumann(mat, eps)
                 x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.eye(m), eps)
             else:
-                state, outcome = von_neumann(metric.whiten(mat), eps)
-                x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.linalg.inv(metric.mat), eps)
+                state, outcome = von_neumann(whiten(metric, mat), eps)
+                x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.linalg.inv(metric), eps)
             assert outcome.status == status_ref
             assert outcome.iterations == iters_ref
             assert np.max(np.abs(state.x - x_ref)) <= 1e-9
@@ -160,7 +165,7 @@ class TestInnerAlternatives:
             n = int(rng.integers(1, 7))
             mat = rng.standard_normal((m, n))
             if trial % 2:
-                mat = random_spd(rng, m).whiten(mat)
+                mat = whiten(random_spd(rng, m), mat)
             eps = float(rng.uniform(0.1, 0.5))
             state, outcome = inner(mat, eps)
             if outcome.status == BUDGET_EXHAUSTED:

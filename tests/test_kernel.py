@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from lincone.errors import ContractViolationError, UnsupportedInstanceError
 from lincone.image import ImageCertificate
 from lincone.kernel import full_support_kernel, kernel_rescale, max_support_kernel
 from lincone.linalg import normalize_columns
-from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits
+from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits, default_limits
 
 
 def feasible_instance(rng, m, n):
@@ -198,6 +200,24 @@ class TestFullSupportKernel:
             if report.status == INFEASIBLE_DETECTED:
                 claim = ImageCertificate(y=witnesses[-1], support=np.arange(50), min_margin=0.0, residual_zero=0.0)
                 assert check_image_certificate(mat, claim).valid
+
+    def test_metric_stops_before_float_overflow(self):
+        # Draw 5 (m = 10) of the flat rho = 1e-5 batch above never converges.
+        # Each rescale can multiply F, z and |y|_Q^2 by 4, and under default
+        # limits they used to overflow at about rescale 268, after which the
+        # loop kept iterating on inf and nan. It must end no_converge with
+        # every cached quantity still finite, well inside its budgets.
+        rng = np.random.default_rng(0)
+        for i in range(6):
+            mat, _ = flat_image_cone(rng, (3, 5, 10)[i % 3], 50, 1e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert, report = full_support_kernel(mat)
+        assert mat.shape[0] == 10
+        assert report.status == NO_CONVERGE
+        limits = default_limits(*mat.shape)
+        assert 0 < report.rescalings < limits.max_rescalings
+        assert report.fo_iters < limits.max_iterations
 
 
 class TestMaxSupportKernel:

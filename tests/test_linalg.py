@@ -34,25 +34,26 @@ class TestSymPosDef:
         # W = L^{-1} for R = L L^T: W R W^T = I and R^{-1} = W^T W.
         rng = np.random.default_rng(7)
         for dim in (1, 2, 3, 5, 8):
-            q = SymPosDef(random_spd(rng, dim))
-            w = q.whiten(np.eye(dim))
-            assert np.abs(w @ q.mat @ w.T - np.eye(dim)).max() < 1e-9
-            assert np.abs(w.T @ w @ q.mat - np.eye(dim)).max() < 1e-9
+            rmat = random_spd(rng, dim)
+            w = SymPosDef(rmat).inv_factor
+            assert np.abs(w @ rmat @ w.T - np.eye(dim)).max() < 1e-9
+            assert np.abs(w.T @ w @ rmat - np.eye(dim)).max() < 1e-9
+            assert np.allclose(w, np.tril(w))
 
     def test_norm_and_quad(self):
         # R = diag(1/4, 1): the inverse metric is diag(4, 1).
-        q = SymPosDef(np.diag([0.25, 1.0]))
-        assert np.linalg.norm(q.whiten(np.array([1.0, 0.0]))) == pytest.approx(2.0)
-        assert np.linalg.norm(q.whiten(np.array([1.0, 2.0]))) ** 2 == pytest.approx(8.0)
+        w = SymPosDef(np.diag([0.25, 1.0])).inv_factor
+        assert np.linalg.norm(w @ np.array([1.0, 0.0])) == pytest.approx(2.0)
+        assert np.linalg.norm(w @ np.array([1.0, 2.0])) ** 2 == pytest.approx(8.0)
 
     def test_embed_gram(self):
-        # whiten(A)^T whiten(A) = A^T R^{-1} A.
+        # (W A)^T (W A) = A^T R^{-1} A.
         rng = np.random.default_rng(10)
         for dim in (1, 2, 3, 5, 8):
             rmat = random_spd(rng, dim)
-            q = SymPosDef(rmat)
+            w = SymPosDef(rmat).inv_factor
             a = rng.standard_normal((dim, 7))
-            gram = q.whiten(a).T @ q.whiten(a)
+            gram = (w @ a).T @ (w @ a)
             assert np.allclose(gram, a.T @ np.linalg.inv(rmat) @ a, atol=1e-10)
 
     def test_rejects_asymmetric(self):

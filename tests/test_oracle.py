@@ -8,7 +8,6 @@ from helpers import flat_image_cone
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
 from lincone.image import full_support_image
-from lincone.linalg import SymPosDef
 from lincone.oracle import (
     INTERIOR,
     SMALL_NORM,
@@ -75,7 +74,8 @@ class ZeroOracle:
 
 
 def identity_metric(m):
-    return SymPosDef(np.eye(m))
+    """The whitening map G of the euclidean metric Q = G^T G = I."""
+    return np.eye(m)
 
 
 class TestOracleVonNeumann:
@@ -128,11 +128,11 @@ class TestOracleVonNeumann:
         assert np.abs(recon - y).max() <= 1e-8
 
     def test_metric_changes_normalization(self):
-        # R = diag(1/4, 1), so the vectors are normalized in Q = R^-1 = diag(4, 1).
-        r = SymPosDef(np.diag([0.25, 1.0]))
+        # G = diag(2, 1), so the vectors are normalized in Q = G^T G = diag(4, 1).
+        g = np.diag([2.0, 1.0])
         q = np.diag([4.0, 1.0])
         oracle = MatrixSeparationOracle(np.eye(2))
-        active, y, status, iters = oracle_von_neumann(oracle, r, eps=0.05)
+        active, y, status, iters = oracle_von_neumann(oracle, g, eps=0.05)
         # every stored vector has unit Q-norm
         for vec in active.vectors:
             assert np.sqrt(vec @ q @ vec) == pytest.approx(1.0)
