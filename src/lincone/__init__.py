@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     UnsupportedInstanceError,
 )
-from .firstorder import dv_inner, perceptron_inner, von_neumann
+from .firstorder import von_neumann
 from .image import (
     ImageCertificate,
     full_support_image,
@@ -85,10 +85,8 @@ __all__ = [
     "full_support_image",
     "max_support_image",
     "strict_conic_feasibility",
-    # first-order inner loops
+    # first-order inner loop
     "von_neumann",
-    "dv_inner",
-    "perceptron_inner",
     # rescaling primitives
     "kernel_rescale",
     "image_rescale",

@@ -21,8 +21,7 @@ import numpy as np
 
 from .certify import check_complementary_pair, check_image_certificate, check_kernel_certificate
 from .errors import LinconeError, ParseError
-from .firstorder import dv_inner, perceptron_inner
-from .image import full_support_image, max_support_image
+from .image import ImageCertificate, full_support_image, max_support_image
 from .instances import (
     gen_degenerate,
     gen_image_feasible,
@@ -33,16 +32,12 @@ from .instances import (
     write_instance,
 )
 from .kernel import KernelCertificate, full_support_kernel, max_support_kernel
-from .image import ImageCertificate
 from .oracle import SubprocessOracle, strict_conic_feasibility
 from .report import Limits, default_limits, rescale_epsilon
 
 __all__ = ["run", "main"]
 
 log = logging.getLogger("lincone")
-
-_FO = {"vonneumann": None, "dv": dv_inner, "perceptron": perceptron_inner}
-
 
 class _Usage(Exception):
     pass
@@ -62,8 +57,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--input", help="instance file; required unless --oracle-cmd with --dim")
     solve.add_argument("--mode", choices=["kernel", "image"], required=True)
     solve.add_argument("--support", choices=["full", "max"], default="full")
-    solve.add_argument("--fo", choices=sorted(_FO), default="vonneumann",
-                       help="inner loop for image modes; kernel modes ignore it")
     solve.add_argument("--epsilon", type=float, default=None,
                        help="rescaling threshold; values above 1/(11m) are clamped")
     solve.add_argument("--max-rescalings", type=int, default=None)
@@ -180,9 +173,6 @@ def _cmd_solve(args) -> int:
     inst = parse_instance(_read_file(args.input))
     m, n = inst.mat.shape
     limits = _limits_from_args(args, m, n)
-    fo = _FO[args.fo]
-    if args.mode == "kernel" and args.fo != "vonneumann":
-        print("note: kernel modes use their own inner loop; --fo ignored", file=sys.stderr)
 
     support = None
     if args.mode == "kernel" and args.support == "full":
@@ -190,9 +180,9 @@ def _cmd_solve(args) -> int:
     elif args.mode == "kernel":
         cert, support, report = max_support_kernel(inst.mat, limits, hook=hook)
     elif args.support == "full":
-        cert, report = full_support_image(inst.mat, limits, fo=fo, hook=hook)
+        cert, report = full_support_image(inst.mat, limits, hook=hook)
     else:
-        cert, support, report = max_support_image(inst.mat, limits, fo=fo, hook=hook)
+        cert, support, report = max_support_image(inst.mat, limits, hook=hook)
 
     print(json.dumps(_cert_json(cert)))
     print(json.dumps(report.as_dict()))

@@ -155,7 +155,7 @@ def _check_decomposition(state: ImageState) -> float:
     return max(float(np.abs(recon - np.eye(cols.shape[0])).max()) - state.slack, 0.0)
 
 
-def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, fo, debug: bool, hook):
+def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, debug: bool, hook):
     """Inner-loop phases and rescales over the columns ``ahat[:, active]``.
 
     ``th = 0`` is the full-support policy: no column scan and no removal.
@@ -165,8 +165,6 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m, limits)
-    if fo is None:
-        fo = von_neumann
 
     state = ImageState(
         M=np.eye(m),
@@ -198,26 +196,26 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if len(state.T) == 0:
             status = SOLVED
             break
-        fstate, outcome = fo(state.A_cur, eps)
-        report.fo_iters += outcome.iterations
-        max_phase_iters = max(max_phase_iters, outcome.iterations)
-        if outcome.status == SEPARATED:
+        x, y, fo_status, iters = von_neumann(state.A_cur, eps)
+        report.fo_iters += iters
+        max_phase_iters = max(max_phase_iters, iters)
+        if fo_status == SEPARATED:
             # a_hat_j^T (M y) = c_j^T y, so y_bar = M y satisfies the strict
             # inequalities the inner loop checked.
-            ybar = state.M @ fstate.y
+            ybar = state.M @ y
             ybar = ybar / np.linalg.norm(ybar)
             status = SOLVED
             break
-        if outcome.status == BUDGET_EXHAUSTED:
+        if fo_status == BUDGET_EXHAUSTED:
             break
         if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
             break
-        state, ratio = image_rescale(state, fstate.x)
+        state, ratio = image_rescale(state, x)
         min_growth = min(min_growth, ratio)
         report.rescalings += 1
         ledger_checks()
         if hook is not None:
-            hook("rescale", state=state, x=fstate.x, y=fstate.y, ratio=ratio)
+            hook("rescale", state=state, x=x, y=y, ratio=ratio)
         if th == 0.0:
             continue
         # Project out short columns one at a time, re-scanning after each.
@@ -277,15 +275,13 @@ def full_support_image(
     limits: Limits | None = None,
     *,
     known_rho: float | None = None,
-    fo=None,
     debug: bool = False,
     hook=None,
 ):
     """Find y with A^T y > 0 strictly, assuming full row rank.
 
-    Alternates the inner first-order loop (von Neumann by default, or
-    ``fo(cols, eps)``) on the columns in the current coordinates with
-    multi-rank rescales of the metric: the shared loop with theta = 0, so no
+    Alternates von Neumann phases on the columns in the current coordinates
+    with multi-rank rescales of the metric: the shared loop with theta = 0, so no
     column is ever removed. A separated outcome hands back y_bar = M y, the
     paper's Qy.
     Returns (ImageCertificate, SolveReport).
@@ -299,7 +295,7 @@ def full_support_image(
         limits = default_limits(m, n)
 
     report = SolveReport(status=NO_CONVERGE)
-    cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, fo=fo, debug=debug, hook=hook)
+    cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, debug=debug, hook=hook)
     if known_rho is not None and known_rho > 0.0:
         report.add_bound_check(
             "rescalings_vs_rho", rescaling_bound(m, known_rho, image=True), float(report.rescalings)
@@ -349,7 +345,7 @@ def _remove_column(state: ImageState, pos: int):
 
 
 @timed
-def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool = False, hook=None):
+def max_support_image(mat, limits: Limits | None = None, *, debug: bool = False, hook=None):
     """Find y maximizing the set of strict inequalities a_i^T y > 0.
 
     Integral full-row-rank input. Runs the shared loop with theta: columns
@@ -373,5 +369,5 @@ def max_support_image(mat, limits: Limits | None = None, *, fo=None, debug: bool
     ahat[:, active] = mat[:, active] / norms[active]
 
     report = SolveReport(status=NO_CONVERGE)
-    cert, support = _rescaling_loop(ahat, active, limits, report, th, fo=fo, debug=debug, hook=hook)
+    cert, support = _rescaling_loop(ahat, active, limits, report, th, debug=debug, hook=hook)
     return cert, support, report

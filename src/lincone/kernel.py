@@ -75,19 +75,21 @@ def _certificate(ahat, active: np.ndarray, xbar: np.ndarray, zero_cols: np.ndarr
     return KernelCertificate(x=x, support=support, residual=residual, min_support_value=min_val)
 
 
-def kernel_rescale(ufac, fmat, z, ynorm_q2, y, eps):
+def kernel_rescale(ufac, fmat, z, y, eps):
     """Q-form rescale Q' = (Q + 3 Qy y^T Q / |y|_Q^2) / (1+3 eps)^2 on the factor.
 
     With Q = U^T U and w = Uy, sqrt(I + 3 w_hat w_hat^T) = I + w_hat w_hat^T,
     so U' = (I + w_hat w_hat^T) U / (1+3 eps). The caches F = A_hat^T Q A_hat
     and z = A_hat^T Q y follow by the matching rank-1 formulas, so the columns
     are never touched; y stays put while its Q-norm grows by 2/(1+3 eps).
+    |y|_Q^2 is taken afresh as |w|^2, not from an incrementally kept cache.
     Returns (U', F', z', |y|_Q'^2).
     """
     w = ufac @ y
     wn = float(np.linalg.norm(w))
-    if ynorm_q2 <= 0.0 or wn == 0.0:
+    if wn == 0.0:
         raise ContractViolationError("rescale with y = 0: termination should have fired")
+    ynorm_q2 = wn * wn
     what = w / wn
     ufac = (ufac + np.outer(what, what @ ufac)) / (1.0 + 3.0 * eps)
     fmat = (fmat + 3.0 * np.outer(z, z) / ynorm_q2) / (1.0 + 3.0 * eps) ** 2
@@ -212,17 +214,16 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
         if not y.any():
             refresh()
             continue
-        before = ynorm_q2
         if hook is not None:
             w, mat_before = ufac @ y, ufac @ cols
-        ufac, fmat, z, ynorm_q2 = kernel_rescale(ufac, fmat, z, ynorm_q2, y, eps)
+        ufac, fmat, z, ynorm_q2 = kernel_rescale(ufac, fmat, z, y, eps)
         diagonal()
         report.rescalings += 1
         rescales_since_refresh += 1
         if hook is not None:
             hook(
                 "rescale",
-                ynorm_q2_before=before,
+                ynorm_q2_before=float(w @ w),
                 ynorm_q2_after=ynorm_q2,
                 y=w,
                 mat_before=mat_before,

@@ -25,7 +25,7 @@ from typing import Optional, Protocol, runtime_checkable
 import numpy as np
 
 from .errors import ContractViolationError, OracleFaultError
-from .firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
+from .firstorder import BUDGET_EXHAUSTED, SMALL_NORM, _vn_cap, _vn_step
 from .image import _grow_metric, _growth_check
 from .linalg import SymPosDef, as_matrix
 from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, rescale_epsilon, timed
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 INTERIOR = "interior"
-SMALL_NORM = "small_norm"
 
 
 @runtime_checkable

@@ -102,15 +102,6 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 1
 
-    def test_fo_choice_applies_to_image(self, tmp_path, capsys):
-        inst = write(tmp_path, "inst.txt", "2 2\n2 1\n1 2\n")
-        for fo in ("vonneumann", "dv", "perceptron"):
-            code = run([
-                "solve", "--mode", "image", "--input", inst, "--fo", fo,
-            ])
-            assert code == 0
-            capsys.readouterr()
-
 
 class TestOracleCmd:
     SCRIPT = (

@@ -8,7 +8,6 @@ from scipy.linalg import null_space
 from helpers import flat_image_cone, sampled_width
 from lincone.certify import check_image_certificate
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
-from lincone.firstorder import perceptron_inner
 from lincone.image import (
     ImageState,
     _check_decomposition,
@@ -209,13 +208,6 @@ class TestFullSupportImage:
         assert report.status == SOLVED
         assert check_image_certificate(mat, cert).valid
         assert peak < 64 * 2**20
-
-    def test_alternative_inner_loop(self):
-        rng = np.random.default_rng(39)
-        mat, _ = image_instance(rng, 2, 6, 0.3)
-        cert, report = full_support_image(mat, fo=perceptron_inner)
-        assert report.status == SOLVED
-        assert np.all(mat.T @ cert.y > 0)
 
     def test_budget_fires_on_infeasible_direction(self):
         # 0 is in the hull of +-e1, +-e2, so no strict separator exists.

@@ -38,7 +38,7 @@ class TestRescalePrimitives:
         eps = 1.0 / 22.0
         y = np.array([1.0, 0.0])
         # A_hat = I and Q = I, so F = I and z = A_hat^T Q y = y.
-        ufac, fmat, z, ynorm_q2 = kernel_rescale(np.eye(2), np.eye(2), y.copy(), 1.0, y, eps)
+        ufac, fmat, z, ynorm_q2 = kernel_rescale(np.eye(2), np.eye(2), y.copy(), y, eps)
         expect = np.diag([4.0, 1.0]) / (1.0 + 3.0 * eps) ** 2
         assert np.allclose(ufac.T @ ufac, expect, rtol=1e-12)
         assert np.allclose(fmat, expect, rtol=1e-12)
@@ -55,7 +55,7 @@ class TestRescalePrimitives:
         y = mat @ x
         eps = 1.0 / 33.0
         fmat = mat.T @ q @ mat
-        out_u, out_f, out_z, out_yq2 = kernel_rescale(ufac, fmat, fmat @ x, float(y @ q @ y), y, eps)
+        out_u, out_f, out_z, out_yq2 = kernel_rescale(ufac, fmat, fmat @ x, y, eps)
         qy = q @ y
         new_q = out_u.T @ out_u
         expect_q = (q + 3.0 * np.outer(qy, qy) / (y @ qy)) / (1.0 + 3.0 * eps) ** 2
@@ -70,7 +70,7 @@ class TestRescalePrimitives:
 
     def test_q_form_zero_y_rejected(self):
         with pytest.raises(ContractViolationError):
-            kernel_rescale(np.eye(2), np.eye(2), np.zeros(2), 0.0, np.zeros(2), 1.0 / 22.0)
+            kernel_rescale(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), 1.0 / 22.0)
 
 
 class TestFullSupportKernel:
@@ -129,6 +129,9 @@ class TestFullSupportKernel:
             # the DV branch only fires strictly below the guard
             assert d["cos"] < -eps
         for d in rs:
+            # |y|_Q^2 is re-synced at each rescale: the cache the DV steps
+            # update incrementally does not carry its drift into the rescale.
+            assert d["ynorm_q2_before"] == pytest.approx(float(d["y"] @ d["y"]), rel=1e-12)
             scale = 4.0 / (1.0 + 3.0 * eps) ** 2
             assert d["ynorm_q2_after"] == pytest.approx(scale * d["ynorm_q2_before"], rel=1e-10)
             # guard: no column is more than eps below the y hyperplane (both whitened)
