@@ -160,7 +160,7 @@ def _cmd_solve(args) -> int:
             raise _Usage("--oracle-cmd needs --input or --dim for the dimension")
         limits = _limits_from_args(args, m, m)
         with SubprocessOracle(args.oracle_cmd, m) as oracle:
-            y, report = strict_conic_feasibility(oracle, m, limits)
+            y, report = strict_conic_feasibility(oracle, m, limits, hook=hook)
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
         print(json.dumps(cert_obj))
         print(json.dumps(report.as_dict()))

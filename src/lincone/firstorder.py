@@ -5,7 +5,9 @@ a strict separator or a short vector. It is a euclidean loop on the columns it
 is given: the image solvers pass their columns in coordinates where the
 metric is the identity, and then every euclidean quantity of the loop is the
 Q-quantity of the original columns. The oracle solver's loop,
-``oracle_von_neumann``, takes the same step through ``_vn_step``.
+``oracle_von_neumann``, is the same euclidean loop in whitened coordinates on
+the answers the oracle returns one query at a time, and takes the same step
+through ``_vn_step``.
 
 Cost model: one O(mn) normalization per call, and each step is one O(mn)
 matrix-vector product. No n x n Gram matrix is ever formed, so memory stays

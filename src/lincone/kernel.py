@@ -175,7 +175,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
             if _positive_beyond_noise(xbar) and scale_ok:
                 return SOLVED, S, xbar
         ratios = z / qnorms
-        k = int(np.argmin(ratios))
+        k = int(ratios.argmin())
         if th is None and z[k] > 0.0:
             refresh()
             if z.min() > 0.0:

@@ -6,8 +6,10 @@ or hands back a vector a with a^T v <= 0. The von Neumann step, the rescale
 and its determinant ledger are the explicit-matrix image solver's own, with
 all bookkeeping restricted to the set of vectors the oracle has actually
 returned. Since the oracle answers in its own coordinates, the metric is kept
-as a whitening map G (Q = G^T G), the product of the per-step factors W' of
-the image solver's growth step, and queries go out at Qy = G^T G y.
+as a whitening map G (Q = G^T G), the product of the growth steps' factors
+W'. A phase runs in G's coordinates: it stores each answer a as the unit
+vector G a / |G a|, keeps w = G y and queries at G^T w = Qy, so a rescale
+reads its columns straight from the active set.
 
 Two adapters are provided: one wrapping an explicit matrix (each column is a
 constraint a_i^T y >= 0) and one driving an external program over a text
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass, field
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -81,7 +82,7 @@ class MatrixSeparationOracle:
     def query(self, v: np.ndarray) -> Optional[np.ndarray]:
         self.calls += 1
         margins = (self.mat.T @ v) / self._norms
-        k = int(np.argmin(margins))
+        k = int(margins.argmin())
         if margins[k] > 0.0:
             return None
         return self.mat[:, k].copy()
@@ -149,125 +150,134 @@ class SubprocessOracle:
         return False
 
 
-@dataclass
 class ActiveSet:
-    """Oracle-returned vectors with convex coefficients over them.
+    """Stored vectors, the rows of a (k x m) array, with convex coefficients.
 
-    Vectors are deduplicated by exact bit pattern; re-returned vectors fold
-    into the existing slot. Coefficients stay on the simplex.
+    Both arrays double in capacity when full. Vectors are deduplicated by
+    exact bit pattern; re-returned vectors fold into the existing slot.
+    Coefficients stay on the simplex.
     """
 
-    vectors: list = field(default_factory=list)
-    coeffs: list = field(default_factory=list)
-    _index: dict = field(default_factory=dict)
+    def __init__(self):
+        self._vecs = np.empty((16, 0))  # the width is set by the first vector
+        self._coeffs = np.zeros(16)
+        self._index: dict = {}
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self._index)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The stored vectors, one per row."""
+        return self._vecs[: len(self._index)]
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients, a writable view aligned with ``vectors``."""
+        return self._coeffs[: len(self._index)]
 
     def slot(self, vec: np.ndarray) -> int:
         """Index of vec in the set, appending a zero-weight slot if new."""
         key = vec.tobytes()
         pos = self._index.get(key)
         if pos is None:
-            pos = len(self.vectors)
-            self._index[key] = pos
-            self.vectors.append(vec.copy())
-            self.coeffs.append(0.0)
+            pos = self._index[key] = len(self._index)
+            if pos == 0:
+                self._vecs = np.empty((self._coeffs.size, vec.size))
+            elif pos == self._coeffs.size:
+                self._vecs = np.concatenate([self._vecs, np.empty_like(self._vecs)])
+                self._coeffs = np.concatenate([self._coeffs, np.zeros_like(self._coeffs)])
+            self._vecs[pos] = vec
         return pos
 
     def mix(self, pos: int, lam: float):
         """Scale all weights by (1-lam) and add lam at pos."""
-        for i in range(len(self.coeffs)):
-            self.coeffs[i] *= 1.0 - lam
-        self.coeffs[pos] += lam
+        coeffs = self._coeffs[: len(self._index)]
+        coeffs *= 1.0 - lam
+        coeffs[pos] += lam
 
     def check_simplex(self):
-        total = math.fsum(self.coeffs)
-        if any(c < 0.0 for c in self.coeffs) or abs(total - 1.0) > 1e-10:
+        coeffs = self._coeffs[: len(self._index)].tolist()
+        if min(coeffs, default=0.0) < 0.0 or abs(math.fsum(coeffs) - 1.0) > 1e-10:
             raise ContractViolationError("active-set coefficients left the simplex")
 
 
 def _fault_check(a: np.ndarray, v: np.ndarray):
     if float(a @ v) > 0.0:
         raise OracleFaultError("oracle returned a vector with a^T v > 0")
-    if not np.any(a):
+    if not a.any():
         raise OracleFaultError("oracle returned a zero vector")
-
-
-def _query_point(gmap: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Qy = G^T (G y): the point the oracle is asked about, and the point returned."""
-    return gmap.T @ (gmap @ y)
 
 
 def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, budget=None):
     """Von Neumann iteration driven by a separation oracle.
 
     ``gmap`` is the whitening map G of the metric Q = G^T G: it takes the
-    oracle's coordinates to ones where the metric is the identity. Maintains
-    y as a convex combination of the Q-normalized vectors the oracle has
-    returned. Each round checks ``|y|_Q = |G y| <= eps``, then queries the
-    oracle at Qy. A YES answer stops with status interior; a returned vector
-    updates y by the usual line-search step.
+    oracle's coordinates to ones where the metric is the identity, and the
+    loop runs there. It stores each returned a as the unit vector G a / |G a|
+    (a repeated answer is read back) and keeps w = G y, a convex combination
+    of those. Each round checks ``|w| <= eps``, a verdict taken only on w
+    recomputed from the set, then queries the oracle at G^T w = Qy. A YES
+    answer stops with status interior; a returned vector moves w by the
+    usual line-search step.
 
-    Returns ``(active, y, status, iterations)``. ``iterations`` counts
-    oracle queries after the seeding call at 0.
+    Returns ``(active, w, status, iterations)``: w is whitened, so the oracle
+    approved ``gmap.T @ w`` on status interior. ``iterations`` counts oracle
+    queries after the seeding call at 0.
     """
     if eps <= 0.0:
         raise ContractViolationError("eps must be positive")
-    m = oracle.dim
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
 
     active = ActiveSet()
-    first = oracle.query(np.zeros(m))
-    if first is None:
-        # the cone is all of R^m; 0 itself is interior
-        return active, np.zeros(m), INTERIOR, 0
-    _fault_check(first, np.zeros(m))
-    y = first / np.linalg.norm(gmap @ first)
-    pos = active.slot(y)
-    active.coeffs[pos] = 1.0
-
-    status = None
+    seen = {}  # an answer's bits -> (its slot, its stored vector)
+    v, w = np.zeros(oracle.dim), np.zeros(oracle.dim)
+    answer = oracle.query(v)
+    status = INTERIOR  # unless the loop below ends otherwise
     iters = 0
-    for _ in range(cap + 1):
-        wy = gmap @ y
-        ynorm = float(np.linalg.norm(wy))
-        if ynorm <= eps:
-            status = SMALL_NORM
-            break
-        if iters >= cap:
-            break
-        v = _query_point(gmap, y)
-        answer = oracle.query(v)
-        iters += 1
-        if answer is None:
-            status = INTERIOR
-            break
+    while answer is not None:
         _fault_check(answer, v)
-        wa = gmap @ answer
-        anorm = float(np.linalg.norm(wa))
-        ahat = answer / anorm
-        lam = _vn_step(ynorm * ynorm, float(wa @ wy) / anorm)
-        pos = active.slot(ahat)
+        key = answer.tobytes()
+        hit = seen.get(key)
+        if hit is None:
+            u = gmap @ answer
+            u /= math.sqrt(u @ u)
+            hit = seen[key] = active.slot(u), u
+        pos, u = hit
+        # the seeding answer becomes w itself
+        lam = _vn_step(ynorm2, float(w @ u)) if iters else 1.0
         active.mix(pos, lam)
-        y = (1.0 - lam) * y + lam * ahat
+        w *= 1.0 - lam
+        w += lam * u
         active.check_simplex()
         if len(active) > size_cap:
             raise ContractViolationError("active set outgrew its ceiling")
-    if status is None:
-        # the norm decays like 1/sqrt(t), so the intrinsic cap ends small
-        status = SMALL_NORM if np.linalg.norm(gmap @ y) <= eps else BUDGET_EXHAUSTED
-    return active, y, status, iters
+        ynorm2 = float(w @ w)
+        if ynorm2 <= eps * eps:
+            # Verdicts are taken on a freshly recomputed w only.
+            w = active.coeffs @ active.vectors
+            ynorm2 = float(w @ w)
+            if ynorm2 <= eps * eps:
+                status = SMALL_NORM
+                break
+        if iters >= cap:
+            status = BUDGET_EXHAUSTED
+            break
+        v = gmap.T @ w
+        answer = oracle.query(v)
+        iters += 1
+    return active, w, status, iters
 
 
 @timed
-def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | None = None):
+def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | None = None, *, hook=None):
     """Find an interior point of a full-dimensional cone given by an oracle.
 
     Alternates oracle-driven von Neumann phases with rescalings built from
     the phase's active set. Returns ``(y, report)``; on success the oracle
     approved y itself, so ``oracle.query(y) is None`` by construction.
+    ``hook(event, **data)`` observes each rescale.
     """
     if limits is None:
         per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
@@ -286,25 +296,25 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
             break
-        active, y, status, iters = oracle_von_neumann(oracle, gmap, eps, budget=fo_budget)
+        active, w, status, iters = oracle_von_neumann(oracle, gmap, eps, budget=fo_budget)
         report.fo_iters += iters
         if status == INTERIOR:
             # The very expression of the approved query, so the bits match.
-            ybar = _query_point(gmap, y)
+            ybar = gmap.T @ w
             report.status = SOLVED
             break
         if status != SMALL_NORM:
             break
         if report.rescalings == limits.max_rescalings:
             break
-        # The active vectors are stored Q-normalized, so mapped by G they are
-        # unit vectors and their coefficients are the weights of the rescale.
-        cols = gmap @ np.stack(active.vectors, axis=1)
-        wfac, ratio = _grow_metric(cols, np.asarray(active.coeffs), eps)
+        # The stored vectors are whitened unit vectors, weighted by their coefficients.
+        wfac, ratio = _grow_metric(active.vectors.T, active.coeffs, eps)
         gmap = wfac @ gmap
         min_ratio = min(min_ratio, ratio)
         report.rescalings += 1
-        ybar = _query_point(gmap, y)
+        ybar = gmap.T @ (wfac @ w)
+        if hook is not None:
+            hook("rescale", ratio=ratio, active=len(active), iterations=iters)
 
     if report.rescalings > 0:
         report.bound_checks.append(_growth_check(min_ratio))

@@ -7,7 +7,9 @@ import pytest
 from helpers import flat_image_cone
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
-from lincone.image import full_support_image
+from lincone.firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
+from lincone.image import _grow_metric, full_support_image
+from lincone.linalg import SymPosDef
 from lincone.oracle import (
     INTERIOR,
     SMALL_NORM,
@@ -17,7 +19,7 @@ from lincone.oracle import (
     oracle_von_neumann,
     strict_conic_feasibility,
 )
-from lincone.report import NO_CONVERGE, SOLVED, Limits
+from lincone.report import NO_CONVERGE, SOLVED, Limits, SolveReport, rescale_epsilon
 
 
 class HalfLineOracle:
@@ -78,6 +80,102 @@ def identity_metric(m):
     return np.eye(m)
 
 
+class ListActiveSet:
+    """Reference active set: Python lists of vectors and coefficients."""
+
+    def __init__(self):
+        self.vectors, self.coeffs, self._index = [], [], {}
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def slot(self, vec):
+        key = vec.tobytes()
+        pos = self._index.get(key)
+        if pos is None:
+            pos = self._index[key] = len(self.vectors)
+            self.vectors.append(vec.copy())
+            self.coeffs.append(0.0)
+        return pos
+
+    def mix(self, pos, lam):
+        for i in range(len(self.coeffs)):
+            self.coeffs[i] *= 1.0 - lam
+        self.coeffs[pos] += lam
+
+
+def reference_von_neumann(oracle, gmap, eps, budget=None):
+    """The oracle loop in the oracle's own coordinates, kept as a reference.
+
+    y is a convex combination of the Q-normalized answers a / |G a|, each
+    round re-maps it by G, and queries go out at G^T (G y).
+    """
+    m = oracle.dim
+    cap = _vn_cap(eps, budget)
+    active = ListActiveSet()
+    first = oracle.query(np.zeros(m))
+    if first is None:
+        return active, np.zeros(m), INTERIOR, 0
+    y = first / np.linalg.norm(gmap @ first)
+    active.coeffs[active.slot(y)] = 1.0
+    status, iters = None, 0
+    for _ in range(cap + 1):
+        wy = gmap @ y
+        ynorm = float(np.linalg.norm(wy))
+        if ynorm <= eps:
+            status = SMALL_NORM
+            break
+        if iters >= cap:
+            break
+        answer = oracle.query(gmap.T @ (gmap @ y))
+        iters += 1
+        if answer is None:
+            status = INTERIOR
+            break
+        wa = gmap @ answer
+        anorm = float(np.linalg.norm(wa))
+        ahat = answer / anorm
+        lam = _vn_step(ynorm * ynorm, float(wa @ wy) / anorm)
+        active.mix(active.slot(ahat), lam)
+        y = (1.0 - lam) * y + lam * ahat
+    if status is None:
+        status = SMALL_NORM if np.linalg.norm(gmap @ y) <= eps else BUDGET_EXHAUSTED
+    return active, y, status, iters
+
+
+def reference_solver(oracle, m):
+    """``strict_conic_feasibility`` under default limits, on the reference loop."""
+    per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
+    limits = Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
+    eps = rescale_epsilon(m, limits)
+    report = SolveReport(status=NO_CONVERGE)
+    gmap = np.eye(m)
+    while report.rescalings <= limits.max_rescalings:
+        fo_budget = limits.max_iterations - report.fo_iters
+        if fo_budget <= 0:
+            break
+        active, y, status, iters = reference_von_neumann(oracle, gmap, eps, budget=fo_budget)
+        report.fo_iters += iters
+        if status == INTERIOR:
+            report.status = SOLVED
+            return gmap.T @ (gmap @ y), report
+        if status != SMALL_NORM or report.rescalings == limits.max_rescalings:
+            break
+        cols = gmap @ np.stack(active.vectors, axis=1)
+        wfac, _ = _grow_metric(cols, np.asarray(active.coeffs), eps)
+        gmap = wfac @ gmap
+        report.rescalings += 1
+    return None, report
+
+
+class ScalingOracle(MatrixSeparationOracle):
+    """Answers like its matrix, scaled by 1, 2, 4, 1, 2, 4, ... in turn."""
+
+    def query(self, v):
+        answer = super().query(v)
+        return None if answer is None else answer * 2.0 ** (self.calls % 3)
+
+
 class TestOracleVonNeumann:
     def test_half_line_interior_after_one_query(self):
         active, y, status, iters = oracle_von_neumann(
@@ -118,24 +216,64 @@ class TestOracleVonNeumann:
         mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
         mat /= np.linalg.norm(mat, axis=0)
         oracle = MatrixSeparationOracle(mat)
-        active, y, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.005)
+        active, w, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.005)
         assert status == SMALL_NORM
         assert iters > 3
         assert len(active) <= 3
         active.check_simplex()
-        # y really is the stored combination
+        # w really is the stored combination
         recon = sum(c * v for c, v in zip(active.coeffs, active.vectors))
-        assert np.abs(recon - y).max() <= 1e-8
+        assert np.abs(recon - w).max() <= 1e-8
 
     def test_metric_changes_normalization(self):
-        # G = diag(2, 1), so the vectors are normalized in Q = G^T G = diag(4, 1).
-        g = np.diag([2.0, 1.0])
-        q = np.diag([4.0, 1.0])
-        oracle = MatrixSeparationOracle(np.eye(2))
-        active, y, status, iters = oracle_von_neumann(oracle, g, eps=0.05)
-        # every stored vector has unit Q-norm
+        # Q = G^T G with G lower triangular, like the solver's whitening maps.
+        # Each stored vector is the whitened answer G a / |G a|, a unit vector.
+        g = np.array([[2.0, 0.0], [1.0, 1.0]])
+        mat = np.array([[1.0, -1.0], [0.1, 0.1]])
+        active, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.05)
+        whitened = [g @ a / np.linalg.norm(g @ a) for a in mat.T]
+        assert len(active) == 2
         for vec in active.vectors:
-            assert np.sqrt(vec @ q @ vec) == pytest.approx(1.0)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+            assert any(np.array_equal(vec, u) for u in whitened)
+
+    def test_scaled_repeats_merge(self):
+        # a, 2a and 4a whiten to the same bits, so they share one slot
+        mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
+        g = np.diag([2.0, 1.0])
+        plain = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.005)
+        scaled = oracle_von_neumann(ScalingOracle(mat), g, eps=0.005)
+        assert scaled[2:] == plain[2:]
+        assert len(scaled[0]) == len(plain[0]) <= 3
+        assert np.array_equal(scaled[0].vectors, plain[0].vectors)
+        assert np.array_equal(scaled[1], plain[1])
+
+    def test_matches_reference_trajectory(self):
+        # The whitened loop follows the oracle-coordinate loop step for step:
+        # same answers, so same status, query count and active set, and
+        # w = G y up to rounding.
+        rng = np.random.default_rng(8)
+        statuses = set()
+        for case in range(50):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(m, 41))
+            if case % 3 == 0:
+                mat = rng.standard_normal((m, n))
+            else:
+                mat, _ = flat_image_cone(rng, m, n, 10.0 ** rng.uniform(-3, -1))
+            gmap = np.eye(m)
+            if case % 2:
+                gmap = SymPosDef(np.eye(m) + 0.5 * np.cov(rng.standard_normal((m, 2 * m)))).inv_factor
+            eps = rescale_epsilon(m)
+            ref_active, y, ref_status, ref_iters = reference_von_neumann(
+                MatrixSeparationOracle(mat), gmap, eps
+            )
+            active, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+            assert (status, iters, len(active)) == (ref_status, ref_iters, len(ref_active)), case
+            assert np.abs(active.coeffs - ref_active.coeffs).max() <= 1e-9, case
+            assert np.abs(w - gmap @ y).max() <= 1e-9, case
+            statuses.add(status)
+        assert statuses == {INTERIOR, SMALL_NORM}
 
 
 class TestActiveSet:
@@ -154,6 +292,22 @@ class TestActiveSet:
         s.coeffs[0] = 0.5
         with pytest.raises(ContractViolationError):
             s.check_simplex()
+
+    def test_growth_keeps_slots_and_weights(self):
+        # 40 vectors outgrow the initial capacity twice
+        vecs = np.random.default_rng(4).standard_normal((40, 3))
+        s = ActiveSet()
+        for i, vec in enumerate(vecs):
+            assert s.slot(vec) == i
+            s.mix(i, 1.0 / (i + 1))  # keeps the weights uniform
+            s.check_simplex()
+        assert len(s) == 40
+        assert np.array_equal(s.vectors, vecs)
+        assert s.coeffs == pytest.approx(np.full(40, 1.0 / 40), rel=1e-12)
+        for i, vec in enumerate(vecs):
+            assert s.slot(vec.copy()) == i
+        assert s.slot(2.0 * vecs[0]) == 40
+        assert len(s) == 41 and s.coeffs[40] == 0.0
 
 
 class TestStrictConicFeasibility:
@@ -210,6 +364,33 @@ class TestStrictConicFeasibility:
         theirs = {c.name: c for c in image_report.bound_checks}["det_growth_per_rescale_min"]
         assert ours.passed
         assert ours.bound == theirs.bound == 16.0 / 9.0
+
+    def test_counts_match_reference_solver(self):
+        rng = np.random.default_rng(21)
+        for m in (2, 3, 3, 4, 5):
+            mat, _ = flat_image_cone(rng, m, 40, 1e-3)
+            y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), m)
+            y_ref, ref = reference_solver(MatrixSeparationOracle(mat), m)
+            assert report.status == ref.status == SOLVED
+            assert (report.fo_iters, report.rescalings) == (ref.fo_iters, ref.rescalings)
+            assert np.all(mat.T @ y > 0)
+
+    def test_rescale_hook(self):
+        rng = np.random.default_rng(0)
+        mat, _ = flat_image_cone(rng, 3, 40, 1e-3)
+        events = []
+        y, report = strict_conic_feasibility(
+            MatrixSeparationOracle(mat), 3, hook=lambda kind, **d: events.append((kind, d))
+        )
+        assert report.status == SOLVED and report.rescalings > 0
+        assert len(events) == report.rescalings
+        for kind, data in events:
+            assert kind == "rescale"
+            assert set(data) == {"ratio", "active", "iterations"}
+            assert data["ratio"] >= 16.0 / 9.0 * (1.0 - 1e-8)
+            assert 1 <= data["active"] <= data["iterations"] + 1
+        assert sum(d["iterations"] for _, d in events) <= report.fo_iters
+        assert min(d["ratio"] for _, d in events) == report.bound_checks[0].observed
 
     def test_empty_interior_no_converge(self):
         mat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
