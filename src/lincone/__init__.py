@@ -57,7 +57,6 @@ from .kernel import (
 )
 from .linalg import SymPosDef, kernel_projector
 from .oracle import (
-    ActiveSet,
     MatrixSeparationOracle,
     SeparationOracle,
     SubprocessOracle,
@@ -94,7 +93,6 @@ __all__ = [
     "SeparationOracle",
     "MatrixSeparationOracle",
     "SubprocessOracle",
-    "ActiveSet",
     "oracle_von_neumann",
     # conditioning
     "goffin_oracle",

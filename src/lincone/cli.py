@@ -33,7 +33,7 @@ from .instances import (
 )
 from .kernel import KernelCertificate, full_support_kernel, max_support_kernel
 from .oracle import SubprocessOracle, strict_conic_feasibility
-from .report import Limits, default_limits, rescale_epsilon
+from .report import Limits, default_limits, default_oracle_limits, rescale_epsilon
 
 __all__ = ["run", "main"]
 
@@ -97,10 +97,10 @@ def _read_file(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc.strerror}")
 
 
-def _limits_from_args(args, m: int, n: int) -> Limits | None:
+def _limits_from_args(args, m: int, base: Limits) -> Limits | None:
+    """The flags' budgets over ``base``, the solver's own defaults; None without flags."""
     if args.max_rescalings is None and args.max_iters is None and args.epsilon is None:
         return None
-    base = default_limits(m, n)
     eps = args.epsilon
     if eps is not None:
         cap = rescale_epsilon(m)
@@ -158,7 +158,7 @@ def _cmd_solve(args) -> int:
             m = args.dim
         else:
             raise _Usage("--oracle-cmd needs --input or --dim for the dimension")
-        limits = _limits_from_args(args, m, m)
+        limits = _limits_from_args(args, m, default_oracle_limits(m))
         with SubprocessOracle(args.oracle_cmd, m) as oracle:
             y, report = strict_conic_feasibility(oracle, m, limits, hook=hook)
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
         raise _Usage("solve needs --input")
     inst = parse_instance(_read_file(args.input))
     m, n = inst.mat.shape
-    limits = _limits_from_args(args, m, n)
+    limits = _limits_from_args(args, m, default_limits(m, n))
 
     support = None
     if args.mode == "kernel" and args.support == "full":

@@ -124,9 +124,9 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
     eps = rescale_epsilon(m, limits)
     ufac = np.eye(m)
     S = np.asarray(active, dtype=int)
-    marked: set = set()
     # Per-S data, set by rebuild(); F and Pi are symmetric, so row k is column k.
-    cols = x = pimat = None
+    # ``marked`` flags the positions in S marked for removal.
+    cols = x = pimat = marked = None
     rank_s = 0
     # Caches, set by refresh(): F = cols^T Q cols, z = F x, |y|_Q^2 = x^T F x, xbar = Pi x.
     fmat = fdiag = qnorms = z = xbar = None
@@ -151,13 +151,14 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
         dv_since_refresh = rescales_since_refresh = 0
 
     def rebuild():
-        """Restart from x = ones on a new active set S."""
-        nonlocal cols, x, pimat, rank_s, xbar
+        """Restart from x = ones on a new active set S, nothing marked."""
+        nonlocal cols, x, pimat, rank_s, xbar, marked
         cols = ahat[:, S]
         x = np.ones(S.size)
+        marked = np.zeros(S.size, dtype=bool)
         xbar = np.zeros(0)
         if S.size:
-            pimat = kernel_projector(cols).mat
+            pimat = kernel_projector(cols)
             if th is not None:
                 rank_s = pivoted_rank(cols)
             refresh()
@@ -235,18 +236,17 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
             continue
 
         # Mark columns whose Q-norm has outgrown the theta bound.
-        new_marks = [int(j) for j in S[fdiag > 1.0 / (th * th)] if j not in marked]
-        if not new_marks:
+        new_marks = (fdiag > 1.0 / (th * th)) & ~marked
+        if not new_marks.any():
             continue
-        marked.update(new_marks)
+        marked |= new_marks
         if hook is not None:
-            hook("mark", marked=new_marks)
-        keep = np.array([i for i, j in enumerate(S) if j not in marked], dtype=int)
-        kept_rank = pivoted_rank(ahat[:, S[keep]]) if keep.size else 0
+            hook("mark", marked=S[new_marks].tolist())
+        keep = S[~marked]
+        kept_rank = pivoted_rank(ahat[:, keep]) if keep.size else 0
         if kept_rank < rank_s:
-            removed = sorted(marked)
-            S = S[keep]
-            marked = set()
+            removed = S[marked].tolist()
+            S = keep
             report.removals += 1
             rebuild()
             if hook is not None:

@@ -16,7 +16,6 @@ TAU_RANK_FACTOR = 1e-9
 
 __all__ = [
     "SymPosDef",
-    "Projector",
     "as_matrix",
     "independent_rows",
     "pivoted_rank",
@@ -85,35 +84,6 @@ class SymPosDef:
         self.inv_factor = solve_triangular(lower, np.eye(n), lower=True)
 
 
-class Projector:
-    """An orthogonal projector, as ``kernel_projector`` builds it.
-
-    Construction validates symmetry, idempotency, and that the trace is an
-    integer (the rank of the target subspace) within tolerance.
-    """
-
-    __slots__ = ("mat", "dim", "rank")
-
-    def __init__(self, mat):
-        mat = as_matrix(mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise ContractViolationError("projector must be square")
-        scale = max(1.0, np.abs(mat).max())
-        if np.abs(mat - mat.T).max() > 1e-12 * scale:
-            raise ContractViolationError("projector is not symmetric")
-        if np.abs(mat @ mat - mat).max() > 1e-9:
-            raise ContractViolationError("projector is not idempotent")
-        trace = float(np.trace(mat))
-        if abs(trace - round(trace)) > 1e-9 * mat.shape[0]:
-            raise ContractViolationError(f"projector trace {trace} is not near an integer")
-        self.mat = 0.5 * (mat + mat.T)
-        self.dim = mat.shape[0]
-        self.rank = int(round(trace))
-
-    def __repr__(self):
-        return f"Projector(dim={self.dim}, rank={self.rank})"
-
-
 def independent_rows(mat: np.ndarray) -> list[int]:
     """Indices of a maximal set of linearly independent rows.
 
@@ -148,13 +118,14 @@ def pivoted_rank(mat: np.ndarray) -> int:
     return len(independent_rows(np.atleast_2d(np.asarray(mat, dtype=float))))
 
 
-def kernel_projector(mat: np.ndarray) -> Projector:
+def kernel_projector(mat: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the kernel (nullspace) of ``mat``.
 
     Built from an orthonormal basis V of the row space, the Q factor of a QR
     decomposition of the linearly independent rows: the kernel projector is
     ``I - V V^T``. Unlike ``B^T (B B^T)^{-1} B`` this does not square the
-    condition number of the rows.
+    condition number of the rows. Idempotency is checked on the factor,
+    ``|V^T V - I| <= 1e-9`` in O(n r^2), not on the n x n product.
 
     Parameters
     ----------
@@ -162,16 +133,23 @@ def kernel_projector(mat: np.ndarray) -> Projector:
 
     Returns
     -------
-    Projector, an (n, n) matrix of rank ``n - rank(mat)``.
+    The symmetric (n, n) array ``I - V V^T``, of rank ``n - rank(mat)``.
+
+    Raises
+    ------
+    ContractViolationError
+        If the QR basis is not orthonormal.
     """
     mat = as_matrix(mat)
     rows = independent_rows(mat)
     n = mat.shape[1]
     if not rows:
-        return Projector(np.eye(n))
+        return np.eye(n)
     basis, _ = np.linalg.qr(mat[rows, :].T)
+    if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
+        raise ContractViolationError("kernel projector basis is not orthonormal")
     proj = np.eye(n) - basis @ basis.T
-    return Projector(0.5 * (proj + proj.T))
+    return 0.5 * (proj + proj.T)
 
 
 def orthocomplement_basis(vector: np.ndarray) -> np.ndarray:

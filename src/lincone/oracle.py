@@ -29,7 +29,7 @@ from .errors import ContractViolationError, OracleFaultError
 from .firstorder import BUDGET_EXHAUSTED, SMALL_NORM, _vn_cap, _vn_step
 from .image import _grow_metric, _growth_check
 from .linalg import SymPosDef, as_matrix
-from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, rescale_epsilon, timed
+from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, default_oracle_limits, rescale_epsilon, timed
 
 __all__ = [
     "INTERIOR",
@@ -37,7 +37,6 @@ __all__ = [
     "SeparationOracle",
     "MatrixSeparationOracle",
     "SubprocessOracle",
-    "ActiveSet",
     "oracle_von_neumann",
     "strict_conic_feasibility",
 ]
@@ -150,56 +149,11 @@ class SubprocessOracle:
         return False
 
 
-class ActiveSet:
-    """Stored vectors, the rows of a (k x m) array, with convex coefficients.
-
-    Both arrays double in capacity when full. Vectors are deduplicated by
-    exact bit pattern; re-returned vectors fold into the existing slot.
-    Coefficients stay on the simplex.
-    """
-
-    def __init__(self):
-        self._vecs = np.empty((16, 0))  # the width is set by the first vector
-        self._coeffs = np.zeros(16)
-        self._index: dict = {}
-
-    def __len__(self):
-        return len(self._index)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The stored vectors, one per row."""
-        return self._vecs[: len(self._index)]
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The coefficients, a writable view aligned with ``vectors``."""
-        return self._coeffs[: len(self._index)]
-
-    def slot(self, vec: np.ndarray) -> int:
-        """Index of vec in the set, appending a zero-weight slot if new."""
-        key = vec.tobytes()
-        pos = self._index.get(key)
-        if pos is None:
-            pos = self._index[key] = len(self._index)
-            if pos == 0:
-                self._vecs = np.empty((self._coeffs.size, vec.size))
-            elif pos == self._coeffs.size:
-                self._vecs = np.concatenate([self._vecs, np.empty_like(self._vecs)])
-                self._coeffs = np.concatenate([self._coeffs, np.zeros_like(self._coeffs)])
-            self._vecs[pos] = vec
-        return pos
-
-    def mix(self, pos: int, lam: float):
-        """Scale all weights by (1-lam) and add lam at pos."""
-        coeffs = self._coeffs[: len(self._index)]
-        coeffs *= 1.0 - lam
-        coeffs[pos] += lam
-
-    def check_simplex(self):
-        coeffs = self._coeffs[: len(self._index)].tolist()
-        if min(coeffs, default=0.0) < 0.0 or abs(math.fsum(coeffs) - 1.0) > 1e-10:
-            raise ContractViolationError("active-set coefficients left the simplex")
+def _check_simplex(coeffs: np.ndarray):
+    """Raise unless the coefficients are nonnegative and sum to 1."""
+    vals = coeffs.tolist()
+    if min(vals, default=0.0) < 0.0 or abs(math.fsum(vals) - 1.0) > 1e-10:
+        raise ContractViolationError("active-set coefficients left the simplex")
 
 
 def _fault_check(a: np.ndarray, v: np.ndarray):
@@ -214,49 +168,56 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
 
     ``gmap`` is the whitening map G of the metric Q = G^T G: it takes the
     oracle's coordinates to ones where the metric is the identity, and the
-    loop runs there. It stores each returned a as the unit vector G a / |G a|
-    (a repeated answer is read back) and keeps w = G y, a convex combination
+    loop runs there. It stores each returned a as the unit vector G a / |G a|,
+    once per distinct bit pattern, and keeps w = G y, a convex combination
     of those. Each round checks ``|w| <= eps``, a verdict taken only on w
-    recomputed from the set, then queries the oracle at G^T w = Qy. A YES
-    answer stops with status interior; a returned vector moves w by the
-    usual line-search step.
+    recomputed from the stored vectors, then queries the oracle at
+    G^T w = Qy. A YES answer stops with status interior; a returned vector
+    moves w by the usual line-search step.
 
-    Returns ``(active, w, status, iterations)``: w is whitened, so the oracle
-    approved ``gmap.T @ w`` on status interior. ``iterations`` counts oracle
-    queries after the seeding call at 0.
+    Returns ``(vectors, coeffs, w, status, iterations)``: the stored unit
+    vectors, one per row, their convex coefficients, and w, which is
+    whitened, so the oracle approved ``gmap.T @ w`` on status interior.
+    ``iterations`` counts oracle queries after the seeding call at 0.
     """
     if eps <= 0.0:
         raise ContractViolationError("eps must be positive")
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
 
-    active = ActiveSet()
-    seen = {}  # an answer's bits -> (its slot, its stored vector)
+    # The first k rows and entries hold the stored vectors and their weights;
+    # both arrays double when full.
+    vecs, coeffs = np.empty((16, oracle.dim)), np.zeros(16)
+    rows = {}  # a stored vector's bits -> its row
     v, w = np.zeros(oracle.dim), np.zeros(oracle.dim)
     answer = oracle.query(v)
     status = INTERIOR  # unless the loop below ends otherwise
-    iters = 0
+    iters = k = 0
     while answer is not None:
         _fault_check(answer, v)
-        key = answer.tobytes()
-        hit = seen.get(key)
-        if hit is None:
-            u = gmap @ answer
-            u /= math.sqrt(u @ u)
-            hit = seen[key] = active.slot(u), u
-        pos, u = hit
+        u = gmap @ answer
+        u /= math.sqrt(u @ u)
+        pos = rows.setdefault(u.tobytes(), k)
+        if pos == k:
+            if k == coeffs.size:
+                vecs = np.concatenate([vecs, np.empty_like(vecs)])
+                coeffs = np.concatenate([coeffs, np.zeros_like(coeffs)])
+            vecs[k] = u
+            k += 1
         # the seeding answer becomes w itself
         lam = _vn_step(ynorm2, float(w @ u)) if iters else 1.0
-        active.mix(pos, lam)
+        weights = coeffs[:k]
+        weights *= 1.0 - lam
+        weights[pos] += lam
         w *= 1.0 - lam
         w += lam * u
-        active.check_simplex()
-        if len(active) > size_cap:
+        _check_simplex(weights)
+        if k > size_cap:
             raise ContractViolationError("active set outgrew its ceiling")
         ynorm2 = float(w @ w)
         if ynorm2 <= eps * eps:
             # Verdicts are taken on a freshly recomputed w only.
-            w = active.coeffs @ active.vectors
+            w = weights @ vecs[:k]
             ynorm2 = float(w @ w)
             if ynorm2 <= eps * eps:
                 status = SMALL_NORM
@@ -267,7 +228,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         v = gmap.T @ w
         answer = oracle.query(v)
         iters += 1
-    return active, w, status, iters
+    return vecs[:k], coeffs[:k], w, status, iters
 
 
 @timed
@@ -280,8 +241,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     ``hook(event, **data)`` observes each rescale.
     """
     if limits is None:
-        per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
-        limits = Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
+        limits = default_oracle_limits(m)
     eps = rescale_epsilon(m, limits)
 
     report = SolveReport(status=NO_CONVERGE)
@@ -296,8 +256,9 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
             break
-        active, w, status, iters = oracle_von_neumann(oracle, gmap, eps, budget=fo_budget)
+        vectors, coeffs, w, status, iters = oracle_von_neumann(oracle, gmap, eps, budget=fo_budget)
         report.fo_iters += iters
+        report.oracle_calls += iters + 1
         if status == INTERIOR:
             # The very expression of the approved query, so the bits match.
             ybar = gmap.T @ w
@@ -308,13 +269,13 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
         if report.rescalings == limits.max_rescalings:
             break
         # The stored vectors are whitened unit vectors, weighted by their coefficients.
-        wfac, ratio = _grow_metric(active.vectors.T, active.coeffs, eps)
+        wfac, ratio = _grow_metric(vectors.T, coeffs, eps)
         gmap = wfac @ gmap
         min_ratio = min(min_ratio, ratio)
         report.rescalings += 1
         ybar = gmap.T @ (wfac @ w)
         if hook is not None:
-            hook("rescale", ratio=ratio, active=len(active), iterations=iters)
+            hook("rescale", ratio=ratio, active=len(coeffs), iterations=iters)
 
     if report.rescalings > 0:
         report.bound_checks.append(_growth_check(min_ratio))

@@ -15,6 +15,7 @@ __all__ = [
     "SolveReport",
     "Limits",
     "default_limits",
+    "default_oracle_limits",
     "rescale_epsilon",
     "rescaling_bound",
     "timed",
@@ -44,6 +45,7 @@ class SolveReport:
     residual: float = 0.0
     margin: float = 0.0
     wall_ms: float = 0.0
+    oracle_calls: int = 0  # every query, the seeding one of each phase included
     bound_checks: list[BoundCheck] = field(default_factory=list)
 
     def add_bound_check(self, name: str, bound: float, observed: float) -> BoundCheck:
@@ -60,6 +62,7 @@ class SolveReport:
             "residual": self.residual,
             "margin": self.margin,
             "wall_ms": self.wall_ms,
+            "oracle_calls": self.oracle_calls,
             "bound_checks": [
                 {"name": c.name, "bound": c.bound, "observed": c.observed, "pass": c.passed}
                 for c in self.bound_checks
@@ -89,6 +92,16 @@ def default_limits(m: int, n: int, encoding_estimate: float | None = None) -> Li
     per_phase = math.ceil(300.0 * m * m * (math.log2(max(n, 2)) + 4.0))
     max_iterations = per_phase * (max_rescalings + 1)
     return Limits(max_rescalings=max_rescalings, max_iterations=max_iterations)
+
+
+def default_oracle_limits(m: int) -> Limits:
+    """The oracle solver's budgets: 64m rescalings, ceil(1/eps^2) queries per phase.
+
+    An oracle gives no encoding length to scale by, so the rescale budget is
+    a fixed multiple of m, and the query budget covers all 64m + 1 phases.
+    """
+    per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
+    return Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
 
 
 def rescale_epsilon(m: int, limits: Limits | None = None) -> float:

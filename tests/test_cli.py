@@ -1,10 +1,13 @@
 import json
+import shlex
 import sys
 
 import numpy as np
 import pytest
 
+from lincone import cli
 from lincone.cli import run
+from lincone.report import Limits, SolveReport
 
 
 def write(tmp_path, name, text):
@@ -127,6 +130,22 @@ class TestOracleCmd:
         assert code == 0
         cert = json.loads(captured.out.splitlines()[0])
         assert all(c > 0 for c in cert["vector"])
+
+    def test_max_iters_keeps_oracle_rescale_budget(self, monkeypatch, capsys):
+        # A flag overrides only its own budget; the rest stay the oracle
+        # solver's defaults, 64m rescalings here.
+        seen = []
+
+        def solver(oracle, m, limits, hook=None):
+            seen.append(limits)
+            return np.ones(m), SolveReport(status="solved")
+
+        monkeypatch.setattr(cli, "strict_conic_feasibility", solver)
+        cmd = " ".join(shlex.quote(p) for p in [sys.executable, "-c", self.SCRIPT])
+        code = run(["solve", "--mode", "image", "--oracle-cmd", cmd, "--dim", "3", "--max-iters", "500"])
+        capsys.readouterr()
+        assert code == 0
+        assert seen == [Limits(max_rescalings=64 * 3, max_iterations=500)]
 
     def test_oracle_requires_dimension(self, capsys):
         code = run(["solve", "--mode", "image", "--oracle-cmd", "prog"])

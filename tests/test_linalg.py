@@ -4,7 +4,6 @@ import pytest
 from lincone.errors import ContractViolationError, DegenerateColumnError
 from lincone.linalg import (
     SymPosDef,
-    Projector,
     independent_rows,
     kernel_projector,
     normalize_columns,
@@ -72,17 +71,17 @@ class TestSymPosDef:
 class TestKernelProjector:
     def test_two_opposite_columns(self):
         proj = kernel_projector(np.array([[1.0, -1.0]]))
-        assert np.allclose(proj.mat, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
+        assert np.allclose(proj, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
 
     def test_identity_has_trivial_kernel(self):
         proj = kernel_projector(np.eye(2))
-        assert np.allclose(proj.mat, np.zeros((2, 2)), atol=1e-12)
-        assert proj.rank == 0
+        assert np.allclose(proj, np.zeros((2, 2)), atol=1e-12)
+        assert 2 - round(np.trace(proj)) == 2
 
     def test_fixed_three_column_case(self):
         proj = kernel_projector(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         expect = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-        assert np.allclose(proj.mat, expect, atol=1e-12)
+        assert np.allclose(proj, expect, atol=1e-12)
 
     def test_matches_gram_schmidt_construction(self):
         rng = np.random.default_rng(21)
@@ -93,14 +92,14 @@ class TestKernelProjector:
             if not np.any(mat):
                 continue
             proj = kernel_projector(mat)
-            assert np.abs(proj.mat - gs_kernel_projector(mat)).max() < 1e-9
+            assert np.abs(proj - gs_kernel_projector(mat)).max() < 1e-9
 
     def test_annihilates_matrix(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             mat = rng.standard_normal((3, 7))
             proj = kernel_projector(mat)
-            assert np.abs(mat @ proj.mat).max() < 1e-9
+            assert np.abs(mat @ proj).max() < 1e-9
 
     def test_rank_identity(self):
         rng = np.random.default_rng(23)
@@ -109,13 +108,19 @@ class TestKernelProjector:
             if not np.any(mat):
                 continue
             proj = kernel_projector(mat)
-            assert proj.rank == 6 - np.linalg.matrix_rank(mat)
+            assert 6 - round(np.trace(proj)) == np.linalg.matrix_rank(mat)
 
+    def test_rejects_non_orthonormal_basis(self, monkeypatch):
+        qr = np.linalg.qr
 
-class TestProjectorValidation:
-    def test_rejects_non_idempotent(self):
+        def skewed_qr(mat):
+            basis, upper = qr(mat)
+            basis[:, 0] *= 1.5
+            return basis, upper
+
+        monkeypatch.setattr(np.linalg, "qr", skewed_qr)
         with pytest.raises(ContractViolationError):
-            Projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
+            kernel_projector(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
 
 
 class TestRank:

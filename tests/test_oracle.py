@@ -13,9 +13,9 @@ from lincone.linalg import SymPosDef
 from lincone.oracle import (
     INTERIOR,
     SMALL_NORM,
-    ActiveSet,
     MatrixSeparationOracle,
     SubprocessOracle,
+    _check_simplex,
     oracle_von_neumann,
     strict_conic_feasibility,
 )
@@ -178,7 +178,7 @@ class ScalingOracle(MatrixSeparationOracle):
 
 class TestOracleVonNeumann:
     def test_half_line_interior_after_one_query(self):
-        active, y, status, iters = oracle_von_neumann(
+        vectors, coeffs, y, status, iters = oracle_von_neumann(
             HalfLineOracle(), identity_metric(1), eps=1.0 / 11.0
         )
         assert status == INTERIOR
@@ -188,14 +188,14 @@ class TestOracleVonNeumann:
     def test_orthant_mirrors_matrix_trace(self):
         # same trajectory as the identity-matrix von Neumann run at eps=0.8
         oracle = MatrixSeparationOracle(np.eye(2))
-        active, y, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.8)
+        vectors, coeffs, y, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.8)
         assert status == SMALL_NORM
         assert np.allclose(y, [0.5, 0.5])
-        assert len(active) == 2
-        assert active.coeffs == pytest.approx([0.5, 0.5])
+        assert len(coeffs) == 2
+        assert coeffs == pytest.approx([0.5, 0.5])
 
     def test_alternating_oracle_hits_zero(self):
-        active, y, status, iters = oracle_von_neumann(
+        vectors, coeffs, y, status, iters = oracle_von_neumann(
             AlternatingOracle(), identity_metric(2), eps=0.1
         )
         assert status == SMALL_NORM
@@ -216,24 +216,42 @@ class TestOracleVonNeumann:
         mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
         mat /= np.linalg.norm(mat, axis=0)
         oracle = MatrixSeparationOracle(mat)
-        active, w, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.005)
+        vectors, coeffs, w, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.005)
         assert status == SMALL_NORM
         assert iters > 3
-        assert len(active) <= 3
-        active.check_simplex()
+        assert len(coeffs) <= 3
+        _check_simplex(coeffs)
         # w really is the stored combination
-        recon = sum(c * v for c, v in zip(active.coeffs, active.vectors))
+        recon = sum(c * v for c, v in zip(coeffs, vectors))
         assert np.abs(recon - w).max() <= 1e-8
+
+    def test_growth_keeps_rows_and_weights(self):
+        # The 40-dimensional orthant answers each axis once, in order, so one
+        # phase outgrows the initial 16 rows twice. Every answer is orthogonal
+        # to w, so each step keeps the weights uniform.
+        vectors, coeffs, w, status, iters = oracle_von_neumann(
+            OrthantOracle(40), identity_metric(40), eps=0.1
+        )
+        assert (status, iters) == (INTERIOR, 40)
+        assert np.array_equal(vectors, np.eye(40))
+        assert coeffs == pytest.approx(np.full(40, 1.0 / 40), rel=1e-12)
+        assert np.abs(coeffs @ vectors - w).max() <= 1e-12
+
+    def test_check_simplex_raises_off_the_simplex(self):
+        _check_simplex(np.array([0.25, 0.75]))
+        for coeffs in ([0.5], [1.5, -0.5]):
+            with pytest.raises(ContractViolationError):
+                _check_simplex(np.array(coeffs))
 
     def test_metric_changes_normalization(self):
         # Q = G^T G with G lower triangular, like the solver's whitening maps.
         # Each stored vector is the whitened answer G a / |G a|, a unit vector.
         g = np.array([[2.0, 0.0], [1.0, 1.0]])
         mat = np.array([[1.0, -1.0], [0.1, 0.1]])
-        active, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.05)
+        vectors, coeffs, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.05)
         whitened = [g @ a / np.linalg.norm(g @ a) for a in mat.T]
-        assert len(active) == 2
-        for vec in active.vectors:
+        assert len(coeffs) == 2
+        for vec in vectors:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
             assert any(np.array_equal(vec, u) for u in whitened)
 
@@ -243,10 +261,10 @@ class TestOracleVonNeumann:
         g = np.diag([2.0, 1.0])
         plain = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.005)
         scaled = oracle_von_neumann(ScalingOracle(mat), g, eps=0.005)
-        assert scaled[2:] == plain[2:]
+        assert scaled[3:] == plain[3:]
         assert len(scaled[0]) == len(plain[0]) <= 3
-        assert np.array_equal(scaled[0].vectors, plain[0].vectors)
-        assert np.array_equal(scaled[1], plain[1])
+        assert np.array_equal(scaled[0], plain[0])
+        assert np.array_equal(scaled[2], plain[2])
 
     def test_matches_reference_trajectory(self):
         # The whitened loop follows the oracle-coordinate loop step for step:
@@ -268,46 +286,12 @@ class TestOracleVonNeumann:
             ref_active, y, ref_status, ref_iters = reference_von_neumann(
                 MatrixSeparationOracle(mat), gmap, eps
             )
-            active, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
-            assert (status, iters, len(active)) == (ref_status, ref_iters, len(ref_active)), case
-            assert np.abs(active.coeffs - ref_active.coeffs).max() <= 1e-9, case
+            vectors, coeffs, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+            assert (status, iters, len(coeffs)) == (ref_status, ref_iters, len(ref_active)), case
+            assert np.abs(coeffs - ref_active.coeffs).max() <= 1e-9, case
             assert np.abs(w - gmap @ y).max() <= 1e-9, case
             statuses.add(status)
         assert statuses == {INTERIOR, SMALL_NORM}
-
-
-class TestActiveSet:
-    def test_slot_dedup_by_bits(self):
-        s = ActiveSet()
-        a = np.array([1.0, 2.0])
-        assert s.slot(a) == 0
-        assert s.slot(a.copy()) == 0
-        assert s.slot(np.array([1.0, 2.0 + 1e-17])) == 0  # same bits
-        assert s.slot(np.array([1.0, 2.5])) == 1
-        assert len(s) == 2
-
-    def test_simplex_violation_raises(self):
-        s = ActiveSet()
-        s.slot(np.array([1.0]))
-        s.coeffs[0] = 0.5
-        with pytest.raises(ContractViolationError):
-            s.check_simplex()
-
-    def test_growth_keeps_slots_and_weights(self):
-        # 40 vectors outgrow the initial capacity twice
-        vecs = np.random.default_rng(4).standard_normal((40, 3))
-        s = ActiveSet()
-        for i, vec in enumerate(vecs):
-            assert s.slot(vec) == i
-            s.mix(i, 1.0 / (i + 1))  # keeps the weights uniform
-            s.check_simplex()
-        assert len(s) == 40
-        assert np.array_equal(s.vectors, vecs)
-        assert s.coeffs == pytest.approx(np.full(40, 1.0 / 40), rel=1e-12)
-        for i, vec in enumerate(vecs):
-            assert s.slot(vec.copy()) == i
-        assert s.slot(2.0 * vecs[0]) == 40
-        assert len(s) == 41 and s.coeffs[40] == 0.0
 
 
 class TestStrictConicFeasibility:
@@ -369,10 +353,14 @@ class TestStrictConicFeasibility:
         rng = np.random.default_rng(21)
         for m in (2, 3, 3, 4, 5):
             mat, _ = flat_image_cone(rng, m, 40, 1e-3)
-            y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), m)
+            oracle = MatrixSeparationOracle(mat)
+            y, report = strict_conic_feasibility(oracle, m)
             y_ref, ref = reference_solver(MatrixSeparationOracle(mat), m)
             assert report.status == ref.status == SOLVED
             assert (report.fo_iters, report.rescalings) == (ref.fo_iters, ref.rescalings)
+            # every query counts, the seeding one of each phase included
+            assert report.oracle_calls == report.as_dict()["oracle_calls"] == oracle.calls
+            assert oracle.calls == report.fo_iters + report.rescalings + 1
             assert np.all(mat.T @ y > 0)
 
     def test_rescale_hook(self):
