@@ -294,6 +294,46 @@ class TestOracleVonNeumann:
         assert statuses == {INTERIOR, SMALL_NORM}
 
 
+class NudgingOracle(MatrixSeparationOracle):
+    """Answers like its matrix, but every third answer has its last entry
+    scaled by 1 + 2^-40, so its direction moves by about 1e-12. Keeps every
+    answer it gives."""
+
+    def __init__(self, mat):
+        super().__init__(mat)
+        self.answers = []
+
+    def query(self, v):
+        answer = super().query(v)
+        if answer is not None:
+            if self.calls % 3 == 0:
+                answer[-1] *= 1.0 + 2.0**-40
+            self.answers.append(answer)
+        return answer
+
+
+class TestActiveSet:
+    def test_slot_dedup_by_bits(self):
+        # The active set holds one row per distinct bit pattern of the
+        # whitened answer G a / |G a|: a bit-identical repeat reuses its row,
+        # while a nudge far below any tolerance gets a row of its own.
+        mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
+        g = np.diag([2.0, 1.0])
+        oracle = NudgingOracle(mat)
+        vectors, coeffs, w, status, iters = oracle_von_neumann(oracle, g, eps=0.005)
+        assert status == SMALL_NORM
+        whitened = set()
+        for a in oracle.answers:
+            u = g @ a
+            whitened.add((u / math.sqrt(u @ u)).tobytes())
+        rows = [vec.tobytes() for vec in vectors]
+        assert len(rows) == len(set(rows)) == len(coeffs)
+        assert set(rows) == whitened
+        assert 3 < len(rows) < len(oracle.answers)
+        _check_simplex(coeffs)
+        assert np.abs(coeffs @ vectors - w).max() <= 1e-8
+
+
 class TestStrictConicFeasibility:
     def test_orthant(self):
         y, report = strict_conic_feasibility(OrthantOracle(2), 2)
