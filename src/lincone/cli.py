@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .certify import check_complementary_pair, check_image_certificate, check_kernel_certificate
+from .conditioning import encoding_length
 from .errors import LinconeError, ParseError
 from .image import ImageCertificate, full_support_image, max_support_image
 from .instances import (
@@ -172,7 +173,9 @@ def _cmd_solve(args) -> int:
         raise _Usage("solve needs --input")
     inst = parse_instance(_read_file(args.input))
     m, n = inst.mat.shape
-    limits = _limits_from_args(args, m, default_limits(m, n))
+    # The max-support solvers scale their own budgets by the encoding length.
+    estimate = float(encoding_length(inst.mat)) if args.support == "max" else None
+    limits = _limits_from_args(args, m, default_limits(m, n, encoding_estimate=estimate))
 
     support = None
     if args.mode == "kernel" and args.support == "full":

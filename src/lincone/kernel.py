@@ -6,6 +6,14 @@ column makes an angle of more than roughly 90 + eps degrees with y = A_hat_S x
 in the Q metric, a DV step moves x; otherwise ``kernel_rescale`` stretches U
 along Uy. The columns never move, the metric does.
 
+The loop keeps F = A_hat_S^T Q A_hat_S and the kernel projector Pi side by
+side in one n x 2n array, rows = [F | Pi], and z = F x and xbar = Pi x in one
+vector, zx = [z | xbar]. Both matrices are symmetric, so a DV step on x_k is
+the single row update zx -= c rows[k]. ``kernel_rescale`` updates F and z in
+place, so a rescale copies no n x n array. The positivity gate min xbar > 0
+keeps a witness, the index of the last scanned minimum of xbar: while xbar is
+nonpositive there, the gate is false without a scan.
+
 The two entry points differ only in the policy passed to the loop. Full
 support passes no theta: every column stays active, and a y that strictly
 separates all of them is reported as the image witness Qy once
@@ -48,8 +56,10 @@ __all__ = [
 # Incremental caches are rebuilt from scratch this often.
 _DV_REFRESH = 10_000
 _RESCALE_REFRESH = 25
-# The loop ends before max(F_kk, 1) * max(|y|_Q^2, 1) passes this.
+# The loop ends before max(|U a_k|^2, 1) * max(|Uy|^2, 1) passes this.
 _FLOAT_CEILING = 1e300
+# Rows of F per block of the in-place rank-1 rescale update.
+_RESCALE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,11 @@ def kernel_rescale(ufac, fmat, z, y, eps):
     and z = A_hat^T Q y follow by the matching rank-1 formulas, so the columns
     are never touched; y stays put while its Q-norm grows by 2/(1+3 eps).
     |y|_Q^2 is taken afresh as |w|^2, not from an incrementally kept cache.
-    Returns (U', F', z', |y|_Q'^2).
+
+    F and z are updated in place, elementwise in the order of the formulas
+    above, and may be views into larger arrays. F goes _RESCALE_ROWS rows at
+    a time, so the rank-1 term never takes n x n memory. Returns
+    (U', |y|_Q'^2).
     """
     w = ufac @ y
     wn = float(np.linalg.norm(w))
@@ -92,9 +106,17 @@ def kernel_rescale(ufac, fmat, z, y, eps):
     ynorm_q2 = wn * wn
     what = w / wn
     ufac = (ufac + np.outer(what, what @ ufac)) / (1.0 + 3.0 * eps)
-    fmat = (fmat + 3.0 * np.outer(z, z) / ynorm_q2) / (1.0 + 3.0 * eps) ** 2
+    den = (1.0 + 3.0 * eps) ** 2
+    for lo in range(0, z.size, _RESCALE_ROWS):
+        block = slice(lo, lo + _RESCALE_ROWS)
+        step = np.outer(z[block], z)
+        step *= 3.0
+        step /= ynorm_q2
+        fmat[block] += step
+        fmat[block] /= den
     scale = 4.0 / (1.0 + 3.0 * eps) ** 2
-    return ufac, fmat, z * scale, ynorm_q2 * scale
+    z *= scale
+    return ufac, ynorm_q2 * scale
 
 
 def _positive_beyond_noise(v: np.ndarray) -> bool:
@@ -119,46 +141,64 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
     Counters go to ``report``. Returns (status, S, v) with S the final active
     set; v is the kernel point Pi x on S when SOLVED, the witness Qy when
     INFEASIBLE_DETECTED, None otherwise.
+
+    Per active set, ``rebuild`` builds Pi first, then ``rows`` = [F | Pi] and
+    ``zx`` = [z | xbar]; Pi is copied in and its own array dropped, so the
+    peak stays at three n x n arrays. ``refresh`` and ``kernel_rescale``
+    write into the views fmat, pimat, z and xbar, never rebinding them. The
+    gate min xbar > 0 is read at ``low``, the last scanned argmin of xbar:
+    min xbar <= xbar[low], so it rescans only when xbar[low] > 0 (a NaN there
+    fails the gate, as the minimum would). The float-range guard before a
+    rescale reads |Uy|^2 and the columns of U A_hat_S afresh: the cached F
+    and |y|_Q^2 drift between refreshes.
     """
     m = ahat.shape[0]
     eps = rescale_epsilon(m, limits)
     ufac = np.eye(m)
     S = np.asarray(active, dtype=int)
-    # Per-S data, set by rebuild(); F and Pi are symmetric, so row k is column k.
-    # ``marked`` flags the positions in S marked for removal.
-    cols = x = pimat = marked = None
-    rank_s = 0
-    # Caches, set by refresh(): F = cols^T Q cols, z = F x, |y|_Q^2 = x^T F x, xbar = Pi x.
-    fmat = fdiag = qnorms = z = xbar = None
+    # Per-S data, set by rebuild(); ``marked`` flags the positions in S marked
+    # for removal, ``low`` is the position of the last scanned minimum of xbar.
+    cols = x = rows = fmat = pimat = zx = z = xbar = marked = None
+    rank_s = low = 0
+    # Cached by diagonal(): F's diagonal as floats, and the Q-norms sqrt(F_kk).
+    fdiag = qnorms = None
     ynorm_q2 = 0.0
     dv_since_refresh = rescales_since_refresh = 0
 
     def diagonal():
         nonlocal fdiag, qnorms
-        fdiag = fmat.diagonal().copy()
-        qnorms = np.sqrt(np.maximum(fdiag, 1e-300))
+        diag = fmat.diagonal()
+        fdiag = diag.tolist()
+        qnorms = np.sqrt(np.maximum(diag, 1e-300))
 
     def refresh():
-        """Recompute the caches from (U, x) without touching S."""
-        nonlocal fmat, z, ynorm_q2, xbar, dv_since_refresh, rescales_since_refresh
+        """Recompute F, z, |y|_Q^2 and xbar from (U, x) without touching S."""
+        nonlocal ynorm_q2, dv_since_refresh, rescales_since_refresh
         wcols = ufac @ cols
-        fmat = wcols.T @ wcols
+        np.matmul(wcols.T, wcols, out=fmat)
         diagonal()
         wy = wcols @ x
-        z = wcols.T @ wy
+        np.matmul(wcols.T, wy, out=z)
         ynorm_q2 = float(wy @ wy)
-        xbar = pimat @ x
+        np.matmul(pimat, x, out=xbar)
         dv_since_refresh = rescales_since_refresh = 0
 
     def rebuild():
         """Restart from x = ones on a new active set S, nothing marked."""
-        nonlocal cols, x, pimat, rank_s, xbar, marked
+        nonlocal cols, x, rows, fmat, pimat, zx, z, xbar, rank_s, low, marked
+        rows = fmat = pimat = None  # free the old [F | Pi] before the new projector
+        n = S.size
         cols = ahat[:, S]
-        x = np.ones(S.size)
-        marked = np.zeros(S.size, dtype=bool)
-        xbar = np.zeros(0)
-        if S.size:
-            pimat = kernel_projector(cols)
+        x = np.ones(n)
+        marked = np.zeros(n, dtype=bool)
+        low = 0
+        zx = np.zeros(2 * n)
+        z, xbar = zx[:n], zx[n:]
+        if n:
+            proj = kernel_projector(cols)
+            rows = np.empty((n, 2 * n))
+            fmat, pimat = rows[:, :n], rows[:, n:]
+            pimat[...] = proj
             if th is not None:
                 rank_s = pivoted_rank(cols)
             refresh()
@@ -167,17 +207,20 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
     while True:
         if S.size == 0:
             return SOLVED, S, xbar
-        if xbar.min() > 0.0 and _positive_beyond_noise(xbar):
-            refresh()
-            # Positivity alone admits float-noise vectors like 1e-16 * e; a
-            # genuine kernel point also has a residual tiny relative to its
-            # own scale, which noise around Pi x = 0 never does.
-            scale_ok = np.abs(cols @ xbar).max() <= 1e-10 * S.size * np.abs(xbar).max()
-            if _positive_beyond_noise(xbar) and scale_ok:
-                return SOLVED, S, xbar
+        if xbar[low] > 0.0:
+            low = int(xbar.argmin())
+            if xbar[low] > 0.0 and _positive_beyond_noise(xbar):
+                refresh()
+                # Positivity alone admits float-noise vectors like 1e-16 * e; a
+                # genuine kernel point also has a residual tiny relative to its
+                # own scale, which noise around Pi x = 0 never does.
+                scale_ok = np.abs(cols @ xbar).max() <= 1e-10 * S.size * np.abs(xbar).max()
+                if _positive_beyond_noise(xbar) and scale_ok:
+                    return SOLVED, S, xbar
         ratios = z / qnorms
         k = int(ratios.argmin())
-        if th is None and z[k] > 0.0:
+        zk = float(z[k])
+        if th is None and zk > 0.0:
             refresh()
             if z.min() > 0.0:
                 return INFEASIBLE_DETECTED, S, ufac.T @ (ufac @ (cols @ x))
@@ -191,12 +234,12 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
             continue
         v = ratios[k] / math.sqrt(ynorm_q2)
         if v < -eps:
-            c = z[k] / fdiag[k]
+            fk = fdiag[k]
+            c = zk / fk
             before = ynorm_q2
             x[k] -= c
-            z -= c * fmat[k]
-            ynorm_q2 = max(ynorm_q2 - c * c * fdiag[k], 0.0)
-            xbar -= c * pimat[k]
+            zx -= c * rows[k]
+            ynorm_q2 = max(ynorm_q2 - c * c * fk, 0.0)
             report.fo_iters += 1
             dv_since_refresh += 1
             if hook is not None:
@@ -209,25 +252,28 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
             break
         # |z_k|^2 <= F_kk |y|_Q^2, and a rescale multiplies F and |y|_Q^2 by
         # at most 4 each: stop while the next one still stays in float range.
-        if max(float(fdiag.max()), 1.0) * max(ynorm_q2, 1.0) > _FLOAT_CEILING:
-            break
+        # Both sides are taken afresh, as max |U a_k|^2 and |Uy|^2, and
+        # compared without forming their product.
         y = cols @ x
+        wcols, w = ufac @ cols, ufac @ y
+        ynorm_q2_fresh = float(w @ w)
+        fresh_f = max(float((wcols * wcols).sum(axis=0).max()), 1.0)
+        if fresh_f > _FLOAT_CEILING / max(ynorm_q2_fresh, 1.0):
+            break
         if not y.any():
             refresh()
             continue
-        if hook is not None:
-            w, mat_before = ufac @ y, ufac @ cols
-        ufac, fmat, z, ynorm_q2 = kernel_rescale(ufac, fmat, z, y, eps)
+        ufac, ynorm_q2 = kernel_rescale(ufac, fmat, z, y, eps)
         diagonal()
         report.rescalings += 1
         rescales_since_refresh += 1
         if hook is not None:
             hook(
                 "rescale",
-                ynorm_q2_before=float(w @ w),
+                ynorm_q2_before=ynorm_q2_fresh,
                 ynorm_q2_after=ynorm_q2,
                 y=w,
-                mat_before=mat_before,
+                mat_before=wcols,
                 mat_after=ufac @ cols,
             )
         if rescales_since_refresh >= _RESCALE_REFRESH:
@@ -236,7 +282,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
             continue
 
         # Mark columns whose Q-norm has outgrown the theta bound.
-        new_marks = (fdiag > 1.0 / (th * th)) & ~marked
+        new_marks = (fmat.diagonal() > 1.0 / (th * th)) & ~marked
         if not new_marks.any():
             continue
         marked |= new_marks

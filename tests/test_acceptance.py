@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import flat_image_cone, symmetric_hull_intersection_area
+from helpers import flat_image_cone, kernel_hull_rho, narrow_kernel_cone, symmetric_hull_intersection_area
 from lincone import (
     ImageCertificate,
     LPFeasibilityProblem,
@@ -22,6 +22,7 @@ from lincone import (
     SubprocessOracle,
     UnsupportedInstanceError,
     check_image_certificate,
+    check_kernel_certificate,
     encoding_length,
     exact_support_oracle,
     full_support_image,
@@ -149,6 +150,50 @@ def test_full_support_kernel_batch_meets_rho_bound(capsys):
         ok,
         "kernel batch vs rho bound",
         f"100/100 solved, max rescalings {max_resc}, {elapsed:.1f}s (< 60s){extra}",
+    )
+
+
+def test_narrow_kernel_batch_binds_rho_bound(capsys):
+    # 20 narrow cones, m in 3..5 and n in 20..80, whose hull holds 0 only
+    # barely (rho near -0.003). Unlike the rho <= -0.05 batch, these rescale,
+    # so the kernel rescaling bound is actually exercised. rho is the exact
+    # hull value; goffin_oracle's grid search cross-checks it at m = 3 (at
+    # m = 4, 5 these flat margin landscapes exceed its cell budget).
+    rng = np.random.default_rng(419)
+    problems = []
+    counts = []
+    t0 = time.perf_counter()
+    for i in range(20):
+        m = 3 + i % 3
+        n = int(rng.integers(20, 81))
+        mat = narrow_kernel_cone(rng, m, n, 0.03, 0.8)
+        rho = kernel_hull_rho(mat)
+        tag = f"#{i} m={m} n={n}"
+        if rho is None:
+            problems.append(f"{tag}: 0 not inside the hull")
+            continue
+        if m == 3 and abs(goffin_oracle(mat, 1e-5) - rho) > 2e-5:
+            problems.append(f"{tag}: goffin_oracle disagrees with hull rho {rho:.6f}")
+        cert, report = full_support_kernel(mat, known_rho=rho)
+        if report.status != SOLVED:
+            problems.append(f"{tag}: {report.status}")
+            continue
+        if not check_kernel_certificate(mat, cert).valid:
+            problems.append(f"{tag}: certificate rejected")
+        chk = {c.name: c for c in report.bound_checks}["rescalings_vs_rho"]
+        if not chk.passed:
+            problems.append(f"{tag}: {chk.observed:.0f} rescalings above bound {chk.bound:.0f}")
+        counts.append(report.rescalings)
+    elapsed = time.perf_counter() - t0
+    median = float(np.median(counts)) if counts else 0.0
+    ok = not problems and median >= 1 and elapsed < 20.0
+    extra = f"; issues: {problems[:3]}" if problems else ""
+    _emit(
+        capsys,
+        ok,
+        "narrow kernel batch vs rho bound",
+        f"{len(counts)}/20 solved, median rescalings {median:.0f} (>= 1), max {max(counts, default=0)}, "
+        f"{elapsed:.1f}s (< 20s){extra}",
     )
 
 

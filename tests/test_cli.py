@@ -7,7 +7,9 @@ import pytest
 
 from lincone import cli
 from lincone.cli import run
-from lincone.report import Limits, SolveReport
+from lincone.conditioning import encoding_length
+from lincone.instances import gen_degenerate, write_instance
+from lincone.report import Limits, SolveReport, default_limits
 
 
 def write(tmp_path, name, text):
@@ -87,6 +89,27 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["valid"] is True
+
+    @pytest.mark.parametrize("mode", ["kernel", "image"])
+    def test_max_iters_keeps_max_support_budgets(self, tmp_path, monkeypatch, capsys, mode):
+        # With no flags the max-support solvers scale their budgets by the
+        # encoding length; a flag overrides only its own budget.
+        deg = gen_degenerate(3, 8, 4, 0)
+        seen = []
+
+        def solver(mat, limits, hook=None):
+            seen.append(limits)
+            return None, np.arange(0), SolveReport(status="solved")
+
+        monkeypatch.setattr(cli, f"max_support_{mode}", solver)
+        monkeypatch.setattr(cli, "_cert_json", lambda cert: {})
+        inst = write(tmp_path, "deg.txt", write_instance(deg))
+        code = run(["solve", "--mode", mode, "--support", "max", "--input", inst, "--max-iters", "500"])
+        capsys.readouterr()
+        assert code == 0
+        own = default_limits(3, 8, encoding_estimate=float(encoding_length(deg.mat)))
+        assert own.max_rescalings == 7770
+        assert seen == [Limits(max_rescalings=own.max_rescalings, max_iterations=500)]
 
     def test_missing_file_exit_one(self, capsys):
         code = run(["solve", "--mode", "kernel", "--input", "/nonexistent/x.txt"])

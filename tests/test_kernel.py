@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -38,7 +39,8 @@ class TestRescalePrimitives:
         eps = 1.0 / 22.0
         y = np.array([1.0, 0.0])
         # A_hat = I and Q = I, so F = I and z = A_hat^T Q y = y.
-        ufac, fmat, z, ynorm_q2 = kernel_rescale(np.eye(2), np.eye(2), y.copy(), y, eps)
+        fmat, z = np.eye(2), y.copy()
+        ufac, ynorm_q2 = kernel_rescale(np.eye(2), fmat, z, y, eps)
         expect = np.diag([4.0, 1.0]) / (1.0 + 3.0 * eps) ** 2
         assert np.allclose(ufac.T @ ufac, expect, rtol=1e-12)
         assert np.allclose(fmat, expect, rtol=1e-12)
@@ -54,8 +56,9 @@ class TestRescalePrimitives:
         x = rng.uniform(1, 2, 6)
         y = mat @ x
         eps = 1.0 / 33.0
-        fmat = mat.T @ q @ mat
-        out_u, out_f, out_z, out_yq2 = kernel_rescale(ufac, fmat, fmat @ x, y, eps)
+        out_f = mat.T @ q @ mat
+        out_z = out_f @ x
+        out_u, out_yq2 = kernel_rescale(ufac, out_f, out_z, y, eps)
         qy = q @ y
         new_q = out_u.T @ out_u
         expect_q = (q + 3.0 * np.outer(qy, qy) / (y @ qy)) / (1.0 + 3.0 * eps) ** 2
@@ -71,6 +74,33 @@ class TestRescalePrimitives:
     def test_q_form_zero_y_rejected(self):
         with pytest.raises(ContractViolationError):
             kernel_rescale(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), 1.0 / 22.0)
+
+    def test_updates_stacked_views_in_place(self):
+        # The loop holds F and z as the left halves of [F | Pi] and [z | xbar].
+        # The rescale must write both halves it owns in place, bit for bit as
+        # the out-of-place formulas, over more rows than one update block, and
+        # leave the Pi and xbar halves alone.
+        rng = np.random.default_rng(3)
+        n, eps = 150, 1.0 / 44.0
+        mat = normalize_columns(rng.standard_normal((4, n)))
+        ufac = np.triu(rng.standard_normal((4, 4))) + 3.0 * np.eye(4)
+        x = rng.uniform(0.5, 2.0, n)
+        wcols = ufac @ mat
+        rows = np.hstack([wcols.T @ wcols, rng.standard_normal((n, n))])
+        zx = np.concatenate([rows[:, :n] @ x, rng.standard_normal(n)])
+        rows0, zx0 = rows.copy(), zx.copy()
+        y = mat @ x
+        _, out_yq2 = kernel_rescale(ufac, rows[:, :n], zx[:n], y, eps)
+        wn = float(np.linalg.norm(ufac @ y))
+        yq2 = wn * wn
+        f0, z0 = rows0[:, :n], zx0[:n]
+        expect_f = (f0 + 3.0 * np.outer(z0, z0) / yq2) / (1.0 + 3.0 * eps) ** 2
+        scale = 4.0 / (1.0 + 3.0 * eps) ** 2
+        assert np.array_equal(rows[:, :n], expect_f)
+        assert np.array_equal(zx[:n], z0 * scale)
+        assert np.array_equal(rows[:, n:], rows0[:, n:])
+        assert np.array_equal(zx[n:], zx0[n:])
+        assert out_yq2 == yq2 * scale
 
 
 class TestFullSupportKernel:
@@ -221,6 +251,34 @@ class TestFullSupportKernel:
         limits = default_limits(*mat.shape)
         assert 0 < report.rescalings < limits.max_rescalings
         assert report.fo_iters < limits.max_iterations
+
+
+    def test_float_guard_reads_fresh_metric(self):
+        # Draw 4 (m = 5) of the flat batch above at rho = 1e-3 never converges.
+        # Between refreshes the cached F drifts far from U A_hat (max F_kk
+        # read 1.6e121 where |U a_k|^2 was 2.7e135), so a guard on the caches
+        # let rescales through whose rank-1 term overflowed. The guard takes
+        # |U a_k|^2 and |Uy|^2 afresh: every rescale must start inside the
+        # ceiling, and the run must end no_converge without a float warning.
+        rng = np.random.default_rng(0)
+        for i in range(5):
+            mat, _ = flat_image_cone(rng, (3, 5, 10)[i % 3], 50, 1e-3)
+        log_ceiling = math.log(kernel_module._FLOAT_CEILING)
+        worst = -math.inf
+
+        def hook(kind, **d):
+            nonlocal worst
+            if kind == "rescale":
+                fresh_f = max(float((d["mat_before"] ** 2).sum(axis=0).max()), 1.0)
+                worst = max(worst, math.log(fresh_f) + math.log(max(d["ynorm_q2_before"], 1.0)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert, report = full_support_kernel(mat, hook=hook)
+        assert mat.shape[0] == 5
+        assert report.status == NO_CONVERGE
+        assert 0 < report.rescalings < default_limits(*mat.shape).max_rescalings
+        assert math.log(1e250) < worst <= log_ceiling
 
 
 class TestMaxSupportKernel:
