@@ -22,16 +22,16 @@ MATRICES = {
 
 def main():
     for label, mat in MATRICES.items():
-        rep = condition_report(mat, tol=1e-9)
+        rep = condition_report(mat)
         print(f"{label}: {mat.shape[0]} x {mat.shape[1]}")
-        print(f"  rho    = {rep.rho:+.6e}  (accuracy {rep.rho_accuracy:.0e})")
+        print(f"  rho    = {rep.rho:+.6e}")
         print(f"  theta  = {rep.theta:.6e}  (delta = {rep.delta:.4f})")
         print(f"  L      = {rep.encoding_length}, 2^(-4L) = {2.0 ** (-4 * rep.encoding_length):.3e}")
-        if abs(rep.rho) > rep.rho_accuracy:
-            chain = abs(rep.rho) + rep.rho_accuracy >= rep.theta >= 2.0 ** (-4 * rep.encoding_length)
-            print(f"  chain |rho| >= theta >= 2^(-4L): {chain}")
+        if rep.rho == 0.0:
+            print("  rho is zero, chain not applicable")
         else:
-            print("  rho is numerically zero, chain not applicable")
+            chain = abs(rep.rho) >= rep.theta >= 2.0 ** (-4 * rep.encoding_length)
+            print(f"  chain |rho| >= theta >= 2^(-4L): {chain}")
         print()
 
 

@@ -5,7 +5,10 @@ largest value rho such that some unit vector y in the column space has
 ``a_hat_j . y >= rho`` for every normalized column. Negative rho means the
 origin is interior to the convex hull of the normalized columns (kernel
 feasible), positive rho means a strictly separating direction exists (image
-feasible).
+feasible). ``goffin_oracle`` computes it exactly up to rounding: a positive
+rho is the distance from 0 to that hull (a least-distance problem, solved by
+nonnegative least squares), and a negative rho is minus the distance from 0
+to the nearest hull facet (from the convex hull, up to rank 7).
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ __all__ = [
 # Independence test tolerance for the greedy column-subset scan.
 _INDEP_TOL = 1e-9
 
-# Hierarchical refinement of the sphere stops expanding past this many cells.
-_MAX_CELLS = 400_000
+# Margins within this of 0 are rounding in unit-vector arithmetic, reported as 0.
+_ROUNDING = 1e-12
+
+# Largest column-space rank whose convex hull the rho <= 0 branch builds.
+_MAX_HULL_RANK = 7
 
 
 def _require_integral(mat: np.ndarray) -> np.ndarray:
@@ -119,34 +125,23 @@ def encoding_length(mat) -> int:
     return total
 
 
-def _sphere_points(angles: np.ndarray, r: int) -> np.ndarray:
-    """Map hyperspherical angles (r-1, k) to unit vectors (r, k)."""
-    k = angles.shape[1]
-    pts = np.empty((r, k))
-    sin_prod = np.ones(k)
-    for i in range(r - 1):
-        pts[i] = sin_prod * np.cos(angles[i])
-        sin_prod = sin_prod * np.sin(angles[i])
-    pts[r - 1] = sin_prod
-    return pts
+def goffin_oracle(mat) -> float:
+    """Signed margin ``max_{|y|=1} min_j a_hat_j . y`` of the normalized columns.
 
-
-def goffin_oracle(mat, tol: float = 1e-6) -> float:
-    """Signed margin of the normalized columns, to additive accuracy ``tol``.
-
-    Maximizes ``min_j a_hat_j . y`` over unit vectors ``y`` in the column
-    space. The search runs over an orthonormal basis of the column space, so
-    rank-deficient inputs cost only as much as their rank. Ranks up to 5 are
-    supported by hierarchical refinement with a Lipschitz pruning bound; the
-    objective is 1-Lipschitz on the sphere, so a cell of angular radius h can
-    beat the incumbent by at most h.
+    Works in an orthonormal basis of the column space (rank r), where the
+    normalized columns become unit vectors g_j. When the margin is positive it
+    is the distance from 0 to conv(g), found exactly by the least-distance
+    problem min |y| subject to g_j . y >= 1 (rho = 1/|y*|), which Lawson and
+    Hanson reduce to nonnegative least squares. When that system is
+    infeasible, 0 lies in conv(g), the hull is full-dimensional, and rho is
+    minus the distance from 0 to the nearest hull facet. Only that branch
+    builds a hull, and it rejects ranks above 7, where qhull's facet count
+    grows too fast. Values within rounding of 0 are returned as exactly 0.0.
 
     Zero columns are allowed and contribute a constant 0 term (their
     normalization is taken to be the zero vector), which caps the result at 0.
     """
     mat = as_matrix(mat)
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
     if not np.any(mat):
         raise ContractViolationError("margin of the zero matrix is undefined")
     norms = column_norms(mat)
@@ -166,42 +161,28 @@ def goffin_oracle(mat, tol: float = 1e-6) -> float:
         best = max(float(np.min(vals)), float(np.min(-vals)))
         return min(best, 0.0) if has_zero_col else best
 
-    if r > 5:
-        raise UnsupportedInstanceError(f"column space of rank {r} exceeds the rank-5 search limit")
+    from scipy.optimize import nnls
 
-    k = r - 1
-    # Angle grid: the last angle spans a full turn, the others half turns.
-    half = np.pi / 4.0
-    axes = [np.arange(1, 4, 2) * (np.pi / 4.0) for _ in range(k - 1)]
-    axes.append(np.arange(1, 8, 2) * (np.pi / 4.0))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=0)
+    # LDP as NNLS: min |E w - f| over w >= 0 with E = [G^T; 1^T], f = e_{r+1}.
+    # The residual (G^T w, sum(w) - 1) gives y* = -G^T w / (sum(w) - 1), and
+    # complementarity |G^T w|^2 = sum(w) (1 - sum(w)) turns 1/|y*| into
+    # |G^T w| / sum(w), read without the cancellation in sum(w) - 1.
+    lhs = np.vstack([gt.T, np.ones(gt.shape[0])])
+    rhs = np.zeros(r + 1)
+    rhs[r] = 1.0
+    w, _ = nnls(lhs, rhs)
+    rho = float(np.linalg.norm(gt.T @ w)) / float(w.sum())
+    if rho > _ROUNDING:
+        return 0.0 if has_zero_col else rho
 
-    best = -np.inf
-    while True:
-        pts = _sphere_points(centers, r)
-        vals = gt @ pts  # (n, cells)
-        f = vals.min(axis=0)
-        if has_zero_col:
-            f = np.minimum(f, 0.0)
-        best = max(best, float(f.max()))
-        radius = half * np.sqrt(k)
-        if radius <= tol:
-            return best + 0.5 * radius
-        keep = f + radius > best
-        if not np.any(keep):
-            # Every cell is certified no better than the incumbent.
-            return best
-        centers = centers[:, keep]
-        # Split every surviving cell in half along every axis.
-        half *= 0.5
-        offsets = np.stack(
-            [m.ravel() for m in np.meshgrid(*([np.array([-half, half])] * k), indexing="ij")],
-            axis=0,
-        )
-        centers = (centers[:, :, None] + offsets[:, None, :]).reshape(k, -1)
-        if centers.shape[1] > _MAX_CELLS:
-            raise UnsupportedInstanceError("sphere refinement exceeded its cell budget")
+    if r > _MAX_HULL_RANK:
+        raise UnsupportedInstanceError(f"hull of rank {r} exceeds the rank-{_MAX_HULL_RANK} limit")
+    from scipy.spatial import ConvexHull
+
+    # Facet equations read normal . p + offset <= 0 inside, with unit
+    # normals, so -offset is the distance from 0 to that facet.
+    rho = float(ConvexHull(gt).equations[:, -1].max())
+    return 0.0 if rho > -_ROUNDING else rho
 
 
 @dataclass
@@ -209,7 +190,6 @@ class ConditionReport:
     """Bundle of condition measures for one instance."""
 
     rho: float
-    rho_accuracy: float
     delta: float
     theta: float
     encoding_length: int | None
@@ -219,15 +199,14 @@ class ConditionReport:
         return self.rho < 0.0
 
 
-def condition_report(mat, tol: float = 1e-6) -> ConditionReport:
+def condition_report(mat) -> ConditionReport:
     """Compute the full set of condition measures for a desk-scale instance."""
     mat = as_matrix(mat)
     bits = None
     if np.all(mat == np.round(mat)):
         bits = encoding_length(mat)
     return ConditionReport(
-        rho=goffin_oracle(mat, tol),
-        rho_accuracy=tol,
+        rho=goffin_oracle(mat),
         delta=hadamard_delta(mat),
         theta=theta(mat),
         encoding_length=bits,

@@ -155,7 +155,7 @@ def _check_decomposition(state: ImageState) -> float:
     return max(float(np.abs(recon - np.eye(cols.shape[0])).max()) - state.slack, 0.0)
 
 
-def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, debug: bool, hook):
+def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, hook):
     """Inner-loop phases and rescales over the columns ``ahat[:, active]``.
 
     ``th = 0`` is the full-support policy: no column scan and no removal.
@@ -187,10 +187,6 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         gammas = state.gamma
         if th > 0.0 and gammas.size and float(gammas.max()) > 2.0 / (th * th) * (1.0 + _LEDGER_SLACK):
             raise ContractViolationError("gamma exceeded 2/theta^2")
-        if debug:
-            err = _check_decomposition(state)
-            if err > 1e-8:
-                raise ContractViolationError(f"gamma decomposition drifted: {err}")
 
     while True:
         if len(state.T) == 0:
@@ -275,7 +271,6 @@ def full_support_image(
     limits: Limits | None = None,
     *,
     known_rho: float | None = None,
-    debug: bool = False,
     hook=None,
 ):
     """Find y with A^T y > 0 strictly, assuming full row rank.
@@ -295,7 +290,7 @@ def full_support_image(
         limits = default_limits(m, n)
 
     report = SolveReport(status=NO_CONVERGE)
-    cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, debug=debug, hook=hook)
+    cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
     if known_rho is not None and known_rho > 0.0:
         report.add_bound_check(
             "rescalings_vs_rho", rescaling_bound(m, known_rho, image=True), float(report.rescalings)
@@ -345,7 +340,7 @@ def _remove_column(state: ImageState, pos: int):
 
 
 @timed
-def max_support_image(mat, limits: Limits | None = None, *, debug: bool = False, hook=None):
+def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     """Find y maximizing the set of strict inequalities a_i^T y > 0.
 
     Integral full-row-rank input. Runs the shared loop with theta: columns
@@ -369,5 +364,5 @@ def max_support_image(mat, limits: Limits | None = None, *, debug: bool = False,
     ahat[:, active] = mat[:, active] / norms[active]
 
     report = SolveReport(status=NO_CONVERGE)
-    cert, support = _rescaling_loop(ahat, active, limits, report, th, debug=debug, hook=hook)
+    cert, support = _rescaling_loop(ahat, active, limits, report, th, hook=hook)
     return cert, support, report

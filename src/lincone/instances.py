@@ -103,7 +103,7 @@ def gen_kernel_feasible(m: int, n: int, rho_target: float, seed) -> ConicInstanc
         if pivoted_rank(mat) < m:
             continue
         if m <= 3:
-            rho = goffin_oracle(mat, 1e-4)
+            rho = goffin_oracle(mat)
             if rho <= -rho_target:
                 return ConicInstance(mat, False, "generated", known_rho=rho)
             continue
@@ -149,12 +149,12 @@ def gen_image_feasible(m: int, n: int, rho_target: float, seed) -> ConicInstance
 def gen_degenerate(m: int, n: int, s: int, seed) -> ConicInstance:
     """Integer instance with prescribed supports: s kernel columns, n-s image.
 
-    The kernel block lives in the span of the first min(m-1, s-1)
-    coordinates and sums to zero columnwise, so the all-ones combination is
-    a kernel witness. The image block has a strictly positive entry in the
-    next coordinate, which kills any nonnegative kernel combination that
-    touches it. At desk scale the exact oracle must confirm the split or
-    the draw is rejected.
+    The kernel block lives in the span of the first h = min(m-1, s-1)
+    coordinates and its rows sum to zero, so x = 1_S gives A x = 0 and S
+    lies in S*. The image block has a strictly positive entry in coordinate
+    h, where the kernel block is zero, so y = e_h gives A_S^T y = 0 and
+    A_T^T y >= 1, and T lies in T*. S* and T* partition the columns, so the
+    planted split is exact. Both witnesses are checked in integers.
     """
     if not 1 <= s < n:
         raise ContractViolationError("need 1 <= s < n")
@@ -173,17 +173,14 @@ def gen_degenerate(m: int, n: int, s: int, seed) -> ConicInstance:
         block_t[h, :] = rng.integers(1, 5, size=n - s)
         if h + 1 < m:
             block_t[h + 1 :, :] = rng.integers(-3, 4, size=(m - h - 1, n - s))
-        mat = np.hstack([block_s, block_t]).astype(float)
+        ints = np.hstack([block_s, block_t])
+        mat = ints.astype(float)
         if pivoted_rank(mat) < m:
             continue
-        s_idx = np.arange(s)
-        t_idx = np.arange(s, n)
-        if n <= 12 and m <= 6:
-            s_star, t_star = exact_support_oracle(mat)
-            if not (np.array_equal(s_star, s_idx) and np.array_equal(t_star, t_idx)):
-                continue
+        if np.any(ints[:, :s].sum(axis=1)) or np.any(ints[h, :s]) or np.any(ints[h, s:] < 1):
+            raise ContractViolationError("planted support witnesses fail their integer check")
         return ConicInstance(
-            mat, True, "generated", known_supports=(s_idx, t_idx)
+            mat, True, "generated", known_supports=(np.arange(s), np.arange(s, n))
         )
     raise UnsupportedInstanceError("degenerate sampling budget exceeded")
 
@@ -233,6 +230,9 @@ def _eliminate(rows, j):
             neg.append(row)
         else:
             rest.append(row)
+    # Each (p, q) pair adds one row, so the cap is decided before any is built.
+    if len(rest) + len(pos) * len(neg) > _FM_ROW_CAP:
+        raise UnsupportedInstanceError("elimination blew past the row cap")
     for p in pos:
         pj = p[j + 1]
         for q in neg:
@@ -241,8 +241,6 @@ def _eliminate(rows, j):
                 Fraction(a * (-qj) + b * pj) for a, b in zip(p, q)
             )
             rest.append(_canonical(combo))
-    if len(rest) > _FM_ROW_CAP:
-        raise UnsupportedInstanceError("elimination blew past the row cap")
     return _sift(rest)
 
 

@@ -192,7 +192,7 @@ def narrow_kernel_cone(rng, m, n, spread, u):
     The g_j are unit vectors orthogonal to the unit vector d. The last column
     is a near-antipode of the narrow fan around d, so 0 lies barely inside the
     hull and the kernel solvers must rescale. Nothing here certifies kernel
-    feasibility; ``kernel_hull_rho`` does.
+    feasibility; ``goffin_oracle`` does.
     """
     d = rng.standard_normal(m)
     d /= np.linalg.norm(d)
@@ -203,20 +203,3 @@ def narrow_kernel_cone(rng, m, n, spread, u):
     anti = d + u * spread * g[:, 0]
     return np.hstack([cols / np.linalg.norm(cols, axis=0), (-anti / np.linalg.norm(anti))[:, None]])
 
-
-def kernel_hull_rho(mat):
-    """Goffin value of a full-rank matrix whose normalized columns surround 0.
-
-    rho = max_{|y|=1} min_j a_hat_j . y = -min_{|u|=1} h(u), with h the
-    support function of P = conv(a_hat_j). When 0 is interior to P that
-    minimum is the distance from 0 to the nearest facet of P, read from the
-    facet equations of the convex hull. Returns None when 0 is not interior.
-    """
-    from scipy.spatial import ConvexHull
-
-    hat = np.asarray(mat, dtype=float)
-    hat = hat / np.linalg.norm(hat, axis=0)
-    offsets = ConvexHull(hat.T).equations[:, -1]  # facet: normal . p + offset <= 0
-    if offsets.max() >= 0.0:
-        return None
-    return float(offsets.max())

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import flat_image_cone, kernel_hull_rho, narrow_kernel_cone, symmetric_hull_intersection_area
+from helpers import flat_image_cone, narrow_kernel_cone, symmetric_hull_intersection_area
 from lincone import (
     ImageCertificate,
     LPFeasibilityProblem,
@@ -124,7 +124,7 @@ def test_full_support_kernel_batch_meets_rho_bound(capsys):
                 continue
             r = cand.known_rho
             if r is None:
-                r = goffin_oracle(cand.mat, 1e-4)
+                r = goffin_oracle(cand.mat)
             if r <= -0.05:
                 inst, rho = cand, r
                 break
@@ -156,9 +156,7 @@ def test_full_support_kernel_batch_meets_rho_bound(capsys):
 def test_narrow_kernel_batch_binds_rho_bound(capsys):
     # 20 narrow cones, m in 3..5 and n in 20..80, whose hull holds 0 only
     # barely (rho near -0.003). Unlike the rho <= -0.05 batch, these rescale,
-    # so the kernel rescaling bound is actually exercised. rho is the exact
-    # hull value; goffin_oracle's grid search cross-checks it at m = 3 (at
-    # m = 4, 5 these flat margin landscapes exceed its cell budget).
+    # so the kernel rescaling bound is actually exercised.
     rng = np.random.default_rng(419)
     problems = []
     counts = []
@@ -167,13 +165,11 @@ def test_narrow_kernel_batch_binds_rho_bound(capsys):
         m = 3 + i % 3
         n = int(rng.integers(20, 81))
         mat = narrow_kernel_cone(rng, m, n, 0.03, 0.8)
-        rho = kernel_hull_rho(mat)
+        rho = goffin_oracle(mat)
         tag = f"#{i} m={m} n={n}"
-        if rho is None:
+        if rho >= 0.0:
             problems.append(f"{tag}: 0 not inside the hull")
             continue
-        if m == 3 and abs(goffin_oracle(mat, 1e-5) - rho) > 2e-5:
-            problems.append(f"{tag}: goffin_oracle disagrees with hull rho {rho:.6f}")
         cert, report = full_support_kernel(mat, known_rho=rho)
         if report.status != SOLVED:
             problems.append(f"{tag}: {report.status}")
@@ -344,51 +340,52 @@ def test_flat_image_batch_binds_rho_bound(capsys):
 
 def test_max_support_partition_matches_exact_oracle(capsys):
     # On 50 degenerate integer instances both float solvers must reproduce the
-    # exact rational (S*, T*) partition, which must cover [n] without overlap.
+    # planted (S*, T*) partition, which the generator's integer witnesses make
+    # exact, and cover [n] without overlap. Where Fourier-Motzkin finishes
+    # under its row cap, they must also match its rational partition.
     rng = np.random.default_rng(11)
     problems = []
-    made = 0
-    attempt = 0
+    planted_only = 0
     t0 = time.perf_counter()
-    while made < 50:
-        attempt += 1
-        assert attempt < 300, "degenerate generator kept rejecting draws"
-        m = 2 + made % 3
+    for i in range(50):
+        m = 2 + i % 3
         n = int(rng.integers(max(4, m + 1), 11))
         s = int(rng.integers(1, n))
-        try:
-            inst = gen_degenerate(m, n, s, seed=9000 + attempt)
-        except UnsupportedInstanceError:
-            continue
+        inst = gen_degenerate(m, n, s, seed=9001 + i)
         mat = inst.mat
-        tag = f"#{made} m={m} n={n} s={s}"
-        s_exact, t_exact = exact_support_oracle(mat)
+        tag = f"#{i} m={m} n={n} s={s}"
+        references = [("planted", *inst.known_supports)]
+        try:
+            references.append(("exact", *exact_support_oracle(mat)))
+        except UnsupportedInstanceError:
+            planted_only += 1
         kcert, s_sol, krep = max_support_kernel(mat)
         icert, t_sol, irep = max_support_image(mat)
-        if sorted(s_sol.tolist()) != sorted(s_exact.tolist()):
-            problems.append(f"{tag}: kernel support {s_sol} vs exact {s_exact}")
-        if sorted(t_sol.tolist()) != sorted(t_exact.tolist()):
-            problems.append(f"{tag}: image support {t_sol} vs exact {t_exact}")
+        for name, s_ref, t_ref in references:
+            if sorted(s_sol.tolist()) != sorted(s_ref.tolist()):
+                problems.append(f"{tag}: kernel support {s_sol} vs {name} {s_ref}")
+            if sorted(t_sol.tolist()) != sorted(t_ref.tolist()):
+                problems.append(f"{tag}: image support {t_sol} vs {name} {t_ref}")
         if set(s_sol.tolist()) & set(t_sol.tolist()):
             problems.append(f"{tag}: supports overlap")
         if set(s_sol.tolist()) | set(t_sol.tolist()) != set(range(n)):
             problems.append(f"{tag}: supports do not cover all columns")
-        made += 1
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 120.0
     extra = f"; issues: {problems[:3]}" if problems else ""
     _emit(
         capsys,
         ok,
-        "max-support partition vs exact oracle",
-        f"50 degenerate instances, all partitions exact, {elapsed:.1f}s (< 120s){extra}",
+        "max-support partition vs planted and exact oracle",
+        f"50 degenerate instances ({planted_only} past the FM row cap, planted only), "
+        f"all partitions exact, {elapsed:.1f}s (< 120s){extra}",
     )
 
 
 def test_condition_measure_chain(capsys):
     # |rho| >= theta >= 2^(-4L) on random integer matrices whose margin is
     # decisively nonzero. theta is exact rational for integral input; the
-    # oracle value carries a 1e-6 additive tolerance, cushioned below.
+    # oracle value is exact up to rounding, cushioned below.
     rng = np.random.default_rng(99)
     problems = []
     qualifying = 0
@@ -403,12 +400,12 @@ def test_condition_measure_chain(capsys):
         mat = rng.integers(-10, 11, size=(m, n)).astype(float)
         if np.any(np.linalg.norm(mat, axis=0) == 0.0):
             continue
-        rho = goffin_oracle(mat, 1e-6)
+        rho = goffin_oracle(mat)
         if abs(rho) <= 1e-3:
             continue
         th = theta(mat)
         ell = encoding_length(mat)
-        if abs(rho) + 2e-6 < th:
+        if abs(rho) + 1e-12 < th:
             problems.append(f"|rho|={abs(rho):.2e} below theta={th:.2e}")
         if th < 2.0 ** (-4 * ell):
             problems.append(f"theta={th:.2e} below 2^(-4L) with L={ell}")
@@ -544,20 +541,12 @@ def test_gamma_ledger_on_max_support_runs(capsys):
     problems = []
     rescale_events = 0
     removal_events = 0
-    made = 0
-    attempt = 0
     t0 = time.perf_counter()
-    while made < 25:
-        attempt += 1
-        assert attempt < 200, "degenerate generator kept rejecting draws"
+    for made in range(25):
         m = 2 + made % 3
         n = int(rng.integers(max(4, m + 1), 11))
         s = int(rng.integers(1, n))
-        try:
-            inst = gen_degenerate(m, n, s, seed=7000 + attempt)
-        except UnsupportedInstanceError:
-            continue
-        mat = inst.mat
+        mat = gen_degenerate(m, n, s, seed=7001 + made).mat
         th = theta(mat)
         cap = 2.0 / (th * th) * (1.0 + 1e-8)
         floor = th * th / (2.0 * (n + 1.0)) * (1.0 - 1e-8)
@@ -572,7 +561,7 @@ def test_gamma_ledger_on_max_support_runs(capsys):
                 states.append(data["state"])
                 ratios.append(data["ratio"])
 
-        cert, support, report = max_support_image(mat, debug=True, hook=hook)
+        cert, support, report = max_support_image(mat, hook=hook)
         for st in states:
             if st.gamma.size and float(st.gamma.max()) > cap:
                 problems.append(f"{tag}: gamma {st.gamma.max():.2e} above 2/theta^2")
@@ -587,7 +576,6 @@ def test_gamma_ledger_on_max_support_runs(capsys):
             problems.append(f"{tag}: a ledger bound check failed")
         rescale_events += report.rescalings
         removal_events += report.removals
-        made += 1
     elapsed = time.perf_counter() - t0
     ok = not problems and removal_events > 0
     extra = f"; issues: {problems[:3]}" if problems else ""

@@ -15,7 +15,7 @@ from lincone.conditioning import (
 )
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
 
-from helpers import brute_force_delta, margin_on_grid
+from helpers import brute_force_delta, margin_on_grid, narrow_kernel_cone
 
 
 def lp_kernel_feasible(mat):
@@ -131,12 +131,15 @@ class TestGoffinOracle:
         assert goffin_oracle(np.array([[1.0, -1.0]])) == pytest.approx(-1.0)
 
     def test_identity_two(self):
-        rho = goffin_oracle(np.eye(2), tol=1e-6)
-        assert rho == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
+        assert goffin_oracle(np.eye(2)) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_boundary_case(self):
         mat = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert goffin_oracle(mat, tol=1e-7) == pytest.approx(0.0, abs=1e-6)
+        assert goffin_oracle(mat) == 0.0
+
+    def test_zero_column_caps_positive_margin(self):
+        assert goffin_oracle(np.eye(2)) > 0.0
+        assert goffin_oracle(np.hstack([np.eye(2), np.zeros((2, 1))])) == 0.0
 
     def test_rank_one_embedded(self):
         # Two antipodal columns inside a 3-row matrix exercise the rank-1 path.
@@ -151,9 +154,9 @@ class TestGoffinOracle:
             mat = rng.integers(-10, 11, size=(m, n)).astype(float)
             if np.any(np.linalg.norm(mat, axis=0) == 0):
                 continue
-            rho = goffin_oracle(mat, tol=1e-5)
+            rho = goffin_oracle(mat)
             lo = margin_on_grid(mat, rng=rng)
-            assert rho >= lo - 1e-5
+            assert rho >= lo - 1e-9
             assert rho <= lo + 0.05  # sampling gets within a few hundredths
 
     def test_sign_matches_lp_feasibility(self):
@@ -165,7 +168,7 @@ class TestGoffinOracle:
             mat = rng.integers(-10, 11, size=(m, n)).astype(float)
             if np.any(np.linalg.norm(mat, axis=0) == 0):
                 continue
-            rho = goffin_oracle(mat, tol=1e-5)
+            rho = goffin_oracle(mat)
             if abs(rho) < 1e-3:
                 continue
             checked += 1
@@ -175,9 +178,25 @@ class TestGoffinOracle:
                 assert lp_image_feasible(mat)
         assert checked >= 30
 
-    def test_high_rank_rejected(self):
+    def test_rank_six_simplex(self):
+        assert goffin_oracle(np.eye(6)) == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-12)
+
+    def test_high_rank_interior_rejected(self):
+        # 0 inside the hull at rank 8: past the hull branch's rank cap.
         with pytest.raises(UnsupportedInstanceError):
-            goffin_oracle(np.eye(6))
+            goffin_oracle(np.hstack([np.eye(8), -np.eye(8)]))
+
+    def test_narrow_rank_four_and_five_cones(self):
+        # 0 barely inside the hull, where min_j g_j . y is nearly flat over a
+        # band of y, at ranks where the hull branch still builds the hull.
+        rng = np.random.default_rng(122)
+        for i in range(40):
+            m = 4 + i % 2
+            n = int(rng.integers(20, 41))
+            mat = narrow_kernel_cone(rng, m, n, rng.uniform(0.1, 0.3), rng.uniform(0.8, 0.95))
+            rho = goffin_oracle(mat)
+            assert rho < 0.0
+            assert rho >= margin_on_grid(mat, count=20000, rng=rng) - 1e-9
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -185,8 +204,7 @@ class TestGoffinOracle:
 
     def test_rank_four_simplex(self):
         # Regular simplex columns in R^4: margin of the identity-like frame.
-        rho = goffin_oracle(np.eye(4), tol=1e-4)
-        assert rho == pytest.approx(0.5, abs=1e-4)
+        assert goffin_oracle(np.eye(4)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestLowerBoundChain:
@@ -199,24 +217,22 @@ class TestLowerBoundChain:
             mat = rng.integers(-10, 11, size=(m, n)).astype(float)
             if not np.any(mat) or np.any(np.linalg.norm(mat, axis=0) == 0):
                 continue
-            tol = 1e-5
-            rho = goffin_oracle(mat, tol=tol)
+            rho = goffin_oracle(mat)
             if abs(rho) <= 1e-3:
                 continue
             checked += 1
             th = Fraction(1, m * m * hadamard_delta_sq_exact(mat))
             bits = encoding_length(mat)
-            assert abs(rho) >= float(th) - tol
+            assert abs(rho) >= float(th) - 1e-12
             assert th >= Fraction(1, 2 ** (4 * bits))
         assert checked >= 40
 
     def test_report_fields(self):
-        rep = condition_report(np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 4.0]]), tol=1e-5)
+        rep = condition_report(np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 4.0]]))
         assert isinstance(rep, ConditionReport)
         assert rep.delta == pytest.approx(5.0)
         assert rep.theta == pytest.approx(1.0 / (4 * 25.0))
         assert rep.encoding_length == encoding_length(np.array([[1, 0, 3], [0, 1, 4]]))
-        assert rep.rho_accuracy == 1e-5
         assert rep.theta == pytest.approx(1.0 / (4 * rep.delta**2))
 
     def test_report_float_input_has_no_bits(self):

@@ -65,6 +65,18 @@ def fresh_state(mat, eps=1.0 / 22.0, rmat=None):
     )
 
 
+def decomposition_hook(log):
+    """Hook appending (kind, decomposition error) for every rescale and remove state.
+
+    A state with no active columns logs 0.0: W = A_cur E^+ needs E to have columns.
+    """
+
+    def hook(kind, state, **_):
+        log.append((kind, _check_decomposition(state) if state.T.size else 0.0))
+
+    return hook
+
+
 def metric(state):
     """The metric R in the original coordinates, while nothing is projected out: (M M^T)^-1."""
     return np.linalg.inv(state.M @ state.M.T)
@@ -170,9 +182,11 @@ class TestFullSupportImage:
         delta = 0.01
         angles = np.linspace(-(np.pi / 2 - delta), np.pi / 2 - delta, 12)
         mat = np.vstack([np.cos(angles), np.sin(angles)])
-        cert, report = full_support_image(mat, known_rho=np.sin(delta), debug=True)
+        log = []
+        cert, report = full_support_image(mat, known_rho=np.sin(delta), hook=decomposition_hook(log))
         assert report.status == SOLVED
         assert report.rescalings >= 1
+        assert max(err for _, err in log) <= 1e-8
         growth = [c for c in report.bound_checks if c.name == "det_growth_per_rescale_min"]
         assert growth and growth[0].passed
 
@@ -286,9 +300,11 @@ class TestMaxSupportImage:
         # it reached condition 1e30 and these draws failed the 16/9 ledger.
         inst = gen_degenerate(6, 40, 20, seed)
         _, t_star = inst.known_supports
-        cert, support, report = max_support_image(inst.mat, debug=True)
+        log = []
+        cert, support, report = max_support_image(inst.mat, hook=decomposition_hook(log))
         assert report.status == SOLVED
         assert np.array_equal(support, t_star)
+        assert max(err for _, err in log) <= 1e-8
         assert check_image_certificate(inst.mat, cert).valid
         assert report.removals > 0
         for check in report.bound_checks:
@@ -296,10 +312,10 @@ class TestMaxSupportImage:
 
     def test_removal_ledger(self):
         mat = np.array([[1, -1, 1], [0, 0, 1]])
-        events = []
-        cert, support, report = max_support_image(mat, debug=True, hook=lambda kind, **d: events.append((kind, d)))
-        removals = [d for kind, d in events if kind == "remove"]
-        assert removals
+        log = []
+        cert, support, report = max_support_image(mat, hook=decomposition_hook(log))
+        assert "remove" in [kind for kind, _ in log]
+        assert max(err for _, err in log) <= 1e-8
         th2 = report.bound_checks
         entry = [c for c in th2 if c.name == "removal_det_ratio_min"]
         assert entry and entry[0].passed

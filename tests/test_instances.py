@@ -33,7 +33,7 @@ class TestGenKernelFeasible:
     def test_certified_rho(self):
         inst = gen_kernel_feasible(2, 4, 0.3, seed=7)
         assert inst.known_rho is not None and inst.known_rho <= -0.3
-        assert goffin_oracle(inst.mat, 1e-4) <= -0.3 + 2e-4
+        assert goffin_oracle(inst.mat) <= -0.3
 
     def test_unit_columns_and_witness(self):
         inst = gen_kernel_feasible(3, 6, 0.05, seed=11)
@@ -73,12 +73,12 @@ class TestGenImageFeasible:
     def test_line_instance(self):
         inst = gen_image_feasible(1, 1, 0.5, seed=0)
         assert abs(abs(inst.mat[0, 0]) - 1.0) < 1e-12
-        assert goffin_oracle(inst.mat, 1e-4) == pytest.approx(1.0, abs=1e-3)
+        assert goffin_oracle(inst.mat) == pytest.approx(1.0, abs=1e-12)
 
     def test_margin_lower_bound(self):
         inst = gen_image_feasible(2, 5, 0.1, seed=5)
         assert inst.known_rho == 0.1
-        assert goffin_oracle(inst.mat, 1e-4) >= 0.1 - 2e-4
+        assert goffin_oracle(inst.mat) >= 0.1 - 1e-12
         assert np.allclose(np.linalg.norm(inst.mat, axis=0), 1.0)
 
     def test_deterministic(self):
@@ -170,7 +170,7 @@ class TestExactSupportOracle:
             s, t = exact_support_oracle(mat)
             assert sorted(list(s) + list(t)) == list(range(n))
             if np.all(np.any(mat != 0, axis=0)):
-                rho = goffin_oracle(mat, 1e-4)
+                rho = goffin_oracle(mat)
                 if rho < -1e-3:
                     assert list(s) == list(range(n))
                 elif rho > 1e-3:

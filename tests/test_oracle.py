@@ -367,12 +367,12 @@ class TestStrictConicFeasibility:
 
     def test_thin_cone_rescale_bound(self):
         mat = np.array([[1.0, -1.0], [0.0, 10.0]])
-        rho = goffin_oracle(mat, 1e-4)
+        rho = goffin_oracle(mat)
         assert rho > 0
         y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), 2)
         assert report.status == SOLVED
         assert np.all(mat.T @ y > 0)
-        bound = math.ceil(2.0 * math.log(2.0 / (rho - 1e-4)) / math.log(1.5))
+        bound = math.ceil(2.0 * math.log(2.0 / rho) / math.log(1.5))
         assert report.rescalings <= bound
         for check in report.bound_checks:
             assert check.passed, check
