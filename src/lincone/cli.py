@@ -34,7 +34,7 @@ from .instances import (
 )
 from .kernel import KernelCertificate, full_support_kernel, max_support_kernel
 from .oracle import SubprocessOracle, strict_conic_feasibility
-from .report import Limits, default_limits, default_oracle_limits, rescale_epsilon
+from .report import Limits, default_limits, default_oracle_limits
 
 __all__ = ["run", "main"]
 
@@ -58,8 +58,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--input", help="instance file; required unless --oracle-cmd with --dim")
     solve.add_argument("--mode", choices=["kernel", "image"], required=True)
     solve.add_argument("--support", choices=["full", "max"], default="full")
-    solve.add_argument("--epsilon", type=float, default=None,
-                       help="rescaling threshold; values above 1/(11m) are clamped")
     solve.add_argument("--max-rescalings", type=int, default=None)
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--oracle-cmd", default=None,
@@ -98,22 +96,13 @@ def _read_file(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc.strerror}")
 
 
-def _limits_from_args(args, m: int, base: Limits) -> Limits | None:
+def _limits_from_args(args, base: Limits) -> Limits | None:
     """The flags' budgets over ``base``, the solver's own defaults; None without flags."""
-    if args.max_rescalings is None and args.max_iters is None and args.epsilon is None:
+    if args.max_rescalings is None and args.max_iters is None:
         return None
-    eps = args.epsilon
-    if eps is not None:
-        cap = rescale_epsilon(m)
-        if eps > cap:
-            print(f"warning: epsilon {eps} exceeds 1/(11m) = {cap:.6g}; clamped", file=sys.stderr)
-            eps = cap
-        if eps <= 0:
-            raise _Usage("epsilon must be positive")
     return Limits(
         max_rescalings=args.max_rescalings if args.max_rescalings is not None else base.max_rescalings,
         max_iterations=args.max_iters if args.max_iters is not None else base.max_iterations,
-        epsilon=eps,
     )
 
 
@@ -159,7 +148,7 @@ def _cmd_solve(args) -> int:
             m = args.dim
         else:
             raise _Usage("--oracle-cmd needs --input or --dim for the dimension")
-        limits = _limits_from_args(args, m, default_oracle_limits(m))
+        limits = _limits_from_args(args, default_oracle_limits(m))
         with SubprocessOracle(args.oracle_cmd, m) as oracle:
             y, report = strict_conic_feasibility(oracle, m, limits, hook=hook)
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
@@ -175,7 +164,7 @@ def _cmd_solve(args) -> int:
     m, n = inst.mat.shape
     # The max-support solvers scale their own budgets by the encoding length.
     estimate = float(encoding_length(inst.mat)) if args.support == "max" else None
-    limits = _limits_from_args(args, m, default_limits(m, n, encoding_estimate=estimate))
+    limits = _limits_from_args(args, default_limits(m, n, encoding_estimate=estimate))
 
     support = None
     if args.mode == "kernel" and args.support == "full":

@@ -164,7 +164,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     ``report``. Returns (ImageCertificate, support).
     """
     m, n = ahat.shape
-    eps = rescale_epsilon(m, limits)
+    eps = rescale_epsilon(m)
 
     state = ImageState(
         M=np.eye(m),
@@ -178,15 +178,22 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     )
     min_growth = math.inf
     min_removal = math.inf
-    removal_floor = th * th / (2.0 * (n + 1.0))
+    # The gamma cap 2/theta^2 and the removal floor theta^2/(2(n+1)) are held
+    # as logs: theta^2 underflows for theta below 1e-154.
+    log_theta = math.log(th) if th > 0.0 else -math.inf
+    log_gamma_cap = math.log(2.0) - 2.0 * log_theta + math.log1p(_LEDGER_SLACK)
+    log_removal_floor = 2.0 * log_theta - math.log(2.0 * (n + 1.0))
     max_phase_iters = 0
     status = NO_CONVERGE
     ybar = np.zeros(m)
 
     def ledger_checks():
-        gammas = state.gamma
-        if th > 0.0 and gammas.size and float(gammas.max()) > 2.0 / (th * th) * (1.0 + _LEDGER_SLACK):
+        gmax = float(state.gamma.max(initial=0.0))
+        if gmax > 0.0 and math.log(gmax) > log_gamma_cap:
             raise ContractViolationError("gamma exceeded 2/theta^2")
+
+    def above_removal_floor(ratio):
+        return ratio > 0.0 and math.log(ratio) >= log_removal_floor + math.log1p(-_LEDGER_SLACK)
 
     while True:
         if len(state.T) == 0:
@@ -223,7 +230,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             state, ratio, dropped = _remove_column(state, pos)
             report.removals += 1
             min_removal = min(min_removal, ratio)
-            if ratio < removal_floor * (1.0 - _LEDGER_SLACK):
+            if not above_removal_floor(ratio):
                 raise ContractViolationError(f"removal det ratio {ratio} below theta^2/(2(n+1))")
             if hook is not None:
                 hook("remove", state=state, ratio=ratio, dropped=dropped)
@@ -256,9 +263,9 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         report.bound_checks.append(
             BoundCheck(
                 name="removal_det_ratio_min",
-                bound=removal_floor,
+                bound=math.exp(log_removal_floor),
                 observed=min_removal,
-                passed=min_removal >= removal_floor * (1.0 - _LEDGER_SLACK),
+                passed=above_removal_floor(min_removal),
             )
         )
     report.add_bound_check("fo_iters_per_phase", float(math.ceil(1.0 / (eps * eps))), float(max_phase_iters))

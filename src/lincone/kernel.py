@@ -6,20 +6,24 @@ column makes an angle of more than roughly 90 + eps degrees with y = A_hat_S x
 in the Q metric, a DV step moves x; otherwise ``kernel_rescale`` stretches U
 along Uy. The columns never move, the metric does.
 
-The loop keeps F = A_hat_S^T Q A_hat_S and the kernel projector Pi side by
-side in one n x 2n array, rows = [F | Pi], and z = F x and xbar = Pi x in one
-vector, zx = [z | xbar]. Both matrices are symmetric, so a DV step on x_k is
-the single row update zx -= c rows[k]. ``kernel_rescale`` updates F and z in
-place, so a rescale copies no n x n array. The positivity gate min xbar > 0
-keeps a witness, the index of the last scanned minimum of xbar: while xbar is
-nonpositive there, the gate is false without a scan.
+U is the metric's only state. At each rescale the loop derives from it the
+log Q-norms ell_k = log |U a_hat_k|, the unit columns
+B_hat = U A_hat_S diag(e^-ell) and F_hat = B_hat^T B_hat, which has a unit
+diagonal, and works on x_hat = x e^ell up to one common scale, reset so that
+|y|_Q = |B_hat x_hat| = 1. Then z = F_hat x_hat is |y|_Q times the Q-cosines
+with y, and a DV step on x_hat_k has length -z_k. F_hat and Pi, the kernel
+projector with its rows divided by the Q-norms, sit side by side in one
+n x 2n array, rows = [F_hat | Pi_hat], and z and xbar = Pi x (same scale) in
+one vector, zx = [z | xbar], so a DV step is the single row update
+zx -= z_k rows[k].
 
 The two entry points differ only in the policy passed to the loop. Full
-support passes no theta: every column stays active, and a y that strictly
+support passes ``accept``: every column stays active, and a y that strictly
 separates all of them is reported as the image witness Qy once
-``check_image_certificate`` accepts it. Max support passes theta: a column
-whose Q-norm outgrows 1/theta provably lies outside the maximum support and is
-marked, and marked columns are deleted once dropping them lowers the rank.
+``check_image_certificate`` accepts it on the caller's matrix. Max support
+passes log(1/theta): a column whose log Q-norm passes it provably lies outside
+the maximum support and is marked, and marked columns are deleted once
+dropping them lowers the rank.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import check_image_certificate
-from .conditioning import encoding_length, theta
+from .conditioning import encoding_length, hadamard_delta_sq_exact, theta
 from .errors import ContractViolationError
 from .image import ImageCertificate
 from .linalg import as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
@@ -53,13 +57,12 @@ __all__ = [
     "max_support_kernel",
 ]
 
-# Incremental caches are rebuilt from scratch this often.
+# z, |y|^2 and xbar, updated per DV step, are recomputed from x_hat this often.
 _DV_REFRESH = 10_000
-_RESCALE_REFRESH = 25
-# The loop ends before max(|U a_k|^2, 1) * max(|Uy|^2, 1) passes this.
-_FLOAT_CEILING = 1e300
-# Rows of F per block of the in-place rank-1 rescale update.
-_RESCALE_ROWS = 64
+# The loop ends once a log Q-norm passes this, so that |U a_k|^2 stays in
+# float range through the next rescale, which at most doubles |U a_k|.
+_LOG_CEILING = math.log(1e150)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -85,38 +88,33 @@ def _certificate(ahat, active: np.ndarray, xbar: np.ndarray, zero_cols: np.ndarr
     return KernelCertificate(x=x, support=support, residual=residual, min_support_value=min_val)
 
 
-def kernel_rescale(ufac, fmat, z, y, eps):
+def kernel_rescale(ufac, w, eps):
     """Q-form rescale Q' = (Q + 3 Qy y^T Q / |y|_Q^2) / (1+3 eps)^2 on the factor.
 
-    With Q = U^T U and w = Uy, sqrt(I + 3 w_hat w_hat^T) = I + w_hat w_hat^T,
-    so U' = (I + w_hat w_hat^T) U / (1+3 eps). The caches F = A_hat^T Q A_hat
-    and z = A_hat^T Q y follow by the matching rank-1 formulas, so the columns
-    are never touched; y stays put while its Q-norm grows by 2/(1+3 eps).
-    |y|_Q^2 is taken afresh as |w|^2, not from an incrementally kept cache.
-
-    F and z are updated in place, elementwise in the order of the formulas
-    above, and may be views into larger arrays. F goes _RESCALE_ROWS rows at
-    a time, so the rank-1 term never takes n x n memory. Returns
-    (U', |y|_Q'^2).
+    With Q = U^T U and w = Uy (any positive multiple of it),
+    sqrt(I + 3 w_hat w_hat^T) = I + w_hat w_hat^T, so
+    U' = (I + w_hat w_hat^T) U / (1+3 eps). y stays put while its Q-norm
+    grows by 2/(1+3 eps). Returns U'.
     """
-    w = ufac @ y
     wn = float(np.linalg.norm(w))
     if wn == 0.0:
         raise ContractViolationError("rescale with y = 0: termination should have fired")
-    ynorm_q2 = wn * wn
     what = w / wn
-    ufac = (ufac + np.outer(what, what @ ufac)) / (1.0 + 3.0 * eps)
-    den = (1.0 + 3.0 * eps) ** 2
-    for lo in range(0, z.size, _RESCALE_ROWS):
-        block = slice(lo, lo + _RESCALE_ROWS)
-        step = np.outer(z[block], z)
-        step *= 3.0
-        step /= ynorm_q2
-        fmat[block] += step
-        fmat[block] /= den
-    scale = 4.0 / (1.0 + 3.0 * eps) ** 2
-    z *= scale
-    return ufac, ynorm_q2 * scale
+    return (ufac + np.outer(what, what @ ufac)) / (1.0 + 3.0 * eps)
+
+
+def _unit_metric(ufac, cols, fmat):
+    """Log Q-norms ell and unit columns B_hat = U cols diag(e^-ell), derived from U.
+
+    Writes F_hat = B_hat^T B_hat into ``fmat`` (which may be a view), with
+    its diagonal set to exactly 1. Returns (ell, B_hat).
+    """
+    wcols = ufac @ cols
+    qnorms = np.sqrt(np.einsum("ij,ij->j", wcols, wcols))
+    bhat = wcols / qnorms
+    np.matmul(bhat.T, bhat, out=fmat)
+    np.fill_diagonal(fmat, 1.0)
+    return np.log(qnorms), bhat
 
 
 def _positive_beyond_noise(v: np.ndarray) -> bool:
@@ -132,64 +130,61 @@ def _positive_beyond_noise(v: np.ndarray) -> bool:
     return mx > 0.0 and bool(np.all(v > 1e-12 * mx))
 
 
-def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=None, hook=None):
+def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_inv_theta=None, accept=None,
+                    hook=None):
     """DV steps and rescales over the columns ``ahat[:, active]``.
 
-    ``th=None`` is the full-support policy: no marking or removal, and a
-    worst cosine that stays positive after a refresh ends the run with
-    INFEASIBLE_DETECTED. A theta value turns on marking and removal instead.
-    Counters go to ``report``. Returns (status, S, v) with S the final active
-    set; v is the kernel point Pi x on S when SOLVED, the witness Qy when
-    INFEASIBLE_DETECTED, None otherwise.
+    Full support passes ``accept``, a check of a witness Qy: when every
+    cosine stays positive after a refresh, an accepted witness ends the run
+    INFEASIBLE_DETECTED and a rejected one is rescaled past. Max support
+    passes ``log_inv_theta`` = log(1/theta), which turns on marking and
+    removal. Counters go to ``report``. Returns (status, S, v) with S the
+    final active set; v is the kernel point Pi x on S (up to scale) when
+    SOLVED, the witness when INFEASIBLE_DETECTED, None otherwise.
 
-    Per active set, ``rebuild`` builds Pi first, then ``rows`` = [F | Pi] and
-    ``zx`` = [z | xbar]; Pi is copied in and its own array dropped, so the
-    peak stays at three n x n arrays. ``refresh`` and ``kernel_rescale``
-    write into the views fmat, pimat, z and xbar, never rebinding them. The
+    ``refresh`` writes into the views z and xbar, never rebinding them. The
     gate min xbar > 0 is read at ``low``, the last scanned argmin of xbar:
     min xbar <= xbar[low], so it rescans only when xbar[low] > 0 (a NaN there
-    fails the gate, as the minimum would). The float-range guard before a
-    rescale reads |Uy|^2 and the columns of U A_hat_S afresh: the cached F
-    and |y|_Q^2 drift between refreshes.
+    fails the gate, as the minimum would). The run ends ``no_converge``
+    early when a log Q-norm passes ``_LOG_CEILING`` before a rescale, or
+    when after a refresh |y| is at its rounding floor 4 n u |x_hat|_1 (the
+    columns of B_hat are unit vectors), where the cosines read noise. DV
+    steps only raise x_hat, so |x_hat|_1 takes one scalar update per step.
     """
     m = ahat.shape[0]
-    eps = rescale_epsilon(m, limits)
+    eps = rescale_epsilon(m)
     ufac = np.eye(m)
     S = np.asarray(active, dtype=int)
     # Per-S data, set by rebuild(); ``marked`` flags the positions in S marked
     # for removal, ``low`` is the position of the last scanned minimum of xbar.
-    cols = x = rows = fmat = pimat = zx = z = xbar = marked = None
+    cols = x = rows = fmat = pimat = zx = z = xbar = marked = ell = bhat = None
     rank_s = low = 0
-    # Cached by diagonal(): F's diagonal as floats, and the Q-norms sqrt(F_kk).
-    fdiag = qnorms = None
-    ynorm_q2 = 0.0
-    dv_since_refresh = rescales_since_refresh = 0
+    ynorm_q2 = xnorm1 = 0.0
+    dv_since_refresh = 0
 
-    def diagonal():
-        nonlocal fdiag, qnorms
-        diag = fmat.diagonal()
-        fdiag = diag.tolist()
-        qnorms = np.sqrt(np.maximum(diag, 1e-300))
+    def refresh(drifted=True):
+        """Recompute z, |y|^2, xbar and |x_hat|_1; True when |y| is at its rounding floor.
 
-    def refresh():
-        """Recompute F, z, |y|_Q^2 and xbar from (U, x) without touching S."""
-        nonlocal ynorm_q2, dv_since_refresh, rescales_since_refresh
-        wcols = ufac @ cols
-        np.matmul(wcols.T, wcols, out=fmat)
-        diagonal()
-        wy = wcols @ x
-        np.matmul(wcols.T, wy, out=z)
-        ynorm_q2 = float(wy @ wy)
-        np.matmul(pimat, x, out=xbar)
-        dv_since_refresh = rescales_since_refresh = 0
+        ``drifted`` is False after a rebuild or rescale, which leave zx stale.
+        """
+        nonlocal ynorm_q2, xnorm1, dv_since_refresh
+        drifted = zx.copy() if hook is not None and drifted else None
+        w = bhat @ x
+        np.matmul(w, bhat, out=z)
+        ynorm_q2 = float(w @ w)
+        np.matmul(x, pimat, out=xbar)
+        xnorm1 = float(x.sum())
+        dv_since_refresh = 0
+        if hook is not None:
+            hook("refresh", active=S, ufac=ufac, xhat=x, rows=rows, zx=zx, zx_drifted=drifted)
+        return ynorm_q2 <= (4.0 * S.size * _UNIT_ROUNDOFF * xnorm1) ** 2
 
     def rebuild():
         """Restart from x = ones on a new active set S, nothing marked."""
-        nonlocal cols, x, rows, fmat, pimat, zx, z, xbar, rank_s, low, marked
-        rows = fmat = pimat = None  # free the old [F | Pi] before the new projector
+        nonlocal cols, x, rows, fmat, pimat, zx, z, xbar, rank_s, low, marked, ell, bhat
+        rows = fmat = pimat = None  # free the old rows before the new projector
         n = S.size
         cols = ahat[:, S]
-        x = np.ones(n)
         marked = np.zeros(n, dtype=bool)
         low = 0
         zx = np.zeros(2 * n)
@@ -198,10 +193,12 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
             proj = kernel_projector(cols)
             rows = np.empty((n, 2 * n))
             fmat, pimat = rows[:, :n], rows[:, n:]
-            pimat[...] = proj
-            if th is not None:
+            ell, bhat = _unit_metric(ufac, cols, fmat)
+            np.multiply(proj, np.exp(-ell)[:, None], out=pimat)
+            x = np.exp(ell - ell.max())
+            if log_inv_theta is not None:
                 rank_s = pivoted_rank(cols)
-            refresh()
+            refresh(drifted=False)
 
     rebuild()
     while True:
@@ -217,72 +214,69 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, th=Non
                 scale_ok = np.abs(cols @ xbar).max() <= 1e-10 * S.size * np.abs(xbar).max()
                 if _positive_beyond_noise(xbar) and scale_ok:
                     return SOLVED, S, xbar
-        ratios = z / qnorms
-        k = int(ratios.argmin())
+        k = int(z.argmin())
         zk = float(z[k])
-        if th is None and zk > 0.0:
+        if accept is not None and zk > 0.0:
             refresh()
-            if z.min() > 0.0:
-                return INFEASIBLE_DETECTED, S, ufac.T @ (ufac @ (cols @ x))
-            continue
+            if z.min() <= 0.0:
+                continue
+            witness = ufac.T @ (bhat @ x)
+            if accept(witness):
+                return INFEASIBLE_DETECTED, S, witness
         if report.fo_iters >= limits.max_iterations:
             break
         if ynorm_q2 <= 0.0:
-            refresh()
-            if ynorm_q2 <= 0.0:
+            if refresh():
                 break
             continue
-        v = ratios[k] / math.sqrt(ynorm_q2)
+        v = zk / math.sqrt(ynorm_q2)
         if v < -eps:
-            fk = fdiag[k]
-            c = zk / fk
             before = ynorm_q2
-            x[k] -= c
-            zx -= c * rows[k]
-            ynorm_q2 = max(ynorm_q2 - c * c * fk, 0.0)
+            x[k] -= zk
+            zx -= zk * rows[k]
+            ynorm_q2 = max(ynorm_q2 - zk * zk, 0.0)
+            xnorm1 -= zk
             report.fo_iters += 1
             dv_since_refresh += 1
             if hook is not None:
                 hook("dv", ynorm_q2_before=before, ynorm_q2_after=ynorm_q2, cos=v)
-            if dv_since_refresh >= _DV_REFRESH:
-                refresh()
+            if dv_since_refresh >= _DV_REFRESH and refresh():
+                break
             continue
 
-        if report.rescalings >= limits.max_rescalings:
+        if report.rescalings >= limits.max_rescalings or float(ell.max()) > _LOG_CEILING:
             break
-        # |z_k|^2 <= F_kk |y|_Q^2, and a rescale multiplies F and |y|_Q^2 by
-        # at most 4 each: stop while the next one still stays in float range.
-        # Both sides are taken afresh, as max |U a_k|^2 and |Uy|^2, and
-        # compared without forming their product.
-        y = cols @ x
-        wcols, w = ufac @ cols, ufac @ y
-        ynorm_q2_fresh = float(w @ w)
-        fresh_f = max(float((wcols * wcols).sum(axis=0).max()), 1.0)
-        if fresh_f > _FLOAT_CEILING / max(ynorm_q2_fresh, 1.0):
+        w = bhat @ x
+        if not w.any():
             break
-        if not y.any():
-            refresh()
-            continue
-        ufac, ynorm_q2 = kernel_rescale(ufac, fmat, z, y, eps)
-        diagonal()
+        mat_before = ufac @ cols if hook is not None else None
+        ufac = kernel_rescale(ufac, w, eps)
+        old_ell = ell
+        ell, bhat = _unit_metric(ufac, cols, fmat)
+        grow = np.exp(ell - old_ell)
+        x *= grow
+        pimat /= grow[:, None]
+        after = bhat @ x
+        ynorm_q2_after = float(after @ after)
+        x /= math.sqrt(ynorm_q2_after)
+        at_floor = refresh(drifted=False)
         report.rescalings += 1
-        rescales_since_refresh += 1
         if hook is not None:
             hook(
                 "rescale",
-                ynorm_q2_before=ynorm_q2_fresh,
-                ynorm_q2_after=ynorm_q2,
+                ynorm_q2_before=float(w @ w),
+                ynorm_q2_after=ynorm_q2_after,
                 y=w,
-                mat_before=wcols,
+                mat_before=mat_before,
                 mat_after=ufac @ cols,
             )
-        if rescales_since_refresh >= _RESCALE_REFRESH:
-            refresh()
-        if th is None:
+        if at_floor:
+            break
+        if log_inv_theta is None:
             continue
 
         # Mark columns whose Q-norm has outgrown the theta bound.
-        new_marks = (fmat.diagonal() > 1.0 / (th * th)) & ~marked
+        new_marks = (ell > log_inv_theta) & ~marked
         if not new_marks.any():
             continue
         marked |= new_marks
@@ -308,10 +302,11 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
     matrix never changes, so the positivity test Pi x > 0 is exact bookkeeping.
     Returns (KernelCertificate, SolveReport). Status is ``infeasible_detected``
     when some iterate y strictly separates all columns and the witness Qy
-    passes ``check_image_certificate`` (then A^T y > 0 is feasible instead),
-    ``no_converge`` when budgets run out, the metric nears float range, or the
-    witness fails the check.
-    ``hook(event, **data)`` observes dv and rescale events.
+    passes ``check_image_certificate`` on ``mat`` (then A^T y > 0 is feasible
+    instead); a witness that fails the check is dropped and the loop rescales
+    on. ``no_converge`` when budgets run out, the metric nears float range, or
+    |y| sinks to its rounding floor.
+    ``hook(event, **data)`` observes the loop's events.
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -320,24 +315,26 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
         limits = default_limits(m, n)
 
     report = SolveReport(status=NO_CONVERGE)
-    status, support, v = _rescaling_loop(ahat, np.arange(n), limits, report, hook=hook)
+
+    def accept(v):
+        # A DV step leaves its pivot at cosine 0 and a rescale keeps it there,
+        # so strict separation can be float noise; only a witness with a
+        # positive margin that passes the check on the caller's matrix counts.
+        wn = float(np.linalg.norm(v))
+        if not (math.isfinite(wn) and wn > 0.0):
+            return False
+        margin = float((ahat.T @ v).min()) / wn
+        claim = ImageCertificate(y=v / wn, support=np.arange(n), min_margin=margin, residual_zero=0.0)
+        return margin > 0.0 and check_image_certificate(mat, claim).valid
+
+    status, support, v = _rescaling_loop(ahat, np.arange(n), limits, report, accept=accept, hook=hook)
     cert = _no_certificate(n)
     if status == SOLVED:
         cert = _certificate(ahat, support, v, np.arange(0))
         report.residual = cert.residual
         report.margin = cert.min_support_value
     elif status == INFEASIBLE_DETECTED:
-        # A DV step leaves its pivot at cosine 0 and a rescale keeps it there,
-        # so strict separation can be float noise; only a checked witness counts.
-        wn = float(np.linalg.norm(v))
-        status = NO_CONVERGE
-        if math.isfinite(wn) and wn > 0.0:
-            witness = v / wn
-            margin = float((ahat.T @ witness).min())
-            claim = ImageCertificate(y=witness, support=np.arange(n), min_margin=margin, residual_zero=0.0)
-            if check_image_certificate(ahat, claim).valid:
-                status = INFEASIBLE_DETECTED
-                report.margin = margin
+        report.margin = float((ahat.T @ v).min()) / float(np.linalg.norm(v))
     report.status = status
 
     if known_rho is not None and known_rho < 0.0:
@@ -350,16 +347,18 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
 def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     """Find x >= 0 with Ax = 0 whose support is the largest possible.
 
-    Integral A. Runs the shared loop with theta: a column whose Q-norm
-    exceeds 1/theta provably lies outside the maximum support (its Goffin
-    bound is violated otherwise) and is marked; marked columns are deleted in
-    bulk the moment dropping them lowers the rank, with x reset to ones on
-    the survivors. Zero columns trivially belong to the support and are
-    filtered up front.
+    Integral A. Runs the shared loop with log(1/theta): a column whose
+    Q-norm exceeds 1/theta provably lies outside the maximum support (its
+    Goffin bound is violated otherwise) and is marked; marked columns are
+    deleted in bulk the moment dropping them lowers the rank, with x reset
+    to ones on the survivors. Zero columns trivially belong to the support
+    and are filtered up front.
 
     The metric is held as a factor U with Q = U^T U: the column norms that
     drive marking reach 1/theta, so Q itself would need condition 1/theta^2
-    (past float range for m >= 4) while U stays at 1/theta.
+    (past float range for m >= 4) while U stays at 1/theta. Marking compares
+    logs, and log(1/theta) comes from the exact integer m^2 delta^2 when
+    theta itself is below float range.
 
     Returns (KernelCertificate, support array, SolveReport).
     """
@@ -367,6 +366,7 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     m, n = mat.shape
     enc = encoding_length(mat)  # also enforces integrality
     th = theta(mat)
+    log_inv_theta = -math.log(th) if th > 0.0 else math.log(m * m * hadamard_delta_sq_exact(mat))
     if limits is None:
         limits = default_limits(m, n, encoding_estimate=float(enc))
 
@@ -376,7 +376,9 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     ahat[:, nz] = mat[:, nz] / norms[nz]
 
     report = SolveReport(status=NO_CONVERGE)
-    status, support, xbar = _rescaling_loop(ahat, np.flatnonzero(nz), limits, report, th=th, hook=hook)
+    status, support, xbar = _rescaling_loop(
+        ahat, np.flatnonzero(nz), limits, report, log_inv_theta=log_inv_theta, hook=hook
+    )
     if status != SOLVED:
         return _no_certificate(n), np.arange(0), report
     cert = _certificate(ahat, support, xbar, np.flatnonzero(~nz))

@@ -242,7 +242,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     """
     if limits is None:
         limits = default_oracle_limits(m)
-    eps = rescale_epsilon(m, limits)
+    eps = rescale_epsilon(m)
 
     report = SolveReport(status=NO_CONVERGE)
     # G is the product of the per-step factors W' of ``_grow_metric``, so

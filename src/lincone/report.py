@@ -72,11 +72,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Limits:
-    """Iteration and rescale budgets; epsilon override is clamped by the solvers."""
+    """Iteration and rescale budgets."""
 
     max_rescalings: int
     max_iterations: int
-    epsilon: float | None = None
 
 
 def default_limits(m: int, n: int, encoding_estimate: float | None = None) -> Limits:
@@ -104,12 +103,9 @@ def default_oracle_limits(m: int) -> Limits:
     return Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
 
 
-def rescale_epsilon(m: int, limits: Limits | None = None) -> float:
-    """The rescaling threshold eps = 1/(11m), lowered by ``limits.epsilon`` if smaller."""
-    eps = 1.0 / (11.0 * m)
-    if limits is not None and limits.epsilon is not None:
-        eps = min(limits.epsilon, eps)
-    return eps
+def rescale_epsilon(m: int) -> float:
+    """The paper's rescaling threshold eps = 1/(11m)."""
+    return 1.0 / (11.0 * m)
 
 
 def rescaling_bound(m: int, rho: float, image: bool = False) -> float:

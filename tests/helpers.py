@@ -203,3 +203,21 @@ def narrow_kernel_cone(rng, m, n, spread, u):
     anti = d + u * spread * g[:, 0]
     return np.hstack([cols / np.linalg.norm(cols, axis=0), (-anti / np.linalg.norm(anti))[:, None]])
 
+
+
+def integer_row_mix(mat, seed):
+    """U A for a unimodular U made of 2m row operations A[i] += c A[j].
+
+    Each operation draws i != j by ``default_rng(seed).choice(m, 2,
+    replace=False)`` and c from {-2, -1, 1, 2}. det U = 1 and U is integral,
+    so the mix keeps integrality, the kernel and the sign patterns of the
+    image: a planted (S*, T*) partition is unchanged, but no longer sits in
+    axis-aligned blocks.
+    """
+    mixed = np.array(mat, dtype=np.int64)
+    m = mixed.shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(2 * m):
+        i, j = rng.choice(m, 2, replace=False)
+        mixed[i] += int(rng.choice([-2, -1, 1, 2])) * mixed[j]
+    return mixed.astype(float)

@@ -67,16 +67,6 @@ class TestSolve:
         report = json.loads(captured.out.splitlines()[1])
         assert report["status"] == "no_converge"
 
-    def test_epsilon_clamp_warns(self, tmp_path, capsys):
-        inst = write(tmp_path, "inst.txt", "2 2\n1 0\n0 1\n")
-        code = run([
-            "solve", "--mode", "image", "--support", "full", "--input", inst,
-            "--epsilon", "0.5",
-        ])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "clamped" in captured.err
-
     def test_cert_out_round_trips_through_certify(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.txt", "1 2\n1 -1\n")
         cert_path = str(tmp_path / "out.cert")

@@ -1,14 +1,17 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import flat_image_cone, symmetric_hull_intersection_area
+from helpers import flat_image_cone, integer_row_mix, narrow_kernel_cone, symmetric_hull_intersection_area
 from lincone import kernel as kernel_module
-from lincone.certify import check_image_certificate
+from lincone.certify import check_image_certificate, check_kernel_certificate
+from lincone.conditioning import theta
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
-from lincone.image import ImageCertificate
+from lincone.image import ImageCertificate, max_support_image
+from lincone.instances import gen_degenerate
 from lincone.kernel import full_support_kernel, kernel_rescale, max_support_kernel
 from lincone.linalg import normalize_columns
 from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits, default_limits
@@ -37,17 +40,18 @@ def narrow_instance(rng, n):
 class TestRescalePrimitives:
     def test_q_form_example(self):
         eps = 1.0 / 22.0
+        # A_hat = I and Q = I, so w = Uy = y.
         y = np.array([1.0, 0.0])
-        # A_hat = I and Q = I, so F = I and z = A_hat^T Q y = y.
-        fmat, z = np.eye(2), y.copy()
-        ufac, ynorm_q2 = kernel_rescale(np.eye(2), fmat, z, y, eps)
+        ufac = kernel_rescale(np.eye(2), y, eps)
         expect = np.diag([4.0, 1.0]) / (1.0 + 3.0 * eps) ** 2
         assert np.allclose(ufac.T @ ufac, expect, rtol=1e-12)
-        assert np.allclose(fmat, expect, rtol=1e-12)
-        assert np.allclose(z, expect @ y, rtol=1e-12)
-        assert ynorm_q2 == pytest.approx(4.0 / (1.0 + 3.0 * eps) ** 2, rel=1e-12)
+        ell, bhat = kernel_module._unit_metric(ufac, np.eye(2), np.empty((2, 2)))
+        assert np.allclose(np.exp(2.0 * ell), np.diag(expect), rtol=1e-12)
+        assert np.allclose(bhat, np.eye(2), rtol=1e-12)
 
     def test_q_form_f_update_matches_definition(self):
+        # U' from the rescale gives the paper's Q', and the unit metric derived
+        # from U' is F_hat = D^-1 A_hat^T Q' A_hat D^-1 with D the Q'-norms.
         rng = np.random.default_rng(1)
         mat = normalize_columns(rng.standard_normal((3, 6)))
         b = rng.standard_normal((3, 3))
@@ -56,16 +60,19 @@ class TestRescalePrimitives:
         x = rng.uniform(1, 2, 6)
         y = mat @ x
         eps = 1.0 / 33.0
-        out_f = mat.T @ q @ mat
-        out_z = out_f @ x
-        out_u, out_yq2 = kernel_rescale(ufac, out_f, out_z, y, eps)
+        out_u = kernel_rescale(ufac, 7.0 * (ufac @ y), eps)  # any positive multiple of Uy
         qy = q @ y
         new_q = out_u.T @ out_u
         expect_q = (q + 3.0 * np.outer(qy, qy) / (y @ qy)) / (1.0 + 3.0 * eps) ** 2
         assert np.allclose(new_q, expect_q, atol=1e-10)
-        assert np.allclose(out_f, mat.T @ new_q @ mat, atol=1e-10)
-        assert np.allclose(out_z, mat.T @ new_q @ y, atol=1e-10)
-        assert out_yq2 == pytest.approx(float(y @ new_q @ y), rel=1e-12)
+        fmat = np.empty((6, 6))
+        ell, bhat = kernel_module._unit_metric(out_u, mat, fmat)
+        gram = mat.T @ new_q @ mat
+        qnorms = np.sqrt(np.diag(gram))
+        assert np.allclose(ell, np.log(qnorms), atol=1e-12)
+        assert np.allclose(fmat, gram / np.outer(qnorms, qnorms), atol=1e-12)
+        assert np.array_equal(np.diag(fmat), np.ones(6))
+        assert np.allclose(fmat, bhat.T @ bhat, atol=1e-12)
         # y is untouched in the Q-form; its Q-norm grows by 2/(1+3 eps)
         before = np.sqrt(y @ q @ y)
         after = np.sqrt(y @ new_q @ y)
@@ -73,34 +80,72 @@ class TestRescalePrimitives:
 
     def test_q_form_zero_y_rejected(self):
         with pytest.raises(ContractViolationError):
-            kernel_rescale(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), 1.0 / 22.0)
+            kernel_rescale(np.eye(2), np.zeros(2), 1.0 / 22.0)
 
     def test_updates_stacked_views_in_place(self):
-        # The loop holds F and z as the left halves of [F | Pi] and [z | xbar].
-        # The rescale must write both halves it owns in place, bit for bit as
-        # the out-of-place formulas, over more rows than one update block, and
-        # leave the Pi and xbar halves alone.
+        # The loop holds F_hat as the left half of [F_hat | Pi_hat]. The
+        # derivation must write that half in place, bit for bit as the
+        # out-of-place product of the unit columns, and leave the Pi half alone.
         rng = np.random.default_rng(3)
-        n, eps = 150, 1.0 / 44.0
+        n = 150
         mat = normalize_columns(rng.standard_normal((4, n)))
         ufac = np.triu(rng.standard_normal((4, 4))) + 3.0 * np.eye(4)
-        x = rng.uniform(0.5, 2.0, n)
+        rows = rng.standard_normal((n, 2 * n))
+        rows0 = rows.copy()
+        ell, bhat = kernel_module._unit_metric(ufac, mat, rows[:, :n])
         wcols = ufac @ mat
-        rows = np.hstack([wcols.T @ wcols, rng.standard_normal((n, n))])
-        zx = np.concatenate([rows[:, :n] @ x, rng.standard_normal(n)])
-        rows0, zx0 = rows.copy(), zx.copy()
-        y = mat @ x
-        _, out_yq2 = kernel_rescale(ufac, rows[:, :n], zx[:n], y, eps)
-        wn = float(np.linalg.norm(ufac @ y))
-        yq2 = wn * wn
-        f0, z0 = rows0[:, :n], zx0[:n]
-        expect_f = (f0 + 3.0 * np.outer(z0, z0) / yq2) / (1.0 + 3.0 * eps) ** 2
-        scale = 4.0 / (1.0 + 3.0 * eps) ** 2
-        assert np.array_equal(rows[:, :n], expect_f)
-        assert np.array_equal(zx[:n], z0 * scale)
+        assert np.allclose(bhat * np.exp(ell), wcols, rtol=1e-13)
+        expect = bhat.T @ bhat
+        np.fill_diagonal(expect, 1.0)
+        assert np.array_equal(rows[:, :n], expect)
         assert np.array_equal(rows[:, n:], rows0[:, n:])
-        assert np.array_equal(zx[n:], zx0[n:])
-        assert out_yq2 == yq2 * scale
+
+
+class TestUnitMetricCache:
+    def test_cache_matches_fresh_values(self):
+        # At every refresh, a rescale's included, F_hat has a unit diagonal
+        # and equals B_hat^T B_hat for B_hat the unit columns of U A_hat_S,
+        # and Pi_hat is the projector with its rows divided by the Q-norms.
+        # z and xbar, updated by one row per DV step since the last refresh,
+        # must match their fresh values. The mixed draw runs past the
+        # 10,000-step refresh.
+        checked = drifted = 0
+
+        def run(solve, mat, *args):
+            nonlocal checked, drifted
+            ahat = mat / np.linalg.norm(mat, axis=0)
+
+            def hook(kind, **d):
+                nonlocal checked, drifted
+                if kind != "refresh":
+                    return
+                rows, zx, xhat, n = d["rows"], d["zx"], d["xhat"], d["active"].size
+                cols = ahat[:, d["active"]]
+                wcols = d["ufac"] @ cols
+                qnorms = np.linalg.norm(wcols, axis=0)
+                bhat = wcols / qnorms
+                assert np.array_equal(np.diag(rows[:, :n]), np.ones(n))
+                assert np.abs(rows[:, :n] - bhat.T @ bhat).max() <= 1e-12
+                pihat = np.linalg.pinv(cols) @ cols
+                pihat = (np.eye(n) - pihat) / qnorms[:, None]
+                assert np.allclose(rows[:, n:], pihat, rtol=1e-9, atol=1e-12 * np.abs(pihat).max())
+                assert np.allclose(zx[:n], bhat.T @ (bhat @ xhat), rtol=0.0, atol=1e-12)
+                checked += 1
+                if d["zx_drifted"] is not None:
+                    old = d["zx_drifted"]
+                    assert np.abs(old[:n] - zx[:n]).max() <= 1e-12 * max(1.0, float(xhat.sum()))
+                    assert np.abs(old[n:] - zx[n:]).max() <= 1e-12 * np.abs(zx[n:]).max()
+                    drifted += 1
+
+            return solve(mat, *args, hook=hook)
+
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            run(full_support_kernel, narrow_kernel_cone(rng, 6, 80, 0.03, 0.8))
+        steps = run(max_support_kernel, integer_row_mix(gen_degenerate(6, 40, 20, 4).mat, 4),
+                    Limits(max_rescalings=200, max_iterations=300_000))[-1].fo_iters
+        assert steps > 2 * kernel_module._DV_REFRESH
+        assert checked >= 60 and drifted >= 5
 
 
 class TestFullSupportKernel:
@@ -235,11 +280,13 @@ class TestFullSupportKernel:
                 assert check_image_certificate(mat, claim).valid
 
     def test_metric_stops_before_float_overflow(self):
-        # Draw 5 (m = 10) of the flat rho = 1e-5 batch above never converges.
-        # Each rescale can multiply F, z and |y|_Q^2 by 4, and under default
-        # limits they used to overflow at about rescale 268, after which the
-        # loop kept iterating on inf and nan. It must end no_converge with
-        # every cached quantity still finite, well inside its budgets.
+        # Draw 5 (m = 10) of the flat rho = 1e-5 batch above is image
+        # feasible. Each rescale can double the Q-norms, and under default
+        # limits the cached F and |y|_Q^2 used to overflow at about rescale
+        # 268, after which the loop kept iterating on inf and nan. The loop
+        # keeps only unit columns and log-norms and reads exact cosines at
+        # every rescale, so it ends with a witness checked on the raw matrix,
+        # well inside its budgets and without a float warning.
         rng = np.random.default_rng(0)
         for i in range(6):
             mat, _ = flat_image_cone(rng, (3, 5, 10)[i % 3], 50, 1e-5)
@@ -247,38 +294,34 @@ class TestFullSupportKernel:
             warnings.simplefilter("error", RuntimeWarning)
             cert, report = full_support_kernel(mat)
         assert mat.shape[0] == 10
-        assert report.status == NO_CONVERGE
+        assert report.status == INFEASIBLE_DETECTED and report.margin > 0.0
         limits = default_limits(*mat.shape)
         assert 0 < report.rescalings < limits.max_rescalings
         assert report.fo_iters < limits.max_iterations
 
-
     def test_float_guard_reads_fresh_metric(self):
-        # Draw 4 (m = 5) of the flat batch above at rho = 1e-3 never converges.
-        # Between refreshes the cached F drifts far from U A_hat (max F_kk
-        # read 1.6e121 where |U a_k|^2 was 2.7e135), so a guard on the caches
-        # let rescales through whose rank-1 term overflowed. The guard takes
-        # |U a_k|^2 and |Uy|^2 afresh: every rescale must start inside the
-        # ceiling, and the run must end no_converge without a float warning.
-        rng = np.random.default_rng(0)
-        for i in range(5):
-            mat, _ = flat_image_cone(rng, (3, 5, 10)[i % 3], 50, 1e-3)
-        log_ceiling = math.log(kernel_module._FLOAT_CEILING)
+        # theta = 1.05e-185 on this integral instance, so no column is marked
+        # before its Q-norm passes 1e185 and the loop rescales until the guard
+        # binds. The guard compares the log Q-norms derived from U at the last
+        # rescale with _LOG_CEILING: every rescale must start inside the
+        # ceiling, with |U a_k| taken afresh from the hooked U A_hat, and the
+        # run must end no_converge there without a float warning.
+        mat = gen_degenerate(20, 30, 15, 0).mat.copy()
+        mat[:, 20:] *= 1e7
         worst = -math.inf
 
         def hook(kind, **d):
             nonlocal worst
             if kind == "rescale":
-                fresh_f = max(float((d["mat_before"] ** 2).sum(axis=0).max()), 1.0)
-                worst = max(worst, math.log(fresh_f) + math.log(max(d["ynorm_q2_before"], 1.0)))
+                log_norms = np.log(np.linalg.norm(d["mat_before"], axis=0))
+                worst = max(worst, float(log_norms.max()))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cert, report = full_support_kernel(mat, hook=hook)
-        assert mat.shape[0] == 5
-        assert report.status == NO_CONVERGE
+            cert, support, report = max_support_kernel(mat, hook=hook)
+        assert report.status == NO_CONVERGE and report.removals == 0
         assert 0 < report.rescalings < default_limits(*mat.shape).max_rescalings
-        assert math.log(1e250) < worst <= log_ceiling
+        assert kernel_module._LOG_CEILING - math.log(2.0) < worst <= kernel_module._LOG_CEILING
 
 
 class TestMaxSupportKernel:
@@ -348,3 +391,41 @@ class TestMaxSupportKernel:
         assert list(support) == [0, 1]
         ahat = normalize_columns(mat.astype(float))
         assert np.abs(ahat @ cert.x).max() <= 1e-8 * 4
+
+
+@pytest.mark.parametrize("solver", [max_support_kernel, max_support_image])
+def test_theta_below_float_square_does_not_crash(solver):
+    # Integral, with theta = 1.05e-185: theta^2 underflows to 0, and both
+    # max-support solvers used to divide by it. Whatever they return must
+    # come without a float warning, and a solved support with a checked
+    # certificate.
+    mat = gen_degenerate(20, 30, 15, 0).mat.copy()
+    mat[:, 20:] *= 1e7
+    assert 0.0 < theta(mat) < 1e-154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert, support, report = solver(mat, Limits(max_rescalings=40, max_iterations=20_000))
+    assert report.status in (SOLVED, NO_CONVERGE)
+    if report.status == SOLVED:
+        check = check_kernel_certificate if solver is max_support_kernel else check_image_certificate
+        assert check(mat, cert).valid
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_mixed_draws_never_return_a_wrong_support(seed):
+    # A unimodular integer row mix keeps gen_degenerate's planted partition
+    # but takes it out of axis-aligned blocks; theta falls to about 1e-20.
+    # The run may end no_converge, but never solved with a support other than
+    # the planted one, and never by spinning on rounding noise.
+    inst = gen_degenerate(6, 40, 20, seed)
+    mat = integer_row_mix(inst.mat, seed)
+    budget = default_limits(6, 40, encoding_estimate=float(kernel_module.encoding_length(mat)))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert, support, report = max_support_kernel(mat, Limits(budget.max_rescalings, 300_000))
+    assert time.perf_counter() - start < 2.0
+    assert report.status in (SOLVED, NO_CONVERGE)
+    if report.status == SOLVED:
+        assert np.array_equal(support, inst.known_supports[0])
+        assert check_kernel_certificate(mat, cert).valid

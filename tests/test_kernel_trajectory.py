@@ -1,11 +1,12 @@
-"""The kernel loop against a reference copy of its previous step logic.
+"""The kernel loop against a reference copy of its earlier step logic.
 
-``_reference_loop`` keeps F and Pi as separate n x n arrays, updates z and
-xbar with one row each per DV step, scans min xbar at every step and rescales
-F out of place. The loop under test stacks them as rows = [F | Pi] and
-zx = [z | xbar] and gates on a witness index; both must produce the same
-iterates bit for bit: equal hook payloads, counts, final active set and
-certificate.
+``_reference_loop`` keeps F = A_hat^T Q A_hat and Pi as separate n x n
+arrays, updates F and z by rank-1 terms at each rescale and recomputes them
+every 25 rescales, scans min xbar at every step and marks on F's diagonal.
+The loop under test derives unit columns and log-norms from U at every
+rescale instead. Both must reach the same verdicts: equal status, final
+active set, removals and marked sets on every draw, and equal DV-step and
+rescale counts on the full-support and planted draws.
 """
 
 import math
@@ -17,9 +18,13 @@ from helpers import narrow_kernel_cone
 from lincone import kernel as kernel_module
 from lincone.instances import gen_degenerate
 from lincone.kernel import full_support_kernel, max_support_kernel
+from lincone.certify import check_kernel_certificate
 from lincone.linalg import normalize_columns
 from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, SolveReport, default_limits, rescale_epsilon
 
+# The reference's refresh cadences.
+_DV_REFRESH = 10_000
+_RESCALE_REFRESH = 25
 
 def _reference_rescale(ufac, fmat, z, y, eps):
     w = ufac @ y
@@ -32,10 +37,12 @@ def _reference_rescale(ufac, fmat, z, y, eps):
     return ufac, fmat, z * scale, ynorm_q2 * scale
 
 
-def _reference_loop(ahat, active, limits, report, *, th=None, hook=None):
+def _reference_loop(ahat, active, limits, report, *, log_inv_theta=None, accept=None, hook=None):
+    """The earlier loop, under the loop's policy arguments; it never calls ``accept``."""
     km = kernel_module
+    th = None if log_inv_theta is None else math.exp(-log_inv_theta)
     m = ahat.shape[0]
-    eps = rescale_epsilon(m, limits)
+    eps = rescale_epsilon(m)
     ufac = np.eye(m)
     S = np.asarray(active, dtype=int)
     cols = x = pimat = marked = None
@@ -107,7 +114,7 @@ def _reference_loop(ahat, active, limits, report, *, th=None, hook=None):
             dv_since_refresh += 1
             if hook is not None:
                 hook("dv", ynorm_q2_before=before, ynorm_q2_after=ynorm_q2, cos=v)
-            if dv_since_refresh >= km._DV_REFRESH:
+            if dv_since_refresh >= _DV_REFRESH:
                 refresh()
             continue
         if report.rescalings >= limits.max_rescalings:
@@ -124,7 +131,7 @@ def _reference_loop(ahat, active, limits, report, *, th=None, hook=None):
         if hook is not None:
             hook("rescale", ynorm_q2_before=float(w @ w), ynorm_q2_after=ynorm_q2, y=w,
                  mat_before=mat_before, mat_after=ufac @ cols)
-        if rescales_since_refresh >= km._RESCALE_REFRESH:
+        if rescales_since_refresh >= _RESCALE_REFRESH:
             refresh()
         if th is None:
             continue
@@ -146,38 +153,27 @@ def _reference_loop(ahat, active, limits, report, *, th=None, hook=None):
     return NO_CONVERGE, S, None
 
 
-def _same(a, b):
-    """Bit-for-bit equality of hook payload values."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype \
-            and a.shape == b.shape and a.tobytes() == b.tobytes()
-    if isinstance(a, list):
-        return a == b
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-def _run(loop, ahat, active, limits, th):
+def _run(loop, ahat, active, limits, **policy):
     events = []
     report = SolveReport(status=NO_CONVERGE)
-    status, S, v = loop(ahat, active, limits, report, th=th, hook=lambda kind, **d: events.append((kind, d)))
+    status, S, v = loop(ahat, active, limits, report, **policy, hook=lambda kind, **d: events.append((kind, d)))
     return status, S, v, report, events
 
 
-def _assert_same_trajectory(ahat, active, limits, th=None):
-    got = _run(kernel_module._rescaling_loop, ahat, active, limits, th)
-    ref = _run(_reference_loop, ahat, active, limits, th)
+def _assert_same_verdicts(ahat, active, limits, th=None, *, counts=True):
+    """Run both loops; returns the reports and the event kinds of the loop under test."""
+    policy = {"accept": lambda v: True} if th is None else {"log_inv_theta": -math.log(th)}
+    got = _run(kernel_module._rescaling_loop, ahat, active, limits, **policy)
+    ref = _run(_reference_loop, ahat, active, limits, **policy)
     assert got[0] == ref[0]
     assert np.array_equal(got[1], ref[1])
     assert (got[2] is None) == (ref[2] is None)
-    if ref[2] is not None:
-        assert got[2].tobytes() == ref[2].tobytes()
-    counts = ("fo_iters", "rescalings", "removals")
-    assert [getattr(got[3], c) for c in counts] == [getattr(ref[3], c) for c in counts]
-    assert len(got[4]) == len(ref[4])
-    for (kind, d), (ref_kind, ref_d) in zip(got[4], ref[4]):
-        assert kind == ref_kind and d.keys() == ref_d.keys()
-        assert all(_same(d[key], ref_d[key]) for key in d), kind
-    return ref[3], ref[4]
+    assert got[3].removals == ref[3].removals
+    marks = [[d["marked"] for kind, d in run[4] if kind == "mark"] for run in (got, ref)]
+    assert marks[0] == marks[1]
+    if counts:
+        assert (got[3].fo_iters, got[3].rescalings) == (ref[3].fo_iters, ref[3].rescalings)
+    return got[3], ref[3], [kind for kind, _ in got[4]]
 
 
 def _reference_certificate(monkeypatch, solve, mat):
@@ -192,11 +188,13 @@ def test_full_support_matches_reference(monkeypatch):
     for _ in range(5):
         mat = narrow_kernel_cone(rng, 6, 80, 0.03, 0.8)
         ahat = normalize_columns(mat)
-        report, _ = _assert_same_trajectory(ahat, np.arange(80), default_limits(6, 80))
+        report, _, _ = _assert_same_verdicts(ahat, np.arange(80), default_limits(6, 80))
         steps += report.fo_iters
         rescales += report.rescalings
         cert = full_support_kernel(mat)[0]
-        assert cert.x.tobytes() == _reference_certificate(monkeypatch, full_support_kernel, mat).x.tobytes()
+        ref = _reference_certificate(monkeypatch, full_support_kernel, mat)
+        assert np.array_equal(cert.support, ref.support)
+        assert check_kernel_certificate(mat, cert).valid
     assert steps > 1000 and rescales >= 5
 
 
@@ -214,53 +212,59 @@ def _rounded_fan(seed):
     return np.hstack([np.vstack([fan, np.zeros((1, 12), dtype=int)]), rest])
 
 
-def _assert_max_support_matches(monkeypatch, mat):
+def _assert_max_support_matches(monkeypatch, mat, *, counts=True):
     m, n = mat.shape
     ahat = mat / np.linalg.norm(mat, axis=0)
     limits = default_limits(m, n, encoding_estimate=float(kernel_module.encoding_length(mat)))
-    report, events = _assert_same_trajectory(ahat, np.arange(n), limits, kernel_module.theta(mat))
+    got = _assert_same_verdicts(ahat, np.arange(n), limits, kernel_module.theta(mat), counts=counts)
     cert = max_support_kernel(mat)[0]
-    assert cert.x.tobytes() == _reference_certificate(monkeypatch, max_support_kernel, mat).x.tobytes()
-    return report, [kind for kind, _ in events]
+    ref = _reference_certificate(monkeypatch, max_support_kernel, mat)
+    assert np.array_equal(cert.support, ref.support)
+    assert check_kernel_certificate(mat, cert).valid
+    return got
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_max_support_with_removals_matches_reference(monkeypatch, seed):
-    report, _ = _assert_max_support_matches(monkeypatch, gen_degenerate(6, 40, 20, seed).mat)
+    report, _, _ = _assert_max_support_matches(monkeypatch, gen_degenerate(6, 40, 20, seed).mat)
     assert report.removals >= 1
 
 
 @pytest.mark.parametrize("seed", [0, 2, 4])
 def test_steps_after_removal_match_reference(monkeypatch, seed):
-    report, kinds = _assert_max_support_matches(monkeypatch, _rounded_fan(seed))
+    # The rounded fans keep rescaling near the marking threshold, where the
+    # reference's rank-1 F drifts from F_hat derived afresh, so only the
+    # verdicts must agree: 109, 106 and 116 rescalings here against the
+    # reference's 97, 95 and 104.
+    report, _, kinds = _assert_max_support_matches(monkeypatch, _rounded_fan(seed), counts=False)
     after = kinds[kinds.index("remove") + 1:]
     assert report.removals >= 2 and after.count("dv") >= 50 and after.count("rescale") >= 10
 
 
 def test_stacked_views_after_removal(monkeypatch):
-    # Each rescale must see F and z as the left halves of one n x 2n array
-    # [F | Pi] and one 2n vector [z | xbar] built for the current active set,
-    # with Pi the projector built for that set, before and after removals.
+    # Each refresh must see [F_hat | Pi_hat] as one n x 2n array and
+    # [z | xbar] as one 2n vector, built for the current active set, with
+    # Pi_hat the projector built for that set, its rows divided by the
+    # Q-norms, before and after removals.
     projectors, sizes = [], []
     build = kernel_module.kernel_projector
-    rescale = kernel_module.kernel_rescale
 
     def recording_projector(cols):
         projectors.append(build(cols))
         return projectors[-1]
 
-    def checking_rescale(ufac, fmat, z, y, eps):
-        n = fmat.shape[0]
-        rows, zx = fmat.base, z.base
+    def hook(kind, **d):
+        if kind != "refresh":
+            return
+        rows, zx, n = d["rows"], d["zx"], d["active"].size
         assert rows.shape == (n, 2 * n) and zx.shape == (2 * n,)
-        assert np.shares_memory(fmat, rows[:, :n]) and not np.shares_memory(fmat, rows[:, n:])
-        assert np.shares_memory(z, zx[:n]) and not np.shares_memory(z, zx[n:])
-        assert np.array_equal(rows[:, n:], projectors[-1])
+        qnorms = np.linalg.norm(d["ufac"] @ ahat[:, d["active"]], axis=0)
+        assert np.allclose(rows[:, n:] * qnorms[:, None], projectors[-1], rtol=1e-12, atol=1e-14)
         sizes.append(n)
-        return rescale(ufac, fmat, z, y, eps)
 
+    mat = _rounded_fan(0)
+    ahat = mat / np.linalg.norm(mat, axis=0)
     monkeypatch.setattr(kernel_module, "kernel_projector", recording_projector)
-    monkeypatch.setattr(kernel_module, "kernel_rescale", checking_rescale)
-    _, support, report = max_support_kernel(_rounded_fan(0))
+    _, support, report = max_support_kernel(mat, hook=hook)
     assert report.removals >= 2 and len(projectors) == report.removals + 1
     assert sizes[0] == 16 and len(set(sizes)) >= 2

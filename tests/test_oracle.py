@@ -147,7 +147,7 @@ def reference_solver(oracle, m):
     """``strict_conic_feasibility`` under default limits, on the reference loop."""
     per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
     limits = Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
-    eps = rescale_epsilon(m, limits)
+    eps = rescale_epsilon(m)
     report = SolveReport(status=NO_CONVERGE)
     gmap = np.eye(m)
     while report.rescalings <= limits.max_rescalings:
