@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedInstanceError
-from .linalg import as_matrix, column_norms
+from .linalg import TAU_RANK_FACTOR, as_matrix, column_norms
 
 __all__ = [
     "ConditionReport",
@@ -30,9 +30,6 @@ __all__ = [
     "goffin_oracle",
     "condition_report",
 ]
-
-# Independence test tolerance for the greedy column-subset scan.
-_INDEP_TOL = 1e-9
 
 # Margins within this of 0 are rounding in unit-vector arithmetic, reported as 0.
 _ROUNDING = 1e-12
@@ -65,7 +62,7 @@ def _greedy_independent(mat: np.ndarray, norms: np.ndarray) -> list[int]:
         for b in basis:
             resid -= (b @ resid) * b
         rnorm = np.linalg.norm(resid)
-        if rnorm > _INDEP_TOL * norms[j]:
+        if rnorm > TAU_RANK_FACTOR * norms[j]:
             basis.append(resid / rnorm)
             chosen.append(int(j))
     return chosen
@@ -149,7 +146,7 @@ def goffin_oracle(mat) -> float:
     hat = mat[:, nz] / norms[nz]
 
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    r = int(np.sum(s > 1e-9 * s[0]))
+    r = int(np.sum(s > TAU_RANK_FACTOR * s[0]))
     basis = u[:, :r]
     # Coordinates of the normalized columns in the column-space basis; these
     # are still unit vectors because each lies in the span of the basis.

@@ -23,6 +23,7 @@ from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
 from .firstorder import BUDGET_EXHAUSTED, SEPARATED, von_neumann
 from .linalg import (
+    TAU_RANK_FACTOR,
     SymPosDef,
     as_matrix,
     column_norms,
@@ -55,7 +56,6 @@ __all__ = [
 # that rescales through ``_grow_metric``.
 _DET_GROWTH = 16.0 / 9.0
 _LEDGER_SLACK = 1e-8
-_DROP_FACTOR = 1e-9
 
 
 @dataclass
@@ -199,7 +199,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if len(state.T) == 0:
             status = SOLVED
             break
-        x, y, fo_status, iters = von_neumann(state.A_cur, eps)
+        x, y, fo_status, iters = von_neumann(state.A_cur, eps, limits.max_iterations - report.fo_iters)
         report.fo_iters += iters
         max_phase_iters = max(max_phase_iters, iters)
         if fo_status == SEPARATED:
@@ -328,7 +328,7 @@ def _remove_column(state: ImageState, pos: int):
     proj = w.T @ state.E
     old_norms = column_norms(state.E)
     new_norms = column_norms(proj)
-    keep = new_norms > _DROP_FACTOR * old_norms
+    keep = new_norms > TAU_RANK_FACTOR * old_norms
     keep[pos] = False
     dropped = state.T[~keep]
     shrink = (new_norms / old_norms) ** 2

@@ -158,7 +158,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     # Per-S data, set by rebuild(); ``marked`` flags the positions in S marked
     # for removal, ``low`` is the position of the last scanned minimum of xbar.
     cols = x = rows = fmat = pimat = zx = z = xbar = marked = ell = bhat = None
-    rank_s = low = 0
+    low = 0
     ynorm_q2 = xnorm1 = 0.0
     dv_since_refresh = 0
 
@@ -181,7 +181,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
 
     def rebuild():
         """Restart from x = ones on a new active set S, nothing marked."""
-        nonlocal cols, x, rows, fmat, pimat, zx, z, xbar, rank_s, low, marked, ell, bhat
+        nonlocal cols, x, rows, fmat, pimat, zx, z, xbar, low, marked, ell, bhat
         rows = fmat = pimat = None  # free the old rows before the new projector
         n = S.size
         cols = ahat[:, S]
@@ -196,10 +196,10 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             ell, bhat = _unit_metric(ufac, cols, fmat)
             np.multiply(proj, np.exp(-ell)[:, None], out=pimat)
             x = np.exp(ell - ell.max())
-            if log_inv_theta is not None:
-                rank_s = pivoted_rank(cols)
             refresh(drifted=False)
 
+    # rank(A_S) for the removal test; a removal takes the rank that test computed.
+    rank_s = pivoted_rank(ahat[:, S]) if log_inv_theta is not None and S.size else 0
     rebuild()
     while True:
         if S.size == 0:
@@ -286,7 +286,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
         kept_rank = pivoted_rank(ahat[:, keep]) if keep.size else 0
         if kept_rank < rank_s:
             removed = S[marked].tolist()
-            S = keep
+            S, rank_s = keep, kept_rank
             report.removals += 1
             rebuild()
             if hook is not None:

@@ -2,22 +2,23 @@
 
 Everything in here is desk scale: matrices are small and dense, clarity wins
 over asymptotics. Factorizations are recomputed eagerly rather than updated.
+Every rank decision reads one column-pivoted QR (LAPACK's xGEQP3) of the
+transposed matrix, cut at ``TAU_RANK_FACTOR`` of the largest pivot.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, qr, solve_triangular
 
 from .errors import ContractViolationError, DegenerateColumnError
 
-# Rank decisions discard pivots below this fraction of the largest pivot seen.
+# Rank and independence decisions discard pivots below this fraction of the largest.
 TAU_RANK_FACTOR = 1e-9
 
 __all__ = [
     "SymPosDef",
     "as_matrix",
-    "independent_rows",
     "pivoted_rank",
     "kernel_projector",
     "orthocomplement_basis",
@@ -84,48 +85,30 @@ class SymPosDef:
         self.inv_factor = solve_triangular(lower, np.eye(n), lower=True)
 
 
-def independent_rows(mat: np.ndarray) -> list[int]:
-    """Indices of a maximal set of linearly independent rows.
+def _pivoted_qr(mat: np.ndarray, mode: str):
+    """Column-pivoted QR of ``mat^T`` and the numerical rank of ``mat``.
 
-    Gaussian elimination with full pivoting; a pivot counts only if its
-    magnitude exceeds ``TAU_RANK_FACTOR`` times the largest pivot seen.
+    The rank counts the pivots with |R_kk| > ``TAU_RANK_FACTOR`` |R_00|.
+    Returns (first factor, rank): Q for ``mode="economic"``, R for ``mode="r"``.
     """
-    work = as_matrix(mat).copy()
-    m, _ = work.shape
-    remaining = list(range(m))
-    chosen: list[int] = []
-    first_pivot = None
-    while remaining:
-        sub = np.abs(work[remaining, :])
-        flat = int(np.argmax(sub))
-        i_local, j = divmod(flat, work.shape[1])
-        pivot = sub[i_local, j]
-        if first_pivot is None:
-            first_pivot = pivot
-        if pivot == 0.0 or (first_pivot > 0 and pivot <= TAU_RANK_FACTOR * first_pivot):
-            break
-        i = remaining[i_local]
-        chosen.append(i)
-        remaining.remove(i)
-        if remaining:
-            factors = work[remaining, j] / work[i, j]
-            work[remaining, :] -= np.outer(factors, work[i, :])
-    return sorted(chosen)
+    *factors, _ = qr(mat.T, mode=mode, pivoting=True, check_finite=False)
+    pivots = np.abs(np.diag(factors[-1]))
+    return factors[0], int(np.count_nonzero(pivots > TAU_RANK_FACTOR * pivots[0]))
 
 
 def pivoted_rank(mat: np.ndarray) -> int:
-    """Numerical rank via pivoted elimination with the shared rank tolerance."""
-    return len(independent_rows(np.atleast_2d(np.asarray(mat, dtype=float))))
+    """Numerical rank from one column-pivoted QR, with the shared rank tolerance."""
+    return _pivoted_qr(as_matrix(np.atleast_2d(mat)), "r")[1]
 
 
 def kernel_projector(mat: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the kernel (nullspace) of ``mat``.
 
-    Built from an orthonormal basis V of the row space, the Q factor of a QR
-    decomposition of the linearly independent rows: the kernel projector is
-    ``I - V V^T``. Unlike ``B^T (B B^T)^{-1} B`` this does not square the
-    condition number of the rows. Idempotency is checked on the factor,
-    ``|V^T V - I| <= 1e-9`` in O(n r^2), not on the n x n product.
+    One column-pivoted QR of ``mat^T`` gives the rank r, and its first r
+    Q columns are an orthonormal basis V of the row space: the kernel
+    projector is ``I - V V^T``. Unlike ``B^T (B B^T)^{-1} B`` this does not
+    square the condition number of the rows. Idempotency is checked on the
+    factor, ``|V^T V - I| <= 1e-9`` in O(n r^2), not on the n x n product.
 
     Parameters
     ----------
@@ -141,12 +124,10 @@ def kernel_projector(mat: np.ndarray) -> np.ndarray:
         If the QR basis is not orthonormal.
     """
     mat = as_matrix(mat)
-    rows = independent_rows(mat)
     n = mat.shape[1]
-    if not rows:
-        return np.eye(n)
-    basis, _ = np.linalg.qr(mat[rows, :].T)
-    if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
+    basis, rank = _pivoted_qr(mat, "economic")
+    basis = basis[:, :rank]
+    if np.abs(basis.T @ basis - np.eye(rank)).max(initial=0.0) > 1e-9:
         raise ContractViolationError("kernel projector basis is not orthonormal")
     proj = np.eye(n) - basis @ basis.T
     return 0.5 * (proj + proj.T)
@@ -156,21 +137,14 @@ def orthocomplement_basis(vector: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to ``vector``.
 
     Returns an ``(r, r-1)`` matrix with orthonormal columns spanning
-    ``vector^perp``, built from a Householder reflector so the result is
-    deterministic. For ``r == 1`` the result has zero columns.
+    ``vector^perp``: columns 1 to r-1 of the Householder reflector that QR
+    applies to the single column ``vector`` (its column 0 is parallel to
+    the input), so the result is deterministic. For ``r == 1`` the result
+    has zero columns.
     """
-    v = np.asarray(vector, dtype=float).ravel()
-    r = v.size
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
+    # + 0.0 turns a leading -0.0 into +0.0, which LAPACK would read as negative.
+    v = np.asarray(vector, dtype=float).ravel() + 0.0
+    if not v.any():
         raise DegenerateColumnError("cannot take the orthocomplement of the zero vector")
-    if r == 1:
-        return np.zeros((1, 0))
-    unit = v / nrm
-    sign = 1.0 if unit[0] >= 0.0 else -1.0
-    w = unit.copy()
-    w[0] += sign
-    hh = np.eye(r) - 2.0 * np.outer(w, w) / (w @ w)
-    # Column 0 of the reflector is parallel to the input; the rest span its
-    # orthocomplement.
-    return hh[:, 1:]
+    reflector, _ = qr(v[:, None])
+    return reflector[:, 1:]

@@ -221,3 +221,55 @@ def integer_row_mix(mat, seed):
         i, j = rng.choice(m, 2, replace=False)
         mixed[i] += int(rng.choice([-2, -1, 1, 2])) * mixed[j]
     return mixed.astype(float)
+
+
+def bareiss_rank(mat):
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After k pivots every remaining entry is a (k+1) x (k+1) minor of the
+    input, so each division by the previous pivot is exact and the
+    arithmetic stays in Python integers.
+    """
+    rows = [[int(v) for v in row] for row in np.asarray(mat)]
+    ncols = len(rows[0])
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(p * rows[i][j] - a * rows[rank][j]) // prev for j in range(ncols)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def exact_rank_wrapper(rank, mat):
+    """Wrap ``rank`` to check each call on unit columns of the integral ``mat``.
+
+    Each column handed to the wrapper is matched by its exact bits to a
+    column of ``mat / |mat|`` (the normalization the solvers apply), and the
+    result must equal ``bareiss_rank`` of the matching integer columns.
+    """
+    mat = np.asarray(mat)
+    norms = np.linalg.norm(mat, axis=0)
+    index = {(mat[:, j] / norms[j]).tobytes(): j for j in range(mat.shape[1]) if norms[j] > 0.0}
+
+    def wrapped(cols):
+        picked = [index[col.tobytes()] for col in cols.T]
+        got = rank(cols)
+        assert got == bareiss_rank(mat[:, picked]), picked
+        return got
+
+    return wrapped
+
+
+def householder_orthocomplement(v):
+    """Columns 1..r-1 of the reflector I - 2 w w^T / w^T w, w = v/|v| + sign(v_0) e_0."""
+    v = np.asarray(v, dtype=float)
+    w = v / np.linalg.norm(v)
+    w[0] += 1.0 if w[0] >= 0.0 else -1.0
+    return (np.eye(v.size) - 2.0 * np.outer(w, w) / (w @ w))[:, 1:]

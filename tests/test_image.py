@@ -18,9 +18,9 @@ from lincone.image import (
     max_support_image,
     short_column_scan,
 )
-from lincone.instances import gen_degenerate
+from lincone.instances import gen_degenerate, gen_image_feasible
 from lincone.kernel import max_support_kernel
-from lincone.report import NO_CONVERGE, SOLVED
+from lincone.report import NO_CONVERGE, SOLVED, Limits
 
 
 def image_instance(rng, m, n, rho):
@@ -381,3 +381,16 @@ class TestRemoveColumn:
             assert np.allclose(new_state.A_cur.T @ new_state.A_cur, gram, atol=1e-10)
             assert np.allclose(new_state.E.T @ new_state.E, restricted.T @ restricted, atol=1e-10)
             assert np.allclose(new_state.M.T @ kept, new_state.A_cur, atol=1e-10)
+
+
+@pytest.mark.parametrize("cap", [1, 10, 50])
+def test_step_budget_holds_inside_a_phase(cap):
+    # The full-support draw separates after 36 steps in its first phase and
+    # the max-support draw needs 731, so only the full-support run at cap 50
+    # may solve; no run may take more first-order steps than its cap.
+    limits = Limits(max_rescalings=1000, max_iterations=cap)
+    _, full = full_support_image(gen_image_feasible(10, 200, 1e-3, 0).mat, limits)
+    _, _, most = max_support_image(gen_degenerate(6, 40, 20, 0).mat, limits)
+    assert full.fo_iters <= cap and most.fo_iters <= cap
+    assert full.status == (SOLVED if cap == 50 else NO_CONVERGE)
+    assert most.status == NO_CONVERGE

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import flat_image_cone, integer_row_mix, narrow_kernel_cone, symmetric_hull_intersection_area
+from helpers import (
+    exact_rank_wrapper,
+    flat_image_cone,
+    integer_row_mix,
+    narrow_kernel_cone,
+    symmetric_hull_intersection_area,
+)
 from lincone import kernel as kernel_module
 from lincone.certify import check_image_certificate, check_kernel_certificate
 from lincone.conditioning import theta
@@ -412,13 +418,15 @@ def test_theta_below_float_square_does_not_crash(solver):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_mixed_draws_never_return_a_wrong_support(seed):
+def test_mixed_draws_never_return_a_wrong_support(monkeypatch, seed):
     # A unimodular integer row mix keeps gen_degenerate's planted partition
     # but takes it out of axis-aligned blocks; theta falls to about 1e-20.
     # The run may end no_converge, but never solved with a support other than
-    # the planted one, and never by spinning on rounding noise.
+    # the planted one, and never by spinning on rounding noise. Every rank
+    # the removal test reads must be the exact integer rank.
     inst = gen_degenerate(6, 40, 20, seed)
     mat = integer_row_mix(inst.mat, seed)
+    monkeypatch.setattr(kernel_module, "pivoted_rank", exact_rank_wrapper(kernel_module.pivoted_rank, mat))
     budget = default_limits(6, 40, encoding_estimate=float(kernel_module.encoding_length(mat)))
     start = time.perf_counter()
     with warnings.catch_warnings():
@@ -429,3 +437,16 @@ def test_mixed_draws_never_return_a_wrong_support(seed):
     if report.status == SOLVED:
         assert np.array_equal(support, inst.known_supports[0])
         assert check_kernel_certificate(mat, cert).valid
+
+
+def test_rank_read_once_per_mark_event(monkeypatch):
+    # The active set's rank is computed once up front; a removal takes the
+    # rank its test has just computed for the survivors instead of ranking
+    # the new set again.
+    calls, marks = [], []
+    rank = kernel_module.pivoted_rank
+    monkeypatch.setattr(kernel_module, "pivoted_rank", lambda cols: calls.append(cols.shape) or rank(cols))
+    _, _, report = max_support_kernel(gen_degenerate(6, 40, 20, 0).mat,
+                                      hook=lambda kind, **d: marks.append(kind) if kind == "mark" else None)
+    assert report.removals >= 1
+    assert len(calls) == 1 + len(marks)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import narrow_kernel_cone
+from helpers import exact_rank_wrapper, narrow_kernel_cone
 from lincone import kernel as kernel_module
 from lincone.instances import gen_degenerate
 from lincone.kernel import full_support_kernel, max_support_kernel
@@ -226,7 +226,11 @@ def _assert_max_support_matches(monkeypatch, mat, *, counts=True):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_max_support_with_removals_matches_reference(monkeypatch, seed):
-    report, _, _ = _assert_max_support_matches(monkeypatch, gen_degenerate(6, 40, 20, seed).mat)
+    # Every rank the removal tests read, in both loops, must be the exact
+    # integer rank of the columns they hand over.
+    mat = gen_degenerate(6, 40, 20, seed).mat
+    monkeypatch.setattr(kernel_module, "pivoted_rank", exact_rank_wrapper(kernel_module.pivoted_rank, mat))
+    report, _, _ = _assert_max_support_matches(monkeypatch, mat)
     assert report.removals >= 1
 
 

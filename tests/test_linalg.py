@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from lincone import linalg as linalg_module
 from lincone.errors import ContractViolationError, DegenerateColumnError
 from lincone.linalg import (
     SymPosDef,
-    independent_rows,
     kernel_projector,
     normalize_columns,
     orthocomplement_basis,
     pivoted_rank,
 )
 
-from helpers import gs_kernel_projector
+from helpers import bareiss_rank, gs_kernel_projector, householder_orthocomplement
 
 
 def random_spd(rng, dim, spread=1.0):
@@ -111,24 +111,28 @@ class TestKernelProjector:
             assert 6 - round(np.trace(proj)) == np.linalg.matrix_rank(mat)
 
     def test_rejects_non_orthonormal_basis(self, monkeypatch):
-        qr = np.linalg.qr
+        qr = linalg_module.qr
 
-        def skewed_qr(mat):
-            basis, upper = qr(mat)
+        def skewed_qr(mat, **kwargs):
+            basis, *rest = qr(mat, **kwargs)
             basis[:, 0] *= 1.5
-            return basis, upper
+            return (basis, *rest)
 
-        monkeypatch.setattr(np.linalg, "qr", skewed_qr)
+        monkeypatch.setattr(linalg_module, "qr", skewed_qr)
         with pytest.raises(ContractViolationError):
             kernel_projector(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
 
 
 class TestRank:
-    def test_independent_rows_known(self):
-        mat = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])
-        rows = independent_rows(mat)
-        assert len(rows) == 2
-        assert np.linalg.matrix_rank(mat[rows]) == 2
+    def test_rank_matches_exact_integer_rank(self):
+        assert pivoted_rank(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])) == 2
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            m = rng.integers(1, 7)
+            n = rng.integers(1, 9)
+            r = rng.integers(0, min(m, n) + 1)
+            mat = rng.integers(-4, 5, size=(m, r)) @ rng.integers(-4, 5, size=(r, n))
+            assert pivoted_rank(mat.astype(float)) == bareiss_rank(mat)
 
     def test_rank_matches_numpy(self):
         rng = np.random.default_rng(31)
@@ -163,6 +167,15 @@ class TestOrthocomplementBasis:
                 assert w.shape == (dim, dim - 1)
                 assert np.abs(w.T @ w - np.eye(dim - 1)).max() < 1e-10
                 assert np.abs(w.T @ v).max() < 1e-9 * np.linalg.norm(v)
+
+    def test_matches_householder_reflector(self):
+        rng = np.random.default_rng(62)
+        for dim in range(2, 30):
+            for lead in (None, 0.0, -0.0):
+                v = rng.standard_normal(dim)
+                if lead is not None:
+                    v[0] = lead
+                assert np.abs(orthocomplement_basis(v) - householder_orthocomplement(v)).max() <= 1e-14
 
     def test_deterministic(self):
         v = np.array([0.3, -0.4, 1.2])
