@@ -9,7 +9,7 @@ transposed matrix, cut at ``TAU_RANK_FACTOR`` of the largest pivot.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky, qr, solve_triangular
+from scipy.linalg import lapack, qr
 
 from .errors import ContractViolationError, DegenerateColumnError
 
@@ -56,9 +56,10 @@ class SymPosDef:
     """A symmetric positive definite matrix R, held by its inverse Cholesky factor.
 
     With R = L L^T, the inverse lower factor W = L^{-1} (``inv_factor``) and
-    the log-determinant are computed once at construction. W R W^T = I, so W
-    maps to coordinates where R is the identity. The solvers build one per
-    rescale, for the step R', whose condition number is at most 2.
+    the log-determinant are computed once at construction by two LAPACK calls:
+    potrf for L (strict upper triangle zeroed) and trtri for W. W R W^T = I,
+    so W maps to coordinates where R is the identity. The solvers build one
+    per rescale, for the step R', whose condition number is at most 2.
 
     Raises
     ------
@@ -77,12 +78,11 @@ class SymPosDef:
         scale = np.abs(mat).max()
         if scale == 0.0 or np.abs(mat - mat.T).max() > 1e-12 * scale:
             raise ContractViolationError("matrix is not symmetric")
-        try:
-            lower = cholesky(0.5 * (mat + mat.T), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ContractViolationError("matrix is not positive definite") from exc
+        lower, info = lapack.dpotrf(0.5 * (mat + mat.T), lower=1, clean=1)
+        if info != 0:
+            raise ContractViolationError("matrix is not positive definite")
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-        self.inv_factor = solve_triangular(lower, np.eye(n), lower=True)
+        self.inv_factor, _ = lapack.dtrtri(lower, lower=1)
 
 
 def _pivoted_qr(mat: np.ndarray, mode: str):

@@ -61,26 +61,25 @@ class SeparationOracle(Protocol):
 class MatrixSeparationOracle:
     """Oracle for the polyhedral cone {v : A^T v >= 0}.
 
-    Returns the most violated constraint, measured against unit column
-    norms so the pick does not depend on row scaling; ties go to the lowest
-    index. Interior requires every margin strictly positive.
+    Returns the most violated constraint, measured against the unit columns
+    kept from construction, so the pick does not depend on row scaling and a
+    query is one product and one argmin; ties go to the lowest index.
+    Interior requires every margin strictly positive.
     """
 
     def __init__(self, mat):
         mat = as_matrix(mat)
         norms = np.linalg.norm(mat, axis=0)
         if np.any(norms == 0.0):
-            raise ContractViolationError(
-                "zero column: the cone has empty interior and no valid oracle"
-            )
+            raise ContractViolationError("zero column: the cone has empty interior and no valid oracle")
         self.mat = mat
         self.dim = mat.shape[0]
-        self._norms = norms
+        self._unit_t = (mat / norms).T
         self.calls = 0
 
     def query(self, v: np.ndarray) -> Optional[np.ndarray]:
         self.calls += 1
-        margins = (self.mat.T @ v) / self._norms
+        margins = self._unit_t @ v
         k = int(margins.argmin())
         if margins[k] > 0.0:
             return None
@@ -156,13 +155,6 @@ def _check_simplex(coeffs: np.ndarray):
         raise ContractViolationError("active-set coefficients left the simplex")
 
 
-def _fault_check(a: np.ndarray, v: np.ndarray):
-    if float(a @ v) > 0.0:
-        raise OracleFaultError("oracle returned a vector with a^T v > 0")
-    if not a.any():
-        raise OracleFaultError("oracle returned a zero vector")
-
-
 def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, budget=None):
     """Von Neumann iteration driven by a separation oracle.
 
@@ -174,6 +166,10 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     recomputed from the stored vectors, then queries the oracle at
     G^T w = Qy. A YES answer stops with status interior; a returned vector
     moves w by the usual line-search step.
+
+    Every answer must have a^T v <= 0 and a != 0 (else ``OracleFaultError``).
+    Steps are clamped to [0, 1], so the coefficients stay nonnegative; that
+    they are convex is checked once, on the coefficients the phase returns.
 
     Returns ``(vectors, coeffs, w, status, iterations)``: the stored unit
     vectors, one per row, their convex coefficients, and w, which is
@@ -194,7 +190,10 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     status = INTERIOR  # unless the loop below ends otherwise
     iters = k = 0
     while answer is not None:
-        _fault_check(answer, v)
+        if float(answer @ v) > 0.0:
+            raise OracleFaultError("oracle returned a vector with a^T v > 0")
+        if np.count_nonzero(answer) == 0:
+            raise OracleFaultError("oracle returned a zero vector")
         u = gmap @ answer
         u /= math.sqrt(u @ u)
         pos = rows.setdefault(u.tobytes(), k)
@@ -211,7 +210,6 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         weights[pos] += lam
         w *= 1.0 - lam
         w += lam * u
-        _check_simplex(weights)
         if k > size_cap:
             raise ContractViolationError("active set outgrew its ceiling")
         ynorm2 = float(w @ w)
@@ -228,6 +226,8 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         v = gmap.T @ w
         answer = oracle.query(v)
         iters += 1
+    if k:
+        _check_simplex(coeffs[:k])
     return vecs[:k], coeffs[:k], w, status, iters
 
 

@@ -39,13 +39,13 @@ class TestSymPosDef:
             assert np.abs(w.T @ w @ rmat - np.eye(dim)).max() < 1e-9
             assert np.allclose(w, np.tril(w))
 
-    def test_norm_and_quad(self):
+    def test_factor_measures_lengths_in_inverse_metric(self):
         # R = diag(1/4, 1): the inverse metric is diag(4, 1).
         w = SymPosDef(np.diag([0.25, 1.0])).inv_factor
         assert np.linalg.norm(w @ np.array([1.0, 0.0])) == pytest.approx(2.0)
         assert np.linalg.norm(w @ np.array([1.0, 2.0])) ** 2 == pytest.approx(8.0)
 
-    def test_embed_gram(self):
+    def test_whitened_gram_is_inverse_metric_gram(self):
         # (W A)^T (W A) = A^T R^{-1} A.
         rng = np.random.default_rng(10)
         for dim in (1, 2, 3, 5, 8):
@@ -62,6 +62,32 @@ class TestSymPosDef:
     def test_rejects_indefinite(self):
         with pytest.raises(ContractViolationError):
             SymPosDef(np.array([[1.0, 0.0], [0.0, -2.0]]))
+
+    def test_rejects_singular_psd(self):
+        # positive semidefinite but singular: potrf meets a zero pivot
+        with pytest.raises(ContractViolationError):
+            SymPosDef(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_inv_factor_upper_triangle_is_exactly_zero(self):
+        rng = np.random.default_rng(11)
+        for dim in (2, 3, 5, 8, 15):
+            w = SymPosDef(random_spd(rng, dim)).inv_factor
+            assert np.count_nonzero(np.triu(w, 1)) == 0
+            assert np.all(np.diag(w) > 0.0)
+
+    def test_inverse_identity_on_rescale_steps(self):
+        # The solvers' step R' = (I + sum_i w_i c_i c_i^T) / (1+eps) for unit
+        # c_i and convex w, eps = 1/(11m): eigenvalues in [1/(1+eps), 2/(1+eps)].
+        rng = np.random.default_rng(12)
+        for dim in (2, 3, 6, 15, 25):
+            eps = 1.0 / (11 * dim)
+            for count in (1, dim, 4 * dim):
+                cols = rng.standard_normal((dim, count))
+                cols /= np.linalg.norm(cols, axis=0)
+                weights = rng.dirichlet(np.ones(count))
+                rmat = (np.eye(dim) + (cols * weights) @ cols.T) / (1.0 + eps)
+                w = SymPosDef(rmat).inv_factor
+                assert np.abs(w @ rmat @ w.T - np.eye(dim)).max() <= 1e-12
 
     def test_rejects_rectangular(self):
         with pytest.raises(ContractViolationError):

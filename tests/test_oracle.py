@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import flat_image_cone
+from lincone import oracle as oracle_module
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
 from lincone.firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
@@ -237,6 +238,14 @@ class TestOracleVonNeumann:
         assert coeffs == pytest.approx(np.full(40, 1.0 / 40), rel=1e-12)
         assert np.abs(coeffs @ vectors - w).max() <= 1e-12
 
+    def test_phase_end_simplex_check_fires(self, monkeypatch):
+        # A step length outside [0, 1] drives a coefficient negative; the
+        # check on the returned coefficients must catch it before the return.
+        for lam in (1.5, -0.5):
+            monkeypatch.setattr(oracle_module, "_vn_step", lambda ynorm2, z, lam=lam: lam)
+            with pytest.raises(ContractViolationError):
+                oracle_von_neumann(MatrixSeparationOracle(np.eye(3)), identity_metric(3), eps=0.1, budget=5)
+
     def test_check_simplex_raises_off_the_simplex(self):
         _check_simplex(np.array([0.25, 0.75]))
         for coeffs in ([0.5], [1.5, -0.5]):
@@ -401,6 +410,20 @@ class TestStrictConicFeasibility:
             # every query counts, the seeding one of each phase included
             assert report.oracle_calls == report.as_dict()["oracle_calls"] == oracle.calls
             assert oracle.calls == report.fo_iters + report.rescalings + 1
+            assert np.all(mat.T @ y > 0)
+
+    def test_counts_match_reference_solver_at_benchmark_dimension(self):
+        # m = 15 as in the oracle benchmark, on two fixed flat draws.
+        rng = np.random.default_rng(15)
+        for _ in range(2):
+            mat, _ = flat_image_cone(rng, 15, 300, 1e-3)
+            oracle = MatrixSeparationOracle(mat)
+            y, report = strict_conic_feasibility(oracle, 15)
+            y_ref, ref = reference_solver(MatrixSeparationOracle(mat), 15)
+            assert report.status == ref.status == SOLVED
+            assert (report.fo_iters, report.rescalings) == (ref.fo_iters, ref.rescalings)
+            assert report.rescalings > 0
+            assert oracle.calls == report.oracle_calls == report.fo_iters + report.rescalings + 1
             assert np.all(mat.T @ y > 0)
 
     def test_rescale_hook(self):
