@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .certify import check_complementary_pair, check_image_certificate, check_kernel_certificate
+from .certify import check_image_certificate, check_kernel_certificate
 from .conditioning import encoding_length
 from .errors import LinconeError, ParseError
 from .image import ImageCertificate, full_support_image, max_support_image
@@ -96,10 +96,11 @@ def _read_file(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc.strerror}")
 
 
-def _limits_from_args(args, base: Limits) -> Limits | None:
-    """The flags' budgets over ``base``, the solver's own defaults; None without flags."""
+def _limits_from_args(args, defaults) -> Limits | None:
+    """Budgets from the flags over ``defaults()``, which runs only when a flag is given; else None."""
     if args.max_rescalings is None and args.max_iters is None:
         return None
+    base = defaults()
     return Limits(
         max_rescalings=args.max_rescalings if args.max_rescalings is not None else base.max_rescalings,
         max_iterations=args.max_iters if args.max_iters is not None else base.max_iterations,
@@ -137,18 +138,39 @@ def _cert_json(cert) -> dict:
     }
 
 
+def _solve(mode: str, support: str, mat, limits, hook):
+    """(cert, support or None, report) from the matrix solver for ``mode`` and ``support``."""
+    if support == "max":
+        solver = max_support_kernel if mode == "kernel" else max_support_image
+        return solver(mat, limits, hook=hook)
+    solver = full_support_kernel if mode == "kernel" else full_support_image
+    cert, report = solver(mat, limits, hook=hook)
+    return cert, None, report
+
+
+def _generate(mode: str, m: int, n: int, rho: float, seed: int, split: int | None = None):
+    """An instance of the kind ``mode`` names; degenerate ones split at n // 2 by default."""
+    if mode == "kernel":
+        return gen_kernel_feasible(m, n, rho, seed)
+    if mode == "image":
+        return gen_image_feasible(m, n, rho, seed)
+    return gen_degenerate(m, n, split if split is not None else max(1, n // 2), seed)
+
+
 def _cmd_solve(args) -> int:
     hook = _trace_hook()
     if args.oracle_cmd is not None:
         if args.mode != "image":
             raise _Usage("--oracle-cmd solves the image problem; use --mode image")
+        if args.support != "full" or args.cert_out is not None:
+            raise _Usage("--oracle-cmd takes neither --support max nor --cert-out")
         if args.input is not None:
             m = parse_instance(_read_file(args.input)).mat.shape[0]
         elif args.dim is not None:
             m = args.dim
         else:
             raise _Usage("--oracle-cmd needs --input or --dim for the dimension")
-        limits = _limits_from_args(args, default_oracle_limits(m))
+        limits = _limits_from_args(args, lambda: default_oracle_limits(m))
         with SubprocessOracle(args.oracle_cmd, m) as oracle:
             y, report = strict_conic_feasibility(oracle, m, limits, hook=hook)
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
@@ -161,20 +183,14 @@ def _cmd_solve(args) -> int:
     if args.input is None:
         raise _Usage("solve needs --input")
     inst = parse_instance(_read_file(args.input))
-    m, n = inst.mat.shape
-    # The max-support solvers scale their own budgets by the encoding length.
-    estimate = float(encoding_length(inst.mat)) if args.support == "max" else None
-    limits = _limits_from_args(args, default_limits(m, n, encoding_estimate=estimate))
 
-    support = None
-    if args.mode == "kernel" and args.support == "full":
-        cert, report = full_support_kernel(inst.mat, limits, hook=hook)
-    elif args.mode == "kernel":
-        cert, support, report = max_support_kernel(inst.mat, limits, hook=hook)
-    elif args.support == "full":
-        cert, report = full_support_image(inst.mat, limits, hook=hook)
-    else:
-        cert, support, report = max_support_image(inst.mat, limits, hook=hook)
+    def defaults():
+        # The max-support solvers scale their own budgets by the encoding length.
+        estimate = float(encoding_length(inst.mat)) if args.support == "max" else None
+        return default_limits(*inst.mat.shape, encoding_estimate=estimate)
+
+    limits = _limits_from_args(args, defaults)
+    cert, support, report = _solve(args.mode, args.support, inst.mat, limits, hook)
 
     print(json.dumps(_cert_json(cert)))
     print(json.dumps(report.as_dict()))
@@ -193,13 +209,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.mode == "kernel":
-        inst = gen_kernel_feasible(args.m, args.n, args.rho, args.seed)
-    elif args.mode == "image":
-        inst = gen_image_feasible(args.m, args.n, args.rho, args.seed)
-    else:
-        split = args.split if args.split is not None else max(1, args.n // 2)
-        inst = gen_degenerate(args.m, args.n, split, args.seed)
+    inst = _generate(args.mode, args.m, args.n, args.rho, args.seed, args.split)
     text = write_instance(inst)
     if inst.known_rho is not None:
         text += f"# known_rho {inst.known_rho!r}\n"
@@ -246,20 +256,12 @@ _BENCH_SUITE = (
 
 
 def _bench_row(mode: str, m: int, n: int, seed: int, timing: bool):
-    if mode.endswith("-max"):
-        inst = gen_degenerate(m, n, max(1, n // 2), seed)
-    elif mode == "image-full":
-        inst = gen_image_feasible(m, n, 0.1, seed)
+    problem, support = mode.split("-")
+    if support == "max":
+        inst = _generate("degenerate", m, n, 0.0, seed)
     else:
-        inst = gen_kernel_feasible(m, n, 0.05, seed)
-    if mode == "kernel-full":
-        _, report = full_support_kernel(inst.mat, known_rho=inst.known_rho)
-    elif mode == "image-full":
-        _, report = full_support_image(inst.mat, known_rho=inst.known_rho)
-    elif mode == "kernel-max":
-        _, _, report = max_support_kernel(inst.mat)
-    else:
-        _, _, report = max_support_image(inst.mat)
+        inst = _generate(problem, m, n, 0.1 if problem == "image" else 0.05, seed)
+    _, _, report = _solve(problem, support, inst.mat, None, None)
     wall = report.wall_ms if timing else 0.0
     rho = "" if inst.known_rho is None else repr(float(inst.known_rho))
     return (

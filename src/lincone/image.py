@@ -91,18 +91,21 @@ class ImageCertificate:
     residual_zero: float
 
 
-def _grow_metric(cols: np.ndarray, w: np.ndarray, eps: float):
-    """The ledgered growth step R' = (I + sum_i w_i c_i c_i^T) / (1+eps).
+def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
+    """The ledgered growth step R' = (I + sum_i x_i c_i c_i^T) / (1+eps).
 
-    Shared by the image and oracle solvers, in coordinates where the metric
-    so far is I. Each passes weights that make the sum a convex combination of
-    outer products of unit vectors, so R' has its eigenvalues in
-    [1/(1+eps), 2/(1+eps)]. det R' is the metric's growth and must be at least
-    16/9; anything less means the caller rescaled on a combination that was
-    not short, and raises. Returns (W' = L'^-1 for R' = L' L'^T, det R'): W'
-    maps to the next coordinates, where the metric is I again.
+    The one rescale step of the image and oracle solvers, in coordinates where
+    the metric so far is I. Its columns c_i are unit vectors and its weights x
+    must be a convex combination: every x_i >= 0 and |sum x - 1| <= 1e-10
+    (a NaN fails both), or it raises. Then R' has its eigenvalues in
+    [1/(1+eps), 2/(1+eps)]. det R' is the metric's growth and must be at
+    least 16/9; anything less means the caller rescaled on a combination that
+    was not short, and raises. Returns (W' = L'^-1 for R' = L' L'^T, det R'):
+    W' maps to the next coordinates, where the metric is I again.
     """
-    new_r = SymPosDef((np.eye(cols.shape[0]) + (cols * w) @ cols.T) / (1.0 + eps))
+    if not (weights.min(initial=0.0) >= 0.0 and abs(math.fsum(weights.tolist()) - 1.0) <= 1e-10):
+        raise ContractViolationError("rescale weights must be a convex combination")
+    new_r = SymPosDef((np.eye(cols.shape[0]) + (cols * weights) @ cols.T) / (1.0 + eps))
     ratio = math.exp(new_r.logdet)
     if ratio < _DET_GROWTH * (1.0 - _LEDGER_SLACK):
         raise ContractViolationError(f"determinant grew only by {ratio}, below 16/9")
@@ -123,21 +126,19 @@ def image_rescale(state: ImageState, x: np.ndarray):
     """Grow the metric by the weighted outer products of the active columns.
 
     R' = (R + sum_i x_i a_i a_i^T / |a_i|_Q^2) / (1+eps) for convex x reads
-    (I + sum_i x_i c_i c_i^T / |c_i|^2) / (1+eps) in the current coordinates;
-    det grows by at least 2/(1+eps)^r >= 16/9. Its factor W' re-bases,
-    A_cur <- W' A_cur and M <- M W'^T; gamma and alpha keep the decomposition
-    exact. Returns (new state, det growth).
+    (I + sum_i x_i c_i c_i^T / |c_i|^2) / (1+eps) in the current coordinates:
+    ``_grow_metric`` on the unit columns c_i / |c_i| and x, which it checks.
+    Its factor W' re-bases, A_cur <- W' A_cur and M <- M W'^T; gamma and
+    alpha keep the decomposition exact. Returns (new state, det growth).
     """
     x = np.asarray(x, dtype=float)
-    if abs(float(x.sum()) - 1.0) > 1e-8 or np.any(x < -1e-12):
-        raise ContractViolationError("rescale weights must be a convex combination")
     cols = state.A_cur
-    qnorm2 = column_norms(cols) ** 2
-    if np.any(qnorm2 <= 0.0):
+    qnorm = column_norms(cols)
+    if np.any(qnorm <= 0.0):
         raise ContractViolationError("zero Q-norm column in rescale")
-    wfac, ratio = _grow_metric(cols, x / qnorm2, state.eps)
+    wfac, ratio = _grow_metric(cols / qnorm, x, state.eps)
     eucl2 = column_norms(state.E) ** 2
-    gamma = (state.gamma + x * eucl2 / qnorm2) / (1.0 + state.eps)
+    gamma = (state.gamma + x * eucl2 / qnorm**2) / (1.0 + state.eps)
     alpha = state.alpha / (1.0 + state.eps)
     return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ cols), ratio
 

@@ -148,8 +148,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     fails the gate, as the minimum would). The run ends ``no_converge``
     early when a log Q-norm passes ``_LOG_CEILING`` before a rescale, or
     when after a refresh |y| is at its rounding floor 4 n u |x_hat|_1 (the
-    columns of B_hat are unit vectors), where the cosines read noise. DV
-    steps only raise x_hat, so |x_hat|_1 takes one scalar update per step.
+    columns of B_hat are unit vectors), where the cosines read noise.
     """
     m = ahat.shape[0]
     eps = rescale_epsilon(m)
@@ -159,15 +158,15 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     # for removal, ``low`` is the position of the last scanned minimum of xbar.
     cols = x = rows = fmat = pimat = zx = z = xbar = marked = ell = bhat = None
     low = 0
-    ynorm_q2 = xnorm1 = 0.0
+    ynorm_q2 = 0.0
     dv_since_refresh = 0
 
     def refresh(drifted=True):
-        """Recompute z, |y|^2, xbar and |x_hat|_1; True when |y| is at its rounding floor.
+        """Recompute z, |y|^2 and xbar; True when |y| is at its rounding floor.
 
         ``drifted`` is False after a rebuild or rescale, which leave zx stale.
         """
-        nonlocal ynorm_q2, xnorm1, dv_since_refresh
+        nonlocal ynorm_q2, dv_since_refresh
         drifted = zx.copy() if hook is not None and drifted else None
         w = bhat @ x
         np.matmul(w, bhat, out=z)
@@ -235,7 +234,6 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             x[k] -= zk
             zx -= zk * rows[k]
             ynorm_q2 = max(ynorm_q2 - zk * zk, 0.0)
-            xnorm1 -= zk
             report.fo_iters += 1
             dv_since_refresh += 1
             if hook is not None:

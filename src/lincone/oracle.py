@@ -100,13 +100,12 @@ class SubprocessOracle:
             cmd = shlex.split(cmd)
         self.dim = int(dim)
         self.calls = 0
-        self._proc = subprocess.Popen(
-            cmd,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
+            )
+        except OSError as exc:
+            raise OracleFaultError(f"cannot start the oracle process: {exc}") from exc
 
     def query(self, v: np.ndarray) -> Optional[np.ndarray]:
         if self._proc.poll() is not None:
@@ -148,13 +147,6 @@ class SubprocessOracle:
         return False
 
 
-def _check_simplex(coeffs: np.ndarray):
-    """Raise unless the coefficients are nonnegative and sum to 1."""
-    vals = coeffs.tolist()
-    if min(vals, default=0.0) < 0.0 or abs(math.fsum(vals) - 1.0) > 1e-10:
-        raise ContractViolationError("active-set coefficients left the simplex")
-
-
 def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, budget=None):
     """Von Neumann iteration driven by a separation oracle.
 
@@ -167,9 +159,10 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     G^T w = Qy. A YES answer stops with status interior; a returned vector
     moves w by the usual line-search step.
 
-    Every answer must have a^T v <= 0 and a != 0 (else ``OracleFaultError``).
-    Steps are clamped to [0, 1], so the coefficients stay nonnegative; that
-    they are convex is checked once, on the coefficients the phase returns.
+    Each answer is checked once, before any other arithmetic on it: 0 < a^T a
+    < inf rejects zero, NaN and infinite answers, then a^T v <= 0 (else
+    ``OracleFaultError``). Steps are clamped to [0, 1]; ``_grow_metric``
+    checks that the coefficients are convex when a rescale consumes them.
 
     Returns ``(vectors, coeffs, w, status, iterations)``: the stored unit
     vectors, one per row, their convex coefficients, and w, which is
@@ -190,10 +183,11 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     status = INTERIOR  # unless the loop below ends otherwise
     iters = k = 0
     while answer is not None:
+        anorm2 = float(answer @ answer)
+        if not 0.0 < anorm2 < math.inf:
+            raise OracleFaultError(f"oracle answer has a^T a = {anorm2}, not in (0, inf)")
         if float(answer @ v) > 0.0:
             raise OracleFaultError("oracle returned a vector with a^T v > 0")
-        if np.count_nonzero(answer) == 0:
-            raise OracleFaultError("oracle returned a zero vector")
         u = gmap @ answer
         u /= math.sqrt(u @ u)
         pos = rows.setdefault(u.tobytes(), k)
@@ -226,8 +220,6 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         v = gmap.T @ w
         answer = oracle.query(v)
         iters += 1
-    if k:
-        _check_simplex(coeffs[:k])
     return vecs[:k], coeffs[:k], w, status, iters
 
 
@@ -268,7 +260,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
             break
         if report.rescalings == limits.max_rescalings:
             break
-        # The stored vectors are whitened unit vectors, weighted by their coefficients.
+        # Whitened unit vectors and their coefficients, which ``_grow_metric`` checks.
         wfac, ratio = _grow_metric(vectors.T, coeffs, eps)
         gmap = wfac @ gmap
         min_ratio = min(min_ratio, ratio)

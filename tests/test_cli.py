@@ -160,6 +160,31 @@ class TestOracleCmd:
         assert code == 0
         assert seen == [Limits(max_rescalings=64 * 3, max_iterations=500)]
 
+    def test_missing_oracle_program_exit_one(self, capsys):
+        code = run(["solve", "--mode", "image", "--oracle-cmd", "/nonexistent/prog", "--dim", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", [["--support", "max"], ["--cert-out", "oracle.cert"]])
+    def test_flags_the_oracle_path_ignores_exit_one(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        cmd = " ".join(shlex.quote(p) for p in [sys.executable, "-c", self.SCRIPT])
+        code = run(["solve", "--mode", "image", "--oracle-cmd", cmd, "--dim", "2", *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert flag[0] in captured.err
+        assert not (tmp_path / "oracle.cert").exists()
+
+    def test_nan_answer_exit_one(self, capsys):
+        script = "import sys\nfor line in sys.stdin:\n    print('nan 1 0', flush=True)\n"
+        cmd = " ".join(shlex.quote(p) for p in [sys.executable, "-c", script])
+        code = run(["solve", "--mode", "image", "--oracle-cmd", cmd, "--dim", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+
     def test_oracle_requires_dimension(self, capsys):
         code = run(["solve", "--mode", "image", "--oracle-cmd", "prog"])
         captured = capsys.readouterr()

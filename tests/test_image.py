@@ -118,6 +118,15 @@ class TestImageRescale:
         with pytest.raises(ContractViolationError):
             image_rescale(state, np.array([0.7, 0.7]))
 
+    def test_growth_step_rejects_non_convex_weights(self):
+        # The weight contract lives in the growth step: nonnegative, summing to 1.
+        cols = np.eye(2)
+        for weights in ([1.5, -0.5], [0.5, 0.6], [np.nan, 1.0]):
+            with pytest.raises(ContractViolationError, match="convex"):
+                _grow_metric(cols, np.array(weights), 1.0 / 22.0)
+        _, ratio = _grow_metric(cols, np.array([0.25, 0.75]), 1.0 / 22.0)
+        assert ratio == pytest.approx(1.25 * 1.75 / (1.0 + 1.0 / 22.0) ** 2, rel=1e-12)
+
     def test_growth_step_rejects_growth_below_16_9(self):
         # R' = diag(2, 1) / 1.5 grows det by 2 / 2.25 < 16/9: the ledger must refuse it.
         with pytest.raises(ContractViolationError):

@@ -16,7 +16,6 @@ from lincone.oracle import (
     SMALL_NORM,
     MatrixSeparationOracle,
     SubprocessOracle,
-    _check_simplex,
     oracle_von_neumann,
     strict_conic_feasibility,
 )
@@ -69,11 +68,38 @@ class LyingOracle:
         return np.array([1.0, 0.0])
 
 
-class ZeroOracle:
+class FixedOracle:
+    """Gives the same answer at every query."""
+
+    dim = 2
+
+    def __init__(self, answer):
+        self.answer = np.array(answer)
+
+    def query(self, v):
+        return self.answer.copy()
+
+
+class CancellingOracle:
+    """e1 at the origin, e2 at e1, and -v at any other v.
+
+    The exact von Neumann step toward -v / |v| lands w on 0, so a phase ends
+    short one step after it leaves e1.
+    """
+
     dim = 2
 
     def query(self, v):
-        return np.zeros(2)
+        if not v.any():
+            return np.array([1.0, 0.0])
+        if np.array_equal(v, [1.0, 0.0]):
+            return np.array([0.0, 1.0])
+        return -v
+
+
+def assert_convex(coeffs):
+    assert coeffs.min() >= 0.0
+    assert math.fsum(coeffs.tolist()) == pytest.approx(1.0, abs=1e-10)
 
 
 def identity_metric(m):
@@ -209,7 +235,14 @@ class TestOracleVonNeumann:
 
     def test_zero_vector_is_a_fault(self):
         with pytest.raises(OracleFaultError):
-            oracle_von_neumann(ZeroOracle(), identity_metric(2), eps=0.1)
+            oracle_von_neumann(FixedOracle([0.0, 0.0]), identity_metric(2), eps=0.1)
+
+    @pytest.mark.parametrize("answer", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]])
+    def test_non_finite_answer_is_a_fault(self, answer):
+        # Rejected by the a^T a test before any other arithmetic touches the
+        # answer: no RuntimeWarning (an error here) and no AssertionError.
+        with pytest.raises(OracleFaultError, match="a\\^T a"):
+            oracle_von_neumann(FixedOracle(answer), identity_metric(2), eps=0.1)
 
     def test_duplicates_merge(self):
         # three distinct answers ever, so the active set stays at three
@@ -221,7 +254,7 @@ class TestOracleVonNeumann:
         assert status == SMALL_NORM
         assert iters > 3
         assert len(coeffs) <= 3
-        _check_simplex(coeffs)
+        assert_convex(coeffs)
         # w really is the stored combination
         recon = sum(c * v for c, v in zip(coeffs, vectors))
         assert np.abs(recon - w).max() <= 1e-8
@@ -237,20 +270,6 @@ class TestOracleVonNeumann:
         assert np.array_equal(vectors, np.eye(40))
         assert coeffs == pytest.approx(np.full(40, 1.0 / 40), rel=1e-12)
         assert np.abs(coeffs @ vectors - w).max() <= 1e-12
-
-    def test_phase_end_simplex_check_fires(self, monkeypatch):
-        # A step length outside [0, 1] drives a coefficient negative; the
-        # check on the returned coefficients must catch it before the return.
-        for lam in (1.5, -0.5):
-            monkeypatch.setattr(oracle_module, "_vn_step", lambda ynorm2, z, lam=lam: lam)
-            with pytest.raises(ContractViolationError):
-                oracle_von_neumann(MatrixSeparationOracle(np.eye(3)), identity_metric(3), eps=0.1, budget=5)
-
-    def test_check_simplex_raises_off_the_simplex(self):
-        _check_simplex(np.array([0.25, 0.75]))
-        for coeffs in ([0.5], [1.5, -0.5]):
-            with pytest.raises(ContractViolationError):
-                _check_simplex(np.array(coeffs))
 
     def test_metric_changes_normalization(self):
         # Q = G^T G with G lower triangular, like the solver's whitening maps.
@@ -339,7 +358,7 @@ class TestActiveSet:
         assert len(rows) == len(set(rows)) == len(coeffs)
         assert set(rows) == whitened
         assert 3 < len(rows) < len(oracle.answers)
-        _check_simplex(coeffs)
+        assert_convex(coeffs)
         assert np.abs(coeffs @ vectors - w).max() <= 1e-8
 
 
@@ -461,6 +480,29 @@ class TestStrictConicFeasibility:
         assert report.status == SOLVED
         assert np.allclose(y, 0.0)
 
+    def test_rescale_rejects_non_convex_coefficients(self, monkeypatch):
+        # One step length outside [0, 1] drives a coefficient negative; the
+        # next, exact step ends the phase short, and the rescale that consumes
+        # the coefficients must refuse them.
+        limits = Limits(max_rescalings=1, max_iterations=100)
+        events = []
+
+        def hook(kind, **data):
+            events.append(kind)
+
+        y, report = strict_conic_feasibility(CancellingOracle(), 2, limits, hook=hook)
+        assert (report.rescalings, events) == (1, ["rescale"])
+        for lam in (1.5, -0.5):
+            first = [lam]
+
+            def step(ynorm2, z, first=first):
+                return first.pop() if first else _vn_step(ynorm2, z)
+
+            monkeypatch.setattr(oracle_module, "_vn_step", step)
+            with pytest.raises(ContractViolationError, match="convex"):
+                strict_conic_feasibility(CancellingOracle(), 2, limits, hook=hook)
+        assert events == ["rescale"]
+
 
 ORTHANT_SCRIPT = """\
 import sys
@@ -481,6 +523,12 @@ for line in sys.stdin:
     print("1.0 0.0", flush=True)
 """
 
+NAN_SCRIPT = """\
+import sys
+for line in sys.stdin:
+    print("nan 1 0", flush=True)
+"""
+
 
 class TestSubprocessOracle:
     def test_solves_orthant_end_to_end(self):
@@ -494,6 +542,12 @@ class TestSubprocessOracle:
         with SubprocessOracle([sys.executable, "-c", BROKEN_SCRIPT], dim=2) as oracle:
             with pytest.raises(OracleFaultError):
                 strict_conic_feasibility(oracle, 2)
+
+    def test_nan_answer_is_a_fault(self):
+        with SubprocessOracle([sys.executable, "-c", NAN_SCRIPT], dim=3) as oracle:
+            with pytest.raises(OracleFaultError):
+                strict_conic_feasibility(oracle, 3)
+        assert oracle.calls == 1
 
     def test_dead_process_detected(self):
         oracle = SubprocessOracle([sys.executable, "-c", "pass"], dim=2)
