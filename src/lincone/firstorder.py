@@ -10,8 +10,9 @@ the answers the oracle returns one query at a time, and takes the same step
 through ``_vn_step``.
 
 Cost model: one O(mn) normalization per call, and each step is one O(mn)
-matrix-vector product. No n x n Gram matrix is ever formed, so memory stays
-O(mn).
+matrix-vector product plus O(m) work: x and w = A_hat x share one lazy scale,
+so a step touches one entry of x, and |y|^2 follows the step's own formula.
+No n x n Gram matrix is ever formed, so memory stays O(mn).
 """
 
 from __future__ import annotations
@@ -66,9 +67,13 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     with status ``budget_exhausted``.
 
     The loop keeps ``w = A_hat x`` for the normalized columns
-    ``A_hat = A / |a_j|``, so ``|y|^2 = w . w`` and the cosines of y with the
-    columns are one matrix-vector product. Set-up and each step cost O(mn);
-    no n x n array is formed.
+    ``A_hat = A / |a_j|``, so the cosines of y with the columns are one
+    matrix-vector product. Besides it a step costs O(m): x and w are one
+    shared scale times a vector, the step updates the scale, one entry of
+    x and one column's worth of w, and |y|^2 follows
+    (1-l)^2 |y|^2 + 2 l (1-l) z_k + l^2. Every ``_DRIFT_INTERVAL``
+    steps, and before every verdict, w and |y|^2 are recomputed from x.
+    Set-up and each step cost O(mn); no n x n array is formed.
 
     Parameters
     ----------
@@ -90,22 +95,32 @@ def von_neumann(mat, eps: float, budget: int | None = None):
         raise DegenerateColumnError("all columns must be nonzero")
     bhat = mat / norms
     cap = _vn_cap(eps, budget)
-    x = np.zeros(mat.shape[1])
-    x[0] = 1.0
-    w = bhat[:, 0].copy()
-    fresh = True  # w equals bhat @ x as recomputed, not updated
+    # x = scale * xs and w = scale * ws, so a step rescales one float instead
+    # of the n-vector x and the m-vector w. scale only shrinks, by 1 - lam >=
+    # 1/2 per step with lam <= 1.21 |y|, and |y_t|^2 <= 1/(t+1), so between
+    # two refreshes it loses at most 2 * 1.21 * 2 sqrt(_DRIFT_INTERVAL) ~ 484
+    # nats: xs and ws stay below 1e211, far from overflow, and scale far from
+    # underflow. Every refresh folds it back into xs.
+    xs = np.zeros(mat.shape[1])
+    xs[0] = scale = 1.0
+    ws = bhat[:, 0].copy()
+    ynorm2 = float(ws @ ws)
+    fresh = True  # ws and |y|^2 are recomputed from x, not updated
+    verdict = False
     iterations = 0
     while True:
-        if iterations % _DRIFT_INTERVAL == 0 and not fresh:
-            w, fresh = bhat @ x, True
-        z = bhat.T @ w
+        # Verdicts are taken on a freshly recomputed w only.
+        if not fresh and (verdict or iterations % _DRIFT_INTERVAL == 0):
+            xs *= scale
+            scale = 1.0
+            ws = bhat @ xs
+            ynorm2, fresh = float(ws @ ws), True
+        z = bhat.T @ ws
         k = int(z.argmin())  # lowest index among ties
-        zk = float(z[k])
-        ynorm2 = float(w @ w)
-        if ynorm2 <= eps * eps or zk > 0.0:
-            # Verdicts are taken on a freshly recomputed w only.
+        zk = float(z[k]) * scale
+        verdict = ynorm2 <= eps * eps or zk > 0.0
+        if verdict:
             if not fresh:
-                w, fresh = bhat @ x, True
                 continue
             status = SMALL_NORM if ynorm2 <= eps * eps else SEPARATED
             break
@@ -113,10 +128,11 @@ def von_neumann(mat, eps: float, budget: int | None = None):
             status = BUDGET_EXHAUSTED
             break
         lam = _vn_step(ynorm2, zk)
-        x *= 1.0 - lam
-        x[k] += lam
-        w *= 1.0 - lam
-        w += lam * bhat[:, k]
+        scale *= 1.0 - lam
+        xs[k] += lam / scale
+        ws += (lam / scale) * bhat[:, k]
+        ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * zk + lam * lam
         fresh = False
         iterations += 1
+    x = xs * scale
     return x, mat @ (x / norms), status, iterations

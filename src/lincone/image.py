@@ -95,9 +95,10 @@ def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
     """The ledgered growth step R' = (I + sum_i x_i c_i c_i^T) / (1+eps).
 
     The one rescale step of the image and oracle solvers, in coordinates where
-    the metric so far is I. Its columns c_i are unit vectors and its weights x
-    must be a convex combination: every x_i >= 0 and |sum x - 1| <= 1e-10
-    (a NaN fails both), or it raises. Then R' has its eigenvalues in
+    the metric so far is I. Its columns c_i are unit vectors: the image
+    solver passes those in supp(x), the oracle solver its active set, since a
+    zero weight adds nothing. Its weights x must be a convex combination:
+    every x_i >= 0 and |sum x - 1| <= 1e-10 (a NaN fails both), or it raises. Then R' has its eigenvalues in
     [1/(1+eps), 2/(1+eps)]. det R' is the metric's growth and must be at
     least 16/9; anything less means the caller rescaled on a combination that
     was not short, and raises. Returns (W' = L'^-1 for R' = L' L'^T, det R'):
@@ -127,20 +128,26 @@ def image_rescale(state: ImageState, x: np.ndarray):
 
     R' = (R + sum_i x_i a_i a_i^T / |a_i|_Q^2) / (1+eps) for convex x reads
     (I + sum_i x_i c_i c_i^T / |c_i|^2) / (1+eps) in the current coordinates:
-    ``_grow_metric`` on the unit columns c_i / |c_i| and x, which it checks.
-    Its factor W' re-bases, A_cur <- W' A_cur and M <- M W'^T; gamma and
-    alpha keep the decomposition exact. Returns (new state, det growth).
+    ``_grow_metric`` on the unit columns c_i / |c_i| and the weights x_i of
+    supp(x), which it checks; a zero weight adds nothing to R' or to the
+    check, so Q-norms, unit columns and |E_i|^2 are read on supp(x) only.
+    Its factor W' re-bases, A_cur <- W' A_cur (O(m^2 n)) and M <- M W'^T;
+    gamma and alpha keep the decomposition exact: gamma_i grows on supp(x),
+    then every gamma_i and alpha is divided by 1+eps. Returns (new state,
+    det growth).
     """
     x = np.asarray(x, dtype=float)
-    cols = state.A_cur
+    used = np.flatnonzero(x)
+    weights, cols = x[used], state.A_cur[:, used]
     qnorm = column_norms(cols)
     if np.any(qnorm <= 0.0):
         raise ContractViolationError("zero Q-norm column in rescale")
-    wfac, ratio = _grow_metric(cols / qnorm, x, state.eps)
-    eucl2 = column_norms(state.E) ** 2
-    gamma = (state.gamma + x * eucl2 / qnorm**2) / (1.0 + state.eps)
+    wfac, ratio = _grow_metric(cols / qnorm, weights, state.eps)
+    gamma = state.gamma.copy()
+    gamma[used] += weights * column_norms(state.E[:, used]) ** 2 / qnorm**2
+    gamma /= 1.0 + state.eps
     alpha = state.alpha / (1.0 + state.eps)
-    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ cols), ratio
+    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ state.A_cur), ratio
 
 
 def _check_decomposition(state: ImageState) -> float:

@@ -64,7 +64,8 @@ class MatrixSeparationOracle:
     Returns the most violated constraint, measured against the unit columns
     kept from construction, so the pick does not depend on row scaling and a
     query is one product and one argmin; ties go to the lowest index.
-    Interior requires every margin strictly positive.
+    Interior requires every margin strictly positive, on the unit columns and
+    then on the raw ones; an approving query pays that second product.
     """
 
     def __init__(self, mat):
@@ -82,7 +83,13 @@ class MatrixSeparationOracle:
         margins = self._unit_t @ v
         k = int(margins.argmin())
         if margins[k] > 0.0:
-            return None
+            # A unit margin can read positive by rounding alone where the raw
+            # one is 0: confirm on the raw products, the ones a certificate
+            # check takes.
+            raw = self.mat.T @ v
+            k = int(raw.argmin())
+            if raw[k] > 0.0:
+                return None
         return self.mat[:, k].copy()
 
 

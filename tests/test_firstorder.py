@@ -3,6 +3,7 @@ import pytest
 
 from lincone.errors import ContractViolationError, DegenerateColumnError
 from lincone.firstorder import (
+    _DRIFT_INTERVAL,
     BUDGET_EXHAUSTED,
     SEPARATED,
     SMALL_NORM,
@@ -146,6 +147,25 @@ class TestVonNeumannInvariants:
             assert np.max(np.abs(x - x_ref)) <= 1e-9
             seen.add(status)
         assert seen == {SEPARATED, SMALL_NORM}
+
+    def test_long_phase_across_drift_refreshes(self):
+        # The hull of these unit columns lies at distance about 0.003 from the
+        # origin, its nearest point on the edge of the last two, so the loop
+        # zigzags for more than two refresh intervals before it separates.
+        # x is kept as a lazy scale times a vector, folded at each refresh.
+        d = 0.003
+        mat = np.array([[0.1, 0.3, 1.0], [d, 1.0, 0.0], [d, -1.0, 0.0]]).T
+        mat /= np.linalg.norm(mat, axis=0)
+        x, y, status, iterations = von_neumann(mat, d / 2)
+        x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.eye(3), d / 2)
+        assert iterations > 2 * _DRIFT_INTERVAL
+        assert status == status_ref == SEPARATED
+        assert iterations == iters_ref
+        assert abs(x.sum() - 1.0) <= 1e-10
+        assert np.all(x >= 0.0)
+        assert np.linalg.norm(mat @ x - y) <= 1e-12
+        assert np.max(np.abs(x - x_ref)) <= 1e-9
+        assert np.all(mat.T @ y > 0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):

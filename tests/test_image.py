@@ -1,11 +1,14 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scipy.linalg import null_space
 
+from conebench.families import flat_image
 from helpers import flat_image_cone, sampled_width
+from lincone import image as image_module
 from lincone.certify import check_image_certificate
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
 from lincone.image import (
@@ -82,7 +85,51 @@ def metric(state):
     return np.linalg.inv(state.M @ state.M.T)
 
 
+def dense_image_rescale(state, x):
+    """The rescale formula on every column, zero weights included: the reference."""
+    qnorm = np.linalg.norm(state.A_cur, axis=0)
+    wfac, ratio = _grow_metric(state.A_cur / qnorm, x, state.eps)
+    eucl2 = np.linalg.norm(state.E, axis=0) ** 2
+    gamma = (state.gamma + x * eucl2 / qnorm**2) / (1.0 + state.eps)
+    alpha = state.alpha / (1.0 + state.eps)
+    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ state.A_cur), ratio
+
+
 class TestImageRescale:
+    def test_support_only_rescale_matches_dense_formula(self):
+        rng = np.random.default_rng(17)
+        mat = rng.standard_normal((4, 9))
+        state = fresh_state(mat, 1.0 / 44.0)
+        # Two earlier rescales make gamma, alpha, M and A_cur nontrivial.
+        for _ in range(2):
+            x = rng.uniform(0.0, 1.0, 9)
+            state, _ = image_rescale(state, x / x.sum())
+        x = np.zeros(9)
+        x[[1, 4, 5, 8]] = rng.uniform(0.0, 1.0, 4)
+        x /= x.sum()
+        out, ratio = image_rescale(state, x)
+        ref, ratio_ref = dense_image_rescale(state, x)
+        for name in ("A_cur", "M", "gamma"):
+            assert np.abs(getattr(out, name) - getattr(ref, name)).max() <= 1e-12
+        assert ratio == pytest.approx(ratio_ref, rel=1e-12, abs=0.0)
+        assert out.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
+        # A column outside supp(x) only has its gamma divided by 1 + eps.
+        idle = x == 0.0
+        assert np.array_equal(out.gamma[idle], state.gamma[idle] / (1.0 + 1.0 / 44.0))
+        assert np.all(out.gamma[~idle] > state.gamma[~idle] / (1.0 + 1.0 / 44.0))
+
+    def test_solver_retraces_with_dense_rescale(self, monkeypatch):
+        # flat_image(8, 40, 1e-3, s) rescales 21-30 times per draw, so every
+        # rescale of the run feeds the comparison.
+        mats = [flat_image(8, 40, 1e-3, s)[0] for s in range(10)]
+        runs = [full_support_image(mat)[1] for mat in mats]
+        monkeypatch.setattr(image_module, "image_rescale", dense_image_rescale)
+        dense = [full_support_image(mat)[1] for mat in mats]
+        assert [(r.status, r.fo_iters, r.rescalings) for r in runs] == [
+            (r.status, r.fo_iters, r.rescalings) for r in dense
+        ]
+        assert min(r.rescalings for r in runs) >= 21
+
     def test_single_column_example(self):
         eps = 1.0 / 22.0
         state = fresh_state(np.eye(2), eps)

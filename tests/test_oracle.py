@@ -6,10 +6,11 @@ import pytest
 
 from helpers import flat_image_cone
 from lincone import oracle as oracle_module
+from lincone.certify import check_image_certificate
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
 from lincone.firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
-from lincone.image import _grow_metric, full_support_image
+from lincone.image import ImageCertificate, _grow_metric, full_support_image
 from lincone.linalg import SymPosDef
 from lincone.oracle import (
     INTERIOR,
@@ -404,6 +405,17 @@ class TestStrictConicFeasibility:
         assert report.rescalings <= bound
         for check in report.bound_checks:
             assert check.passed, check
+
+    @pytest.mark.parametrize("seed", [48, 91, 127])
+    def test_no_solved_on_a_boundary_point(self, seed):
+        # These integer cones have LP interior margin 0: two columns are
+        # antiparallel. On their common hyperplane the rounded unit margins
+        # can all read positive; such a point must not be reported solved.
+        mat = np.random.default_rng(seed).integers(-3, 4, size=(2, 6)).astype(float)
+        y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), 2)
+        if report.status == SOLVED:
+            cert = ImageCertificate(y=y, support=np.arange(6), min_margin=0.0, residual_zero=0.0)
+            assert check_image_certificate(mat, cert).valid
 
     def test_ledger_report_matches_image_solver(self):
         # Both solvers rescale through one ledgered step and report it alike.
