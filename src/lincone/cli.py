@@ -1,9 +1,12 @@
-"""Command line surface: solve, gen, certify, bench.
+"""Command line surface: solve, gen, certify.
 
-stdout carries machine output only: JSON lines for solve and certify, CSV
-for bench, the instance text for gen. Human-readable summaries go to
-stderr. Exit codes: 0 success/valid, 1 usage or input error, 2 solver did
-not converge, 3 certificate invalid.
+stdout carries machine output only: JSON lines for solve and certify, the
+instance text for gen. Human-readable summaries go to stderr. Exit codes:
+0 success/valid, 1 usage or input error, 2 solver did not converge, 3
+certificate invalid.
+
+The budget flags of solve override only their own budget; an unset one
+takes the solver's default.
 
 Set CONIC_LOG=trace for per-event solver ledgers on stderr.
 """
@@ -11,7 +14,6 @@ Set CONIC_LOG=trace for per-event solver ledgers on stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import os
@@ -20,8 +22,7 @@ import sys
 import numpy as np
 
 from .certify import check_image_certificate, check_kernel_certificate
-from .conditioning import encoding_length
-from .errors import LinconeError, ParseError
+from .errors import LinconeError
 from .image import ImageCertificate, full_support_image, max_support_image
 from .instances import (
     gen_degenerate,
@@ -34,7 +35,7 @@ from .instances import (
 )
 from .kernel import KernelCertificate, full_support_kernel, max_support_kernel
 from .oracle import SubprocessOracle, strict_conic_feasibility
-from .report import Limits, default_limits, default_oracle_limits
+from .report import Limits
 
 __all__ = ["run", "main"]
 
@@ -80,11 +81,6 @@ def _build_parser() -> _Parser:
     cert.add_argument("--input", required=True)
     cert.add_argument("--cert", required=True)
     cert.add_argument("--tol", type=float, default=None)
-
-    bench = sub.add_parser("bench", help="run the built-in suite, CSV to stdout")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--timing", action="store_true",
-                       help="record wall clock; off by default so output is reproducible")
     return top
 
 
@@ -94,17 +90,6 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror}")
-
-
-def _limits_from_args(args, defaults) -> Limits | None:
-    """Budgets from the flags over ``defaults()``, which runs only when a flag is given; else None."""
-    if args.max_rescalings is None and args.max_iters is None:
-        return None
-    base = defaults()
-    return Limits(
-        max_rescalings=args.max_rescalings if args.max_rescalings is not None else base.max_rescalings,
-        max_iterations=args.max_iters if args.max_iters is not None else base.max_iterations,
-    )
 
 
 def _trace_hook():
@@ -148,17 +133,9 @@ def _solve(mode: str, support: str, mat, limits, hook):
     return cert, None, report
 
 
-def _generate(mode: str, m: int, n: int, rho: float, seed: int, split: int | None = None):
-    """An instance of the kind ``mode`` names; degenerate ones split at n // 2 by default."""
-    if mode == "kernel":
-        return gen_kernel_feasible(m, n, rho, seed)
-    if mode == "image":
-        return gen_image_feasible(m, n, rho, seed)
-    return gen_degenerate(m, n, split if split is not None else max(1, n // 2), seed)
-
-
 def _cmd_solve(args) -> int:
     hook = _trace_hook()
+    limits = Limits(args.max_rescalings, args.max_iters)
     if args.oracle_cmd is not None:
         if args.mode != "image":
             raise _Usage("--oracle-cmd solves the image problem; use --mode image")
@@ -170,7 +147,6 @@ def _cmd_solve(args) -> int:
             m = args.dim
         else:
             raise _Usage("--oracle-cmd needs --input or --dim for the dimension")
-        limits = _limits_from_args(args, lambda: default_oracle_limits(m))
         with SubprocessOracle(args.oracle_cmd, m) as oracle:
             y, report = strict_conic_feasibility(oracle, m, limits, hook=hook)
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
@@ -183,13 +159,6 @@ def _cmd_solve(args) -> int:
     if args.input is None:
         raise _Usage("solve needs --input")
     inst = parse_instance(_read_file(args.input))
-
-    def defaults():
-        # The max-support solvers scale their own budgets by the encoding length.
-        estimate = float(encoding_length(inst.mat)) if args.support == "max" else None
-        return default_limits(*inst.mat.shape, encoding_estimate=estimate)
-
-    limits = _limits_from_args(args, defaults)
     cert, support, report = _solve(args.mode, args.support, inst.mat, limits, hook)
 
     print(json.dumps(_cert_json(cert)))
@@ -199,17 +168,20 @@ def _cmd_solve(args) -> int:
         summary += f" support={[int(i) + 1 for i in support]}"
     print(summary, file=sys.stderr)
     if args.cert_out:
-        kind = "kernel" if args.mode == "kernel" else "image"
-        vec = cert.x if kind == "kernel" else cert.y
+        vec = cert.x if args.mode == "kernel" else cert.y
         with open(args.cert_out, "w") as fh:
-            fh.write(write_certificate(kind, vec, cert.support))
-    if report.status in ("solved", "infeasible_detected"):
-        return 0
-    return 2
+            fh.write(write_certificate(args.mode, vec, cert.support))
+    return 0 if report.status in ("solved", "infeasible_detected") else 2
 
 
 def _cmd_gen(args) -> int:
-    inst = _generate(args.mode, args.m, args.n, args.rho, args.seed, args.split)
+    if args.mode == "kernel":
+        inst = gen_kernel_feasible(args.m, args.n, args.rho, args.seed)
+    elif args.mode == "image":
+        inst = gen_image_feasible(args.m, args.n, args.rho, args.seed)
+    else:
+        split = args.split if args.split is not None else max(1, args.n // 2)
+        inst = gen_degenerate(args.m, args.n, split, args.seed)
     text = write_instance(inst)
     if inst.known_rho is not None:
         text += f"# known_rho {inst.known_rho!r}\n"
@@ -245,52 +217,6 @@ def _cmd_certify(args) -> int:
     return 0 if rep.valid else 3
 
 
-_BENCH_SUITE = (
-    ("kernel-full", 2, 6),
-    ("kernel-full", 3, 8),
-    ("image-full", 2, 6),
-    ("image-full", 3, 8),
-    ("kernel-max", 2, 5),
-    ("image-max", 2, 5),
-)
-
-
-def _bench_row(mode: str, m: int, n: int, seed: int, timing: bool):
-    problem, support = mode.split("-")
-    if support == "max":
-        inst = _generate("degenerate", m, n, 0.0, seed)
-    else:
-        inst = _generate(problem, m, n, 0.1 if problem == "image" else 0.05, seed)
-    _, _, report = _solve(problem, support, inst.mat, None, None)
-    wall = report.wall_ms if timing else 0.0
-    rho = "" if inst.known_rho is None else repr(float(inst.known_rho))
-    return (
-        f"{mode}-m{m}-n{n}-s{seed}",
-        mode,
-        str(m),
-        str(n),
-        rho,
-        report.status,
-        str(report.fo_iters),
-        str(report.rescalings),
-        str(report.removals),
-        repr(float(report.residual)),
-        repr(float(wall)),
-    )
-
-
-def _cmd_bench(args) -> int:
-    out = io.StringIO()
-    out.write("instance_id,mode,m,n,rho_known,status,fo_iters,rescalings,removals,residual,wall_ms\n")
-    for mode, m, n in _BENCH_SUITE:
-        for k in range(3):
-            row = _bench_row(mode, m, n, args.seed * 100 + k, args.timing)
-            out.write(",".join(row) + "\n")
-    sys.stdout.write(out.getvalue())
-    print(f"{3 * len(_BENCH_SUITE)} instances", file=sys.stderr)
-    return 0
-
-
 def run(argv=None) -> int:
     if os.environ.get("CONIC_LOG") == "trace":
         logging.basicConfig(stream=sys.stderr, level=logging.DEBUG, format="%(message)s")
@@ -301,13 +227,8 @@ def run(argv=None) -> int:
             return _cmd_solve(args)
         if args.command == "gen":
             return _cmd_gen(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        return _cmd_bench(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, LinconeError) as exc:
+        return _cmd_certify(args)
+    except (_Usage, LinconeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,9 +47,10 @@ def _vn_cap(eps: float, budget: int | None) -> int:
 def _vn_step(ynorm2: float, z: float) -> float:
     """Step length minimizing |(1-l) y + l a| over l in [0, 1].
 
-    ``ynorm2`` is |y|^2 and ``z`` the inner product of y with the unit
-    vector a; the von Neumann loops of the image and oracle solvers both take
-    this step.
+    ``ynorm2`` is |y|^2 and ``z`` <= 0 the inner product of y with the unit
+    vector a, so the minimizer already lies in [0, 1]. Both callers pass
+    z <= 0: the image loop steps only on a column with z <= 0, and the
+    oracle loop clamps its z, which rounding can leave just above 0, to 0.
     """
     lam = (ynorm2 - z) / (ynorm2 - 2.0 * z + 1.0)
     assert -1e-12 <= lam <= 1.0 + 1e-12

@@ -301,8 +301,7 @@ def full_support_image(
     if pivoted_rank(mat) != m:
         raise ContractViolationError("image solver requires full row rank")
     ahat = normalize_columns(mat)
-    if limits is None:
-        limits = default_limits(m, n)
+    limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
     cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
@@ -370,8 +369,7 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     if pivoted_rank(mat) != m:
         raise ContractViolationError("image solver requires full row rank")
     th = theta(mat)
-    if limits is None:
-        limits = default_limits(m, n, encoding_estimate=float(ell))
+    limits = default_limits(m, n, encoding_estimate=float(ell), given=limits)
 
     norms = column_norms(mat)
     active = np.flatnonzero(norms > 0.0)

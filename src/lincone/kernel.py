@@ -309,8 +309,7 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
     mat = as_matrix(mat)
     m, n = mat.shape
     ahat = normalize_columns(mat)
-    if limits is None:
-        limits = default_limits(m, n)
+    limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
 
@@ -365,8 +364,7 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     enc = encoding_length(mat)  # also enforces integrality
     th = theta(mat)
     log_inv_theta = -math.log(th) if th > 0.0 else math.log(m * m * hadamard_delta_sq_exact(mat))
-    if limits is None:
-        limits = default_limits(m, n, encoding_estimate=float(enc))
+    limits = default_limits(m, n, encoding_estimate=float(enc), given=limits)
 
     norms = column_norms(mat)
     nz = norms > 0.0

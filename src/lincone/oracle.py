@@ -167,9 +167,13 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     moves w by the usual line-search step.
 
     Each answer is checked once, before any other arithmetic on it: 0 < a^T a
-    < inf rejects zero, NaN and infinite answers, then a^T v <= 0 (else
-    ``OracleFaultError``). Steps are clamped to [0, 1]; ``_grow_metric``
-    checks that the coefficients are convex when a rescale consumes them.
+    < inf rejects zero, NaN and infinite answers, then a^T v <= 0 up to the
+    rounding of an m-term dot product, 2 u m |a| |v| with u the unit
+    roundoff (else ``OracleFaultError``). That bound is computed only when
+    a^T v reads positive. The step takes z = (Ga)^T w / |Ga| clamped to at
+    most 0, since its rounding grows with cond(G); steps lie in [0, 1], and
+    ``_grow_metric`` checks that the coefficients are convex when a rescale
+    consumes them.
 
     Returns ``(vectors, coeffs, w, status, iterations)``: the stored unit
     vectors, one per row, their convex coefficients, and w, which is
@@ -180,6 +184,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         raise ContractViolationError("eps must be positive")
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
+    dot_rounding = oracle.dim * float(np.finfo(float).eps)  # 2 u m
 
     # The first k rows and entries hold the stored vectors and their weights;
     # both arrays double when full.
@@ -193,7 +198,8 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         anorm2 = float(answer @ answer)
         if not 0.0 < anorm2 < math.inf:
             raise OracleFaultError(f"oracle answer has a^T a = {anorm2}, not in (0, inf)")
-        if float(answer @ v) > 0.0:
+        av = float(answer @ v)
+        if av > 0.0 and av > dot_rounding * math.sqrt(anorm2 * float(v @ v)):
             raise OracleFaultError("oracle returned a vector with a^T v > 0")
         u = gmap @ answer
         u /= math.sqrt(u @ u)
@@ -205,7 +211,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
             vecs[k] = u
             k += 1
         # the seeding answer becomes w itself
-        lam = _vn_step(ynorm2, float(w @ u)) if iters else 1.0
+        lam = _vn_step(ynorm2, min(float(w @ u), 0.0)) if iters else 1.0
         weights = coeffs[:k]
         weights *= 1.0 - lam
         weights[pos] += lam
@@ -239,8 +245,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     approved y itself, so ``oracle.query(y) is None`` by construction.
     ``hook(event, **data)`` observes each rescale.
     """
-    if limits is None:
-        limits = default_oracle_limits(m)
+    limits = default_oracle_limits(m, given=limits)
     eps = rescale_epsilon(m)
 
     report = SolveReport(status=NO_CONVERGE)

@@ -72,35 +72,47 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Limits:
-    """Iteration and rescale budgets."""
+    """Iteration and rescale budgets; a field left None takes the solver's default."""
 
-    max_rescalings: int
-    max_iterations: int
+    max_rescalings: int | None = None
+    max_iterations: int | None = None
 
 
-def default_limits(m: int, n: int, encoding_estimate: float | None = None) -> Limits:
+def _complete(given: Limits | None, max_rescalings: int, max_iterations: int) -> Limits:
+    """``given`` with each unset field filled in, independently of the other."""
+    given = given or Limits()
+    return Limits(
+        max_rescalings if given.max_rescalings is None else given.max_rescalings,
+        max_iterations if given.max_iterations is None else given.max_iterations,
+    )
+
+
+def default_limits(
+    m: int, n: int, encoding_estimate: float | None = None, given: Limits | None = None
+) -> Limits:
     """Budgets generous enough for any instance the bit-length bound admits.
 
     Rescale budget scales like m times the encoding length; the iteration
     budget multiplies the per-phase contraction bound (about 1/eps^2 steps
-    with eps = 1/(11m)) by the number of phases.
+    with eps = 1/(11m)) by the number of phases. Fields that ``given`` sets
+    are kept.
     """
     if encoding_estimate is None:
         encoding_estimate = 8.0 * max(m, 1)
     max_rescalings = int(10 * m * (math.log2(max(n, 2)) + 4.0 * encoding_estimate))
     per_phase = math.ceil(300.0 * m * m * (math.log2(max(n, 2)) + 4.0))
-    max_iterations = per_phase * (max_rescalings + 1)
-    return Limits(max_rescalings=max_rescalings, max_iterations=max_iterations)
+    return _complete(given, max_rescalings, per_phase * (max_rescalings + 1))
 
 
-def default_oracle_limits(m: int) -> Limits:
+def default_oracle_limits(m: int, given: Limits | None = None) -> Limits:
     """The oracle solver's budgets: 64m rescalings, ceil(1/eps^2) queries per phase.
 
     An oracle gives no encoding length to scale by, so the rescale budget is
     a fixed multiple of m, and the query budget covers all 64m + 1 phases.
+    Fields that ``given`` sets are kept.
     """
     per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
-    return Limits(max_rescalings=64 * m, max_iterations=per_phase * (64 * m + 1))
+    return _complete(given, 64 * m, per_phase * (64 * m + 1))
 
 
 def rescale_epsilon(m: int) -> float:

@@ -273,3 +273,17 @@ def householder_orthocomplement(v):
     w = v / np.linalg.norm(v)
     w[0] += 1.0 if w[0] >= 0.0 else -1.0
     return (np.eye(v.size) - 2.0 * np.outer(w, w) / (w @ w))[:, 1:]
+
+
+def record_completion(monkeypatch, module, name):
+    """Wrap the budget completion ``module.name``; returns the list of (given, completed) pairs it sees."""
+    seen = []
+    complete = getattr(module, name)
+
+    def wrapper(*args, given=None, **kwargs):
+        out = complete(*args, given=given, **kwargs)
+        seen.append((given, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen

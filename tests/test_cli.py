@@ -2,14 +2,15 @@ import json
 import shlex
 import sys
 
-import numpy as np
 import pytest
 
-from lincone import cli
+from helpers import record_completion
+from lincone import image as image_module
+from lincone import kernel as kernel_module
+from lincone import oracle as oracle_module
 from lincone.cli import run
-from lincone.conditioning import encoding_length
 from lincone.instances import gen_degenerate, write_instance
-from lincone.report import Limits, SolveReport, default_limits
+from lincone.report import Limits
 
 
 def write(tmp_path, name, text):
@@ -82,24 +83,15 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["kernel", "image"])
     def test_max_iters_keeps_max_support_budgets(self, tmp_path, monkeypatch, capsys, mode):
-        # With no flags the max-support solvers scale their budgets by the
-        # encoding length; a flag overrides only its own budget.
-        deg = gen_degenerate(3, 8, 4, 0)
-        seen = []
-
-        def solver(mat, limits, hook=None):
-            seen.append(limits)
-            return None, np.arange(0), SolveReport(status="solved")
-
-        monkeypatch.setattr(cli, f"max_support_{mode}", solver)
-        monkeypatch.setattr(cli, "_cert_json", lambda cert: {})
-        inst = write(tmp_path, "deg.txt", write_instance(deg))
+        # The CLI passes only the budget a flag sets; the max-support solver
+        # completes the other from its own encoding-length default.
+        module = kernel_module if mode == "kernel" else image_module
+        seen = record_completion(monkeypatch, module, "default_limits")
+        inst = write(tmp_path, "deg.txt", write_instance(gen_degenerate(3, 8, 4, 0)))
         code = run(["solve", "--mode", mode, "--support", "max", "--input", inst, "--max-iters", "500"])
         capsys.readouterr()
-        assert code == 0
-        own = default_limits(3, 8, encoding_estimate=float(encoding_length(deg.mat)))
-        assert own.max_rescalings == 7770
-        assert seen == [Limits(max_rescalings=own.max_rescalings, max_iterations=500)]
+        assert code in (0, 2)
+        assert seen == [(Limits(None, 500), Limits(max_rescalings=7770, max_iterations=500))]
 
     def test_missing_file_exit_one(self, capsys):
         code = run(["solve", "--mode", "kernel", "--input", "/nonexistent/x.txt"])
@@ -145,20 +137,14 @@ class TestOracleCmd:
         assert all(c > 0 for c in cert["vector"])
 
     def test_max_iters_keeps_oracle_rescale_budget(self, monkeypatch, capsys):
-        # A flag overrides only its own budget; the rest stay the oracle
-        # solver's defaults, 64m rescalings here.
-        seen = []
-
-        def solver(oracle, m, limits, hook=None):
-            seen.append(limits)
-            return np.ones(m), SolveReport(status="solved")
-
-        monkeypatch.setattr(cli, "strict_conic_feasibility", solver)
+        # A flag overrides only its own budget; the oracle solver completes
+        # the rest from its defaults, 64m rescalings here.
+        seen = record_completion(monkeypatch, oracle_module, "default_oracle_limits")
         cmd = " ".join(shlex.quote(p) for p in [sys.executable, "-c", self.SCRIPT])
         code = run(["solve", "--mode", "image", "--oracle-cmd", cmd, "--dim", "3", "--max-iters", "500"])
         capsys.readouterr()
         assert code == 0
-        assert seen == [Limits(max_rescalings=64 * 3, max_iterations=500)]
+        assert seen == [(Limits(None, 500), Limits(max_rescalings=64 * 3, max_iterations=500))]
 
     def test_missing_oracle_program_exit_one(self, capsys):
         code = run(["solve", "--mode", "image", "--oracle-cmd", "/nonexistent/prog", "--dim", "3"])
@@ -243,33 +229,18 @@ class TestCertify:
         assert code == 0
 
 
-class TestBench:
-    def test_byte_identical_runs(self, capsys):
-        assert run(["bench", "--seed", "3"]) == 0
-        first = capsys.readouterr().out
-        assert run(["bench", "--seed", "3"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        header = first.splitlines()[0]
-        assert header == ("instance_id,mode,m,n,rho_known,status,fo_iters,"
-                          "rescalings,removals,residual,wall_ms")
-        for line in first.splitlines()[1:]:
-            assert line.endswith(",0.0")
+class TestSurface:
+    def test_help_lists_the_three_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert "{solve,gen,certify}" in capsys.readouterr().out
 
-    def test_timing_reports_solver_wall_clock(self, capsys):
-        assert run(["bench", "--seed", "3", "--timing"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert len(rows) == 18
-        for line in rows:
-            assert float(line.rsplit(",", 1)[1]) > 0.0
-
-    def test_all_rows_solve(self, capsys):
-        assert run(["bench", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        rows = out.strip().splitlines()[1:]
-        assert len(rows) == 18
-        for row in rows:
-            assert row.split(",")[5] == "solved"
+    def test_bench_is_not_a_command(self, capsys):
+        assert run(["bench"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 class TestTraceLog:

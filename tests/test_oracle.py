@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,3 +598,58 @@ class TestMatrixOracleAdapter:
     def test_zero_column_rejected(self):
         with pytest.raises(ContractViolationError):
             MatrixSeparationOracle(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+# Serves MatrixSeparationOracle over the line protocol, so the solver sees the
+# same answers, bit for bit, as from the in-process adapter.
+MATRIX_ORACLE_SCRIPT = """\
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from lincone.oracle import MatrixSeparationOracle
+oracle = MatrixSeparationOracle(np.array({rows!r}))
+for line in sys.stdin:
+    answer = oracle.query(np.array([float(t) for t in line.split()]))
+    print("YES" if answer is None else " ".join(repr(float(c)) for c in answer), flush=True)
+"""
+
+
+def small_integer_cone(m, n, seed):
+    return np.random.default_rng(seed).integers(-3, 4, size=(m, n)).astype(float)
+
+
+class TestHonestOracleAtZeroMargin:
+    # On these draws the unit-column pick and the solver's raw a^T v can
+    # round apart at a zero margin; an honest oracle must not be blamed.
+
+    @pytest.mark.parametrize("adapter", ["matrix", "subprocess"])
+    @pytest.mark.parametrize("m, seed", [(2, 183), (3, 197), (3, 313)])
+    def test_interior_cones_solve_and_cross_accept(self, m, seed, adapter):
+        mat = small_integer_cone(m, 6, seed)
+        if adapter == "matrix":
+            oracle = MatrixSeparationOracle(mat)
+        else:
+            src = str(Path(oracle_module.__file__).resolve().parents[1])
+            script = MATRIX_ORACLE_SCRIPT.format(src=src, rows=mat.tolist())
+            oracle = SubprocessOracle([sys.executable, "-c", script], dim=m)
+        try:
+            y, report = strict_conic_feasibility(oracle, m)
+            assert report.status == SOLVED
+            stub = ImageCertificate(y=y, support=np.arange(6), min_margin=0.0, residual_zero=0.0)
+            assert check_image_certificate(mat, stub).valid
+            cert, mrep = full_support_image(mat)
+            assert mrep.status == SOLVED
+            assert check_image_certificate(mat, cert).valid
+            assert oracle.query(cert.y) is None
+        finally:
+            if adapter == "subprocess":
+                oracle.close()
+
+    @pytest.mark.parametrize("m, n, seed", [(2, 6, 186), (2, 6, 190), (3, 10, 151), (3, 10, 356)])
+    def test_empty_interior_ends_with_a_status(self, m, n, seed):
+        mat = small_integer_cone(m, n, seed)
+        y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), m)
+        assert report.status in (SOLVED, NO_CONVERGE)
+        if report.status == SOLVED:
+            stub = ImageCertificate(y=y, support=np.arange(n), min_margin=0.0, residual_zero=0.0)
+            assert check_image_certificate(mat, stub).valid
