@@ -6,8 +6,10 @@ is given: the image solvers pass their columns in coordinates where the
 metric is the identity, and then every euclidean quantity of the loop is the
 Q-quantity of the original columns. The oracle solver's loop,
 ``oracle_von_neumann``, is the same euclidean loop in whitened coordinates on
-the answers the oracle returns one query at a time, and takes the same step
-through ``_vn_step``.
+the answers the oracle returns one query at a time. It takes the same step
+through ``_vn_step``, keeps its coefficients as the same lazy scale times a
+vector and |y|^2 by the same formula, so a step costs the oracle's call plus
+two m x m products and O(m) work.
 
 Cost model: one O(mn) normalization per call, and each step is one O(mn)
 matrix-vector product plus O(m) work: x and w = A_hat x share one lazy scale,
@@ -80,7 +82,7 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     ----------
     mat : array (m, n), nonzero columns, already whitened for a non-euclidean
         metric
-    eps : target norm, > 0
+    eps : target norm, positive and finite
     budget : optional iteration cap below the intrinsic bound
 
     Returns
@@ -89,8 +91,8 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     ``y = sum_i x_i a_i / |a_i|``.
     """
     mat = as_matrix(mat)
-    if eps <= 0:
-        raise ContractViolationError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
     norms = column_norms(mat)
     if np.any(norms == 0.0):
         raise DegenerateColumnError("all columns must be nonzero")

@@ -80,7 +80,7 @@ class MatrixSeparationOracle:
 
     def query(self, v: np.ndarray) -> Optional[np.ndarray]:
         self.calls += 1
-        margins = self._unit_t @ v
+        margins = self._unit_t.dot(v)
         k = int(margins.argmin())
         if margins[k] > 0.0:
             # A unit margin can read positive by rounding alone where the raw
@@ -170,70 +170,94 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     < inf rejects zero, NaN and infinite answers, then a^T v <= 0 up to the
     rounding of an m-term dot product, 2 u m |a| |v| with u the unit
     roundoff (else ``OracleFaultError``). That bound is computed only when
-    a^T v reads positive. The step takes z = (Ga)^T w / |Ga| clamped to at
-    most 0, since its rounding grows with cond(G); steps lie in [0, 1], and
-    ``_grow_metric`` checks that the coefficients are convex when a rescale
-    consumes them.
+    a^T v reads positive. The step takes z = (Ga)^T w / |Ga| as a^T v / |Ga|,
+    clamped to at most 0, since its rounding grows with cond(G); steps lie
+    in [0, 1], and ``_grow_metric`` checks that the coefficients are convex
+    when a rescale consumes them.
+
+    Cost model: a step is the oracle's own call plus O(m^2) arithmetic: the
+    two m x m products G a and G^T w and three m-vector dots, each one
+    ``ndarray.dot`` call, and four elementwise m-vector operations. As x in
+    ``von_neumann``, the coefficients are one lazy scale times a vector, so
+    a step updates one float and one entry of them, not all k, and |w|^2
+    follows the step's own formula between verdicts.
 
     Returns ``(vectors, coeffs, w, status, iterations)``: the stored unit
     vectors, one per row, their convex coefficients, and w, which is
-    whitened, so the oracle approved ``gmap.T @ w`` on status interior.
+    whitened. On status interior the oracle approved ``gmap.T.dot(w)``, bit
+    for bit: the loop forms each query point by that expression.
     ``iterations`` counts oracle queries after the seeding call at 0.
     """
-    if eps <= 0.0:
-        raise ContractViolationError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
     dot_rounding = oracle.dim * float(np.finfo(float).eps)  # 2 u m
+    query_point = gmap.T.dot  # bound once: gmap.T is a new view per call
 
-    # The first k rows and entries hold the stored vectors and their weights;
-    # both arrays double when full.
-    vecs, coeffs = np.empty((16, oracle.dim)), np.zeros(16)
+    # The first k rows and entries hold the stored vectors and their
+    # coefficients, which are scale * cs[:k]; both arrays double when full.
+    # scale is the product of the steps' 1 - lam, and with z <= 0 the step
+    # formula gives both 1 - lam >= 1/2 and 1 - lam >= |w'|^2 / |w|^2. Since
+    # the seeding step or the last fold, each at |w| <= 1, scale >= |w|^2 >
+    # eps^2 until a step ends at |w| <= eps, and that step keeps scale >
+    # eps^2 / 2. So scale cannot underflow, cs sums to 1 / scale < 2 / eps^2,
+    # and the scale is folded back only before a verdict recompute and on
+    # return.
+    vecs, cs = np.empty((16, oracle.dim)), np.zeros(16)
     rows = {}  # a stored vector's bits -> its row
     v, w = np.zeros(oracle.dim), np.zeros(oracle.dim)
     answer = oracle.query(v)
     status = INTERIOR  # unless the loop below ends otherwise
     iters = k = 0
+    scale = 1.0
     while answer is not None:
-        anorm2 = float(answer @ answer)
+        anorm2 = float(answer.dot(answer))
         if not 0.0 < anorm2 < math.inf:
             raise OracleFaultError(f"oracle answer has a^T a = {anorm2}, not in (0, inf)")
-        av = float(answer @ v)
-        if av > 0.0 and av > dot_rounding * math.sqrt(anorm2 * float(v @ v)):
+        av = float(answer.dot(v))
+        if av > 0.0 and av > dot_rounding * math.sqrt(anorm2 * float(v.dot(v))):
             raise OracleFaultError("oracle returned a vector with a^T v > 0")
-        u = gmap @ answer
-        u /= math.sqrt(u @ u)
+        u = gmap.dot(answer)
+        unorm = math.sqrt(u.dot(u))
+        u /= unorm
         pos = rows.setdefault(u.tobytes(), k)
         if pos == k:
-            if k == coeffs.size:
+            if k == cs.size:
                 vecs = np.concatenate([vecs, np.empty_like(vecs)])
-                coeffs = np.concatenate([coeffs, np.zeros_like(coeffs)])
+                cs = np.concatenate([cs, np.zeros_like(cs)])
             vecs[k] = u
             k += 1
-        # the seeding answer becomes w itself
-        lam = _vn_step(ynorm2, min(float(w @ u), 0.0)) if iters else 1.0
-        weights = coeffs[:k]
-        weights *= 1.0 - lam
-        weights[pos] += lam
+        if iters:
+            # z = (Ga)^T w / |Ga| = a^T v / |Ga|, the product the fault test read
+            z = min(av / unorm, 0.0)
+            lam = _vn_step(ynorm2, z)
+            scale *= 1.0 - lam
+            cs[pos] += lam / scale
+            ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * z + lam * lam
+        else:  # the seeding answer becomes w itself
+            lam = cs[pos] = 1.0
+            ynorm2 = float(u.dot(u))
         w *= 1.0 - lam
         w += lam * u
         if k > size_cap:
             raise ContractViolationError("active set outgrew its ceiling")
-        ynorm2 = float(w @ w)
         if ynorm2 <= eps * eps:
             # Verdicts are taken on a freshly recomputed w only.
-            w = weights @ vecs[:k]
-            ynorm2 = float(w @ w)
+            cs[:k] *= scale
+            scale = 1.0
+            w = cs[:k].dot(vecs[:k])
+            ynorm2 = float(w.dot(w))
             if ynorm2 <= eps * eps:
                 status = SMALL_NORM
                 break
         if iters >= cap:
             status = BUDGET_EXHAUSTED
             break
-        v = gmap.T @ w
+        v = query_point(w)
         answer = oracle.query(v)
         iters += 1
-    return vecs[:k], coeffs[:k], w, status, iters
+    return vecs[:k], cs[:k] * scale, w, status, iters
 
 
 @timed
@@ -265,7 +289,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
         report.oracle_calls += iters + 1
         if status == INTERIOR:
             # The very expression of the approved query, so the bits match.
-            ybar = gmap.T @ w
+            ybar = gmap.T.dot(w)
             report.status = SOLVED
             break
         if status != SMALL_NORM:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,12 @@ class TestVonNeumannInvariants:
         assert np.linalg.norm(mat @ x - y) <= 1e-12
         assert np.max(np.abs(x - x_ref)) <= 1e-9
         assert np.all(mat.T @ y > 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_eps_outside_positive_reals(self, eps):
+        for budget in (None, 10):
+            with pytest.raises(ContractViolationError, match="eps"):
+                von_neumann(np.eye(2), eps, budget=budget)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):

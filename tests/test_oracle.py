@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conebench.families import flat_image
 from helpers import flat_image_cone
 from lincone import oracle as oracle_module
 from lincone.certify import check_image_certificate
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
-from lincone.firstorder import BUDGET_EXHAUSTED, _vn_cap, _vn_step
+from lincone.firstorder import _DRIFT_INTERVAL, BUDGET_EXHAUSTED, _vn_cap, _vn_step
 from lincone.image import ImageCertificate, _grow_metric, full_support_image
 from lincone.linalg import SymPosDef
 from lincone.oracle import (
@@ -205,7 +206,30 @@ class ScalingOracle(MatrixSeparationOracle):
         return None if answer is None else answer * 2.0 ** (self.calls % 3)
 
 
+class RecordingOracle(MatrixSeparationOracle):
+    """Answers like its matrix and keeps a copy of every point it approves."""
+
+    def __init__(self, mat):
+        super().__init__(mat)
+        self.approved = []
+
+    def query(self, v):
+        answer = super().query(v)
+        if answer is None:
+            self.approved.append(v.copy())
+        return answer
+
+
 class TestOracleVonNeumann:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_eps_outside_positive_reals(self, eps):
+        # Checked before the first query, whatever the budget.
+        oracle = MatrixSeparationOracle(np.eye(2))
+        for budget in (None, 10):
+            with pytest.raises(ContractViolationError, match="eps"):
+                oracle_von_neumann(oracle, identity_metric(2), eps, budget=budget)
+        assert oracle.calls == 0
+
     def test_half_line_interior_after_one_query(self):
         vectors, coeffs, y, status, iters = oracle_von_neumann(
             HalfLineOracle(), identity_metric(1), eps=1.0 / 11.0
@@ -322,6 +346,27 @@ class TestOracleVonNeumann:
             assert np.abs(w - gmap @ y).max() <= 1e-9, case
             statuses.add(status)
         assert statuses == {INTERIOR, SMALL_NORM}
+
+    def test_long_phase_matches_reference(self):
+        # The hull of these unit columns lies at distance about 0.003 from the
+        # origin, so the phase zigzags for more than two _DRIFT_INTERVAL spans
+        # before the oracle approves. The coefficients are one lazy scale
+        # times a vector, folded here only on return. The seeding row's
+        # coefficient is at least that scale, which stays above |w|^2.
+        d = 0.003
+        mat = np.array([[0.1, 0.3, 1.0], [d, 1.0, 0.0], [d, -1.0, 0.0]]).T
+        mat /= np.linalg.norm(mat, axis=0)
+        gmap = identity_metric(3)
+        eps = d / 2
+        ref_active, y, ref_status, ref_iters = reference_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+        vectors, coeffs, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+        assert iters > 2 * _DRIFT_INTERVAL
+        assert (status, iters, len(coeffs)) == (ref_status, ref_iters, len(ref_active))
+        assert (status, len(coeffs)) == (INTERIOR, 3)
+        assert np.abs(coeffs - ref_active.coeffs).max() <= 1e-9
+        assert_convex(coeffs)
+        assert np.abs(coeffs @ vectors - w).max() <= 1e-12
+        assert coeffs[0] >= (1.0 - 1e-9) * float(w @ w)
 
 
 class NudgingOracle(MatrixSeparationOracle):
@@ -457,6 +502,25 @@ class TestStrictConicFeasibility:
             assert report.rescalings > 0
             assert oracle.calls == report.oracle_calls == report.fo_iters + report.rescalings + 1
             assert np.all(mat.T @ y > 0)
+
+    # (status, fo_iters, rescalings, oracle_calls) of the oracle benchmark's
+    # first four instances, flat_image(15, 1000, 1e-3, seed).
+    @pytest.mark.parametrize(
+        "seed, counts",
+        [
+            (0, (SOLVED, 1985, 35, 2021)),
+            (1, (SOLVED, 1801, 33, 1835)),
+            (2, (SOLVED, 1886, 34, 1921)),
+            (3, (SOLVED, 1539, 30, 1570)),
+        ],
+    )
+    def test_benchmark_counts_and_approved_point(self, seed, counts):
+        # The counts are pinned, and y is, bit for bit, the point the oracle
+        # approved last, so the oracle's own verdict is the certificate.
+        oracle = RecordingOracle(flat_image(15, 1000, 1e-3, seed)[0])
+        y, report = strict_conic_feasibility(oracle, 15)
+        assert (report.status, report.fo_iters, report.rescalings, report.oracle_calls) == counts
+        assert y.tobytes() == oracle.approved[-1].tobytes()
 
     def test_rescale_hook(self):
         rng = np.random.default_rng(0)
