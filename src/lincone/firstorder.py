@@ -99,11 +99,11 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     bhat = mat / norms
     cap = _vn_cap(eps, budget)
     # x = scale * xs and w = scale * ws, so a step rescales one float instead
-    # of the n-vector x and the m-vector w. scale only shrinks, by 1 - lam >=
-    # 1/2 per step with lam <= 1.21 |y|, and |y_t|^2 <= 1/(t+1), so between
-    # two refreshes it loses at most 2 * 1.21 * 2 sqrt(_DRIFT_INTERVAL) ~ 484
-    # nats: xs and ws stay below 1e211, far from overflow, and scale far from
-    # underflow. Every refresh folds it back into xs.
+    # of the n-vector x and the m-vector w. With z <= 0 a step gives
+    # 1 - lam >= |y'|^2 / |y|^2, so the factors telescope and scale stays
+    # >= |y|^2 / |y at the last refresh|^2: it falls only as far as |y|^2
+    # does, which the eps target bounds, and cannot leave float range. Each
+    # refresh folds it back into xs, which is needed against drift only.
     xs = np.zeros(mat.shape[1])
     xs[0] = scale = 1.0
     ws = bhat[:, 0].copy()

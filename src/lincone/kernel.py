@@ -15,7 +15,10 @@ with y, and a DV step on x_hat_k has length -z_k. F_hat and Pi, the kernel
 projector with its rows divided by the Q-norms, sit side by side in one
 n x 2n array, rows = [F_hat | Pi_hat], and z and xbar = Pi x (same scale) in
 one vector, zx = [z | xbar], so a DV step is the single row update
-zx -= z_k rows[k].
+zx -= z_k rows[k], one in-place BLAS daxpy of 2n floats. Consecutive DV
+steps run in one inner loop with their scalar state in locals, so a step
+costs that daxpy, one argmin of z and a few scalar reads: about 1.7 us at
+n = 80 on a 2-vCPU x86 box, against 3.3 us for the two-ufunc update.
 
 The two entry points differ only in the policy passed to the loop. Full
 support passes ``accept``: every column stays active, and a y that strictly
@@ -32,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .certify import check_image_certificate
 from .conditioning import encoding_length, hadamard_delta_sq_exact, theta
@@ -149,6 +153,17 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     early when a log Q-norm passes ``_LOG_CEILING`` before a rescale, or
     when after a refresh |y| is at its rounding floor 4 n u |x_hat|_1 (the
     columns of B_hat are unit vectors), where the cosines read noise.
+
+    Consecutive DV steps run in one inner loop, hook or no hook. It hands
+    back to the outer loop, with ``report.fo_iters`` written back, once
+    xbar[low] > 0, the next pivot is no DV step (cos >= -eps or |y|^2 <= 0),
+    the budget is spent or a refresh is due. Each step is one in-place
+    ``daxpy`` on zx (``rowlist`` holds the row views): about 1.7 us at
+    n = 80 on a 2-vCPU x86 box. daxpy may fuse the multiply-add, so z and
+    xbar can differ from the two-op update zx -= z_k rows[k] in the last
+    bit; on draws at the rounding floor that moves the step count. zx must
+    stay one contiguous float64 array, or f2py hands back a copy and the
+    update is lost.
     """
     m = ahat.shape[0]
     eps = rescale_epsilon(m)
@@ -156,7 +171,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     S = np.asarray(active, dtype=int)
     # Per-S data, set by rebuild(); ``marked`` flags the positions in S marked
     # for removal, ``low`` is the position of the last scanned minimum of xbar.
-    cols = x = rows = fmat = pimat = zx = z = xbar = marked = ell = bhat = None
+    cols = x = rows = rowlist = fmat = pimat = zx = z = xbar = marked = ell = bhat = None
     low = 0
     ynorm_q2 = 0.0
     dv_since_refresh = 0
@@ -180,8 +195,8 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
 
     def rebuild():
         """Restart from x = ones on a new active set S, nothing marked."""
-        nonlocal cols, x, rows, fmat, pimat, zx, z, xbar, low, marked, ell, bhat
-        rows = fmat = pimat = None  # free the old rows before the new projector
+        nonlocal cols, x, rows, rowlist, fmat, pimat, zx, z, xbar, low, marked, ell, bhat
+        rows = rowlist = fmat = pimat = None  # free the old rows before the new projector
         n = S.size
         cols = ahat[:, S]
         marked = np.zeros(n, dtype=bool)
@@ -191,6 +206,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
         if n:
             proj = kernel_projector(cols)
             rows = np.empty((n, 2 * n))
+            rowlist = list(rows)
             fmat, pimat = rows[:, :n], rows[:, n:]
             ell, bhat = _unit_metric(ufac, cols, fmat)
             np.multiply(proj, np.exp(-ell)[:, None], out=pimat)
@@ -230,15 +246,27 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             continue
         v = zk / math.sqrt(ynorm_q2)
         if v < -eps:
-            before = ynorm_q2
-            x[k] -= zk
-            zx -= zk * rows[k]
-            ynorm_q2 = max(ynorm_q2 - zk * zk, 0.0)
-            report.fo_iters += 1
-            dv_since_refresh += 1
-            if hook is not None:
-                hook("dv", ynorm_q2_before=before, ynorm_q2_after=ynorm_q2, cos=v)
-            if dv_since_refresh >= _DV_REFRESH and refresh():
+            # Step while the outer loop would step again; on any exit it
+            # re-reads the handed-back state in its own order.
+            steps, since, y2 = report.fo_iters, dv_since_refresh, ynorm_q2
+            cap, size = limits.max_iterations, zx.size
+            while True:
+                x[k] -= zk
+                daxpy(rowlist[k], zx, size, -zk)
+                before, y2 = y2, max(y2 - zk * zk, 0.0)
+                steps += 1
+                since += 1
+                if hook is not None:
+                    hook("dv", ynorm_q2_before=before, ynorm_q2_after=y2, cos=v)
+                if since >= _DV_REFRESH or steps >= cap or xbar.item(low) > 0.0 or y2 <= 0.0:
+                    break
+                k = int(z.argmin())
+                zk = z.item(k)
+                v = zk / math.sqrt(y2)
+                if not v < -eps:
+                    break
+            report.fo_iters, dv_since_refresh, ynorm_q2 = steps, since, y2
+            if since >= _DV_REFRESH and refresh():
                 break
             continue
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conebench.families import narrow_kernel, planted_partition
 from helpers import (
     exact_rank_wrapper,
     flat_image_cone,
@@ -152,6 +153,47 @@ class TestUnitMetricCache:
                     Limits(max_rescalings=200, max_iterations=300_000))[-1].fo_iters
         assert steps > 2 * kernel_module._DV_REFRESH
         assert checked >= 60 and drifted >= 5
+
+
+# (status, fo_iters, rescalings) of the kernel benchmark's first four
+# instances, narrow_kernel(6, 80, 0.03, 0.8, seed), run with no hook.
+@pytest.mark.parametrize(
+    "seed, counts",
+    [
+        (0, (SOLVED, 4832, 2)),
+        (1, (SOLVED, 4014, 2)),
+        (2, (SOLVED, 4118, 2)),
+        (3, (SOLVED, 4988, 2)),
+    ],
+)
+def test_benchmark_counts(seed, counts):
+    mat = narrow_kernel(6, 80, 0.03, 0.8, seed)
+    cert, report = full_support_kernel(mat)
+    assert (report.status, report.fo_iters, report.rescalings) == counts
+    assert check_kernel_certificate(mat, cert).valid
+
+
+@pytest.mark.parametrize(
+    "solve, make",
+    [
+        (full_support_kernel, lambda: narrow_kernel(6, 80, 0.03, 0.8, 5)),
+        (full_support_kernel, lambda: narrow_kernel(6, 80, 0.03, 0.8, 6)),
+        (max_support_kernel, lambda: planted_partition(6, 40, 20, 3)[0]),
+    ],
+    ids=["narrow5", "narrow6", "partition3"],
+)
+def test_hook_does_not_change_the_run(solve, make):
+    # The DV steps run in one loop whether or not a hook listens: a recording
+    # hook sees one "dv" event per step and leaves status, counts and the
+    # certificate bit for bit as they are without it.
+    mat = make()
+    kinds = []
+    hooked = solve(mat, hook=lambda kind, **d: kinds.append(kind))
+    plain = solve(mat)
+    assert hooked[-1].status == plain[-1].status == SOLVED
+    assert (hooked[-1].fo_iters, hooked[-1].rescalings) == (plain[-1].fo_iters, plain[-1].rescalings)
+    assert hooked[0].x.tobytes() == plain[0].x.tobytes()
+    assert kinds.count("dv") == plain[-1].fo_iters > 0
 
 
 class TestFullSupportKernel:
