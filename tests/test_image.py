@@ -450,3 +450,44 @@ def test_step_budget_holds_inside_a_phase(cap):
     assert full.fo_iters <= cap and most.fo_iters <= cap
     assert full.status == (SOLVED if cap == 50 else NO_CONVERGE)
     assert most.status == NO_CONVERGE
+
+
+@pytest.mark.parametrize(
+    "seed, counts",
+    [
+        (0, (SOLVED, 847, 19)),
+        (1, (SOLVED, 976, 21)),
+        (2, (SOLVED, 1402, 18)),
+        (3, (SOLVED, 1180, 22)),
+    ],
+)
+def test_benchmark_counts(seed, counts):
+    mat = flat_image(25, 500, 1e-3, seed)[0]
+    cert, report = full_support_image(mat)
+    assert (report.status, report.fo_iters, report.rescalings) == counts
+    assert check_image_certificate(mat, cert).valid
+
+
+@pytest.mark.parametrize(
+    "solve, mat",
+    [
+        (lambda a: full_support_image(a), flat_image(8, 40, 1e-2, 0)[0]),
+        (lambda a: max_support_image(a)[::2], np.eye(3)),
+    ],
+    ids=["full", "max"],
+)
+def test_rejected_certificate_is_no_converge(monkeypatch, solve, mat):
+    # A separated phase whose y the checker rejects on the caller's matrix
+    # must not come back as solved.
+    cert, report = solve(mat)
+    assert report.status == SOLVED and check_image_certificate(mat, cert).valid
+    real = image_module.von_neumann
+
+    def flipped(*args, **kwargs):
+        x, y, status, iterations = real(*args, **kwargs)
+        return x, -y, status, iterations
+
+    monkeypatch.setattr(image_module, "von_neumann", flipped)
+    cert, report = solve(mat)
+    assert report.status == NO_CONVERGE
+    assert cert.support.size == 0 and not cert.y.any()
