@@ -4,12 +4,13 @@ For any matrix the maximum kernel support S and maximum image support T
 partition the column indices: S holds the columns that can carry a
 positive kernel vector, T the ones some y separates strictly. Neither
 side is full here by construction, so both max-support solvers have
-real work to do. The exact rational oracle arbitrates.
+real work to do. The exact check arbitrates: it rebuilds both certificates
+in rational arithmetic and proves that their pair is the true partition.
 """
 
 from lincone import (
     check_complementary_pair,
-    exact_support_oracle,
+    check_partition_exact,
     gen_degenerate,
     max_support_image,
     max_support_kernel,
@@ -32,9 +33,8 @@ def main():
     pair = check_complementary_pair(ksupp, isupp, n)
     print(f"disjoint cover of all {n} columns: {pair.valid} ({pair.message})")
 
-    exact_s, exact_t = exact_support_oracle(inst.mat)
-    agree = sorted(ksupp.tolist()) == sorted(exact_s) and sorted(isupp.tolist()) == sorted(exact_t)
-    print(f"matches exact rational oracle: {agree}")
+    exact = check_partition_exact(inst.mat, kcert, icert)
+    print(f"proved exactly in rational arithmetic: {exact.valid} ({exact.message})")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from .certify import (
     check_complementary_pair,
     check_image_certificate,
     check_kernel_certificate,
+    check_partition_exact,
 )
 from .conditioning import (
     ConditionReport,
@@ -38,7 +39,6 @@ from .image import (
 from .instances import (
     ConicInstance,
     LPFeasibilityProblem,
-    exact_support_oracle,
     gen_degenerate,
     gen_image_feasible,
     gen_kernel_feasible,
@@ -107,7 +107,6 @@ __all__ = [
     "gen_kernel_feasible",
     "gen_image_feasible",
     "gen_degenerate",
-    "exact_support_oracle",
     "reduce_lp_feasibility",
     "recover_lp_point",
     "parse_instance",
@@ -119,6 +118,7 @@ __all__ = [
     "check_kernel_certificate",
     "check_image_certificate",
     "check_complementary_pair",
+    "check_partition_exact",
     # outcomes
     "SolveReport",
     "BoundCheck",

@@ -4,16 +4,19 @@ Everything here works from the instance and the certificate alone, so a
 bug in a solver cannot vouch for itself. Kernel residuals are measured
 against unit-normalized columns (the scale the certificates are stated
 in); image margins use the raw columns with a tolerance scaled to the
-matrix.
+matrix. On integral input ``check_partition_exact`` proves a max-support
+pair in rational arithmetic, with the float certificates as mere hints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .conditioning import _require_integral
 from .errors import ContractViolationError
 from .linalg import as_matrix, column_norms
 
@@ -22,6 +25,7 @@ __all__ = [
     "check_kernel_certificate",
     "check_image_certificate",
     "check_complementary_pair",
+    "check_partition_exact",
 ]
 
 
@@ -102,7 +106,10 @@ def check_image_certificate(mat, cert, tol: float | None = None) -> CertReport:
 
 
 def check_complementary_pair(s_support, t_support, n: int) -> CertReport:
-    """The two supports must partition the column indices exactly."""
+    """The two supports must partition the column indices exactly.
+
+    Only the indices are checked; ``check_partition_exact`` proves the pair.
+    """
     s = set(int(i) for i in np.asarray(s_support, dtype=int).reshape(-1))
     t = set(int(i) for i in np.asarray(t_support, dtype=int).reshape(-1))
     overlap = s & t
@@ -115,3 +122,64 @@ def check_complementary_pair(s_support, t_support, n: int) -> CertReport:
     if stray:
         return CertReport(False, float(len(stray)), 0.0, f"indices out of range {sorted(stray)}")
     return CertReport(True, 0.0, 1.0, "ok")
+
+
+def _exact_kernel_point(rows, hint):
+    """The rational v with rows v = 0 equal to ``hint`` on the free columns (Gauss-Jordan)."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(len(hint)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][col]
+        rows[r] = [c / lead for c in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    v = [Fraction(h) for h in hint]
+    for row, col in zip(rows, pivots):
+        v[col] -= sum(c * h for c, h in zip(row, v) if c)  # row[col] = 1, row = 0 at the other pivots
+    return v
+
+
+def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
+    """Prove in rational arithmetic that the two certificates' supports are (S*, T*).
+
+    Integral input only, else UnsupportedInstanceError. Once
+    ``check_complementary_pair`` accepts (S, T), the floats are only hints:
+    the exact x on S with A_S x = 0 and y with A_S^T y = 0 take the hint's
+    values (x_j / |a_j|, as kernel certificates are stated on unit columns,
+    and y) on the free columns of A_S and A_S^T and solve for the pivots.
+    x_S > 0 and A_T^T y > 0 put S in S* and T in T*, which are disjoint,
+    so (S, T) = (S*, T*). residual is 0; margin is the least of x_S and A_T^T y.
+    """
+    mat = as_matrix(mat)
+    m, n = mat.shape
+    _require_integral(mat)
+    cols = [[int(c) for c in col] for col in mat.T.tolist()]  # exact, where int64 would wrap
+    x = np.asarray(kernel_cert.x, dtype=float).reshape(-1)
+    y = np.asarray(image_cert.y, dtype=float).reshape(-1)
+    if x.shape[0] != n or y.shape[0] != m:
+        raise ContractViolationError(f"certificate lengths {x.shape[0]}, {y.shape[0]} != n, m = {n}, {m}")
+    pair = check_complementary_pair(kernel_cert.support, image_cert.support, n)
+    if not pair.valid:
+        return pair
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return CertReport(False, math.nan, math.nan, "certificate has non-finite entries")
+    s_idx = sorted(set(np.asarray(kernel_cert.support, dtype=int).reshape(-1).tolist()))
+    t_idx = sorted(set(range(n)) - set(s_idx))
+    norms = column_norms(mat)
+    a_s = [cols[j] for j in s_idx]
+    x_s = _exact_kernel_point(list(zip(*a_s)), [x[j] / norms[j] if norms[j] > 0.0 else x[j] for j in s_idx])
+    y_q = _exact_kernel_point(a_s, y.tolist())
+    margins = [sum(a * b for a, b in zip(cols[j], y_q) if a) for j in t_idx]
+    margin = float(min(x_s + margins, default=0))
+    bad = [f"x_{j}" for j, v in zip(s_idx, x_s) if v <= 0]
+    bad += [f"a_{j}^T y" for j, v in zip(t_idx, margins) if v <= 0]
+    if bad:
+        return CertReport(False, 0.0, margin, f"exact {bad[0]} is not positive")
+    return CertReport(True, 0.0, margin, "ok")

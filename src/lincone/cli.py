@@ -168,9 +168,11 @@ def _cmd_solve(args) -> int:
         summary += f" support={[int(i) + 1 for i in support]}"
     print(summary, file=sys.stderr)
     if args.cert_out:
-        vec = cert.x if args.mode == "kernel" else cert.y
+        # full_support_kernel answers infeasible_detected with an image certificate
+        kind = "kernel" if isinstance(cert, KernelCertificate) else "image"
+        vec = cert.x if kind == "kernel" else cert.y
         with open(args.cert_out, "w") as fh:
-            fh.write(write_certificate(args.mode, vec, cert.support))
+            fh.write(write_certificate(kind, vec, cert.support))
     return 0 if report.status in ("solved", "infeasible_detected") else 2
 
 

@@ -40,6 +40,7 @@ from .report import (
     BoundCheck,
     Limits,
     SolveReport,
+    checked,
     default_limits,
     rescale_epsilon,
     rescaling_bound,
@@ -96,20 +97,6 @@ class ImageCertificate:
 
 def _no_certificate(m: int) -> ImageCertificate:
     return ImageCertificate(y=np.zeros(m), support=np.arange(0), min_margin=0.0, residual_zero=0.0)
-
-
-def _checked(mat: np.ndarray, cert: ImageCertificate, report: SolveReport) -> ImageCertificate:
-    """The loop's certificate, kept as ``solved`` only if the checker accepts it.
-
-    ``check_image_certificate`` judges it on the caller's matrix, as the
-    kernel solvers judge their image witness; a rejected certificate is
-    dropped and the run reports ``no_converge``.
-    """
-    if report.status != SOLVED or check_image_certificate(mat, cert).valid:
-        return cert
-    report.status = NO_CONVERGE
-    report.margin = report.residual = 0.0
-    return _no_certificate(mat.shape[0])
 
 
 def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
@@ -324,7 +311,8 @@ def full_support_image(
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
-    cert = _checked(mat, _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook), report)
+    cert = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
+    cert = checked(mat, cert, report, check_image_certificate, _no_certificate(m))
     if known_rho is not None and known_rho > 0.0:
         report.add_bound_check(
             "rescalings_vs_rho", rescaling_bound(m, known_rho, image=True), float(report.rescalings)
@@ -397,5 +385,6 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     ahat[:, active] = mat[:, active] / norms[active]
 
     report = SolveReport(status=NO_CONVERGE)
-    cert = _checked(mat, _rescaling_loop(ahat, active, limits, report, th, hook=hook), report)
+    cert = _rescaling_loop(ahat, active, limits, report, th, hook=hook)
+    cert = checked(mat, cert, report, check_image_certificate, _no_certificate(m))
     return cert, cert.support, report

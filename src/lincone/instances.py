@@ -1,26 +1,21 @@
-"""Instance generation, exact desk-scale support oracles, and file formats.
+"""Instance generation, the LP reduction, and file formats.
 
 Generators produce matrices with certified condition properties: kernel
 feasible (0 interior to the column hull), image feasible (a known strict
 separator), or degenerate (a prescribed split into kernel support and image
-support). The certifications come from independent oracles, not from the
-solvers under test.
-
-The exact support oracle decides S* and T* in rational arithmetic via
-Fourier-Motzkin elimination. It is deliberately slow and simple; its only
-job is to be trustworthy at desk scale.
+support). The certifications come from independent oracles and witnesses,
+not from the solvers under test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .conditioning import goffin_oracle
-from .errors import ContractViolationError, LinconeError, ParseError, UnsupportedInstanceError
+from .errors import ContractViolationError, ParseError, UnsupportedInstanceError
 from .linalg import as_matrix, column_norms, pivoted_rank
 
 __all__ = [
@@ -29,7 +24,6 @@ __all__ = [
     "gen_kernel_feasible",
     "gen_image_feasible",
     "gen_degenerate",
-    "exact_support_oracle",
     "reduce_lp_feasibility",
     "recover_lp_point",
     "parse_instance",
@@ -39,7 +33,6 @@ __all__ = [
 ]
 
 _RESAMPLE_BUDGET = 300
-_FM_ROW_CAP = 60_000
 
 
 @dataclass(frozen=True)
@@ -183,188 +176,6 @@ def gen_degenerate(m: int, n: int, s: int, seed) -> ConicInstance:
             mat, True, "generated", known_supports=(np.arange(s), np.arange(s, n))
         )
     raise UnsupportedInstanceError("degenerate sampling budget exceeded")
-
-
-# ---------------------------------------------------------------------------
-# exact rational feasibility via Fourier-Motzkin
-#
-# A row (c0, c1, ..., ck) encodes the inequality c0 + sum_j cj*v_j >= 0 with
-# every coefficient a Fraction. Rows are canonicalized to coprime integer
-# tuples (positive scaling only, the direction must survive).
-
-
-def _canonical(row):
-    nums = [f.numerator for f in row]
-    dens = [f.denominator for f in row]
-    scale = 1
-    for d in dens:
-        scale = scale * d // math.gcd(scale, d)
-    ints = [n * (scale // d) for n, d in zip(nums, dens)]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-def _sift(rows):
-    """Dedup, drop tautologies, detect contradictions. Returns None if infeasible."""
-    out = {}
-    for row in rows:
-        if not any(row[1:]):
-            if row[0] < 0:
-                return None
-            continue
-        out[row] = True
-    return list(out.keys())
-
-
-def _eliminate(rows, j):
-    pos, neg, rest = [], [], []
-    for row in rows:
-        c = row[j + 1]
-        if c > 0:
-            pos.append(row)
-        elif c < 0:
-            neg.append(row)
-        else:
-            rest.append(row)
-    # Each (p, q) pair adds one row, so the cap is decided before any is built.
-    if len(rest) + len(pos) * len(neg) > _FM_ROW_CAP:
-        raise UnsupportedInstanceError("elimination blew past the row cap")
-    for p in pos:
-        pj = p[j + 1]
-        for q in neg:
-            qj = q[j + 1]
-            combo = tuple(
-                Fraction(a * (-qj) + b * pj) for a, b in zip(p, q)
-            )
-            rest.append(_canonical(combo))
-    return _sift(rest)
-
-
-def _fm_solve(rows, nvars):
-    """Feasibility of a rational inequality system, with a witness.
-
-    Returns a list of Fractions satisfying every row, or None when the
-    system is infeasible.
-    """
-    rows = _sift([_canonical(r) for r in rows])
-    if rows is None:
-        return None
-    order = []
-    stack = []
-    alive = set(range(nvars))
-    while alive:
-        # cheapest variable first: fewest cross products
-        def cost(j):
-            p = sum(1 for r in rows if r[j + 1] > 0)
-            q = sum(1 for r in rows if r[j + 1] < 0)
-            return p * q if p * q else p + q
-
-        j = min(alive, key=cost)
-        alive.remove(j)
-        order.append(j)
-        stack.append((j, rows))
-        rows = _eliminate(rows, j)
-        if rows is None:
-            return None
-    values = [Fraction(0)] * nvars
-    for j, rows_at in reversed(stack):
-        lo, hi = None, None
-        for row in rows_at:
-            cj = Fraction(row[j + 1])
-            if cj == 0:
-                continue
-            rest = Fraction(row[0])
-            for k in range(nvars):
-                if k != j and row[k + 1]:
-                    rest += row[k + 1] * values[k]
-            bound = -rest / cj
-            if cj > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
-            if lo > hi:
-                raise LinconeError("back substitution lost feasibility")
-            values[j] = (lo + hi) / 2
-        elif lo is not None:
-            values[j] = lo
-        elif hi is not None:
-            values[j] = hi
-    return values
-
-
-def _fraction_matrix(mat):
-    mat = as_matrix(mat)
-    if not np.all(np.isfinite(mat)) or np.any(mat != np.rint(mat)):
-        raise UnsupportedInstanceError("exact oracle needs integral entries")
-    return [[Fraction(int(v)) for v in row] for row in mat]
-
-
-def exact_support_oracle(mat):
-    """Exact (S*, T*) of an integer instance by rational elimination.
-
-    For each index i, decides whether some x >= 0 with Ax = 0 has x_i >= 1;
-    the yes-set is S*. The complement is cross-checked by producing a
-    rational y with A^T y >= 0 whose strict rows are exactly T*. Desk scale
-    only: n <= 12, m <= 6.
-    """
-    mat = as_matrix(mat)
-    m, n = mat.shape
-    if n > 12 or m > 6:
-        raise UnsupportedInstanceError("exact oracle is desk scale: n <= 12, m <= 6")
-    fmat = _fraction_matrix(mat)
-
-    def kernel_rows(target):
-        rows = []
-        zero = Fraction(0)
-        for i in range(m):
-            row = [zero] + [fmat[i][j] for j in range(n)]
-            rows.append(tuple(row))
-            rows.append(tuple(-c for c in row))
-        for j in range(n):
-            row = [zero] * (n + 1)
-            row[j + 1] = Fraction(1)
-            if j == target:
-                row[0] = Fraction(-1)
-            rows.append(tuple(row))
-        return rows
-
-    s_star = []
-    for i in range(n):
-        witness = _fm_solve(kernel_rows(i), n)
-        if witness is None:
-            continue
-        # exactness audit: Ax = 0, x >= 0, x_i >= 1, all in rationals
-        for r in range(m):
-            if sum(fmat[r][j] * witness[j] for j in range(n)) != 0:
-                raise LinconeError("kernel witness fails the equality check")
-        if any(v < 0 for v in witness) or witness[i] < 1:
-            raise LinconeError("kernel witness fails the sign check")
-        s_star.append(i)
-    t_star = [i for i in range(n) if i not in s_star]
-
-    # dual cross-check: a y with strict rows exactly T*
-    rows = []
-    zero = Fraction(0)
-    for j in range(n):
-        row = [zero] + [fmat[i][j] for i in range(m)]
-        if j in t_star:
-            row[0] = Fraction(-1)
-        rows.append(tuple(row))
-    ywit = _fm_solve(rows, m)
-    if ywit is None:
-        raise LinconeError("no dual witness: support partition is inconsistent")
-    for j in range(n):
-        margin = sum(fmat[i][j] * ywit[i] for i in range(m))
-        if j in t_star and margin < 1:
-            raise LinconeError("dual witness not strict on T*")
-        if j in s_star and margin != 0:
-            raise LinconeError("dual witness not tight on S*")
-    return np.array(s_star, dtype=int), np.array(t_star, dtype=int)
 
 
 def reduce_lp_feasibility(problem: LPFeasibilityProblem):

@@ -22,11 +22,13 @@ n = 80 on a 2-vCPU x86 box, against 3.3 us for the two-ufunc update.
 
 The two entry points differ only in the policy passed to the loop. Full
 support passes ``accept``: every column stays active, and a y that strictly
-separates all of them is reported as the image witness Qy once
+separates all of them is returned as the image certificate Qy once
 ``check_image_certificate`` accepts it on the caller's matrix. Max support
 passes log(1/theta): a column whose log Q-norm passes it provably lies outside
 the maximum support and is marked, and marked columns are deleted once
-dropping them lowers the rank.
+dropping them lowers the rank. Either solver keeps a kernel certificate as
+``solved`` only once ``check_kernel_certificate`` accepts it on the caller's
+matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .certify import check_image_certificate
+from .certify import check_image_certificate, check_kernel_certificate
 from .conditioning import encoding_length, hadamard_delta_sq_exact, theta
 from .errors import ContractViolationError
 from .image import ImageCertificate
@@ -48,6 +50,7 @@ from .report import (
     SOLVED,
     Limits,
     SolveReport,
+    checked,
     default_limits,
     rescale_epsilon,
     rescaling_bound,
@@ -81,15 +84,19 @@ def _no_certificate(n: int) -> KernelCertificate:
     return KernelCertificate(x=np.zeros(n), support=np.arange(0), residual=0.0, min_support_value=0.0)
 
 
-def _certificate(ahat, active: np.ndarray, xbar: np.ndarray, zero_cols: np.ndarray) -> KernelCertificate:
-    """Kernel point xbar on the active columns, ones on the zero columns."""
+def _certificate(mat, ahat, active, xbar, zero_cols, report: SolveReport) -> KernelCertificate:
+    """Kernel point xbar on the active columns, ones on the zero columns.
+
+    Its residual and margin go to ``report``; ``checked`` judges it on ``mat``.
+    """
     x = np.zeros(ahat.shape[1])
     x[active] = xbar
     x[zero_cols] = 1.0
     support = np.sort(np.concatenate([active, zero_cols])).astype(int)
-    residual = float(np.abs(ahat @ x).max())
-    min_val = float(x[support].min()) if support.size else 0.0
-    return KernelCertificate(x=x, support=support, residual=residual, min_support_value=min_val)
+    report.residual = float(np.abs(ahat @ x).max())
+    report.margin = float(x[support].min()) if support.size else 0.0
+    cert = KernelCertificate(x=x, support=support, residual=report.residual, min_support_value=report.margin)
+    return checked(mat, cert, report, check_kernel_certificate, _no_certificate(x.size))
 
 
 def kernel_rescale(ufac, w, eps):
@@ -138,13 +145,14 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
                     hook=None):
     """DV steps and rescales over the columns ``ahat[:, active]``.
 
-    Full support passes ``accept``, a check of a witness Qy: when every
-    cosine stays positive after a refresh, an accepted witness ends the run
-    INFEASIBLE_DETECTED and a rejected one is rescaled past. Max support
-    passes ``log_inv_theta`` = log(1/theta), which turns on marking and
-    removal. Counters go to ``report``. Returns (status, S, v) with S the
+    Full support passes ``accept``, a check of a witness Qy that returns its
+    certificate or None: when every cosine stays positive after a refresh,
+    an accepted witness ends the run INFEASIBLE_DETECTED and a rejected one
+    is rescaled past. Max support passes ``log_inv_theta`` = log(1/theta),
+    which turns on marking and removal. Counters go to ``report``. Returns (status, S, v) with S the
     final active set; v is the kernel point Pi x on S (up to scale) when
-    SOLVED, the witness when INFEASIBLE_DETECTED, None otherwise.
+    SOLVED, the certificate ``accept`` returned when INFEASIBLE_DETECTED,
+    None otherwise.
 
     ``refresh`` writes into the views z and xbar, never rebinding them. The
     gate min xbar > 0 is read at ``low``, the last scanned argmin of xbar:
@@ -235,9 +243,9 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             refresh()
             if z.min() <= 0.0:
                 continue
-            witness = ufac.T @ (bhat @ x)
-            if accept(witness):
-                return INFEASIBLE_DETECTED, S, witness
+            claim = accept(ufac.T @ (bhat @ x))
+            if claim is not None:
+                return INFEASIBLE_DETECTED, S, claim
         if report.fo_iters >= limits.max_iterations:
             break
         if ynorm_q2 <= 0.0:
@@ -326,12 +334,14 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
 
     Columns are normalized up front; the kernel projector of the normalized
     matrix never changes, so the positivity test Pi x > 0 is exact bookkeeping.
-    Returns (KernelCertificate, SolveReport). Status is ``infeasible_detected``
-    when some iterate y strictly separates all columns and the witness Qy
-    passes ``check_image_certificate`` on ``mat`` (then A^T y > 0 is feasible
-    instead); a witness that fails the check is dropped and the loop rescales
-    on. ``no_converge`` when budgets run out, the metric nears float range, or
-    |y| sinks to its rounding floor.
+    Returns (certificate, SolveReport): a KernelCertificate, checked by
+    ``check_kernel_certificate`` on ``mat`` when ``solved``. Status is
+    ``infeasible_detected``, with the ImageCertificate of Qy instead, when
+    some iterate y strictly separates all columns and that certificate passes
+    ``check_image_certificate`` on ``mat``; a witness that fails the check is
+    dropped and the loop rescales on. ``no_converge`` when budgets run out,
+    the metric nears float range, |y| sinks to its rounding floor, or the
+    kernel certificate fails its check.
     ``hook(event, **data)`` observes the loop's events.
     """
     mat = as_matrix(mat)
@@ -347,20 +357,19 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
         # positive margin that passes the check on the caller's matrix counts.
         wn = float(np.linalg.norm(v))
         if not (math.isfinite(wn) and wn > 0.0):
-            return False
+            return None
         margin = float((ahat.T @ v).min()) / wn
         claim = ImageCertificate(y=v / wn, support=np.arange(n), min_margin=margin, residual_zero=0.0)
-        return margin > 0.0 and check_image_certificate(mat, claim).valid
+        return claim if margin > 0.0 and check_image_certificate(mat, claim).valid else None
 
     status, support, v = _rescaling_loop(ahat, np.arange(n), limits, report, accept=accept, hook=hook)
+    report.status = status
     cert = _no_certificate(n)
     if status == SOLVED:
-        cert = _certificate(ahat, support, v, np.arange(0))
-        report.residual = cert.residual
-        report.margin = cert.min_support_value
+        cert = _certificate(mat, ahat, support, v, np.arange(0), report)
     elif status == INFEASIBLE_DETECTED:
-        report.margin = float((ahat.T @ v).min()) / float(np.linalg.norm(v))
-    report.status = status
+        cert = v
+        report.margin = cert.min_margin
 
     if known_rho is not None and known_rho < 0.0:
         bound = rescaling_bound(m, known_rho) + m
@@ -385,7 +394,8 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     logs, and log(1/theta) comes from the exact integer m^2 delta^2 when
     theta itself is below float range.
 
-    Returns (KernelCertificate, support array, SolveReport).
+    Returns (KernelCertificate, support array, SolveReport); ``solved`` only
+    once ``check_kernel_certificate`` accepts the certificate on ``mat``.
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -403,10 +413,8 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     status, support, xbar = _rescaling_loop(
         ahat, np.flatnonzero(nz), limits, report, log_inv_theta=log_inv_theta, hook=hook
     )
-    if status != SOLVED:
-        return _no_certificate(n), np.arange(0), report
-    cert = _certificate(ahat, support, xbar, np.flatnonzero(~nz))
-    report.status = SOLVED
-    report.residual = cert.residual
-    report.margin = cert.min_support_value
+    report.status = status
+    cert = _no_certificate(n)
+    if status == SOLVED:
+        cert = _certificate(mat, ahat, support, xbar, np.flatnonzero(~nz), report)
     return cert, cert.support, report

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 INTERIOR = "interior"
+# Seconds SubprocessOracle.close waits on SIGTERM before it kills the child.
+_CLOSE_GRACE_S = 5.0
 
 
 @runtime_checkable
@@ -141,10 +143,15 @@ class SubprocessOracle:
             raise OracleFaultError(f"unparseable oracle answer: {answer!r}") from exc
 
     def close(self):
+        """Stop the child: SIGTERM, then SIGKILL if it is still running after a grace period."""
         if self._proc.poll() is None:
             self._proc.stdin.close()
             self._proc.terminate()
-            self._proc.wait(timeout=5)
+            try:
+                self._proc.wait(timeout=_CLOSE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
 
     def __enter__(self):
         return self

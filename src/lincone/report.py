@@ -13,6 +13,7 @@ __all__ = [
     "INFEASIBLE_DETECTED",
     "BoundCheck",
     "SolveReport",
+    "checked",
     "Limits",
     "default_limits",
     "default_oracle_limits",
@@ -68,6 +69,18 @@ class SolveReport:
                 for c in self.bound_checks
             ],
         }
+
+
+def checked(mat, cert, report: SolveReport, check, empty):
+    """``cert`` if ``check(mat, cert)`` accepts it on the caller's matrix or the run is not ``solved``.
+
+    Otherwise the run reports ``no_converge`` and ``empty`` replaces ``cert``.
+    """
+    if report.status != SOLVED or check(mat, cert).valid:
+        return cert
+    report.status = NO_CONVERGE
+    report.margin = report.residual = 0.0
+    return empty
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ the first bad instance.
 import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from lincone import (
     UnsupportedInstanceError,
     check_image_certificate,
     check_kernel_certificate,
+    check_partition_exact,
     encoding_length,
-    exact_support_oracle,
     full_support_image,
     full_support_kernel,
     gen_degenerate,
@@ -39,7 +38,6 @@ from lincone import (
     theta,
 )
 from lincone.image import _check_decomposition
-from lincone.instances import _fm_solve
 from lincone.report import SOLVED
 
 
@@ -341,11 +339,10 @@ def test_flat_image_batch_binds_rho_bound(capsys):
 def test_max_support_partition_matches_exact_oracle(capsys):
     # On 50 degenerate integer instances both float solvers must reproduce the
     # planted (S*, T*) partition, which the generator's integer witnesses make
-    # exact, and cover [n] without overlap. Where Fourier-Motzkin finishes
-    # under its row cap, they must also match its rational partition.
+    # exact, and their pair must pass the exact check in rational arithmetic.
     rng = np.random.default_rng(11)
     problems = []
-    planted_only = 0
+    exact = 0
     t0 = time.perf_counter()
     for i in range(50):
         m = 2 + i % 3
@@ -354,31 +351,27 @@ def test_max_support_partition_matches_exact_oracle(capsys):
         inst = gen_degenerate(m, n, s, seed=9001 + i)
         mat = inst.mat
         tag = f"#{i} m={m} n={n} s={s}"
-        references = [("planted", *inst.known_supports)]
-        try:
-            references.append(("exact", *exact_support_oracle(mat)))
-        except UnsupportedInstanceError:
-            planted_only += 1
         kcert, s_sol, krep = max_support_kernel(mat)
         icert, t_sol, irep = max_support_image(mat)
-        for name, s_ref, t_ref in references:
-            if sorted(s_sol.tolist()) != sorted(s_ref.tolist()):
-                problems.append(f"{tag}: kernel support {s_sol} vs {name} {s_ref}")
-            if sorted(t_sol.tolist()) != sorted(t_ref.tolist()):
-                problems.append(f"{tag}: image support {t_sol} vs {name} {t_ref}")
-        if set(s_sol.tolist()) & set(t_sol.tolist()):
-            problems.append(f"{tag}: supports overlap")
-        if set(s_sol.tolist()) | set(t_sol.tolist()) != set(range(n)):
-            problems.append(f"{tag}: supports do not cover all columns")
+        s_ref, t_ref = inst.known_supports
+        if sorted(s_sol.tolist()) != sorted(s_ref.tolist()):
+            problems.append(f"{tag}: kernel support {s_sol} vs planted {s_ref}")
+        if sorted(t_sol.tolist()) != sorted(t_ref.tolist()):
+            problems.append(f"{tag}: image support {t_sol} vs planted {t_ref}")
+        rep = check_partition_exact(mat, kcert, icert)
+        if rep.valid:
+            exact += 1
+        else:
+            problems.append(f"{tag}: exact check rejects the pair: {rep.message}")
     elapsed = time.perf_counter() - t0
-    ok = not problems and elapsed < 120.0
+    ok = not problems and exact == 50 and elapsed < 120.0
     extra = f"; issues: {problems[:3]}" if problems else ""
     _emit(
         capsys,
         ok,
-        "max-support partition vs planted and exact oracle",
-        f"50 degenerate instances ({planted_only} past the FM row cap, planted only), "
-        f"all partitions exact, {elapsed:.1f}s (< 120s){extra}",
+        "max-support partition vs planted and exact check",
+        f"50 degenerate instances, {exact}/50 pairs proved exactly, "
+        f"all partitions planted, {elapsed:.1f}s (< 120s){extra}",
     )
 
 
@@ -492,8 +485,9 @@ def test_oracle_and_matrix_solvers_cross_accept(capsys):
 
 
 def test_lp_reduction_matches_exact_elimination(capsys):
-    # The homogenization verdict must agree with exact rational elimination on
-    # every system, and recovered points must satisfy Ax <= b up to 1e-8.
+    # Each verdict t in S* comes from the max-support pair on the homogenized
+    # system, proved by the exact check, and recovered points must satisfy
+    # Ax <= b up to 1e-8.
     rng = np.random.default_rng(17)
     problems = []
     feas = 0
@@ -505,16 +499,15 @@ def test_lp_reduction_matches_exact_elimination(capsys):
         a = rng.integers(-4, 5, size=(mrows, d)).astype(float)
         b = rng.integers(-4, 5, size=mrows).astype(float)
         tag = f"#{i} d={d} rows={mrows}"
-        rows = [tuple(Fraction(int(v)) for v in (b[j], *(-a[j]))) for j in range(mrows)]
-        exact = _fm_solve(rows, d) is not None
         prob = LPFeasibilityProblem(mat=a, rhs=b)
         big, t_idx = reduce_lp_feasibility(prob)
         cert, support, rep = max_support_kernel(big)
-        got = t_idx in set(int(v) for v in support)
-        if got != exact:
-            problems.append(f"{tag}: exact says {exact}, solver says {got}")
+        icert, _, _ = max_support_image(big)
+        proof = check_partition_exact(big, cert, icert)
+        if not proof.valid:
+            problems.append(f"{tag}: exact check rejects the pair: {proof.message}")
             continue
-        if exact:
+        if t_idx in set(int(v) for v in support):
             x = recover_lp_point(prob, cert)
             viol = float((a @ x - b).max())
             if viol > 1e-8:
@@ -528,8 +521,8 @@ def test_lp_reduction_matches_exact_elimination(capsys):
     _emit(
         capsys,
         ok,
-        "lp reduction vs exact elimination",
-        f"40 systems ({feas} feasible, {infeas} infeasible), verdicts agree, {elapsed:.1f}s (< 60s){extra}",
+        "lp reduction verdicts by the exact check",
+        f"40 systems ({feas} feasible, {infeas} infeasible), all proved exactly, {elapsed:.1f}s (< 60s){extra}",
     )
 
 

@@ -56,6 +56,23 @@ class TestSolve:
         assert report["status"] == "infeasible_detected"
         assert code == 0
 
+    def test_infeasible_kernel_writes_the_image_certificate(self, tmp_path, capsys):
+        # The kernel solver's infeasible verdict carries the image witness it
+        # checked; it is printed and written as an image certificate.
+        inst = write(tmp_path, "inst.txt", "2 2\n1 0\n0 1\n")
+        cert_path = str(tmp_path / "out.cert")
+        code = run(["solve", "--mode", "kernel", "--input", inst, "--cert-out", cert_path])
+        cert = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert code == 0
+        assert cert["kind"] == "image" and cert["support"] == [0, 1]
+        assert min(cert["vector"]) > 0.0
+        with open(cert_path) as fh:
+            assert fh.readline().strip() == "image"
+        code = run(["certify", "--input", inst, "--cert", cert_path])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["valid"] is True
+
     def test_no_converge_exit_two(self, tmp_path, capsys):
         # image full-support on an instance with rho < 0: cannot separate
         inst = write(tmp_path, "inst.txt", "1 2\n1 -1\n")

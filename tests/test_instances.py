@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import bareiss_rank
+from lincone.certify import check_partition_exact
 from lincone.conditioning import goffin_oracle
 from lincone.errors import (
     ContractViolationError,
@@ -10,7 +12,6 @@ from lincone.errors import (
 from lincone.instances import (
     ConicInstance,
     LPFeasibilityProblem,
-    exact_support_oracle,
     gen_degenerate,
     gen_image_feasible,
     gen_kernel_feasible,
@@ -21,7 +22,24 @@ from lincone.instances import (
     write_certificate,
     write_instance,
 )
-from lincone.kernel import max_support_kernel
+from lincone.image import ImageCertificate, max_support_image
+from lincone.kernel import KernelCertificate, max_support_kernel
+
+
+def exact_pair(mat):
+    """Supports of the two max-support solvers, and the exact check of their pair."""
+    kcert, s, _ = max_support_kernel(mat)
+    icert, t, _ = max_support_image(mat)
+    return s, t, check_partition_exact(mat, kcert, icert)
+
+
+def pair(x, s, y, t):
+    """A kernel and an image certificate with the given vectors and supports."""
+    kcert = KernelCertificate(x=np.asarray(x, dtype=float), support=np.asarray(s, dtype=int),
+                              residual=0.0, min_support_value=0.0)
+    icert = ImageCertificate(y=np.asarray(y, dtype=float), support=np.asarray(t, dtype=int),
+                             min_margin=0.0, residual_zero=0.0)
+    return kcert, icert
 
 
 class TestGenKernelFeasible:
@@ -94,9 +112,11 @@ class TestGenDegenerate:
         s_idx, t_idx = inst.known_supports
         assert list(s_idx) == [0, 1]
         assert list(t_idx) == [2]
-        s_star, t_star = exact_support_oracle(inst.mat)
-        assert np.array_equal(s_star, s_idx)
-        assert np.array_equal(t_star, t_idx)
+        # The generator's witnesses: x = 1_S on the raw columns (the kernel
+        # certificate is stated on unit columns) and y = e_h with h = 1.
+        x = np.where(np.isin(np.arange(3), s_idx), np.linalg.norm(inst.mat, axis=0), 0.0)
+        rep = check_partition_exact(inst.mat, *pair(x, s_idx, [0.0, 1.0], t_idx))
+        assert rep.valid, rep.message
 
     def test_single_kernel_column_is_zero(self):
         inst = gen_degenerate(2, 4, 1, seed=2)
@@ -127,39 +147,73 @@ class TestGenDegenerate:
 
 
 class TestExactSupportOracle:
+    """The exact support oracle: ``check_partition_exact`` on a max-support pair."""
+
     def test_antipodal(self):
-        s, t = exact_support_oracle(np.array([[1, -1]]))
-        assert list(s) == [0, 1] and list(t) == []
+        s, t, rep = exact_pair(np.array([[1, -1]]))
+        assert rep.valid and list(s) == [0, 1] and list(t) == []
 
     def test_identity(self):
-        s, t = exact_support_oracle(np.eye(2, dtype=int))
-        assert list(s) == [] and list(t) == [0, 1]
+        s, t, rep = exact_pair(np.eye(2, dtype=int))
+        assert rep.valid and list(s) == [] and list(t) == [0, 1]
 
     def test_worked_example(self):
-        s, t = exact_support_oracle(np.array([[1, -1, 1], [0, 0, 1]]))
-        assert list(s) == [0, 1] and list(t) == [2]
+        s, t, rep = exact_pair(np.array([[1, -1, 1], [0, 0, 1]]))
+        assert rep.valid and list(s) == [0, 1] and list(t) == [2]
 
     def test_zero_column_in_kernel_support(self):
-        s, t = exact_support_oracle(np.array([[0, 1]]))
-        assert list(s) == [0] and list(t) == [1]
+        s, t, rep = exact_pair(np.array([[0, 1]]))
+        assert rep.valid and list(s) == [0] and list(t) == [1]
 
     def test_one_sided(self):
-        s, t = exact_support_oracle(np.array([[1, 2]]))
-        assert list(s) == [] and list(t) == [0, 1]
+        s, t, rep = exact_pair(np.array([[1, 2]]))
+        assert rep.valid and list(s) == [] and list(t) == [0, 1]
 
     def test_medley(self):
-        s, t = exact_support_oracle(np.array([[1, -1, 3, 0], [0, 0, 1, 1]]))
-        assert list(s) == [0, 1] and list(t) == [2, 3]
+        s, t, rep = exact_pair(np.array([[1, -1, 3, 0], [0, 0, 1, 1]]))
+        assert rep.valid and list(s) == [0, 1] and list(t) == [2, 3]
 
     def test_fractional_rejected(self):
         with pytest.raises(UnsupportedInstanceError):
-            exact_support_oracle(np.array([[0.5, 1.0]]))
+            check_partition_exact(np.array([[0.5, 1.0]]), *pair([0, 0], [], [1.0], [0, 1]))
 
-    def test_desk_scale_enforced(self):
-        with pytest.raises(UnsupportedInstanceError):
-            exact_support_oracle(np.zeros((7, 3), dtype=int))
-        with pytest.raises(UnsupportedInstanceError):
-            exact_support_oracle(np.zeros((2, 13), dtype=int))
+    def test_moved_index_rejected(self):
+        # Every pair with one index moved across the planted partition fails,
+        # even with the exact witnesses of the true pair as hints.
+        inst = gen_degenerate(3, 8, 4, seed=5)
+        kcert, _, _ = max_support_kernel(inst.mat)
+        icert, _, _ = max_support_image(inst.mat)
+        s_idx = set(inst.known_supports[0].tolist())
+        for j in range(8):
+            s_moved = sorted(s_idx ^ {j})
+            t_moved = sorted(set(range(8)) - set(s_moved))
+            x = np.where(np.isin(np.arange(8), s_moved), np.maximum(kcert.x, 1.0), 0.0)
+            rep = check_partition_exact(inst.mat, *pair(x, s_moved, icert.y, t_moved))
+            assert not rep.valid, j
+
+    def test_zero_column_in_image_support_rejected(self):
+        rep = check_partition_exact(np.array([[0, 1]]), *pair([0, 0], [], [1.0], [0, 1]))
+        assert not rep.valid and "a_0^T y" in rep.message
+
+    def test_nonpositive_reconstruction_rejected(self):
+        # x is positive but off the kernel; its free entries 3 and 1 force the
+        # pivot entry to -3 + 2 = -1.
+        rep = check_partition_exact(np.array([[1, 1, -2]]), *pair([1, 3, 2], [0, 1, 2], [1.0], []))
+        assert not rep.valid and "x_0" in rep.message
+
+    def test_non_finite_hint_rejected(self):
+        rep = check_partition_exact(np.array([[1, -1]]), *pair([np.nan, 1.0], [0, 1], [0.0], []))
+        assert not rep.valid
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m, n, s", [(10, 100, 50), (15, 150, 75)])
+    def test_planted_pairs_at_scale(self, m, n, s, seed):
+        # Far past any elimination-based oracle: both solvers' pair is proved
+        # exactly and equals the planted split.
+        inst = gen_degenerate(m, n, s, seed)
+        s_found, t_found, rep = exact_pair(inst.mat)
+        assert rep.valid, rep.message
+        assert np.array_equal(s_found, inst.known_supports[0])
 
     def test_partition_and_sign_consistency(self):
         rng = np.random.default_rng(17)
@@ -167,7 +221,14 @@ class TestExactSupportOracle:
             m = int(rng.integers(1, 4))
             n = int(rng.integers(2, 7))
             mat = rng.integers(-5, 6, size=(m, n))
-            s, t = exact_support_oracle(mat)
+            # The image solver needs full row rank; a maximal independent set
+            # of rows has the same kernel and the same image set.
+            rows = []
+            for i in range(m):
+                if bareiss_rank(mat[rows + [i]]) == len(rows) + 1:
+                    rows.append(i)
+            s, t, rep = exact_pair(mat[rows])
+            assert rep.valid, rep.message
             assert sorted(list(s) + list(t)) == list(range(n))
             if np.all(np.any(mat != 0, axis=0)):
                 rho = goffin_oracle(mat)
@@ -187,21 +248,21 @@ class TestReduceLpFeasibility:
     def test_feasible_system_routes_to_kernel_support(self):
         prob = LPFeasibilityProblem(np.array([[1.0]]), np.array([1.0]))
         big, t_index = reduce_lp_feasibility(prob)
-        s, t = exact_support_oracle(big)
-        assert t_index in s
+        s, t, rep = exact_pair(big)
+        assert rep.valid and t_index in s
 
     def test_infeasible_forcing_row(self):
         prob = LPFeasibilityProblem(np.array([[0.0]]), np.array([-1.0]))
         big, t_index = reduce_lp_feasibility(prob)
         assert np.array_equal(big, np.array([[0.0, 0.0, 1.0, 1.0]]))
-        s, t = exact_support_oracle(big)
-        assert t_index not in s
+        s, t, rep = exact_pair(big)
+        assert rep.valid and t_index not in s
 
     def test_contradictory_bounds(self):
         prob = LPFeasibilityProblem(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
         big, t_index = reduce_lp_feasibility(prob)
-        s, t = exact_support_oracle(big)
-        assert t_index not in s
+        s, t, rep = exact_pair(big)
+        assert rep.valid and t_index not in s
 
     def test_recover_point(self):
         prob = LPFeasibilityProblem(
@@ -265,7 +326,7 @@ class TestInstanceIO:
             again = parse_instance(write_instance(inst))
             assert np.array_equal(again.mat, inst.mat)
 
-    def test_round_trip_integers_canonical(self):
+    def test_round_trip_integers_print_as_integers(self):
         inst = parse_instance("2 2\n1.0 0\n0 1\n")
         assert write_instance(inst) == "2 2\n1 0\n0 1\n"
 

@@ -19,7 +19,7 @@ from lincone.conditioning import theta
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
 from lincone.image import ImageCertificate, max_support_image
 from lincone.instances import gen_degenerate
-from lincone.kernel import full_support_kernel, kernel_rescale, max_support_kernel
+from lincone.kernel import KernelCertificate, full_support_kernel, kernel_rescale, max_support_kernel
 from lincone.linalg import normalize_columns
 from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits, default_limits
 
@@ -290,7 +290,8 @@ class TestFullSupportKernel:
     def test_infeasible_verdict_is_checked(self):
         # These cones are image feasible and flat. A DV step leaves its pivot
         # at cosine 0, so a strictly separating y can be float noise; the
-        # verdict must come with a witness whose margins are really positive.
+        # verdict must come with a witness whose margins are really positive,
+        # returned as the image certificate the checker accepted.
         rng = np.random.default_rng(0)
         for m in (3, 5):
             for _ in range(4):
@@ -298,8 +299,12 @@ class TestFullSupportKernel:
                 cert, report = full_support_kernel(mat)
                 assert report.status in (INFEASIBLE_DETECTED, NO_CONVERGE)
                 if report.status == INFEASIBLE_DETECTED:
-                    assert report.margin > 0
-                assert cert.support.size == 0
+                    assert isinstance(cert, ImageCertificate)
+                    assert report.margin == cert.min_margin > 0
+                    assert np.array_equal(cert.support, np.arange(40))
+                    assert check_image_certificate(mat, cert).valid
+                else:
+                    assert isinstance(cert, KernelCertificate) and cert.support.size == 0
 
     def test_ill_conditioned_flat_cones_do_not_crash(self, monkeypatch):
         # At rho = 1e-5 the rows are nearly dependent; a projector built as
@@ -492,3 +497,28 @@ def test_rank_read_once_per_mark_event(monkeypatch):
                                       hook=lambda kind, **d: marks.append(kind) if kind == "mark" else None)
     assert report.removals >= 1
     assert len(calls) == 1 + len(marks)
+
+
+@pytest.mark.parametrize(
+    "solve, mat",
+    [
+        (lambda a: full_support_kernel(a), np.array([[1.0, -1.0]])),
+        (lambda a: max_support_kernel(a)[::2], np.array([[1, -1, 1], [0, 0, 1]])),
+    ],
+    ids=["full", "max"],
+)
+def test_rejected_certificate_is_no_converge(monkeypatch, solve, mat):
+    # A kernel point the checker rejects on the caller's matrix must not come
+    # back as solved.
+    cert, report = solve(mat)
+    assert report.status == SOLVED and check_kernel_certificate(mat, cert).valid
+    real = kernel_module._rescaling_loop
+
+    def negated(*args, **kwargs):
+        status, support, xbar = real(*args, **kwargs)
+        return status, support, -xbar
+
+    monkeypatch.setattr(kernel_module, "_rescaling_loop", negated)
+    cert, report = solve(mat)
+    assert report.status == NO_CONVERGE
+    assert cert.support.size == 0 and not cert.x.any()

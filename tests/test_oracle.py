@@ -1,4 +1,5 @@
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -634,6 +635,23 @@ class TestSubprocessOracle:
         with pytest.raises(OracleFaultError):
             oracle.query(np.zeros(2))
         oracle.close()
+
+    def test_close_kills_a_child_that_ignores_sigterm(self, monkeypatch):
+        # The child answers one query, so its SIGTERM handler is in place,
+        # then sleeps on; close must kill and reap it instead of raising.
+        script = (
+            "import signal, sys, time\n"
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+            "sys.stdin.readline()\n"
+            "print('YES', flush=True)\n"
+            "while True:\n"
+            "    time.sleep(1)\n"
+        )
+        monkeypatch.setattr(oracle_module, "_CLOSE_GRACE_S", 0.2)
+        oracle = SubprocessOracle([sys.executable, "-c", script], dim=2)
+        assert oracle.query(np.ones(2)) is None
+        oracle.close()
+        assert oracle._proc.returncode == -signal.SIGKILL
 
     def test_malformed_answer_detected(self):
         script = "import sys\nsys.stdin.readline()\nprint('nonsense', flush=True)\n"
