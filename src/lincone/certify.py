@@ -4,8 +4,10 @@ Everything here works from the instance and the certificate alone, so a
 bug in a solver cannot vouch for itself. Kernel residuals are measured
 against unit-normalized columns (the scale the certificates are stated
 in); image margins use the raw columns with a tolerance scaled to the
-matrix. On integral input ``check_partition_exact`` proves a max-support
-pair in rational arithmetic, with the float certificates as mere hints.
+matrix. Each residual is judged relative to the certificate's own scale,
+max|x| or |y|, so scaling a vector down cannot make it pass. On integral
+input ``check_partition_exact`` proves a max-support pair in rational
+arithmetic, with the float certificates as mere hints.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     """Validate x > 0 on the support, zero off it, and a tiny residual.
 
     The residual is the sup norm of the normalized columns restricted to
-    the support, applied to x. Default tol is 1e-8 per column.
+    the support, applied to x. It must be at most tol * max|x|; default tol
+    is 1e-8 per column.
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -74,13 +77,17 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
         return CertReport(False, residual, margin, "nonzero entries off the support")
     if mask.any() and margin <= 0.0:
         return CertReport(False, residual, margin, "support entries must be positive")
-    if residual > tol:
-        return CertReport(False, residual, margin, f"residual {residual:.3e} > {tol:.3e}")
+    bound = tol * float(np.abs(x).max())
+    if residual > bound:
+        return CertReport(False, residual, margin, f"residual {residual:.3e} > {bound:.3e}")
     return CertReport(True, residual, margin, "ok")
 
 
 def check_image_certificate(mat, cert, tol: float | None = None) -> CertReport:
-    """Validate a_i^T y > 0 on the support and |a_i^T y| <= tol off it."""
+    """Validate a_i^T y > 0 on the support and |a_i^T y| <= tol * |y| off it.
+
+    Default tol is 1e-8 times the largest entry of the matrix.
+    """
     mat = as_matrix(mat)
     m, n = mat.shape
     y = np.asarray(cert.y, dtype=float).reshape(-1)
@@ -98,9 +105,10 @@ def check_image_certificate(mat, cert, tol: float | None = None) -> CertReport:
         return CertReport(False, residual, margin, "residual or margin is not finite")
     if mask.any() and margin <= 0.0:
         return CertReport(False, residual, margin, "support margin not strictly positive")
-    if residual > tol:
+    bound = tol * float(np.linalg.norm(y))
+    if residual > bound:
         return CertReport(
-            False, residual, margin, f"off-support margin {residual:.3e} > {tol:.3e}"
+            False, residual, margin, f"off-support margin {residual:.3e} > {bound:.3e}"
         )
     return CertReport(True, residual, margin, "ok")
 
@@ -159,8 +167,7 @@ def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
     """
     mat = as_matrix(mat)
     m, n = mat.shape
-    _require_integral(mat)
-    cols = [[int(c) for c in col] for col in mat.T.tolist()]  # exact, where int64 would wrap
+    cols = _require_integral(mat.T)
     x = np.asarray(kernel_cert.x, dtype=float).reshape(-1)
     y = np.asarray(image_cert.y, dtype=float).reshape(-1)
     if x.shape[0] != n or y.shape[0] != m:

@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -106,21 +107,11 @@ def _trace_hook():
 
 
 def _cert_json(cert) -> dict:
-    if isinstance(cert, KernelCertificate):
-        return {
-            "kind": "kernel",
-            "vector": [float(v) for v in cert.x],
-            "support": [int(i) for i in cert.support],
-            "residual": float(cert.residual),
-            "min_support_value": float(cert.min_support_value),
-        }
-    return {
-        "kind": "image",
-        "vector": [float(v) for v in cert.y],
-        "support": [int(i) for i in cert.support],
-        "min_margin": float(cert.min_margin),
-        "residual_zero": float(cert.residual_zero),
-    }
+    """The certificate's fields in order, its first one (x or y) as ``vector``."""
+    kind = "kernel" if isinstance(cert, KernelCertificate) else "image"
+    fields = {key: np.asarray(value).tolist() for key, value in asdict(cert).items()}
+    vector = fields.pop(next(iter(fields)))
+    return {"kind": kind, "vector": vector, **fields}
 
 
 def _solve(mode: str, support: str, mat, limits, hook):
@@ -161,7 +152,8 @@ def _cmd_solve(args) -> int:
     inst = parse_instance(_read_file(args.input))
     cert, support, report = _solve(args.mode, args.support, inst.mat, limits, hook)
 
-    print(json.dumps(_cert_json(cert)))
+    cert_json = _cert_json(cert)
+    print(json.dumps(cert_json))
     print(json.dumps(report.as_dict()))
     summary = f"{report.status}: fo_iters={report.fo_iters} rescalings={report.rescalings}"
     if support is not None:
@@ -169,10 +161,8 @@ def _cmd_solve(args) -> int:
     print(summary, file=sys.stderr)
     if args.cert_out:
         # full_support_kernel answers infeasible_detected with an image certificate
-        kind = "kernel" if isinstance(cert, KernelCertificate) else "image"
-        vec = cert.x if kind == "kernel" else cert.y
         with open(args.cert_out, "w") as fh:
-            fh.write(write_certificate(kind, vec, cert.support))
+            fh.write(write_certificate(cert_json["kind"], cert_json["vector"], cert_json["support"]))
     return 0 if report.status in ("solved", "infeasible_detected") else 2
 
 
@@ -237,3 +227,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -38,10 +38,11 @@ _ROUNDING = 1e-12
 _MAX_HULL_RANK = 7
 
 
-def _require_integral(mat: np.ndarray) -> np.ndarray:
+def _require_integral(mat: np.ndarray) -> list[list[int]]:
+    """The rows of ``mat`` as exact Python ints, which int64 would wrap past 2^63."""
     if not np.all(mat == np.round(mat)):
         raise UnsupportedInstanceError("operation requires integral entries")
-    return np.round(mat).astype(np.int64)
+    return [[int(v) for v in row] for row in mat.tolist()]
 
 
 def _greedy_independent(mat: np.ndarray, norms: np.ndarray) -> list[int]:
@@ -95,7 +96,7 @@ def hadamard_delta_sq_exact(mat) -> int:
     chosen = _greedy_independent(mat, norms)
     prod = 1
     for j in chosen:
-        prod *= sum(int(v) * int(v) for v in ints[:, j])
+        prod *= sum(row[j] * row[j] for row in ints)
     return prod
 
 
@@ -115,11 +116,7 @@ def theta(mat) -> float:
 def encoding_length(mat) -> int:
     """Total bit size ``sum_ij (1 + ceil(log2(|a_ij| + 1)))`` of an integral matrix."""
     mat = as_matrix(mat)
-    ints = _require_integral(mat)
-    total = 0
-    for v in ints.ravel():
-        total += 1 + int(abs(int(v))).bit_length()
-    return total
+    return sum(1 + abs(v).bit_length() for row in _require_integral(mat) for v in row)
 
 
 def goffin_oracle(mat) -> float:

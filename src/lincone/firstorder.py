@@ -16,8 +16,7 @@ matrix-vector product plus O(m) work: x and w = A_hat x share one lazy scale,
 so a step touches one entry of x, and |y|^2 follows the step's own formula.
 The product is one BLAS gemv into a preallocated n-vector and the w update
 one in-place strided BLAS daxpy, so at m = 25, n = 500 a step costs about
-4.2 us, 2.3 us of it the gemv, on a 2-vCPU x86 box with one BLAS thread
-(6.3 us with a fresh array per product and a two-ufunc w update).
+4.2 us, 2.3 us of it the gemv, on a 2-vCPU x86 box with one BLAS thread.
 No n x n Gram matrix is ever formed, so memory stays O(mn).
 """
 
@@ -82,12 +81,11 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     entry of x and one column's worth of w, the latter by one in-place
     strided ``daxpy`` (column k starts at offset k, stride n), and |y|^2
     follows (1-l)^2 |y|^2 + 2 l (1-l) z_k + l^2. At m = 25, n = 500 that is
-    about 4.2 us per step, the gemv 2.3 us and the daxpy 0.3 us (1.8 us
-    for the two-ufunc update it replaced). daxpy may fuse the multiply-add,
-    so w can differ from the two-op update in the last bit. Every
-    ``_DRIFT_INTERVAL`` steps, and before every verdict, w and |y|^2 are
-    recomputed from x. Set-up and each step cost O(mn); no n x n array is
-    formed.
+    about 4.2 us per step, the gemv 2.3 us and the daxpy 0.3 us. daxpy may
+    fuse the multiply-add, so w can differ from the two-op update in the
+    last bit. Every ``_DRIFT_INTERVAL`` steps, and before every verdict, w
+    and |y|^2 are recomputed from x. Set-up and each step cost O(mn); no
+    n x n array is formed.
 
     Parameters
     ----------

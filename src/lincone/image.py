@@ -43,7 +43,6 @@ from .report import (
     checked,
     default_limits,
     rescale_epsilon,
-    rescaling_bound,
     timed,
 )
 
@@ -60,6 +59,10 @@ __all__ = [
 # that rescales through ``_grow_metric``.
 _DET_GROWTH = 16.0 / 9.0
 _LEDGER_SLACK = 1e-8
+# Every rescaling loop ends ``no_converge`` once the metric has moved a
+# column's norm by this factor (the kernel's Q-norms up, the image and oracle
+# solvers' current columns down), so their squares stay in float range.
+_NORM_RANGE = 1e150
 
 
 @dataclass
@@ -176,8 +179,12 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
 
     ``th = 0`` is the full-support policy: no column scan and no removal.
     A positive theta projects out every active column whose Q-norm drops
-    below it after a rescale. Counters and ledger bound checks go to
-    ``report``. Returns the ImageCertificate, an empty one unless solved.
+    below it after a rescale. The run ends ``no_converge`` before a rescale
+    whose columns on supp(x) have current norms below 1 / ``_NORM_RANGE``:
+    on an image-infeasible cone they shrink geometrically, and past that
+    their squares underflow and the growth step reads rounding. Counters and
+    ledger bound checks go to ``report``. Returns the ImageCertificate, an
+    empty one unless solved.
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m)
@@ -228,6 +235,8 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if fo_status == BUDGET_EXHAUSTED:
             break
         if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
+            break
+        if column_norms(state.A_cur[:, np.flatnonzero(x)]).min() < 1.0 / _NORM_RANGE:
             break
         state, ratio = image_rescale(state, x)
         min_growth = min(min_growth, ratio)
@@ -288,19 +297,14 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
 
 
 @timed
-def full_support_image(
-    mat,
-    limits: Limits | None = None,
-    *,
-    known_rho: float | None = None,
-    hook=None,
-):
+def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     """Find y with A^T y > 0 strictly, assuming full row rank.
 
     Alternates von Neumann phases on the columns in the current coordinates
     with multi-rank rescales of the metric: the shared loop with theta = 0, so no
     column is ever removed. A separated outcome hands back y_bar = M y, the
-    paper's Qy.
+    paper's Qy. An image-infeasible cone ends ``no_converge``, at a budget or
+    at the loop's float-range stop.
     Returns (ImageCertificate, SolveReport).
     """
     mat = as_matrix(mat)
@@ -313,10 +317,6 @@ def full_support_image(
     report = SolveReport(status=NO_CONVERGE)
     cert = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
     cert = checked(mat, cert, report, check_image_certificate, _no_certificate(m))
-    if known_rho is not None and known_rho > 0.0:
-        report.add_bound_check(
-            "rescalings_vs_rho", rescaling_bound(m, known_rho, image=True), float(report.rescalings)
-        )
     return cert, report
 
 

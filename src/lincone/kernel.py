@@ -18,7 +18,7 @@ one vector, zx = [z | xbar], so a DV step is the single row update
 zx -= z_k rows[k], one in-place BLAS daxpy of 2n floats. Consecutive DV
 steps run in one inner loop with their scalar state in locals, so a step
 costs that daxpy, one argmin of z and a few scalar reads: about 1.7 us at
-n = 80 on a 2-vCPU x86 box, against 3.3 us for the two-ufunc update.
+n = 80 on a 2-vCPU x86 box.
 
 The two entry points differ only in the policy passed to the loop. Full
 support passes ``accept``: every column stays active, and a y that strictly
@@ -42,7 +42,7 @@ from scipy.linalg.blas import daxpy
 from .certify import check_image_certificate, check_kernel_certificate
 from .conditioning import encoding_length, hadamard_delta_sq_exact, theta
 from .errors import ContractViolationError
-from .image import ImageCertificate
+from .image import _NORM_RANGE, ImageCertificate
 from .linalg import as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
 from .report import (
     INFEASIBLE_DETECTED,
@@ -53,7 +53,6 @@ from .report import (
     checked,
     default_limits,
     rescale_epsilon,
-    rescaling_bound,
     timed,
 )
 
@@ -68,7 +67,7 @@ __all__ = [
 _DV_REFRESH = 10_000
 # The loop ends once a log Q-norm passes this, so that |U a_k|^2 stays in
 # float range through the next rescale, which at most doubles |U a_k|.
-_LOG_CEILING = math.log(1e150)
+_LOG_CEILING = math.log(_NORM_RANGE)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -329,7 +328,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
 
 
 @timed
-def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float | None = None, hook=None):
+def full_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     """Find x > 0 with Ax = 0 by DV steps plus rescaling.
 
     Columns are normalized up front; the kernel projector of the normalized
@@ -370,10 +369,6 @@ def full_support_kernel(mat, limits: Limits | None = None, *, known_rho: float |
     elif status == INFEASIBLE_DETECTED:
         cert = v
         report.margin = cert.min_margin
-
-    if known_rho is not None and known_rho < 0.0:
-        bound = rescaling_bound(m, known_rho) + m
-        report.add_bound_check("rescalings_vs_rho", bound, float(report.rescalings))
     return cert, report
 
 

@@ -27,12 +27,13 @@ import numpy as np
 
 from .errors import ContractViolationError, OracleFaultError
 from .firstorder import BUDGET_EXHAUSTED, SMALL_NORM, _vn_cap, _vn_step
-from .image import _grow_metric, _growth_check
+from .image import _NORM_RANGE, _grow_metric, _growth_check
 from .linalg import SymPosDef, as_matrix
 from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, default_oracle_limits, rescale_epsilon, timed
 
 __all__ = [
     "INTERIOR",
+    "OUT_OF_RANGE",
     "SMALL_NORM",
     "SeparationOracle",
     "MatrixSeparationOracle",
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 INTERIOR = "interior"
+# |G a| fell to 1 / _NORM_RANGE of |a|: the whitened answer nears underflow.
+OUT_OF_RANGE = "out_of_range"
 # Seconds SubprocessOracle.close waits on SIGTERM before it kills the child.
 _CLOSE_GRACE_S = 5.0
 
@@ -177,10 +180,12 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     < inf rejects zero, NaN and infinite answers, then a^T v <= 0 up to the
     rounding of an m-term dot product, 2 u m |a| |v| with u the unit
     roundoff (else ``OracleFaultError``). That bound is computed only when
-    a^T v reads positive. The step takes z = (Ga)^T w / |Ga| as a^T v / |Ga|,
-    clamped to at most 0, since its rounding grows with cond(G); steps lie
-    in [0, 1], and ``_grow_metric`` checks that the coefficients are convex
-    when a rescale consumes them.
+    a^T v reads positive. The phase stops with status ``out_of_range`` once
+    |G a| <= |a| / ``_NORM_RANGE``, where G a nears underflow. The step
+    takes z = (Ga)^T w / |Ga| as a^T v / |Ga|, clamped to at most 0, since
+    its rounding grows with cond(G); steps lie in [0, 1], and
+    ``_grow_metric`` checks that the coefficients are convex when a rescale
+    consumes them.
 
     Cost model: a step is the oracle's own call plus O(m^2) arithmetic: the
     two m x m products G a and G^T w and three m-vector dots, each one
@@ -201,6 +206,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     size_cap = _vn_cap(eps, None)
     dot_rounding = oracle.dim * float(np.finfo(float).eps)  # 2 u m
     query_point = gmap.T.dot  # bound once: gmap.T is a new view per call
+    floor2 = _NORM_RANGE**-2
 
     # The first k rows and entries hold the stored vectors and their
     # coefficients, which are scale * cs[:k]; both arrays double when full.
@@ -226,7 +232,11 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         if av > 0.0 and av > dot_rounding * math.sqrt(anorm2 * float(v.dot(v))):
             raise OracleFaultError("oracle returned a vector with a^T v > 0")
         u = gmap.dot(answer)
-        unorm = math.sqrt(u.dot(u))
+        unorm2 = float(u.dot(u))
+        if unorm2 <= anorm2 * floor2:
+            status = OUT_OF_RANGE
+            break
+        unorm = math.sqrt(unorm2)
         u /= unorm
         pos = rows.setdefault(u.tobytes(), k)
         if pos == k:
@@ -274,6 +284,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     Alternates oracle-driven von Neumann phases with rescalings built from
     the phase's active set. Returns ``(y, report)``; on success the oracle
     approved y itself, so ``oracle.query(y) is None`` by construction.
+    ``no_converge`` when a budget runs out or a phase ends ``out_of_range``.
     ``hook(event, **data)`` observes each rescale.
     """
     limits = default_oracle_limits(m, given=limits)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "SOLVED",
@@ -55,20 +55,10 @@ class SolveReport:
         return check
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "fo_iters": self.fo_iters,
-            "rescalings": self.rescalings,
-            "removals": self.removals,
-            "residual": self.residual,
-            "margin": self.margin,
-            "wall_ms": self.wall_ms,
-            "oracle_calls": self.oracle_calls,
-            "bound_checks": [
-                {"name": c.name, "bound": c.bound, "observed": c.observed, "pass": c.passed}
-                for c in self.bound_checks
-            ],
-        }
+        out = asdict(self)
+        for check in out["bound_checks"]:
+            check["pass"] = check.pop("passed")
+        return out
 
 
 def checked(mat, cert, report: SolveReport, check, empty):
@@ -136,14 +126,15 @@ def rescale_epsilon(m: int) -> float:
 def rescaling_bound(m: int, rho: float, image: bool = False) -> float:
     """Theory cap on the rescale count given a known Goffin value.
 
-    Kernel form: ceil(m log_{3/2} 1/|rho|). Image form: ceil(m log_{3/2} 2/rho).
+    Kernel form: ceil(m log_{3/2} 1/|rho|) plus m of slack. Image form:
+    ceil(m log_{3/2} 2/rho). A caller that built its instance with a known rho
+    compares a report's ``rescalings`` with this; no solver takes rho.
     """
     if rho == 0.0:
         return math.inf
     ratio = 2.0 / rho if image else 1.0 / abs(rho)
-    if ratio <= 1.0:
-        return 0.0
-    return float(math.ceil(m * math.log(ratio) / math.log(1.5)))
+    slack = 0 if image else m
+    return float(math.ceil(m * math.log(max(ratio, 1.0)) / math.log(1.5)) + slack)
 
 
 def timed(solver):

@@ -287,3 +287,16 @@ def record_completion(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return seen
+
+
+def integer_draw(seed):
+    """An m x n matrix, m in [2, 5] and n in [m+1, 3m+5], entries in {-3, ..., 3}.
+
+    A zero column is set to ones. Most draws are image infeasible.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    n = int(rng.integers(m + 1, 3 * m + 6))
+    mat = rng.integers(-3, 4, size=(m, n)).astype(float)
+    mat[:, ~mat.any(axis=0)] = 1.0
+    return mat

@@ -34,6 +34,7 @@ from lincone import (
     max_support_kernel,
     recover_lp_point,
     reduce_lp_feasibility,
+    rescaling_bound,
     strict_conic_feasibility,
     theta,
 )
@@ -127,7 +128,7 @@ def test_full_support_kernel_batch_meets_rho_bound(capsys):
                 inst, rho = cand, r
                 break
         assert inst is not None, f"no certified draw for m={m} n={n}"
-        cert, report = full_support_kernel(inst.mat, known_rho=rho)
+        cert, report = full_support_kernel(inst.mat)
         tag = f"#{i} m={m} n={n} rho={rho:.3f}"
         if report.status != SOLVED:
             problems.append(f"{tag}: {report.status}")
@@ -136,9 +137,9 @@ def test_full_support_kernel_batch_meets_rho_bound(capsys):
             problems.append(f"{tag}: residual {cert.residual:.2e}")
         if cert.x.min() <= 0.0:
             problems.append(f"{tag}: x not strictly positive")
-        chk = {c.name: c for c in report.bound_checks}["rescalings_vs_rho"]
-        if not chk.passed:
-            problems.append(f"{tag}: {chk.observed:.0f} rescalings above bound {chk.bound:.0f}")
+        bound = rescaling_bound(m, rho)
+        if report.rescalings > bound:
+            problems.append(f"{tag}: {report.rescalings} rescalings above bound {bound:.0f}")
         max_resc = max(max_resc, report.rescalings)
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 60.0
@@ -168,15 +169,15 @@ def test_narrow_kernel_batch_binds_rho_bound(capsys):
         if rho >= 0.0:
             problems.append(f"{tag}: 0 not inside the hull")
             continue
-        cert, report = full_support_kernel(mat, known_rho=rho)
+        cert, report = full_support_kernel(mat)
         if report.status != SOLVED:
             problems.append(f"{tag}: {report.status}")
             continue
         if not check_kernel_certificate(mat, cert).valid:
             problems.append(f"{tag}: certificate rejected")
-        chk = {c.name: c for c in report.bound_checks}["rescalings_vs_rho"]
-        if not chk.passed:
-            problems.append(f"{tag}: {chk.observed:.0f} rescalings above bound {chk.bound:.0f}")
+        bound = rescaling_bound(m, rho)
+        if report.rescalings > bound:
+            problems.append(f"{tag}: {report.rescalings} rescalings above bound {bound:.0f}")
         counts.append(report.rescalings)
     elapsed = time.perf_counter() - t0
     median = float(np.median(counts)) if counts else 0.0
@@ -270,7 +271,7 @@ def test_full_support_image_batch_meets_bounds(capsys):
         n = int(rng.integers(m + 1, 16))
         rho_t = float(rng.uniform(0.05, 0.3))
         inst = gen_image_feasible(m, n, rho_t, seed=4000 + 13 * i)
-        cert, report = full_support_image(inst.mat, known_rho=inst.known_rho)
+        cert, report = full_support_image(inst.mat)
         tag = f"#{i} m={m} n={n} rho={rho_t:.3f}"
         if report.status != SOLVED:
             problems.append(f"{tag}: {report.status}")
@@ -278,11 +279,10 @@ def test_full_support_image_batch_meets_bounds(capsys):
         margins = inst.mat.T @ cert.y
         if margins.min() <= 0.0:
             problems.append(f"{tag}: non-strict margin {margins.min():.2e}")
-        checks = {c.name: c for c in report.bound_checks}
-        rchk = checks["rescalings_vs_rho"]
-        if not rchk.passed:
-            problems.append(f"{tag}: {rchk.observed:.0f} rescalings above bound {rchk.bound:.0f}")
-        phase = checks["fo_iters_per_phase"]
+        bound = rescaling_bound(m, inst.known_rho, image=True)
+        if report.rescalings > bound:
+            problems.append(f"{tag}: {report.rescalings} rescalings above bound {bound:.0f}")
+        phase = {c.name: c for c in report.bound_checks}["fo_iters_per_phase"]
         if phase.observed > 121 * m * m:
             problems.append(f"{tag}: phase of {phase.observed:.0f} iterations above 121 m^2")
         max_resc = max(max_resc, report.rescalings)
@@ -312,16 +312,16 @@ def test_flat_image_batch_binds_rho_bound(capsys):
         m = 5 + i % 6
         n = int(rng.integers(100, 301))
         mat, _ = flat_image_cone(rng, m, n, rho)
-        cert, report = full_support_image(mat, known_rho=rho)
+        cert, report = full_support_image(mat)
         tag = f"#{i} m={m} n={n}"
         if report.status != SOLVED:
             problems.append(f"{tag}: {report.status}")
             continue
         if not check_image_certificate(mat, cert).valid:
             problems.append(f"{tag}: certificate rejected")
-        chk = {c.name: c for c in report.bound_checks}["rescalings_vs_rho"]
-        if not chk.passed:
-            problems.append(f"{tag}: {chk.observed:.0f} rescalings above bound {chk.bound:.0f}")
+        bound = rescaling_bound(m, rho, image=True)
+        if report.rescalings > bound:
+            problems.append(f"{tag}: {report.rescalings} rescalings above bound {bound:.0f}")
         counts.append(report.rescalings)
     elapsed = time.perf_counter() - t0
     median = float(np.median(counts)) if counts else 0.0
@@ -449,7 +449,7 @@ def test_oracle_and_matrix_solvers_cross_accept(capsys):
         inst = gen_image_feasible(m, n, rho_t, seed=600 + 23 * i)
         mat = inst.mat
         tag = f"#{i} m={m} n={n}"
-        mcert, mrep = full_support_image(mat, known_rho=rho_t)
+        mcert, mrep = full_support_image(mat)
         if mrep.status != SOLVED or (mat.T @ mcert.y).min() <= 0.0:
             problems.append(f"{tag}: matrix solver not strictly interior")
             continue

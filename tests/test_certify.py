@@ -58,6 +58,12 @@ class TestKernelCertificate:
         rep = check_kernel_certificate(mat, kcert([2, 1, 1], [0, 1, 2]))
         assert rep.valid
 
+    def test_scaled_down_vector_rejected(self):
+        # No nonzero x >= 0 has x_1 + x_2 = 0; a tiny x must not pass on scale alone.
+        rep = check_kernel_certificate(np.array([[1.0, 1.0]]), kcert([1e-12, 1e-12], [0, 1]))
+        assert not rep.valid
+        assert check_kernel_certificate(np.array([[1.0, -1.0]]), kcert([1e-12, 1e-12], [0, 1])).valid
+
     def test_nan_rejected(self):
         # NaN fails neither the positivity test nor the residual test.
         rep = check_kernel_certificate(np.array([[1.0, -1.0]]), kcert([np.nan, np.nan], [0, 1]))
@@ -78,6 +84,12 @@ class TestKernelCertificate:
 
 
 class TestImageCertificate:
+    def test_scaled_down_vector_rejected(self):
+        # a_2^T y = -a_1^T y, so T* is empty and no y separates column 0 alone.
+        rep = check_image_certificate(np.array([[1.0, -1.0]]), icert([1e-12], [0]))
+        assert not rep.valid
+        assert check_image_certificate(np.array([[1.0, 0.0]]), icert([1e-12], [0])).valid
+
     def test_identity_valid(self):
         rep = check_image_certificate(np.eye(2), icert([0.5, 0.5], [0, 1]))
         assert rep.valid

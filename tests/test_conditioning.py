@@ -239,3 +239,10 @@ class TestLowerBoundChain:
         rep = condition_report(np.array([[0.5, -0.25]]))
         assert rep.encoding_length is None
         assert rep.kernel_feasible_hint
+
+
+def test_integers_past_int64_stay_exact():
+    mat = np.array([[2.0**64, 1.0]])
+    assert theta(mat) == 2.0**-128
+    assert hadamard_delta_sq_exact(mat) == 2**128
+    assert encoding_length(mat) == 68

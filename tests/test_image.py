@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import null_space
 
 from conebench.families import flat_image
-from helpers import flat_image_cone, sampled_width
+from helpers import flat_image_cone, integer_draw, sampled_width
 from lincone import image as image_module
 from lincone.certify import check_image_certificate
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
@@ -23,7 +23,7 @@ from lincone.image import (
 )
 from lincone.instances import gen_degenerate, gen_image_feasible
 from lincone.kernel import max_support_kernel
-from lincone.report import NO_CONVERGE, SOLVED, Limits
+from lincone.report import NO_CONVERGE, SOLVED, Limits, default_limits, rescaling_bound
 
 
 def image_instance(rng, m, n, rho):
@@ -226,8 +226,9 @@ class TestFullSupportImage:
             n = int(rng.integers(m, m + 8))
             rho = float(rng.uniform(0.05, 0.4))
             mat, _ = image_instance(rng, m, n, rho)
-            cert, report = full_support_image(mat, known_rho=rho)
+            cert, report = full_support_image(mat)
             assert report.status == SOLVED
+            assert report.rescalings <= rescaling_bound(m, rho, image=True)
             assert np.all(mat.T @ cert.y > 0)
             assert np.linalg.norm(cert.y) == pytest.approx(1.0)
             for check in report.bound_checks:
@@ -239,7 +240,7 @@ class TestFullSupportImage:
         angles = np.linspace(-(np.pi / 2 - delta), np.pi / 2 - delta, 12)
         mat = np.vstack([np.cos(angles), np.sin(angles)])
         log = []
-        cert, report = full_support_image(mat, known_rho=np.sin(delta), hook=decomposition_hook(log))
+        cert, report = full_support_image(mat, hook=decomposition_hook(log))
         assert report.status == SOLVED
         assert report.rescalings >= 1
         assert max(err for _, err in log) <= 1e-8
@@ -286,6 +287,29 @@ class TestFullSupportImage:
 
         cert, report = full_support_image(mat, Limits(max_rescalings=40, max_iterations=100000))
         assert report.status == NO_CONVERGE
+
+    def test_infeasible_direction_stops_at_float_range(self):
+        # Under default limits the current columns shrink toward underflow
+        # before the rescale budget runs out; the run must end with a status.
+        mat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        cert, report = full_support_image(mat)
+        assert report.status == NO_CONVERGE
+        assert 0 < report.rescalings < default_limits(2, 4).max_rescalings
+        assert not cert.y.any()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_integer_draws_end_with_a_status(seed):
+    mat = integer_draw(seed)
+    assert np.linalg.matrix_rank(mat) == mat.shape[0]
+    cert, report = full_support_image(mat)
+    assert report.status in (SOLVED, NO_CONVERGE)
+    if report.status == SOLVED:
+        assert check_image_certificate(mat, cert).valid
+    cert, support, report = max_support_image(mat)
+    assert report.status in (SOLVED, NO_CONVERGE)
+    if report.status == SOLVED:
+        assert check_image_certificate(mat, cert).valid
 
 
 class TestMaxSupportImage:

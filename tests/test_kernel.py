@@ -21,7 +21,7 @@ from lincone.image import ImageCertificate, max_support_image
 from lincone.instances import gen_degenerate
 from lincone.kernel import KernelCertificate, full_support_kernel, kernel_rescale, max_support_kernel
 from lincone.linalg import normalize_columns
-from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits, default_limits
+from lincone.report import INFEASIBLE_DETECTED, NO_CONVERGE, SOLVED, Limits, default_limits, rescaling_bound
 
 
 def feasible_instance(rng, m, n):
@@ -281,11 +281,9 @@ class TestFullSupportKernel:
 
     def test_known_rho_bound_check(self):
         mat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-        cert, report = full_support_kernel(mat, known_rho=-0.5)
-        assert report.bound_checks
-        check = report.bound_checks[-1]
-        assert check.passed
-        assert report.rescalings <= check.bound
+        cert, report = full_support_kernel(mat)
+        assert report.status == SOLVED
+        assert report.rescalings <= rescaling_bound(2, -0.5)
 
     def test_infeasible_verdict_is_checked(self):
         # These cones are image feasible and flat. A DV step leaves its pivot

@@ -416,6 +416,14 @@ class TestStrictConicFeasibility:
         assert report.status == SOLVED
         assert np.all(y > 0)
 
+    def test_infeasible_cone_stops_at_float_range(self):
+        # 0 is in the hull of +-e1, +-e2; past the default 64m rescalings G a
+        # shrinks toward underflow, and the run must end with a status.
+        mat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), 2, Limits(2000, None))
+        assert report.status == NO_CONVERGE
+        assert 0 < report.rescalings < 2000
+
     def test_matrix_cross_check(self):
         rng = np.random.default_rng(55)
         for _ in range(8):
