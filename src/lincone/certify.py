@@ -20,7 +20,7 @@ import numpy as np
 
 from .conditioning import _require_integral
 from .errors import ContractViolationError
-from .linalg import as_matrix, column_norms
+from .linalg import as_matrix, normalize_columns, raw_weights
 
 __all__ = [
     "CertReport",
@@ -57,7 +57,7 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     is 1e-8 per column.
     """
     mat = as_matrix(mat)
-    m, n = mat.shape
+    n = mat.shape[1]
     x = np.asarray(cert.x, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise ContractViolationError(f"certificate length {x.shape[0]} != n = {n}")
@@ -67,9 +67,8 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     if tol is None:
         tol = 1e-8 * n
     mask = _support_mask(cert.support, n)
-    norms = column_norms(mat)
-    ahat = mat / np.where(norms > 0.0, norms, 1.0)
-    residual = float(np.abs(ahat @ np.where(mask, x, 0.0)).max()) if m else 0.0
+    used = mask & mat.any(axis=0)  # a zero column adds nothing
+    residual = float(np.abs(normalize_columns(mat[:, used]) @ x[used]).max())
     margin = float(x[mask].min()) if mask.any() else 0.0
     if not (math.isfinite(residual) and math.isfinite(margin)):
         return CertReport(False, residual, margin, "residual or margin is not finite")
@@ -179,9 +178,8 @@ def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
         return CertReport(False, math.nan, math.nan, "certificate has non-finite entries")
     s_idx = sorted(set(np.asarray(kernel_cert.support, dtype=int).reshape(-1).tolist()))
     t_idx = sorted(set(range(n)) - set(s_idx))
-    norms = column_norms(mat)
     a_s = [cols[j] for j in s_idx]
-    x_s = _exact_kernel_point(list(zip(*a_s)), [x[j] / norms[j] if norms[j] > 0.0 else x[j] for j in s_idx])
+    x_s = _exact_kernel_point(list(zip(*a_s)), raw_weights(mat[:, s_idx], x[s_idx]).tolist())
     y_q = _exact_kernel_point(a_s, y.tolist())
     margins = [sum(a * b for a, b in zip(cols[j], y_q) if a) for j in t_idx]
     margin = float(min(x_s + margins, default=0))

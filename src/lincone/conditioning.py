@@ -13,13 +13,14 @@ to the nearest hull facet (from the convex hull, up to rank 7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedInstanceError
-from .linalg import TAU_RANK_FACTOR, as_matrix, column_norms
+from .linalg import TAU_RANK_FACTOR, as_matrix, normalize_columns, pivoted_rank, raw_weights
 
 __all__ = [
     "ConditionReport",
@@ -45,27 +46,18 @@ def _require_integral(mat: np.ndarray) -> list[list[int]]:
     return [[int(v) for v in row] for row in mat.tolist()]
 
 
-def _greedy_independent(mat: np.ndarray, norms: np.ndarray) -> list[int]:
+def _greedy_independent(mat: np.ndarray, keys) -> list[int]:
     """Greedy max-product independent column subset, largest norms first.
 
-    Independence of column sets is a matroid, so the greedy scan over
-    descending norms is exact. Columns of norm <= 1 never help the product
-    and are skipped.
+    ``keys`` order the columns as their norms do, positive exactly where the
+    norm is above 1 (no other column helps the product). Independence of
+    column sets is a matroid, so the greedy scan is exact; it is decided on
+    the unit columns by the shared pivoted-QR rank rule.
     """
-    order = np.argsort(-norms, kind="stable")
-    basis: list[np.ndarray] = []
     chosen: list[int] = []
-    for j in order:
-        if norms[j] <= 1.0:
-            break
-        col = mat[:, j].astype(float)
-        resid = col.copy()
-        for b in basis:
-            resid -= (b @ resid) * b
-        rnorm = np.linalg.norm(resid)
-        if rnorm > TAU_RANK_FACTOR * norms[j]:
-            basis.append(resid / rnorm)
-            chosen.append(int(j))
+    for j in sorted(range(len(keys)), key=lambda j: -keys[j]):
+        if keys[j] > 0 and pivoted_rank(normalize_columns(mat[:, chosen + [j]])) > len(chosen):
+            chosen.append(j)
     return chosen
 
 
@@ -73,31 +65,23 @@ def hadamard_delta(mat) -> float:
     """Largest product of column norms over independent column subsets.
 
     The empty subset counts with product 1, so the result is always >= 1.
+    Columns are ranked by log |a_j| = -log(1/|a_j|), which stays in float range (0 if zero).
     """
     mat = as_matrix(mat)
-    norms = column_norms(mat)
-    chosen = _greedy_independent(mat, norms)
-    prod = 1.0
-    for j in chosen:
-        prod *= float(norms[j])
-    return prod
+    log_norms = -np.log(raw_weights(mat, np.ones(mat.shape[1])))
+    with np.errstate(over="ignore"):  # a product past float range reads inf
+        return float(np.exp(log_norms[_greedy_independent(mat, log_norms)].sum()))
 
 
 def hadamard_delta_sq_exact(mat) -> int:
     """Exact squared value of ``hadamard_delta`` for an integral matrix.
 
-    Squared column norms of an integer matrix are integers, so the squared
-    product is computed without rounding. Independence is still decided in
-    floating point, which is reliable at desk scale.
+    Squared column norms of an integer matrix are integers, so columns are
+    ranked by them and the squared product is computed without rounding.
     """
     mat = as_matrix(mat)
-    ints = _require_integral(mat)
-    norms = column_norms(mat)
-    chosen = _greedy_independent(mat, norms)
-    prod = 1
-    for j in chosen:
-        prod *= sum(row[j] * row[j] for row in ints)
-    return prod
+    sq_norms = [sum(v * v for v in col) for col in _require_integral(mat.T)]
+    return math.prod(sq_norms[j] for j in _greedy_independent(mat, [sq - 1 for sq in sq_norms]))
 
 
 def theta(mat) -> float:
@@ -138,9 +122,8 @@ def goffin_oracle(mat) -> float:
     mat = as_matrix(mat)
     if not np.any(mat):
         raise ContractViolationError("margin of the zero matrix is undefined")
-    norms = column_norms(mat)
-    nz = norms > 0.0
-    hat = mat[:, nz] / norms[nz]
+    nz = mat.any(axis=0)
+    hat = normalize_columns(mat[:, nz])
 
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     r = int(np.sum(s > TAU_RANK_FACTOR * s[0]))

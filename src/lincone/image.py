@@ -296,6 +296,12 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     return cert
 
 
+def _require_full_row_rank(mat):
+    """Reject A unless its unit columns have rank m with each row scaled to unit length; a zero row fails."""
+    if not (mat.any(axis=1).all() and pivoted_rank(normalize_columns(normalize_columns(mat.T).T)) == mat.shape[0]):
+        raise ContractViolationError("image solver requires full row rank")
+
+
 @timed
 def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     """Find y with A^T y > 0 strictly, assuming full row rank.
@@ -309,9 +315,8 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     """
     mat = as_matrix(mat)
     m, n = mat.shape
-    if pivoted_rank(mat) != m:
-        raise ContractViolationError("image solver requires full row rank")
     ahat = normalize_columns(mat)
+    _require_full_row_rank(mat)
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
@@ -374,15 +379,12 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     mat = as_matrix(mat)
     m, n = mat.shape
     ell = encoding_length(mat)  # also the integrality gate
-    if pivoted_rank(mat) != m:
-        raise ContractViolationError("image solver requires full row rank")
+    active = np.flatnonzero(mat.any(axis=0))
+    ahat = np.zeros_like(mat)
+    ahat[:, active] = normalize_columns(mat[:, active])
+    _require_full_row_rank(mat[:, active])
     th = theta(mat)
     limits = default_limits(m, n, encoding_estimate=float(ell), given=limits)
-
-    norms = column_norms(mat)
-    active = np.flatnonzero(norms > 0.0)
-    ahat = np.zeros_like(mat, dtype=float)
-    ahat[:, active] = mat[:, active] / norms[active]
 
     report = SolveReport(status=NO_CONVERGE)
     cert = _rescaling_loop(ahat, active, limits, report, th, hook=hook)

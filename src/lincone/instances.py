@@ -16,7 +16,7 @@ import numpy as np
 
 from .conditioning import goffin_oracle
 from .errors import ContractViolationError, ParseError, UnsupportedInstanceError
-from .linalg import as_matrix, column_norms, pivoted_rank
+from .linalg import as_matrix, normalize_columns, pivoted_rank, raw_weights
 
 __all__ = [
     "ConicInstance",
@@ -63,15 +63,6 @@ class LPFeasibilityProblem:
     rhs: np.ndarray
 
 
-def _unit_columns(rng, m, count):
-    cols = rng.standard_normal((m, count))
-    norms = np.linalg.norm(cols, axis=0)
-    while np.any(norms < 1e-12):
-        cols[:, norms < 1e-12] = rng.standard_normal((m, int((norms < 1e-12).sum())))
-        norms = np.linalg.norm(cols, axis=0)
-    return cols / norms
-
-
 def gen_kernel_feasible(m: int, n: int, rho_target: float, seed) -> ConicInstance:
     """Instance with 0 strictly inside the hull of the unit columns.
 
@@ -87,7 +78,7 @@ def gen_kernel_feasible(m: int, n: int, rho_target: float, seed) -> ConicInstanc
         raise ContractViolationError("rho_target must be in (0, 1)")
     rng = np.random.default_rng(seed)
     for _ in range(_RESAMPLE_BUDGET):
-        cols = _unit_columns(rng, m, n - 1)
+        cols = normalize_columns(rng.standard_normal((m, n - 1)))
         total = cols.sum(axis=1)
         scale = np.linalg.norm(total)
         if scale < 1e-9:
@@ -205,9 +196,8 @@ def recover_lp_point(problem: LPFeasibilityProblem, cert) -> np.ndarray:
     a = as_matrix(problem.mat)
     m, d = a.shape
     big, t_index = reduce_lp_feasibility(problem)
-    norms = column_norms(big)
     # a zero column is an unconstrained variable; any coefficient works
-    raw = cert.x / np.where(norms > 0.0, norms, 1.0)
+    raw = raw_weights(big, cert.x)
     t = raw[t_index]
     if t <= 0:
         raise ContractViolationError("certificate has t = 0: system is infeasible")

@@ -120,7 +120,7 @@ def _unit_metric(ufac, cols, fmat):
     its diagonal set to exactly 1. Returns (ell, B_hat).
     """
     wcols = ufac @ cols
-    qnorms = np.sqrt(np.einsum("ij,ij->j", wcols, wcols))
+    qnorms = column_norms(wcols)
     bhat = wcols / qnorms
     np.matmul(bhat.T, bhat, out=fmat)
     np.fill_diagonal(fmat, 1.0)
@@ -399,10 +399,9 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     log_inv_theta = -math.log(th) if th > 0.0 else math.log(m * m * hadamard_delta_sq_exact(mat))
     limits = default_limits(m, n, encoding_estimate=float(enc), given=limits)
 
-    norms = column_norms(mat)
-    nz = norms > 0.0
-    ahat = np.zeros_like(mat, dtype=float)
-    ahat[:, nz] = mat[:, nz] / norms[nz]
+    nz = mat.any(axis=0)
+    ahat = np.zeros_like(mat)
+    ahat[:, nz] = normalize_columns(mat[:, nz])
 
     report = SolveReport(status=NO_CONVERGE)
     status, support, xbar = _rescaling_loop(

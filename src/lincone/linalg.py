@@ -24,6 +24,7 @@ __all__ = [
     "orthocomplement_basis",
     "column_norms",
     "normalize_columns",
+    "raw_weights",
 ]
 
 
@@ -43,13 +44,36 @@ def column_norms(mat: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mat, axis=0)
 
 
+def _pow2_scaled(mat: np.ndarray):
+    """(mat 2^-e, e) by column, e putting each largest |entry| in [1/2, 1): an exact step.
+
+    A zero, NaN or infinite column keeps e = 0; a 1-d array is one column.
+    """
+    _, exps = np.frexp(np.abs(mat).max(axis=0))
+    return np.ldexp(mat, -exps), exps
+
+
 def normalize_columns(mat: np.ndarray) -> np.ndarray:
-    """Scale every column to unit euclidean length. Zero columns are rejected."""
-    norms = column_norms(mat)
-    if np.any(norms == 0.0):
-        bad = int(np.nonzero(norms == 0.0)[0][0])
-        raise DegenerateColumnError(f"column {bad} is zero and cannot be normalized")
-    return mat / norms
+    """Scale every column to unit euclidean length. Zero columns are rejected.
+
+    After ``_pow2_scaled`` this is mat / |a_j| bit for bit wherever |a_j|^2
+    is in float range, and it stays right outside that range.
+    """
+    scaled, _ = _pow2_scaled(mat)
+    norms = column_norms(scaled)
+    if not norms.all():
+        raise DegenerateColumnError(f"column {int(norms.argmin())} is zero and cannot be normalized")
+    return scaled / norms
+
+
+def raw_weights(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_j / |a_j|: x on the unit columns as weights on A's own; a zero column keeps x_j.
+
+    Read as (x_j / |2^-e_j a_j|) 2^-e_j, so no norm leaves float range.
+    """
+    scaled, exps = _pow2_scaled(mat)
+    norms = column_norms(scaled)
+    return np.ldexp(x / np.where(norms > 0.0, norms, 1.0), -exps)
 
 
 class SymPosDef:

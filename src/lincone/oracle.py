@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ContractViolationError, OracleFaultError
 from .firstorder import BUDGET_EXHAUSTED, SMALL_NORM, _vn_cap, _vn_step
 from .image import _NORM_RANGE, _grow_metric, _growth_check
-from .linalg import SymPosDef, as_matrix
+from .linalg import SymPosDef, _pow2_scaled, as_matrix, normalize_columns
 from .report import NO_CONVERGE, SOLVED, Limits, SolveReport, default_oracle_limits, rescale_epsilon, timed
 
 __all__ = [
@@ -75,12 +75,11 @@ class MatrixSeparationOracle:
 
     def __init__(self, mat):
         mat = as_matrix(mat)
-        norms = np.linalg.norm(mat, axis=0)
-        if np.any(norms == 0.0):
+        if not mat.any(axis=0).all():
             raise ContractViolationError("zero column: the cone has empty interior and no valid oracle")
         self.mat = mat
         self.dim = mat.shape[0]
-        self._unit_t = (mat / norms).T
+        self._unit_t = normalize_columns(mat).T
         self.calls = 0
 
     def query(self, v: np.ndarray) -> Optional[np.ndarray]:
@@ -164,6 +163,7 @@ class SubprocessOracle:
         return False
 
 
+@np.errstate(over="ignore")  # a^T a of an answer past float range reads inf and is rescaled
 def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, budget=None):
     """Von Neumann iteration driven by a separation oracle.
 
@@ -177,9 +177,10 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     moves w by the usual line-search step.
 
     Each answer is checked once, before any other arithmetic on it: 0 < a^T a
-    < inf rejects zero, NaN and infinite answers, then a^T v <= 0 up to the
-    rounding of an m-term dot product, 2 u m |a| |v| with u the unit
-    roundoff (else ``OracleFaultError``). That bound is computed only when
+    < inf rejects zero, NaN and infinite answers (one whose a^T a only left
+    float range is scaled back by a power of two, which keeps G a / |G a|),
+    then a^T v <= 0 up to the rounding of an m-term dot product, 2 u m |a| |v|
+    with u the unit roundoff (else ``OracleFaultError``), computed only when
     a^T v reads positive. The phase stops with status ``out_of_range`` once
     |G a| <= |a| / ``_NORM_RANGE``, where G a nears underflow. The step
     takes z = (Ga)^T w / |Ga| as a^T v / |Ga|, clamped to at most 0, since
@@ -227,7 +228,10 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     while answer is not None:
         anorm2 = float(answer.dot(answer))
         if not 0.0 < anorm2 < math.inf:
-            raise OracleFaultError(f"oracle answer has a^T a = {anorm2}, not in (0, inf)")
+            answer = _pow2_scaled(answer)[0]
+            anorm2 = float(answer.dot(answer))
+            if not 0.0 < anorm2 < math.inf:
+                raise OracleFaultError(f"oracle answer has a^T a = {anorm2}, not in (0, inf)")
         av = float(answer.dot(v))
         if av > 0.0 and av > dot_rounding * math.sqrt(anorm2 * float(v.dot(v))):
             raise OracleFaultError("oracle returned a vector with a^T v > 0")

@@ -58,6 +58,15 @@ class TestKernelCertificate:
         rep = check_kernel_certificate(mat, kcert([2, 1, 1], [0, 1, 2]))
         assert rep.valid
 
+    def test_residual_on_columns_past_float_range(self):
+        # |a_j|^2 overflows here; read as inf, both unit columns came out 0
+        # and x = (1, 1) passed with residual 0, though A x != 0.
+        mat = np.array([[1e200, 1e200], [0.0, 1e200]])
+        rep = check_kernel_certificate(mat, kcert([1, 1], [0, 1]))
+        assert not rep.valid
+        assert rep.residual == pytest.approx(1.0 + np.sqrt(0.5))
+        assert check_kernel_certificate(2.0**600 * np.array([[1.0, -1.0]]), kcert([1, 1], [0, 1])).valid
+
     def test_scaled_down_vector_rejected(self):
         # No nonzero x >= 0 has x_1 + x_2 = 0; a tiny x must not pass on scale alone.
         rep = check_kernel_certificate(np.array([[1.0, 1.0]]), kcert([1e-12, 1e-12], [0, 1]))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,24 @@ class TestLowerBoundChain:
         rep = condition_report(np.array([[0.5, -0.25]]))
         assert rep.encoding_length is None
         assert rep.kernel_feasible_hint
+
+
+def test_norms_past_float_range_stay_exact():
+    # |a_j|^2 = 2^1040 overflows a float: the columns are ranked by their
+    # exact squared norms and tested for independence as unit columns.
+    mat = np.array([[2.0**520, -(2.0**520), 0.0, 1.0], [0.0, 0.0, 2.0**520, 1.0]])
+    assert hadamard_delta_sq_exact(mat) == 2**2080
+    assert theta(mat) == 0.0
+    assert hadamard_delta(mat) == math.inf
+
+
+def test_independence_on_ill_scaled_rows():
+    # Ranked by exact squared norms, the first two columns differ only in an
+    # entry 1e-8 of their unit length; Gram-Schmidt over them left rounding
+    # of that size in the third column, which in R^2 depends on them, and
+    # counted it.
+    mat = np.array([[3e8, 3e8, 0.0], [-3.0, 0.0, -3.0]])
+    assert hadamard_delta_sq_exact(mat) == (9 * 10**16 + 9) * 9 * 10**16
 
 
 def test_integers_past_int64_stay_exact():

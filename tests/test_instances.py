@@ -191,6 +191,15 @@ class TestExactSupportOracle:
             rep = check_partition_exact(inst.mat, *pair(x, s_moved, icert.y, t_moved))
             assert not rep.valid, j
 
+    def test_pair_proved_on_a_copy_past_float_range(self):
+        # |a_j|^2 overflows on 2^520 A; the hints x_j / |a_j| read 0 there,
+        # and the exact x_0 came out 0. The unit columns, and so the pair, are A's.
+        inst = gen_degenerate(3, 8, 4, 0)
+        kcert, _, _ = max_support_kernel(inst.mat)
+        icert, _, _ = max_support_image(inst.mat)
+        rep = check_partition_exact(2.0**520 * inst.mat, kcert, icert)
+        assert rep.valid, rep.message
+
     def test_zero_column_in_image_support_rejected(self):
         rep = check_partition_exact(np.array([[0, 1]]), *pair([0, 0], [], [1.0], [0, 1]))
         assert not rep.valid and "a_0^T y" in rep.message
@@ -274,6 +283,17 @@ class TestReduceLpFeasibility:
         assert t_index in support
         x = recover_lp_point(prob, cert)
         assert np.all(prob.mat @ x <= prob.rhs + 1e-8)
+
+    def test_recover_point_of_a_scaled_system(self):
+        # 2^600 (A, b) has the same unit columns and the same points; its
+        # column norms overflow, and x_j / |a_j| read t = 0.
+        prob = LPFeasibilityProblem(
+            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+            np.array([2.0, 2.0, 1.0]),
+        )
+        cert, _, _ = max_support_kernel(reduce_lp_feasibility(prob)[0])
+        scaled = LPFeasibilityProblem(2.0**600 * prob.mat, 2.0**600 * prob.rhs)
+        assert np.array_equal(recover_lp_point(scaled, cert), recover_lp_point(prob, cert))
 
     def test_recover_rejects_zero_t(self):
         prob = LPFeasibilityProblem(np.array([[0.0]]), np.array([-1.0]))

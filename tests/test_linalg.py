@@ -9,6 +9,7 @@ from lincone.linalg import (
     normalize_columns,
     orthocomplement_basis,
     pivoted_rank,
+    raw_weights,
 )
 
 from helpers import bareiss_rank, gs_kernel_projector, householder_orthocomplement
@@ -229,6 +230,21 @@ class TestDeterminantFacts:
             x = b @ b.T + 1e-6 * np.eye(4)
             d = np.linalg.det(x) ** (1.0 / 4.0)
             assert d <= np.trace(x) / 4.0 + 1e-9
+
+
+def test_normalize_columns_is_exact_under_power_of_two_scaling():
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((4, 30)) * 10.0 ** rng.integers(-8, 9, size=30)
+    unit = normalize_columns(mat)
+    assert np.array_equal(unit, mat / np.linalg.norm(mat, axis=0))
+    for scale in (2.0**600, 2.0**-600):
+        assert np.array_equal(normalize_columns(scale * mat), unit)
+
+
+def test_raw_weights_undo_the_column_norms():
+    mat = np.array([[3.0, 0.0, 0.0], [4.0, 0.0, -2.0]])
+    assert np.array_equal(raw_weights(mat, np.array([5.0, 1.0, 4.0])), [1.0, 1.0, 2.0])
+    assert np.array_equal(raw_weights(2.0**600 * mat, np.ones(3))[[0, 2]], 2.0**-600 * np.array([0.2, 0.5]))
 
 
 def test_normalize_columns_rejects_zero():

@@ -207,6 +207,18 @@ class ScalingOracle(MatrixSeparationOracle):
         return None if answer is None else answer * 2.0 ** (self.calls % 3)
 
 
+class FarScaledOracle(MatrixSeparationOracle):
+    """Answers like its matrix times a fixed power of two, whose a^T a leaves float range."""
+
+    def __init__(self, mat, factor):
+        super().__init__(mat)
+        self.factor = factor
+
+    def query(self, v):
+        answer = super().query(v)
+        return None if answer is None else answer * self.factor
+
+
 class RecordingOracle(MatrixSeparationOracle):
     """Answers like its matrix and keeps a copy of every point it approves."""
 
@@ -320,6 +332,18 @@ class TestOracleVonNeumann:
         assert len(scaled[0]) == len(plain[0]) <= 3
         assert np.array_equal(scaled[0], plain[0])
         assert np.array_equal(scaled[2], plain[2])
+
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    def test_answers_past_float_range_run_as_unscaled_ones(self, factor):
+        # 2^600 a and 2^-600 a are valid answers whose a^T a over- and
+        # underflows; the loop brings them back by a power of two, bit for bit.
+        mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
+        g = np.diag([2.0, 1.0])
+        plain = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.005)
+        scaled = oracle_von_neumann(FarScaledOracle(mat, factor), g, eps=0.005)
+        assert scaled[3:] == plain[3:]
+        for got, want in zip(scaled[:3], plain[:3]):
+            assert np.array_equal(got, want)
 
     def test_matches_reference_trajectory(self):
         # The whitened loop follows the oracle-coordinate loop step for step:
