@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedInstanceError
-from .linalg import TAU_RANK_FACTOR, as_matrix, normalize_columns, pivoted_rank, raw_weights
+from .linalg import TAU_RANK_FACTOR, _pow2_scaled, as_matrix, column_norms, normalize_columns, pivoted_rank
 
 __all__ = [
     "ConditionReport",
@@ -52,11 +52,11 @@ def _greedy_independent(mat: np.ndarray, keys) -> list[int]:
     ``keys`` order the columns as their norms do, positive exactly where the
     norm is above 1 (no other column helps the product). Independence of
     column sets is a matroid, so the greedy scan is exact; it is decided on
-    the unit columns by the shared pivoted-QR rank rule.
+    the unit columns by the shared pivoted-QR rank rule, skipped once m are chosen.
     """
     chosen: list[int] = []
     for j in sorted(range(len(keys)), key=lambda j: -keys[j]):
-        if keys[j] > 0 and pivoted_rank(normalize_columns(mat[:, chosen + [j]])) > len(chosen):
+        if keys[j] > 0 and len(chosen) < mat.shape[0] and pivoted_rank(normalize_columns(mat[:, chosen + [j]])) > len(chosen):
             chosen.append(j)
     return chosen
 
@@ -65,12 +65,14 @@ def hadamard_delta(mat) -> float:
     """Largest product of column norms over independent column subsets.
 
     The empty subset counts with product 1, so the result is always >= 1.
-    Columns are ranked by log |a_j| = -log(1/|a_j|), which stays in float range (0 if zero).
+    Norms are read as |2^-e_j a_j| 2^e_j, so none leaves float range.
     """
     mat = as_matrix(mat)
-    log_norms = -np.log(raw_weights(mat, np.ones(mat.shape[1])))
-    with np.errstate(over="ignore"):  # a product past float range reads inf
-        return float(np.exp(log_norms[_greedy_independent(mat, log_norms)].sum()))
+    scaled, exps = _pow2_scaled(mat)
+    norms = column_norms(scaled)
+    with np.errstate(divide="ignore", over="ignore"):  # a zero column ranks at -inf; past float range reads inf
+        chosen = _greedy_independent(mat, np.log(norms) + exps * math.log(2.0))
+        return float(np.ldexp(np.prod(norms[chosen]), exps[chosen].sum()))
 
 
 def hadamard_delta_sq_exact(mat) -> int:

@@ -296,12 +296,6 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     return cert
 
 
-def _require_full_row_rank(mat):
-    """Reject A unless its unit columns have rank m with each row scaled to unit length; a zero row fails."""
-    if not (mat.any(axis=1).all() and pivoted_rank(normalize_columns(normalize_columns(mat.T).T)) == mat.shape[0]):
-        raise ContractViolationError("image solver requires full row rank")
-
-
 @timed
 def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     """Find y with A^T y > 0 strictly, assuming full row rank.
@@ -316,7 +310,9 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     mat = as_matrix(mat)
     m, n = mat.shape
     ahat = normalize_columns(mat)
-    _require_full_row_rank(mat)
+    # Rank with unit rows, then unit columns: row scaling cannot fail it, a zero row does.
+    if not (mat.any(axis=1).all() and pivoted_rank(normalize_columns(normalize_columns(mat.T).T)) == m):
+        raise ContractViolationError("image solver requires full row rank")
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
@@ -379,11 +375,13 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     mat = as_matrix(mat)
     m, n = mat.shape
     ell = encoding_length(mat)  # also the integrality gate
+    # The raw rank cut: on rows of unequal scale theta and the checker can pass a wrong support.
+    if pivoted_rank(mat) != m:
+        raise ContractViolationError("image solver requires full row rank")
+    th = theta(mat)
     active = np.flatnonzero(mat.any(axis=0))
     ahat = np.zeros_like(mat)
     ahat[:, active] = normalize_columns(mat[:, active])
-    _require_full_row_rank(mat[:, active])
-    th = theta(mat)
     limits = default_limits(m, n, encoding_estimate=float(ell), given=limits)
 
     report = SolveReport(status=NO_CONVERGE)

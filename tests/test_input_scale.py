@@ -2,7 +2,9 @@
 
 A power-of-two multiple of A has the same unit columns as A, bit for bit;
 2^600 and 2^-600 put every |a_j|^2 past float range, one each way. Row
-scaling changes the unit columns, but not the rank the image solvers require.
+scaling changes the unit columns, but not the rank ``full_support_image``
+requires; ``max_support_image`` still cuts the raw rank, as its theta and
+checker cannot yet tell such rows apart.
 """
 
 import functools
@@ -12,7 +14,8 @@ import pytest
 
 from helpers import integer_draw
 from lincone.certify import check_image_certificate, check_kernel_certificate
-from lincone.image import ImageCertificate, full_support_image
+from lincone.errors import ContractViolationError
+from lincone.image import ImageCertificate, full_support_image, max_support_image
 from lincone.instances import gen_image_feasible, gen_kernel_feasible
 from lincone.kernel import KernelCertificate, full_support_kernel
 from lincone.oracle import MatrixSeparationOracle, strict_conic_feasibility
@@ -67,3 +70,17 @@ def test_row_scaled_draws_pass_the_rank_test(seed):
     for cert, report in runs:
         if report.status == SOLVED:
             assert check_image_certificate(mat, cert).valid
+
+
+@pytest.mark.parametrize("seed", [5, 10, 14, 16])
+def test_row_scaled_max_support_image_raises_or_keeps_the_support(seed):
+    # Rows alternately times 1e12 and 1 leave the max support unchanged; on
+    # these draws a row-scale-free rank test let through a wrong support.
+    mat = integer_draw(seed)
+    _, support, report = max_support_image(mat)
+    assert report.status == SOLVED
+    try:
+        _, scaled_support, _ = max_support_image(mat * np.where(np.arange(mat.shape[0]) % 2 == 0, 1e12, 1.0)[:, None])
+    except ContractViolationError:
+        return
+    assert np.array_equal(scaled_support, support)
