@@ -8,6 +8,9 @@ support S* and the image support T*.
 
 from .certify import (
     CertReport,
+    ImageCertificate,
+    KernelCertificate,
+    certified,
     check_complementary_pair,
     check_image_certificate,
     check_kernel_certificate,
@@ -31,7 +34,6 @@ from .errors import (
 )
 from .firstorder import von_neumann
 from .image import (
-    ImageCertificate,
     full_support_image,
     image_rescale,
     max_support_image,
@@ -50,7 +52,6 @@ from .instances import (
     write_instance,
 )
 from .kernel import (
-    KernelCertificate,
     full_support_kernel,
     kernel_rescale,
     max_support_kernel,
@@ -115,6 +116,7 @@ __all__ = [
     "write_certificate",
     # certification
     "CertReport",
+    "certified",
     "check_kernel_certificate",
     "check_image_certificate",
     "check_complementary_pair",

@@ -8,12 +8,14 @@ matrix. Each residual is judged relative to the certificate's own scale,
 max|x| or |y|, so scaling a vector down cannot make it pass. On integral
 input ``check_partition_exact`` proves a max-support pair in rational
 arithmetic, with the float certificates as mere hints.
+``certified`` is where every solver turns a vector and its support into a
+certificate, which carries the residual and margin its checker measured.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,9 @@ from .linalg import as_matrix, normalize_columns, raw_weights
 
 __all__ = [
     "CertReport",
+    "ImageCertificate",
+    "KernelCertificate",
+    "certified",
     "check_kernel_certificate",
     "check_image_certificate",
     "check_complementary_pair",
@@ -39,6 +44,35 @@ class CertReport:
     message: str
 
 
+@dataclass(frozen=True)
+class KernelCertificate:
+    """x > 0 on ``support``, 0 off it, Ax = 0; ``certified`` fills in its checker's numbers."""
+
+    x: np.ndarray
+    support: np.ndarray
+    residual: float = 0.0
+    min_support_value: float = 0.0
+
+
+@dataclass(frozen=True)
+class ImageCertificate:
+    """a_j^T y > 0 on ``support``, 0 off it; ``certified`` fills in its checker's numbers."""
+
+    y: np.ndarray
+    support: np.ndarray
+    min_margin: float = 0.0
+    residual_zero: float = 0.0
+
+
+def certified(mat, cert):
+    """``cert`` with the residual and margin its type's checker measured on ``mat``, or None if rejected."""
+    if isinstance(cert, KernelCertificate):
+        rep = check_kernel_certificate(mat, cert)
+        return replace(cert, residual=rep.residual, min_support_value=rep.margin) if rep.valid else None
+    rep = check_image_certificate(mat, cert)
+    return replace(cert, min_margin=rep.margin, residual_zero=rep.residual) if rep.valid else None
+
+
 def _support_mask(support, n):
     mask = np.zeros(n, dtype=bool)
     support = np.asarray(support, dtype=int).reshape(-1)
@@ -52,9 +86,11 @@ def _support_mask(support, n):
 def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     """Validate x > 0 on the support, zero off it, and a tiny residual.
 
-    The residual is the sup norm of the normalized columns restricted to
-    the support, applied to x. It must be at most tol * max|x|; default tol
-    is 1e-8 per column.
+    The residual is the sup norm of A_hat x, with A_hat the normalized
+    columns restricted to the support. It must be at most tol * max|x|, and
+    each row's |(A_hat x)_i| at most tol * sum_j |a_hat_ij x_j|, so a row
+    of small entries cannot hide under the others' scale; default tol is
+    1e-8 per column.
     """
     mat = as_matrix(mat)
     n = mat.shape[1]
@@ -68,7 +104,9 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
         tol = 1e-8 * n
     mask = _support_mask(cert.support, n)
     used = mask & mat.any(axis=0)  # a zero column adds nothing
-    residual = float(np.abs(normalize_columns(mat[:, used]) @ x[used]).max())
+    ahat = normalize_columns(mat[:, used])
+    rows = np.abs(ahat @ x[used])
+    residual = float(rows.max())
     margin = float(x[mask].min()) if mask.any() else 0.0
     if not (math.isfinite(residual) and math.isfinite(margin)):
         return CertReport(False, residual, margin, "residual or margin is not finite")
@@ -79,6 +117,11 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
     bound = tol * float(np.abs(x).max())
     if residual > bound:
         return CertReport(False, residual, margin, f"residual {residual:.3e} > {bound:.3e}")
+    row_bounds = tol * (np.abs(ahat) @ np.abs(x[used]))
+    over = np.flatnonzero(rows > row_bounds)
+    if over.size:
+        i = int(over[0])
+        return CertReport(False, residual, margin, f"row {i} residual {rows[i]:.3e} > {row_bounds[i]:.3e}")
     return CertReport(True, residual, margin, "ok")
 
 

@@ -22,9 +22,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .certify import check_image_certificate, check_kernel_certificate
+from .certify import ImageCertificate, KernelCertificate, check_image_certificate, check_kernel_certificate
 from .errors import LinconeError
-from .image import ImageCertificate, full_support_image, max_support_image
+from .image import full_support_image, max_support_image
 from .instances import (
     gen_degenerate,
     gen_image_feasible,
@@ -34,7 +34,7 @@ from .instances import (
     write_certificate,
     write_instance,
 )
-from .kernel import KernelCertificate, full_support_kernel, max_support_kernel
+from .kernel import full_support_kernel, max_support_kernel
 from .oracle import SubprocessOracle, strict_conic_feasibility
 from .report import Limits
 
@@ -194,17 +194,10 @@ def _cmd_certify(args) -> int:
     inst = parse_instance(_read_file(args.input))
     kind, vector, support = parse_certificate(_read_file(args.cert))
     if kind == "kernel":
-        cert = KernelCertificate(x=vector, support=support, residual=0.0, min_support_value=0.0)
-        rep = check_kernel_certificate(inst.mat, cert, args.tol)
+        rep = check_kernel_certificate(inst.mat, KernelCertificate(vector, support), args.tol)
     else:
-        cert = ImageCertificate(y=vector, support=support, min_margin=0.0, residual_zero=0.0)
-        rep = check_image_certificate(inst.mat, cert, args.tol)
-    print(json.dumps({
-        "valid": rep.valid,
-        "residual": rep.residual,
-        "margin": rep.margin,
-        "message": rep.message,
-    }))
+        rep = check_image_certificate(inst.mat, ImageCertificate(vector, support), args.tol)
+    print(json.dumps(asdict(rep)))
     print(("valid" if rep.valid else "INVALID") + f": {rep.message}", file=sys.stderr)
     return 0 if rep.valid else 3
 

@@ -78,12 +78,30 @@ def hadamard_delta(mat) -> float:
 def hadamard_delta_sq_exact(mat) -> int:
     """Exact squared value of ``hadamard_delta`` for an integral matrix.
 
-    Squared column norms of an integer matrix are integers, so columns are
-    ranked by them and the squared product is computed without rounding.
+    Squared column norms of an integer matrix are integers, so the greedy
+    scan of ``hadamard_delta`` ranks the columns by them and decides
+    independence by fraction-free elimination in Python ints: each chosen
+    column is kept reduced, zero at every earlier one's pivot, and a
+    candidate v reduced by each (v <- b_p v - v_p b) is independent exactly
+    when something is left. The squared product is computed without rounding.
     """
     mat = as_matrix(mat)
-    sq_norms = [sum(v * v for v in col) for col in _require_integral(mat.T)]
-    return math.prod(sq_norms[j] for j in _greedy_independent(mat, [sq - 1 for sq in sq_norms]))
+    cols = _require_integral(mat.T)
+    sq_norms = [sum(v * v for v in col) for col in cols]
+    basis: list[tuple[int, list[int]]] = []  # (pivot, reduced column), each divided by its gcd
+    delta_sq = 1
+    for j in sorted(range(len(cols)), key=lambda j: -sq_norms[j]):
+        if sq_norms[j] <= 1 or len(basis) == mat.shape[0]:
+            break
+        v = cols[j]
+        for p, b in basis:
+            if v[p]:
+                v = [b[p] * a - v[p] * c for a, c in zip(v, b)]
+        g = math.gcd(*v)
+        if g:
+            basis.append((next(i for i, a in enumerate(v) if a), [a // g for a in v]))
+            delta_sq *= sq_norms[j]
+    return delta_sq
 
 
 def theta(mat) -> float:

@@ -27,8 +27,8 @@ import math
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .errors import ContractViolationError, DegenerateColumnError
-from .linalg import as_matrix, column_norms
+from .errors import ContractViolationError
+from .linalg import as_matrix, column_norms, normalize_columns
 
 __all__ = [
     "SEPARATED",
@@ -104,9 +104,11 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     mat = np.ascontiguousarray(as_matrix(mat))
     if not 0.0 < eps < math.inf:
         raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
-    norms = column_norms(mat)
-    if np.any(norms == 0.0):
-        raise DegenerateColumnError("all columns must be nonzero")
+    with np.errstate(over="ignore"):  # |a_j|^2 past float range reads inf
+        norms = column_norms(mat)
+    if not np.all((norms > 0.0) & (norms < math.inf)):
+        # Normalize exactly (a zero column raises) and read y on the unit columns.
+        mat, norms = normalize_columns(mat), np.ones(mat.shape[1])
     m, n = mat.shape
     bhat = mat / norms
     bhat_flat = bhat.ravel()

@@ -10,7 +10,7 @@ of condition at most 2. The max-support solver passes theta and the
 full-support solver passes 0: after each rescale the loop projects out every
 column whose Q-norm dropped below theta (such a column can never be strictly
 positive), so with theta = 0 no column is ever scanned or removed. Either
-solver reports ``solved`` only once ``check_image_certificate`` accepts its
+solver reports ``solved`` only once ``certify.certified`` accepts its
 certificate on the caller's matrix, and ``no_converge`` otherwise.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import check_image_certificate
+from .certify import ImageCertificate, certified
 from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
 from .firstorder import BUDGET_EXHAUSTED, SEPARATED, von_neumann
@@ -40,7 +40,6 @@ from .report import (
     BoundCheck,
     Limits,
     SolveReport,
-    checked,
     default_limits,
     rescale_epsilon,
     timed,
@@ -88,18 +87,6 @@ class ImageState:
     theta: float
     eps: float
     slack: float = 0.0
-
-
-@dataclass(frozen=True)
-class ImageCertificate:
-    y: np.ndarray
-    support: np.ndarray
-    min_margin: float
-    residual_zero: float
-
-
-def _no_certificate(m: int) -> ImageCertificate:
-    return ImageCertificate(y=np.zeros(m), support=np.arange(0), min_margin=0.0, residual_zero=0.0)
 
 
 def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
@@ -183,8 +170,9 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     whose columns on supp(x) have current norms below 1 / ``_NORM_RANGE``:
     on an image-infeasible cone they shrink geometrically, and past that
     their squares underflow and the growth step reads rounding. Counters and
-    ledger bound checks go to ``report``. Returns the ImageCertificate, an
-    empty one unless solved.
+    ledger bound checks go to ``report``. Returns (y, support) with support
+    the surviving columns: y = M y_cur, of unit length, once the inner loop
+    separates them, 0 once none survive, else None.
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m)
@@ -207,8 +195,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     log_gamma_cap = math.log(2.0) - 2.0 * log_theta + math.log1p(_LEDGER_SLACK)
     log_removal_floor = 2.0 * log_theta - math.log(2.0 * (n + 1.0))
     max_phase_iters = 0
-    status = NO_CONVERGE
-    ybar = np.zeros(m)
+    ybar = None
 
     def ledger_checks():
         gmax = float(state.gamma.max(initial=0.0))
@@ -220,7 +207,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
 
     while True:
         if len(state.T) == 0:
-            status = SOLVED
+            ybar = np.zeros(m)
             break
         x, y, fo_status, iters = von_neumann(state.A_cur, eps, limits.max_iterations - report.fo_iters)
         report.fo_iters += iters
@@ -229,8 +216,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             # a_hat_j^T (M y) = c_j^T y, so y_bar = M y satisfies the strict
             # inequalities the inner loop checked.
             ybar = state.M @ y
-            ybar = ybar / np.linalg.norm(ybar)
-            status = SOLVED
+            ybar /= np.linalg.norm(ybar)
             break
         if fo_status == BUDGET_EXHAUSTED:
             break
@@ -264,35 +250,25 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
                 break
             ledger_checks()
 
-    if status == SOLVED:
-        support = np.asarray(state.T, dtype=int)
-        report.status = SOLVED
-        margins = ahat[:, support].T @ ybar if support.size else np.zeros(0)
-        off = np.setdiff1d(np.arange(n), support)
-        residual = float(np.abs(ahat[:, off].T @ ybar).max()) if off.size else 0.0
-        cert = ImageCertificate(
-            y=ybar,
-            support=support,
-            min_margin=float(margins.min()) if margins.size else 0.0,
-            residual_zero=residual,
-        )
-        report.margin = cert.min_margin
-        report.residual = residual
-    else:
-        cert = _no_certificate(m)
-
     if report.rescalings > 0:
         report.bound_checks.append(_growth_check(min_growth))
     if report.removals > 0:
-        report.bound_checks.append(
-            BoundCheck(
-                name="removal_det_ratio_min",
-                bound=math.exp(log_removal_floor),
-                observed=min_removal,
-                passed=above_removal_floor(min_removal),
-            )
-        )
-    report.add_bound_check("fo_iters_per_phase", float(math.ceil(1.0 / (eps * eps))), float(max_phase_iters))
+        floor, passed = math.exp(log_removal_floor), above_removal_floor(min_removal)
+        report.bound_checks.append(BoundCheck("removal_det_ratio_min", floor, min_removal, passed))
+    cap = float(math.ceil(1.0 / (eps * eps)))
+    report.bound_checks.append(BoundCheck("fo_iters_per_phase", cap, float(max_phase_iters), max_phase_iters <= cap))
+    return ybar, state.T
+
+
+def _outcome(mat, y, support, report: SolveReport) -> ImageCertificate:
+    """The certificate of a separating y, if ``certified`` accepts it on ``mat``, its numbers in ``report``.
+
+    Otherwise an empty certificate, and ``report`` keeps its ``no_converge``.
+    """
+    cert = certified(mat, ImageCertificate(y, support)) if y is not None else None
+    if cert is None:
+        return ImageCertificate(np.zeros(mat.shape[0]), np.arange(0))
+    report.status, report.margin, report.residual = SOLVED, cert.min_margin, cert.residual_zero
     return cert
 
 
@@ -316,9 +292,8 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
-    cert = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
-    cert = checked(mat, cert, report, check_image_certificate, _no_certificate(m))
-    return cert, report
+    y, support = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
+    return _outcome(mat, y, support, report), report
 
 
 def short_column_scan(state: ImageState) -> np.ndarray:
@@ -385,6 +360,6 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     limits = default_limits(m, n, encoding_estimate=float(ell), given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
-    cert = _rescaling_loop(ahat, active, limits, report, th, hook=hook)
-    cert = checked(mat, cert, report, check_image_certificate, _no_certificate(m))
+    y, support = _rescaling_loop(ahat, active, limits, report, th, hook=hook)
+    cert = _outcome(mat, y, support, report)
     return cert, cert.support, report

@@ -23,26 +23,24 @@ n = 80 on a 2-vCPU x86 box.
 The two entry points differ only in the policy passed to the loop. Full
 support passes ``accept``: every column stays active, and a y that strictly
 separates all of them is returned as the image certificate Qy once
-``check_image_certificate`` accepts it on the caller's matrix. Max support
+``certify.certified`` accepts it on the caller's matrix. Max support
 passes log(1/theta): a column whose log Q-norm passes it provably lies outside
 the maximum support and is marked, and marked columns are deleted once
 dropping them lowers the rank. Either solver keeps a kernel certificate as
-``solved`` only once ``check_kernel_certificate`` accepts it on the caller's
-matrix.
+``solved`` only once ``certified`` accepts it on the caller's matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .certify import check_image_certificate, check_kernel_certificate
+from .certify import ImageCertificate, KernelCertificate, certified
 from .conditioning import encoding_length, hadamard_delta_sq_exact, theta
 from .errors import ContractViolationError
-from .image import _NORM_RANGE, ImageCertificate
+from .image import _NORM_RANGE
 from .linalg import as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
 from .report import (
     INFEASIBLE_DETECTED,
@@ -50,7 +48,6 @@ from .report import (
     SOLVED,
     Limits,
     SolveReport,
-    checked,
     default_limits,
     rescale_epsilon,
     timed,
@@ -71,31 +68,29 @@ _LOG_CEILING = math.log(_NORM_RANGE)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
-    x: np.ndarray
-    support: np.ndarray
-    residual: float
-    min_support_value: float
+def _outcome(mat, status, active, v, zero_cols, report: SolveReport):
+    """The certificate a run of the loop ends with, its status and checked numbers in ``report``.
 
-
-def _no_certificate(n: int) -> KernelCertificate:
-    return KernelCertificate(x=np.zeros(n), support=np.arange(0), residual=0.0, min_support_value=0.0)
-
-
-def _certificate(mat, ahat, active, xbar, zero_cols, report: SolveReport) -> KernelCertificate:
-    """Kernel point xbar on the active columns, ones on the zero columns.
-
-    Its residual and margin go to ``report``; ``checked`` judges it on ``mat``.
+    ``solved``: the kernel point v on the active columns, ones on the zero
+    columns, if ``certified`` accepts it on ``mat``. ``infeasible_detected``:
+    v, the image certificate ``accept`` returned. Otherwise, or when the
+    check fails, an empty KernelCertificate, and ``report`` keeps its
+    ``no_converge``.
     """
-    x = np.zeros(ahat.shape[1])
-    x[active] = xbar
-    x[zero_cols] = 1.0
-    support = np.sort(np.concatenate([active, zero_cols])).astype(int)
-    report.residual = float(np.abs(ahat @ x).max())
-    report.margin = float(x[support].min()) if support.size else 0.0
-    cert = KernelCertificate(x=x, support=support, residual=report.residual, min_support_value=report.margin)
-    return checked(mat, cert, report, check_kernel_certificate, _no_certificate(x.size))
+    n = mat.shape[1]
+    if status == SOLVED:
+        x = np.zeros(n)
+        x[active] = v
+        x[zero_cols] = 1.0
+        v = certified(mat, KernelCertificate(x, np.sort(np.concatenate([active, zero_cols])).astype(int)))
+    if v is None:
+        return KernelCertificate(np.zeros(n), np.arange(0))
+    report.status = status
+    if status == SOLVED:
+        report.margin, report.residual = v.min_support_value, v.residual
+    else:
+        report.margin, report.residual = v.min_margin, v.residual_zero
+    return v
 
 
 def kernel_rescale(ufac, w, eps):
@@ -352,24 +347,15 @@ def full_support_kernel(mat, limits: Limits | None = None, *, hook=None):
 
     def accept(v):
         # A DV step leaves its pivot at cosine 0 and a rescale keeps it there,
-        # so strict separation can be float noise; only a witness with a
-        # positive margin that passes the check on the caller's matrix counts.
+        # so strict separation can be float noise; only a witness that the
+        # checker accepts on the caller's matrix, margin > 0 included, counts.
         wn = float(np.linalg.norm(v))
         if not (math.isfinite(wn) and wn > 0.0):
             return None
-        margin = float((ahat.T @ v).min()) / wn
-        claim = ImageCertificate(y=v / wn, support=np.arange(n), min_margin=margin, residual_zero=0.0)
-        return claim if margin > 0.0 and check_image_certificate(mat, claim).valid else None
+        return certified(mat, ImageCertificate(v / wn, np.arange(n)))
 
     status, support, v = _rescaling_loop(ahat, np.arange(n), limits, report, accept=accept, hook=hook)
-    report.status = status
-    cert = _no_certificate(n)
-    if status == SOLVED:
-        cert = _certificate(mat, ahat, support, v, np.arange(0), report)
-    elif status == INFEASIBLE_DETECTED:
-        cert = v
-        report.margin = cert.min_margin
-    return cert, report
+    return _outcome(mat, status, support, v, np.arange(0), report), report
 
 
 @timed
@@ -407,8 +393,5 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     status, support, xbar = _rescaling_loop(
         ahat, np.flatnonzero(nz), limits, report, log_inv_theta=log_inv_theta, hook=hook
     )
-    report.status = status
-    cert = _no_certificate(n)
-    if status == SOLVED:
-        cert = _certificate(mat, ahat, support, xbar, np.flatnonzero(~nz), report)
+    cert = _outcome(mat, status, support, xbar, np.flatnonzero(~nz), report)
     return cert, cert.support, report

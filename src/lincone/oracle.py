@@ -298,7 +298,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     # G is the product of the per-step factors W' of ``_grow_metric``, so
     # Q = G^T G. It starts as the factor of I built through ``SymPosDef``,
     # which keeps a linalg span on the traced benchmark's rescale-free runs
-    # until the solvers report their own timings (ROADMAP item 4).
+    # until the solvers report their own timings (ROADMAP item 6).
     gmap = SymPosDef(np.eye(m)).inv_factor
     ybar = np.zeros(m)
     min_ratio = math.inf

@@ -13,7 +13,6 @@ __all__ = [
     "INFEASIBLE_DETECTED",
     "BoundCheck",
     "SolveReport",
-    "checked",
     "Limits",
     "default_limits",
     "default_oracle_limits",
@@ -49,28 +48,11 @@ class SolveReport:
     oracle_calls: int = 0  # every query, the seeding one of each phase included
     bound_checks: list[BoundCheck] = field(default_factory=list)
 
-    def add_bound_check(self, name: str, bound: float, observed: float) -> BoundCheck:
-        check = BoundCheck(name=name, bound=bound, observed=observed, passed=observed <= bound)
-        self.bound_checks.append(check)
-        return check
-
     def as_dict(self) -> dict:
         out = asdict(self)
         for check in out["bound_checks"]:
             check["pass"] = check.pop("passed")
         return out
-
-
-def checked(mat, cert, report: SolveReport, check, empty):
-    """``cert`` if ``check(mat, cert)`` accepts it on the caller's matrix or the run is not ``solved``.
-
-    Otherwise the run reports ``no_converge`` and ``empty`` replaces ``cert``.
-    """
-    if report.status != SOLVED or check(mat, cert).valid:
-        return cert
-    report.status = NO_CONVERGE
-    report.margin = report.residual = 0.0
-    return empty
 
 
 @dataclass(frozen=True)

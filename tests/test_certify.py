@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import lincone
 from lincone.certify import (
+    certified,
     check_complementary_pair,
     check_image_certificate,
     check_kernel_certificate,
 )
 from lincone.errors import ContractViolationError
-from lincone.image import ImageCertificate, max_support_image
-from lincone.instances import gen_degenerate, gen_kernel_feasible
+from lincone.image import ImageCertificate, full_support_image, max_support_image
+from lincone.instances import gen_degenerate, gen_image_feasible, gen_kernel_feasible
 from lincone.kernel import KernelCertificate, full_support_kernel, max_support_kernel
+from lincone.report import INFEASIBLE_DETECTED, SOLVED
 
 
 def kcert(x, support):
@@ -66,6 +69,15 @@ class TestKernelCertificate:
         assert not rep.valid
         assert rep.residual == pytest.approx(1.0 + np.sqrt(0.5))
         assert check_kernel_certificate(2.0**600 * np.array([[1.0, -1.0]]), kcert([1, 1], [0, 1])).valid
+
+    def test_small_row_cannot_hide_under_the_others(self):
+        # Row 1 reads 3e-12, far below tol * max|x| = 2e-8, yet x is no kernel
+        # point of that row: each row is judged against its own terms.
+        mat = np.array([[1.0, -1.0], [1e-12, 2e-12]])
+        rep = check_kernel_certificate(mat, kcert([1, 1], [0, 1]))
+        assert not rep.valid and rep.message.startswith("row 1 residual")
+        assert rep.residual < 2e-8
+        assert check_kernel_certificate(np.array([[1.0, -1.0], [1e-12, -1e-12]]), kcert([1, 1], [0, 1])).valid
 
     def test_scaled_down_vector_rejected(self):
         # No nonzero x >= 0 has x_1 + x_2 = 0; a tiny x must not pass on scale alone.
@@ -152,3 +164,49 @@ class TestComplementaryPair:
             assert pair.valid, pair.message
             assert check_kernel_certificate(inst.mat, cert_k).valid
             assert check_image_certificate(inst.mat, cert_i).valid
+
+
+def test_certificate_types_have_one_home():
+    assert lincone.image.ImageCertificate is lincone.certify.ImageCertificate is lincone.ImageCertificate
+    assert lincone.kernel.KernelCertificate is lincone.certify.KernelCertificate is lincone.KernelCertificate
+
+
+def test_certified_keeps_only_what_the_checker_accepts():
+    mat = np.array([[2.0, -4.0]])
+    cert = certified(mat, kcert([1, 1], [0, 1]))
+    assert (cert.residual, cert.min_support_value) == (0.0, 1.0)
+    assert certified(mat, kcert([1, 0], [0])) is None
+    assert certified(mat, icert([1.0], [0])) is None
+    cert = certified(np.array([[2.0, 3.0]]), icert([0.5], [0, 1]))
+    assert (cert.min_margin, cert.residual_zero) == (1.0, 0.0)
+
+
+_COLUMN_SCALES = np.arange(1.0, 13.0)
+
+# One run of each matrix entry point on columns of unequal, non-unit length,
+# and of full_support_kernel's infeasible verdict.
+_SOLVES = {
+    "full_support_kernel": (
+        lambda: gen_kernel_feasible(3, 8, 0.1, 0).mat * _COLUMN_SCALES[:8],
+        full_support_kernel,
+    ),
+    "full_support_kernel_infeasible": (lambda: np.array([[6.0, 1.0, 2.0], [2.0, 2.0, -1.0]]), full_support_kernel),
+    "max_support_kernel": (lambda: gen_degenerate(4, 10, 5, 0).mat, lambda a: max_support_kernel(a)[::2]),
+    "full_support_image": (lambda: gen_image_feasible(4, 12, 0.1, 0).mat * _COLUMN_SCALES, full_support_image),
+    "max_support_image": (lambda: gen_degenerate(4, 10, 5, 0).mat, lambda a: max_support_image(a)[::2]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVES))
+def test_reported_margin_and_residual_are_the_checkers(name):
+    make, solve = _SOLVES[name]
+    mat = make()
+    assert np.ptp(np.linalg.norm(mat, axis=0)) > 1.0
+    cert, report = solve(mat)
+    assert report.status in (SOLVED, INFEASIBLE_DETECTED)
+    if isinstance(cert, KernelCertificate):
+        rep, numbers = check_kernel_certificate(mat, cert), (cert.min_support_value, cert.residual)
+    else:
+        rep, numbers = check_image_certificate(mat, cert), (cert.min_margin, cert.residual_zero)
+    assert rep.valid
+    assert numbers == (report.margin, report.residual) == (rep.margin, rep.residual)

@@ -16,7 +16,7 @@ from lincone.conditioning import (
 )
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
 
-from helpers import brute_force_delta, margin_on_grid, narrow_kernel_cone
+from helpers import bareiss_rank, brute_force_delta, integer_draw, margin_on_grid, narrow_kernel_cone
 
 
 def lp_kernel_feasible(mat):
@@ -265,3 +265,23 @@ def test_integers_past_int64_stay_exact():
     assert theta(mat) == 2.0**-128
     assert hadamard_delta_sq_exact(mat) == 2**128
     assert encoding_length(mat) == 68
+
+
+def _greedy_delta_sq_by_bareiss(mat):
+    """delta^2 by the greedy scan of ``hadamard_delta``, each independence test an exact rank."""
+    sq = [sum(int(v) ** 2 for v in col) for col in mat.T.tolist()]
+    chosen = []
+    for j in sorted(range(len(sq)), key=lambda j: -sq[j]):
+        if sq[j] > 1 and len(chosen) < mat.shape[0] and bareiss_rank(mat[:, chosen + [j]]) > len(chosen):
+            chosen.append(j)
+    return math.prod(sq[j] for j in chosen)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+def test_exact_delta_decides_independence_exactly(scale):
+    # Rows alternately times scale and 1: a unit column's small-row entries
+    # fall under a float pivot cut at 1e8 on some draws and at 1e12 on all.
+    for seed in range(40):
+        mat = integer_draw(seed)
+        mat[::2] *= scale
+        assert hadamard_delta_sq_exact(mat) == _greedy_delta_sq_by_bareiss(mat), seed

@@ -11,6 +11,7 @@ from lincone.firstorder import (
     SMALL_NORM,
     von_neumann,
 )
+from lincone.instances import gen_image_feasible
 from lincone.linalg import SymPosDef
 
 
@@ -188,6 +189,16 @@ class TestVonNeumannInvariants:
         for budget in (None, 10):
             with pytest.raises(ContractViolationError, match="eps"):
                 von_neumann(np.eye(2), eps, budget=budget)
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_columns_past_float_range_run_as_the_unscaled(self, exponent):
+        # |a_j|^2 overflows at 2^600 and underflows to 0 at 2^-600; the
+        # loop then normalizes exactly, so it runs as on the unscaled columns.
+        mat = gen_image_feasible(4, 12, 0.1, 0).mat
+        x, _, status, iterations = von_neumann(mat, 1 / 44)
+        got = von_neumann(np.ldexp(mat, exponent), 1 / 44)
+        assert (got[2], got[3]) == (status, iterations) == (SEPARATED, 6)
+        assert np.array_equal(got[0], x)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):

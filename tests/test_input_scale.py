@@ -3,8 +3,10 @@
 A power-of-two multiple of A has the same unit columns as A, bit for bit;
 2^600 and 2^-600 put every |a_j|^2 past float range, one each way. Row
 scaling changes the unit columns, but not the rank ``full_support_image``
-requires; ``max_support_image`` still cuts the raw rank, as its theta and
-checker cannot yet tell such rows apart.
+requires; ``max_support_image`` still cuts the raw rank, as its checker
+cannot yet tell such rows apart. The kernel checker judges each row against
+its own terms, so ``max_support_kernel`` cannot pass off a wrong support on
+such rows as solved.
 """
 
 import functools
@@ -17,7 +19,7 @@ from lincone.certify import check_image_certificate, check_kernel_certificate
 from lincone.errors import ContractViolationError
 from lincone.image import ImageCertificate, full_support_image, max_support_image
 from lincone.instances import gen_image_feasible, gen_kernel_feasible
-from lincone.kernel import KernelCertificate, full_support_kernel
+from lincone.kernel import KernelCertificate, full_support_kernel, max_support_kernel
 from lincone.oracle import MatrixSeparationOracle, strict_conic_feasibility
 from lincone.report import NO_CONVERGE, SOLVED
 
@@ -84,3 +86,19 @@ def test_row_scaled_max_support_image_raises_or_keeps_the_support(seed):
     except ContractViolationError:
         return
     assert np.array_equal(scaled_support, support)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 19, 22, 25, 34, 35, 36, 39])
+def test_row_scaled_max_support_kernel_solves_only_with_the_support(seed):
+    # Rows alternately times 1e12 and 1 leave the max support unchanged. On
+    # these draws a wrong support came back solved, its certificate's small
+    # rows far below the max|x| bound though not zero against their own terms.
+    mat = integer_draw(seed)
+    _, support, report = max_support_kernel(mat)
+    assert report.status == SOLVED
+    scaled = mat * np.where(np.arange(mat.shape[0]) % 2 == 0, 1e12, 1.0)[:, None]
+    cert, scaled_support, scaled_report = max_support_kernel(scaled)
+    assert scaled_report.status in (SOLVED, NO_CONVERGE)
+    if scaled_report.status == SOLVED:
+        assert np.array_equal(scaled_support, support)
+        assert check_kernel_certificate(scaled, cert).valid

@@ -13,6 +13,7 @@ from helpers import (
     narrow_kernel_cone,
     symmetric_hull_intersection_area,
 )
+from lincone import certify as certify_module
 from lincone import kernel as kernel_module
 from lincone.certify import check_image_certificate, check_kernel_certificate
 from lincone.conditioning import theta
@@ -319,7 +320,9 @@ class TestFullSupportKernel:
                 witnesses.append(claim.y)
             return rep
 
-        monkeypatch.setattr(kernel_module, "check_image_certificate", recording_check)
+        # Every certificate a solver returns is built by certify.certified, which
+        # calls the checker by its name in lincone.certify.
+        monkeypatch.setattr(certify_module, "check_image_certificate", recording_check)
         rng = np.random.default_rng(0)
         for i in range(20):
             mat, _ = flat_image_cone(rng, (3, 5, 10)[i % 3], 50, 1e-5)
