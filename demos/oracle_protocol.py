@@ -48,14 +48,14 @@ def main():
     inproc = MatrixSeparationOracle(mat)
     y, report = strict_conic_feasibility(inproc, m=3)
     print(f"matrix adapter: {report.status} after {inproc.calls} queries, "
-          f"{report.rescalings} rescalings")
+          f"{report.fo_iters} steps, {report.rescalings} rescalings")
     print(f"  y = {np.round(y, 6)}")
     print(f"  re-query answers None: {inproc.query(y) is None}")
 
     child = SubprocessOracle([sys.executable, "-c", ORACLE_SCRIPT.format(cols=COLUMNS)], dim=3)
     try:
         y2, report2 = strict_conic_feasibility(child, m=3)
-        print(f"subprocess oracle: {report2.status} after {child.calls} queries")
+        print(f"subprocess oracle: {report2.status} after {child.calls} queries, {report2.fo_iters} steps")
         print(f"  y = {np.round(y2, 6)}")
         print(f"  re-query answers None: {child.query(y2) is None}")
     finally:

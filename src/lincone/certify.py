@@ -128,7 +128,9 @@ def check_kernel_certificate(mat, cert, tol: float | None = None) -> CertReport:
 def check_image_certificate(mat, cert, tol: float | None = None) -> CertReport:
     """Validate a_i^T y > 0 on the support and |a_i^T y| <= tol * |y| off it.
 
-    Default tol is 1e-8 times the largest entry of the matrix.
+    Default tol is 1e-8 times the largest entry of the matrix. Off the support
+    each column also needs |a_j^T y| <= tol |a_j| |y| / max|a_ij|, so a column
+    of small entries cannot hide under the others' scale.
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -152,6 +154,12 @@ def check_image_certificate(mat, cert, tol: float | None = None) -> CertReport:
         return CertReport(
             False, residual, margin, f"off-support margin {residual:.3e} > {bound:.3e}"
         )
+    off = ~mask & mat.any(axis=0)  # a zero column adds nothing
+    if off.any():
+        cosine = float(np.abs(normalize_columns(mat[:, off]).T @ y).max())
+        cos_bound = bound / float(np.abs(mat).max())
+        if cosine > cos_bound:
+            return CertReport(False, residual, margin, f"off-support |a_j^T y| / |a_j| {cosine:.3e} > {cos_bound:.3e}")
     return CertReport(True, residual, margin, "ok")
 
 

@@ -143,8 +143,8 @@ def _cmd_solve(args) -> int:
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
         print(json.dumps(cert_obj))
         print(json.dumps(report.as_dict()))
-        print(f"{report.status}: {report.fo_iters} oracle iterations, "
-              f"{report.rescalings} rescalings", file=sys.stderr)
+        print(f"{report.status}: steps={report.fo_iters} oracle_calls={report.oracle_calls} "
+              f"rescalings={report.rescalings}", file=sys.stderr)
         return 0 if report.status == "solved" else 2
 
     if args.input is None:

@@ -6,10 +6,9 @@ is given: the image solvers pass their columns in coordinates where the
 metric is the identity, and then every euclidean quantity of the loop is the
 Q-quantity of the original columns. The oracle solver's loop,
 ``oracle_von_neumann``, is the same euclidean loop in whitened coordinates on
-the answers the oracle returns one query at a time. It takes the same step
-through ``_vn_step``, keeps its coefficients as the same lazy scale times a
-vector and |y|^2 by the same formula, so a step costs the oracle's call plus
-two m x m products and O(m) work.
+the answers the oracle has returned, querying only when none is violated
+enough. It takes the same step through ``_vn_step``, keeps its coefficients
+as the same lazy scale times a vector and |y|^2 by the same formula.
 
 Cost model: one O(mn) normalization per call, and each step is one O(mn)
 matrix-vector product plus O(m) work: x and w = A_hat x share one lazy scale,

@@ -24,7 +24,7 @@ import numpy as np
 from .certify import ImageCertificate, certified
 from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
-from .firstorder import BUDGET_EXHAUSTED, SEPARATED, von_neumann
+from .firstorder import BUDGET_EXHAUSTED, SEPARATED, _vn_cap, von_neumann
 from .linalg import (
     TAU_RANK_FACTOR,
     SymPosDef,
@@ -119,6 +119,11 @@ def _growth_check(min_ratio: float) -> BoundCheck:
         observed=min_ratio,
         passed=min_ratio >= _DET_GROWTH * (1.0 - _LEDGER_SLACK),
     )
+
+
+def _phase_check(eps: float, most: int) -> BoundCheck:
+    """The most first-order steps any phase took, against the ceil(1/eps^2) bound."""
+    return BoundCheck("fo_iters_per_phase", float(_vn_cap(eps, None)), float(most), most <= _vn_cap(eps, None))
 
 
 def image_rescale(state: ImageState, x: np.ndarray):
@@ -255,8 +260,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     if report.removals > 0:
         floor, passed = math.exp(log_removal_floor), above_removal_floor(min_removal)
         report.bound_checks.append(BoundCheck("removal_det_ratio_min", floor, min_removal, passed))
-    cap = float(math.ceil(1.0 / (eps * eps)))
-    report.bound_checks.append(BoundCheck("fo_iters_per_phase", cap, float(max_phase_iters), max_phase_iters <= cap))
+    report.bound_checks.append(_phase_check(eps, max_phase_iters))
     return ybar, state.T
 
 

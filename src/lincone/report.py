@@ -90,11 +90,11 @@ def default_limits(
 
 
 def default_oracle_limits(m: int, given: Limits | None = None) -> Limits:
-    """The oracle solver's budgets: 64m rescalings, ceil(1/eps^2) queries per phase.
+    """The oracle solver's budgets: 64m rescalings, ceil(1/eps^2) steps per phase.
 
     An oracle gives no encoding length to scale by, so the rescale budget is
-    a fixed multiple of m, and the query budget covers all 64m + 1 phases.
-    Fields that ``given`` sets are kept.
+    a fixed multiple of m, and the step budget, lazy steps on stored answers
+    included, covers all 64m + 1 phases. Fields that ``given`` sets are kept.
     """
     per_phase = int(math.ceil(1.0 / rescale_epsilon(m) ** 2))
     return _complete(given, 64 * m, per_phase * (64 * m + 1))

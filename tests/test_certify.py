@@ -111,6 +111,16 @@ class TestImageCertificate:
         assert not rep.valid
         assert check_image_certificate(np.array([[1.0, 0.0]]), icert([1e-12], [0])).valid
 
+    def test_small_column_cannot_hide_under_the_others(self):
+        # a_1^T y = -1e-12 is far below tol * |y| = 1.4e-8, yet y is nowhere
+        # near orthogonal to column 1: each column is judged by its cosine.
+        mat = np.array([[1.0, 0.0], [0.0, 1e-12]])
+        rep = check_image_certificate(mat, icert([1.0, -1.0], [0]))
+        assert not rep.valid and rep.message.startswith("off-support |a_j^T y| / |a_j|")
+        assert rep.residual < 1.4e-8
+        assert check_image_certificate(mat, icert([1.0, 0.0], [0])).valid
+        assert check_image_certificate(mat, icert([1.0, 1.0], [0, 1])).valid
+
     def test_identity_valid(self):
         rep = check_image_certificate(np.eye(2), icert([0.5, 0.5], [0, 1]))
         assert rep.valid

@@ -152,6 +152,9 @@ class TestOracleCmd:
         assert code == 0
         cert = json.loads(captured.out.splitlines()[0])
         assert all(c > 0 for c in cert["vector"])
+        report = json.loads(captured.out.splitlines()[1])
+        counts = {key: report[key] for key in ("fo_iters", "oracle_calls", "rescalings")}
+        assert captured.err == "solved: steps={fo_iters} oracle_calls={oracle_calls} rescalings={rescalings}\n".format(**counts)
 
     def test_max_iters_keeps_oracle_rescale_budget(self, monkeypatch, capsys):
         # A flag overrides only its own budget; the oracle solver completes

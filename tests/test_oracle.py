@@ -101,6 +101,12 @@ class CancellingOracle:
         return -v
 
 
+def thin_cone(d):
+    """Three unit columns in R^3 whose hull passes about d from 0; no last-row entry is 0."""
+    mat = np.array([[1.0, 0.3, 0.1], [0.0, 1.0, d], [0.0, -1.0, d]]).T
+    return mat / np.linalg.norm(mat, axis=0)
+
+
 def assert_convex(coeffs):
     assert coeffs.min() >= 0.0
     assert math.fsum(coeffs.tolist()) == pytest.approx(1.0, abs=1e-10)
@@ -136,42 +142,51 @@ class ListActiveSet:
 
 
 def reference_von_neumann(oracle, gmap, eps, budget=None):
-    """The oracle loop in the oracle's own coordinates, kept as a reference.
+    """The lazy oracle loop in the oracle's own coordinates, kept as a reference.
 
-    y is a convex combination of the Q-normalized answers a / |G a|, each
-    round re-maps it by G, and queries go out at G^T (G y).
+    y is a convex combination of the Q-normalized answers a / |G a|, and each
+    round re-maps it by G. A round steps toward the stored answer of least
+    Q-cosine with y if that cosine is below half the cosine the oracle's last
+    answer had when it was given; otherwise it queries at G^T (G y) and steps
+    toward the answer. Returns (active set, y, status, steps, queries).
     """
     m = oracle.dim
     cap = _vn_cap(eps, budget)
     active = ListActiveSet()
     first = oracle.query(np.zeros(m))
+    queries = 1
     if first is None:
-        return active, np.zeros(m), INTERIOR, 0
+        return active, np.zeros(m), INTERIOR, 0, queries
     y = first / np.linalg.norm(gmap @ first)
     active.coeffs[active.slot(y)] = 1.0
-    status, iters = None, 0
-    for _ in range(cap + 1):
+    steps, half_cosine = 0, 0.0
+    while True:
         wy = gmap @ y
         ynorm = float(np.linalg.norm(wy))
         if ynorm <= eps:
-            status = SMALL_NORM
-            break
-        if iters >= cap:
-            break
-        answer = oracle.query(gmap.T @ (gmap @ y))
-        iters += 1
-        if answer is None:
-            status = INTERIOR
-            break
-        wa = gmap @ answer
-        anorm = float(np.linalg.norm(wa))
-        ahat = answer / anorm
-        lam = _vn_step(ynorm * ynorm, float(wa @ wy) / anorm)
-        active.mix(active.slot(ahat), lam)
+            return active, y, SMALL_NORM, steps, queries
+        if steps >= cap:
+            return active, y, BUDGET_EXHAUSTED, steps, queries
+        cosines = [float((gmap @ vec) @ wy) / ynorm for vec in active.vectors]
+        pos = int(np.argmin(cosines))
+        if cosines[pos] < half_cosine:
+            ahat = active.vectors[pos]
+            cosine = cosines[pos]
+        else:
+            answer = oracle.query(gmap.T @ wy)
+            queries += 1
+            if answer is None:
+                return active, y, INTERIOR, steps, queries
+            wa = gmap @ answer
+            anorm = float(np.linalg.norm(wa))
+            ahat = answer / anorm
+            pos = active.slot(ahat)
+            cosine = min(float(wa @ wy) / (anorm * ynorm), 0.0)
+            half_cosine = 0.5 * cosine
+        lam = _vn_step(ynorm * ynorm, cosine * ynorm)
+        active.mix(pos, lam)
         y = (1.0 - lam) * y + lam * ahat
-    if status is None:
-        status = SMALL_NORM if np.linalg.norm(gmap @ y) <= eps else BUDGET_EXHAUSTED
-    return active, y, status, iters
+        steps += 1
 
 
 def reference_solver(oracle, m):
@@ -185,8 +200,9 @@ def reference_solver(oracle, m):
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
             break
-        active, y, status, iters = reference_von_neumann(oracle, gmap, eps, budget=fo_budget)
-        report.fo_iters += iters
+        active, y, status, steps, queries = reference_von_neumann(oracle, gmap, eps, budget=fo_budget)
+        report.fo_iters += steps
+        report.oracle_calls += queries
         if status == INTERIOR:
             report.status = SOLVED
             return gmap.T @ (gmap @ y), report
@@ -244,28 +260,28 @@ class TestOracleVonNeumann:
         assert oracle.calls == 0
 
     def test_half_line_interior_after_one_query(self):
-        vectors, coeffs, y, status, iters = oracle_von_neumann(
+        vectors, coeffs, y, status, steps, queries = oracle_von_neumann(
             HalfLineOracle(), identity_metric(1), eps=1.0 / 11.0
         )
         assert status == INTERIOR
-        assert iters == 1
+        assert (steps, queries) == (0, 2)
         assert y[0] == pytest.approx(1.0)
 
     def test_orthant_mirrors_matrix_trace(self):
         # same trajectory as the identity-matrix von Neumann run at eps=0.8
         oracle = MatrixSeparationOracle(np.eye(2))
-        vectors, coeffs, y, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.8)
+        vectors, coeffs, y, status, steps, queries = oracle_von_neumann(oracle, identity_metric(2), eps=0.8)
         assert status == SMALL_NORM
         assert np.allclose(y, [0.5, 0.5])
         assert len(coeffs) == 2
         assert coeffs == pytest.approx([0.5, 0.5])
 
     def test_alternating_oracle_hits_zero(self):
-        vectors, coeffs, y, status, iters = oracle_von_neumann(
+        vectors, coeffs, y, status, steps, queries = oracle_von_neumann(
             AlternatingOracle(), identity_metric(2), eps=0.1
         )
         assert status == SMALL_NORM
-        assert iters == 1
+        assert (steps, queries) == (1, 2)
         assert np.allclose(y, 0.0)
 
     def test_fault_detected(self):
@@ -284,15 +300,16 @@ class TestOracleVonNeumann:
             oracle_von_neumann(FixedOracle(answer), identity_metric(2), eps=0.1)
 
     def test_duplicates_merge(self):
-        # three distinct answers ever, so the active set stays at three
-        # entries however long the iteration runs
-        mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
-        mat /= np.linalg.norm(mat, axis=0)
+        # A thin cone of three columns: the phase queries again each time the
+        # stored rows run out of violation, and the oracle answers with a
+        # column it gave before, so the active set stays at three entries
+        # however many answers come.
+        mat = thin_cone(0.01)
         oracle = MatrixSeparationOracle(mat)
-        vectors, coeffs, w, status, iters = oracle_von_neumann(oracle, identity_metric(2), eps=0.005)
+        vectors, coeffs, w, status, steps, queries = oracle_von_neumann(oracle, identity_metric(3), eps=0.02)
         assert status == SMALL_NORM
-        assert iters > 3
-        assert len(coeffs) <= 3
+        assert queries == oracle.calls > 6
+        assert len(coeffs) == 3
         assert_convex(coeffs)
         # w really is the stored combination
         recon = sum(c * v for c, v in zip(coeffs, vectors))
@@ -302,10 +319,10 @@ class TestOracleVonNeumann:
         # The 40-dimensional orthant answers each axis once, in order, so one
         # phase outgrows the initial 16 rows twice. Every answer is orthogonal
         # to w, so each step keeps the weights uniform.
-        vectors, coeffs, w, status, iters = oracle_von_neumann(
+        vectors, coeffs, w, status, steps, queries = oracle_von_neumann(
             OrthantOracle(40), identity_metric(40), eps=0.1
         )
-        assert (status, iters) == (INTERIOR, 40)
+        assert (status, steps, queries) == (INTERIOR, 39, 41)
         assert np.array_equal(vectors, np.eye(40))
         assert coeffs == pytest.approx(np.full(40, 1.0 / 40), rel=1e-12)
         assert np.abs(coeffs @ vectors - w).max() <= 1e-12
@@ -315,7 +332,7 @@ class TestOracleVonNeumann:
         # Each stored vector is the whitened answer G a / |G a|, a unit vector.
         g = np.array([[2.0, 0.0], [1.0, 1.0]])
         mat = np.array([[1.0, -1.0], [0.1, 0.1]])
-        vectors, coeffs, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.05)
+        vectors, coeffs, w, status, steps, queries = oracle_von_neumann(MatrixSeparationOracle(mat), g, eps=0.05)
         whitened = [g @ a / np.linalg.norm(g @ a) for a in mat.T]
         assert len(coeffs) == 2
         for vec in vectors:
@@ -347,10 +364,11 @@ class TestOracleVonNeumann:
 
     def test_matches_reference_trajectory(self):
         # The whitened loop follows the oracle-coordinate loop step for step:
-        # same answers, so same status, query count and active set, and
-        # w = G y up to rounding.
+        # same answers and lazy steps, so same status, step and query counts
+        # and active set, and w = G y up to rounding.
         rng = np.random.default_rng(8)
         statuses = set()
+        lazy = 0
         for case in range(50):
             m = int(rng.integers(2, 7))
             n = int(rng.integers(m, 41))
@@ -362,36 +380,89 @@ class TestOracleVonNeumann:
             if case % 2:
                 gmap = SymPosDef(np.eye(m) + 0.5 * np.cov(rng.standard_normal((m, 2 * m)))).inv_factor
             eps = rescale_epsilon(m)
-            ref_active, y, ref_status, ref_iters = reference_von_neumann(
-                MatrixSeparationOracle(mat), gmap, eps
-            )
-            vectors, coeffs, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
-            assert (status, iters, len(coeffs)) == (ref_status, ref_iters, len(ref_active)), case
+            ref_active, y, *ref_counts = reference_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+            vectors, coeffs, w, *counts = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+            assert (*counts, len(coeffs)) == (*ref_counts, len(ref_active)), case
             assert np.abs(coeffs - ref_active.coeffs).max() <= 1e-9, case
             assert np.abs(w - gmap @ y).max() <= 1e-9, case
-            statuses.add(status)
+            statuses.add(counts[0])
+            lazy += counts[1] - counts[2] + 1
         assert statuses == {INTERIOR, SMALL_NORM}
+        assert lazy > 0
 
     def test_long_phase_matches_reference(self):
         # The hull of these unit columns lies at distance about 0.003 from the
         # origin, so the phase zigzags for more than two _DRIFT_INTERVAL spans
-        # before the oracle approves. The coefficients are one lazy scale
-        # times a vector, folded here only on return. The seeding row's
-        # coefficient is at least that scale, which stays above |w|^2.
+        # of steps, nearly all of them lazy, before the oracle approves. The
+        # coefficients are one lazy scale times a vector, folded here only on
+        # return. The seeding row's coefficient is at least that scale, which
+        # stays above |w|^2.
         d = 0.003
         mat = np.array([[0.1, 0.3, 1.0], [d, 1.0, 0.0], [d, -1.0, 0.0]]).T
         mat /= np.linalg.norm(mat, axis=0)
         gmap = identity_metric(3)
         eps = d / 2
-        ref_active, y, ref_status, ref_iters = reference_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
-        vectors, coeffs, w, status, iters = oracle_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
-        assert iters > 2 * _DRIFT_INTERVAL
-        assert (status, iters, len(coeffs)) == (ref_status, ref_iters, len(ref_active))
+        ref_active, y, *ref_counts = reference_von_neumann(MatrixSeparationOracle(mat), gmap, eps)
+        oracle = MatrixSeparationOracle(mat)
+        vectors, coeffs, w, status, steps, queries = oracle_von_neumann(oracle, gmap, eps)
+        assert steps > 2 * _DRIFT_INTERVAL
+        assert queries == oracle.calls < 100
+        assert (status, steps, queries, len(coeffs)) == (*ref_counts, len(ref_active))
         assert (status, len(coeffs)) == (INTERIOR, 3)
         assert np.abs(coeffs - ref_active.coeffs).max() <= 1e-9
         assert_convex(coeffs)
         assert np.abs(coeffs @ vectors - w).max() <= 1e-12
         assert coeffs[0] >= (1.0 - 1e-9) * float(w @ w)
+
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 60, 400])
+    def test_budget_counts_steps(self, budget):
+        # The budget caps steps, lazy ones included. Every query after the
+        # seeding one at 0 makes a step, so a phase stopped by its budget
+        # asked at most budget + 1 queries.
+        oracle = MatrixSeparationOracle(thin_cone(0.003))
+        vectors, coeffs, w, status, steps, queries = oracle_von_neumann(
+            oracle, identity_metric(3), 0.0015, budget=budget
+        )
+        assert (status, steps) == (BUDGET_EXHAUSTED, budget)
+        assert oracle.calls == queries <= budget + 1
+        if budget >= 60:
+            assert queries < budget
+        # The solver's iteration limit counts the same steps.
+        mat, _ = flat_image_cone(np.random.default_rng(3), 6, 60, 1e-3)
+        y, report = strict_conic_feasibility(MatrixSeparationOracle(mat), 6, Limits(max_iterations=budget))
+        assert (report.status, report.fo_iters) == (NO_CONVERGE, budget)
+
+    def test_every_step_is_on_an_answer_of_the_phase(self, monkeypatch):
+        # Each step of a solve, lazy or not, moves w toward a row that is the
+        # whitened G a / |G a| of an answer the oracle gave in the same phase.
+        mat, _ = flat_image_cone(np.random.default_rng(3), 6, 60, 1e-3)
+        phase, daxpy = oracle_module.oracle_von_neumann, oracle_module.daxpy
+        metric, given, stepped_on = [], set(), []
+
+        class Recording(MatrixSeparationOracle):
+            def query(self, v):
+                answer = super().query(v)
+                if answer is not None:
+                    u = metric[-1] @ answer
+                    given.add((u / math.sqrt(u @ u)).tobytes())
+                return answer
+
+        def recording_phase(oracle, gmap, *args, **kwargs):
+            metric.append(gmap)
+            given.clear()
+            return phase(oracle, gmap, *args, **kwargs)
+
+        def recording_daxpy(row, w, a):
+            stepped_on.append(row.tobytes() in given)
+            return daxpy(row, w, a=a)
+
+        monkeypatch.setattr(oracle_module, "oracle_von_neumann", recording_phase)
+        monkeypatch.setattr(oracle_module, "daxpy", recording_daxpy)
+        y, report = strict_conic_feasibility(Recording(mat), 6)
+        assert report.status == SOLVED and len(metric) == report.rescalings + 1 > 1
+        assert len(stepped_on) == report.fo_iters > report.oracle_calls
+        assert all(stepped_on)
 
 
 class NudgingOracle(MatrixSeparationOracle):
@@ -416,11 +487,11 @@ class TestActiveSet:
     def test_slot_dedup_by_bits(self):
         # The active set holds one row per distinct bit pattern of the
         # whitened answer G a / |G a|: a bit-identical repeat reuses its row,
-        # while a nudge far below any tolerance gets a row of its own.
-        mat = np.array([[1.0, -1.0, -1.0], [0.0, 0.1, -0.13]])
-        g = np.diag([2.0, 1.0])
-        oracle = NudgingOracle(mat)
-        vectors, coeffs, w, status, iters = oracle_von_neumann(oracle, g, eps=0.005)
+        # while a nudge far below any tolerance gets a row of its own. The
+        # thin cone makes the oracle repeat its answers.
+        g = np.diag([2.0, 1.0, 1.0])
+        oracle = NudgingOracle(thin_cone(0.01))
+        vectors, coeffs, w, status, steps, queries = oracle_von_neumann(oracle, g, eps=0.02)
         assert status == SMALL_NORM
         whitened = set()
         for a in oracle.answers:
@@ -516,10 +587,10 @@ class TestStrictConicFeasibility:
             y, report = strict_conic_feasibility(oracle, m)
             y_ref, ref = reference_solver(MatrixSeparationOracle(mat), m)
             assert report.status == ref.status == SOLVED
-            assert (report.fo_iters, report.rescalings) == (ref.fo_iters, ref.rescalings)
+            counts = (report.fo_iters, report.rescalings, report.oracle_calls)
+            assert counts == (ref.fo_iters, ref.rescalings, ref.oracle_calls)
             # every query counts, the seeding one of each phase included
             assert report.oracle_calls == report.as_dict()["oracle_calls"] == oracle.calls
-            assert oracle.calls == report.fo_iters + report.rescalings + 1
             assert np.all(mat.T @ y > 0)
 
     def test_counts_match_reference_solver_at_benchmark_dimension(self):
@@ -531,20 +602,22 @@ class TestStrictConicFeasibility:
             y, report = strict_conic_feasibility(oracle, 15)
             y_ref, ref = reference_solver(MatrixSeparationOracle(mat), 15)
             assert report.status == ref.status == SOLVED
-            assert (report.fo_iters, report.rescalings) == (ref.fo_iters, ref.rescalings)
+            counts = (report.fo_iters, report.rescalings, report.oracle_calls)
+            assert counts == (ref.fo_iters, ref.rescalings, ref.oracle_calls)
             assert report.rescalings > 0
-            assert oracle.calls == report.oracle_calls == report.fo_iters + report.rescalings + 1
+            assert oracle.calls == report.oracle_calls
             assert np.all(mat.T @ y > 0)
 
     # (status, fo_iters, rescalings, oracle_calls) of the oracle benchmark's
-    # first four instances, flat_image(15, 1000, 1e-3, seed).
+    # first four instances, flat_image(15, 1000, 1e-3, seed): fo_iters counts
+    # steps, lazy ones included, oracle_calls the queries.
     @pytest.mark.parametrize(
         "seed, counts",
         [
-            (0, (SOLVED, 1985, 35, 2021)),
-            (1, (SOLVED, 1801, 33, 1835)),
-            (2, (SOLVED, 1886, 34, 1921)),
-            (3, (SOLVED, 1539, 30, 1570)),
+            (0, (SOLVED, 2526, 35, 553)),
+            (1, (SOLVED, 1874, 31, 490)),
+            (2, (SOLVED, 2191, 33, 543)),
+            (3, (SOLVED, 2073, 32, 526)),
         ],
     )
     def test_benchmark_counts_and_approved_point(self, seed, counts):
@@ -566,11 +639,19 @@ class TestStrictConicFeasibility:
         assert len(events) == report.rescalings
         for kind, data in events:
             assert kind == "rescale"
-            assert set(data) == {"ratio", "active", "iterations"}
+            assert set(data) == {"ratio", "active", "iterations", "queries"}
             assert data["ratio"] >= 16.0 / 9.0 * (1.0 - 1e-8)
-            assert 1 <= data["active"] <= data["iterations"] + 1
+            # every stored row is an answer; every query after the seeding one is a step
+            assert 1 <= data["active"] <= data["queries"] <= data["iterations"] + 1
         assert sum(d["iterations"] for _, d in events) <= report.fo_iters
+        assert sum(d["queries"] for _, d in events) < report.oracle_calls
         assert min(d["ratio"] for _, d in events) == report.bound_checks[0].observed
+        # the per-phase step bound comes after the ledger, as in the image solvers
+        growth, phase = report.bound_checks
+        assert (growth.name, phase.name) == ("det_growth_per_rescale_min", "fo_iters_per_phase")
+        assert phase.bound == _vn_cap(rescale_epsilon(3), None)
+        assert max(d["iterations"] for _, d in events) <= phase.observed <= phase.bound
+        assert phase.passed
 
     def test_empty_interior_no_converge(self):
         mat = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
@@ -591,9 +672,8 @@ class TestStrictConicFeasibility:
         assert np.allclose(y, 0.0)
 
     def test_rescale_rejects_non_convex_coefficients(self, monkeypatch):
-        # One step length outside [0, 1] drives a coefficient negative; the
-        # next, exact step ends the phase short, and the rescale that consumes
-        # the coefficients must refuse them.
+        # Weights that are not a convex combination, one negative or summing
+        # past 1, reach the rescale that consumes them; it must refuse them.
         limits = Limits(max_rescalings=1, max_iterations=100)
         events = []
 
@@ -602,13 +682,22 @@ class TestStrictConicFeasibility:
 
         y, report = strict_conic_feasibility(CancellingOracle(), 2, limits, hook=hook)
         assert (report.rescalings, events) == (1, ["rescale"])
-        for lam in (1.5, -0.5):
-            first = [lam]
 
-            def step(ynorm2, z, first=first):
-                return first.pop() if first else _vn_step(ynorm2, z)
+        def negative(coeffs):
+            low, high = coeffs.argmin(), coeffs.argmax()
+            coeffs = coeffs.copy()
+            coeffs[low] -= 1.0
+            coeffs[high] += 1.0
+            return coeffs
 
-            monkeypatch.setattr(oracle_module, "_vn_step", step)
+        phase = oracle_module.oracle_von_neumann
+        for forge in (negative, lambda coeffs: 1.5 * coeffs):
+
+            def forged_phase(*args, forge=forge, **kwargs):
+                vectors, coeffs, *rest = phase(*args, **kwargs)
+                return (vectors, forge(coeffs), *rest)
+
+            monkeypatch.setattr(oracle_module, "oracle_von_neumann", forged_phase)
             with pytest.raises(ContractViolationError, match="convex"):
                 strict_conic_feasibility(CancellingOracle(), 2, limits, hook=hook)
         assert events == ["rescale"]
@@ -647,6 +736,18 @@ class TestSubprocessOracle:
         assert report.status == SOLVED
         assert np.all(y > 0)
         assert oracle.calls > 0
+
+    def test_lazy_steps_save_child_queries(self):
+        # The child answers every query the solver counts, and lazy steps
+        # make fewer queries than one per step and one per phase.
+        mat, _ = flat_image_cone(np.random.default_rng(0), 3, 40, 1e-3)
+        src = str(Path(oracle_module.__file__).resolve().parents[1])
+        script = MATRIX_ORACLE_SCRIPT.format(src=src, rows=mat.tolist())
+        with SubprocessOracle([sys.executable, "-c", script], dim=3) as child:
+            y, report = strict_conic_feasibility(child, 3)
+        assert report.status == SOLVED
+        assert np.all(mat.T @ y > 0)
+        assert child.calls == report.oracle_calls < report.fo_iters + report.rescalings + 1
 
     def test_fault_from_bad_script(self):
         with SubprocessOracle([sys.executable, "-c", BROKEN_SCRIPT], dim=2) as oracle:
