@@ -6,8 +6,8 @@ against unit-normalized columns (the scale the certificates are stated
 in); image margins use the raw columns with a tolerance scaled to the
 matrix. Each residual is judged relative to the certificate's own scale,
 max|x| or |y|, so scaling a vector down cannot make it pass. On integral
-input ``check_partition_exact`` proves a max-support pair in rational
-arithmetic, with the float certificates as mere hints.
+input ``check_partition_exact`` proves a max-support pair exactly, in Python
+ints, with the float certificates as mere hints.
 ``certified`` is where every solver turns a vector and its support into a
 certificate, which carries the residual and margin its checker measured.
 """
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .conditioning import _require_integral
+from .conditioning import _insert, _require_integral
 from .errors import ContractViolationError
 from .linalg import as_matrix, normalize_columns, raw_weights
 
@@ -182,30 +181,21 @@ def check_complementary_pair(s_support, t_support, n: int) -> CertReport:
     return CertReport(True, 0.0, 1.0, "ok")
 
 
-def _exact_kernel_point(rows, hint):
-    """The rational v with rows v = 0 equal to ``hint`` on the free columns (Gauss-Jordan)."""
-    rows = [[Fraction(c) for c in row] for row in rows]
-    pivots = []
-    for col in range(len(hint)):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        lead = rows[r][col]
-        rows[r] = [c / lead for c in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    v = [Fraction(h) for h in hint]
-    for row, col in zip(rows, pivots):
-        v[col] -= sum(c * h for c, h in zip(row, v) if c)  # row[col] = 1, row = 0 at the other pivots
-    return v
+def _kernel_point(rows, hint):
+    """(int numerators, one denominator > 0) of the v with rows v = 0 equal to ``hint`` off the pivots."""
+    basis = []
+    for row in rows:
+        _insert(basis, row)
+    ratios = [h.as_integer_ratio() for h in hint]
+    den = max((q for _, q in ratios), default=1) * math.lcm(*(b[p] for p, b in basis))
+    nums = [a * (den // q) for a, q in ratios]
+    for p, b in basis:  # b is zero at the other pivots
+        nums[p] -= sum(c * v for c, v in zip(b, nums) if c) // b[p]
+    return nums, den
 
 
 def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
-    """Prove in rational arithmetic that the two certificates' supports are (S*, T*).
+    """Prove exactly, in Python ints, that the two certificates' supports are (S*, T*).
 
     Integral input only, else UnsupportedInstanceError. Once
     ``check_complementary_pair`` accepts (S, T), the floats are only hints:
@@ -230,10 +220,11 @@ def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
     s_idx = sorted(set(np.asarray(kernel_cert.support, dtype=int).reshape(-1).tolist()))
     t_idx = sorted(set(range(n)) - set(s_idx))
     a_s = [cols[j] for j in s_idx]
-    x_s = _exact_kernel_point(list(zip(*a_s)), raw_weights(mat[:, s_idx], x[s_idx]).tolist())
-    y_q = _exact_kernel_point(a_s, y.tolist())
+    x_s, x_den = _kernel_point(list(zip(*a_s)), raw_weights(mat[:, s_idx], x[s_idx]).tolist())
+    y_q, y_den = _kernel_point(a_s, y.tolist())
     margins = [sum(a * b for a, b in zip(cols[j], y_q) if a) for j in t_idx]
-    margin = float(min(x_s + margins, default=0))
+    # Rounding is monotone, so the least of the two rounded minima is the least value rounded.
+    margin = min((min(v) / den for v, den in ((x_s, x_den), (margins, y_den)) if v), default=0.0)
     bad = [f"x_{j}" for j, v in zip(s_idx, x_s) if v <= 0]
     bad += [f"a_{j}^T y" for j, v in zip(t_idx, margins) if v <= 0]
     if bad:

@@ -8,19 +8,20 @@ feasible), positive rho means a strictly separating direction exists (image
 feasible). ``goffin_oracle`` computes it exactly up to rounding: a positive
 rho is the distance from 0 to that hull (a least-distance problem, solved by
 nonnegative least squares), and a negative rho is minus the distance from 0
-to the nearest hull facet (from the convex hull, up to rank 7).
+to the nearest hull facet (from the convex hull, up to rank 7). delta and
+theta are defined on integral input only, and computed in Python ints by
+``_insert``, the one exact elimination, which ``certify`` shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedInstanceError
-from .linalg import TAU_RANK_FACTOR, _pow2_scaled, as_matrix, column_norms, normalize_columns, pivoted_rank
+from .linalg import TAU_RANK_FACTOR, as_matrix, normalize_columns
 
 __all__ = [
     "ConditionReport",
@@ -40,81 +41,73 @@ _MAX_HULL_RANK = 7
 
 
 def _require_integral(mat: np.ndarray) -> list[list[int]]:
-    """The rows of ``mat`` as exact Python ints, which int64 would wrap past 2^63."""
-    if not np.all(mat == np.round(mat)):
+    """The rows of the finite ``mat`` as exact Python ints, which int64 would wrap past 2^63."""
+    rows = mat.tolist()
+    ints = [list(map(int, row)) for row in rows]
+    if ints != rows:  # int and float compare exactly
         raise UnsupportedInstanceError("operation requires integral entries")
-    return [[int(v) for v in row] for row in mat.tolist()]
+    return ints
 
 
-def _greedy_independent(mat: np.ndarray, keys) -> list[int]:
-    """Greedy max-product independent column subset, largest norms first.
+def _insert(basis: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Add the int row ``v`` to the reduced echelon ``basis`` of (pivot, row) pairs; False if v depends on it.
 
-    ``keys`` order the columns as their norms do, positive exactly where the
-    norm is above 1 (no other column helps the product). Independence of
-    column sets is a matroid, so the greedy scan is exact; it is decided on
-    the unit columns by the shared pivoted-QR rank rule, skipped once m are chosen.
+    Fraction-free (Bareiss): v is reduced at each pivot, v <- b_p v - v_p b;
+    a remainder becomes a row, divided by its gcd and positive at its first
+    nonzero, the new pivot, where every other row is reduced in turn.
     """
-    chosen: list[int] = []
-    for j in sorted(range(len(keys)), key=lambda j: -keys[j]):
-        if keys[j] > 0 and len(chosen) < mat.shape[0] and pivoted_rank(normalize_columns(mat[:, chosen + [j]])) > len(chosen):
-            chosen.append(j)
-    return chosen
-
-
-def hadamard_delta(mat) -> float:
-    """Largest product of column norms over independent column subsets.
-
-    The empty subset counts with product 1, so the result is always >= 1.
-    Norms are read as |2^-e_j a_j| 2^e_j, so none leaves float range.
-    """
-    mat = as_matrix(mat)
-    scaled, exps = _pow2_scaled(mat)
-    norms = column_norms(scaled)
-    with np.errstate(divide="ignore", over="ignore"):  # a zero column ranks at -inf; past float range reads inf
-        chosen = _greedy_independent(mat, np.log(norms) + exps * math.log(2.0))
-        return float(np.ldexp(np.prod(norms[chosen]), exps[chosen].sum()))
+    for p, b in basis:
+        if vp := v[p]:
+            bp = b[p]
+            v = [bp * a - vp * c for a, c in zip(v, b)]
+    g = math.gcd(*v)
+    if not g:
+        return False
+    p = v.index(next(filter(None, v)))  # the first nonzero
+    g = g if v[p] > 0 else -g
+    v = [a // g for a in v]
+    vp = v[p]
+    for k, (q, b) in enumerate(basis):
+        if bp := b[p]:
+            b = [vp * a - bp * c for a, c in zip(b, v)]
+            g = math.gcd(*b)
+            basis[k] = (q, [a // g for a in b])
+    basis.append((p, v))
+    return True
 
 
 def hadamard_delta_sq_exact(mat) -> int:
-    """Exact squared value of ``hadamard_delta`` for an integral matrix.
+    """Exact delta^2 of an integral matrix: the most a product of squared norms of independent columns reaches.
 
-    Squared column norms of an integer matrix are integers, so the greedy
-    scan of ``hadamard_delta`` ranks the columns by them and decides
-    independence by fraction-free elimination in Python ints: each chosen
-    column is kept reduced, zero at every earlier one's pivot, and a
-    candidate v reduced by each (v <- b_p v - v_p b) is independent exactly
-    when something is left. The squared product is computed without rounding.
+    Independent sets are a matroid, so one greedy scan by decreasing squared
+    norm, an integer, is exact, each test one ``_insert``; the empty set counts 1.
     """
     mat = as_matrix(mat)
     cols = _require_integral(mat.T)
-    sq_norms = [sum(v * v for v in col) for col in cols]
-    basis: list[tuple[int, list[int]]] = []  # (pivot, reduced column), each divided by its gcd
+    sq_norms = [sum([a * a for a in col]) for col in cols]
+    basis: list[tuple[int, list[int]]] = []
     delta_sq = 1
-    for j in sorted(range(len(cols)), key=lambda j: -sq_norms[j]):
+    for j in sorted(range(len(cols)), key=sq_norms.__getitem__, reverse=True):  # ties keep index order
         if sq_norms[j] <= 1 or len(basis) == mat.shape[0]:
             break
-        v = cols[j]
-        for p, b in basis:
-            if v[p]:
-                v = [b[p] * a - v[p] * c for a, c in zip(v, b)]
-        g = math.gcd(*v)
-        if g:
-            basis.append((next(i for i, a in enumerate(v) if a), [a // g for a in v]))
+        if _insert(basis, cols[j]):
             delta_sq *= sq_norms[j]
     return delta_sq
 
 
-def theta(mat) -> float:
-    """Lower bound ``1 / (m^2 delta^2)`` on the margin magnitude.
+def hadamard_delta(mat) -> float:
+    """The float square root of ``hadamard_delta_sq_exact``: inf past float range."""
+    sq = hadamard_delta_sq_exact(mat)
+    try:  # float(sq) overflows from 2^1024 on, sqrt(sq) only from 2^2048
+        return math.sqrt(sq) if sq < 2**1000 else float(math.isqrt(sq))
+    except OverflowError:
+        return math.inf
 
-    For integral input the squared delta is computed exactly.
-    """
+
+def theta(mat) -> float:
+    """Lower bound ``1 / (m^2 delta^2)`` on the margin magnitude of an integral matrix, correctly rounded."""
     mat = as_matrix(mat)
-    m = mat.shape[0]
-    if np.all(mat == np.round(mat)):
-        return float(Fraction(1, m * m * hadamard_delta_sq_exact(mat)))
-    d = hadamard_delta(mat)
-    return 1.0 / (m * m * d * d)
+    return 1 / (mat.shape[0] ** 2 * hadamard_delta_sq_exact(mat))
 
 
 def encoding_length(mat) -> int:
@@ -187,8 +180,8 @@ class ConditionReport:
     """Bundle of condition measures for one instance."""
 
     rho: float
-    delta: float
-    theta: float
+    delta: float | None
+    theta: float | None
     encoding_length: int | None
 
     @property
@@ -199,12 +192,7 @@ class ConditionReport:
 def condition_report(mat) -> ConditionReport:
     """Compute the full set of condition measures for a desk-scale instance."""
     mat = as_matrix(mat)
-    bits = None
-    if np.all(mat == np.round(mat)):
-        bits = encoding_length(mat)
-    return ConditionReport(
-        rho=goffin_oracle(mat),
-        delta=hadamard_delta(mat),
-        theta=theta(mat),
-        encoding_length=bits,
-    )
+    rep = ConditionReport(goffin_oracle(mat), None, None, None)
+    if np.all(mat == np.round(mat)):  # the bit-size measures are defined on integral input only
+        rep.delta, rep.theta, rep.encoding_length = hadamard_delta(mat), theta(mat), encoding_length(mat)
+    return rep

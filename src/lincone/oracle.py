@@ -195,7 +195,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     ``_grow_metric`` checks that the coefficients are convex when a rescale
     consumes them.
 
-    Cost model: a lazy step is one k x m product ``vecs[:k].dot(w)``, an
+    Cost model: a lazy step is one k x m product on the stored rows, an
     argmin and O(m) work; a query step adds the oracle's call, the m x m
     products G a and G^T w and three m-vector dots. As x in ``von_neumann``,
     the coefficients are one lazy scale times a vector, so a step updates one
@@ -213,7 +213,8 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
         raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
-    dot_rounding = oracle.dim * float(np.finfo(float).eps)  # 2 u m
+    m = oracle.dim
+    dot_rounding = m * float(np.finfo(float).eps)  # 2 u m
     query_point = gmap.T.dot  # bound once: gmap.T is a new view per call
     floor2 = _NORM_RANGE**-2
 
@@ -226,9 +227,9 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     # eps^2 / 2. So scale cannot underflow, cs sums to 1 / scale < 2 / eps^2,
     # and the scale is folded back only before a verdict recompute and on
     # return.
-    vecs, cs = np.empty((16, oracle.dim)), np.zeros(16)
+    vecs, cs = np.empty((16, m)), np.zeros(16)
     rows = {}  # a stored vector's bits -> its row
-    v, w = np.zeros(oracle.dim), np.zeros(oracle.dim)
+    v, w = np.zeros(m), np.zeros(m)
     answer = oracle.query(v)
     queries, steps, k, scale = 1, 0, 0, 1.0
     status = INTERIOR  # unless the loop below ends otherwise
@@ -256,6 +257,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
                 cs = np.concatenate([cs, np.zeros_like(cs)])
             vecs[k] = u
             k += 1
+            stored = vecs[:k]  # bound once per stored answer, not once per step
         if k > size_cap:
             raise ContractViolationError("active set outgrew its ceiling")
         if queries > 1:
@@ -272,13 +274,13 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
                 cs[pos] += lam / scale
                 ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * z + lam * lam
                 w *= 1.0 - lam
-                daxpy(vecs[pos], w, a=lam)  # w += lam * u, in place
+                daxpy(vecs[pos], w, m, lam)  # w += lam * u, in place; n and a positional, the cheaper call
                 steps += 1
             if ynorm2 <= eps * eps:
                 # Verdicts are taken on a freshly recomputed w only.
                 cs[:k] *= scale
                 scale = 1.0
-                w = cs[:k].dot(vecs[:k])
+                w = cs[:k].dot(stored)
                 ynorm2 = float(w.dot(w))
                 if ynorm2 <= eps * eps:
                     status = SMALL_NORM
@@ -286,7 +288,7 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
             if steps >= cap:
                 status = BUDGET_EXHAUSTED
                 break
-            zs = vecs[:k].dot(w)
+            zs = stored.dot(w)
             pos = int(zs.argmin())  # the most violated stored row, lowest index among ties
             z = zs.item(pos)
             if not z < bar * math.sqrt(ynorm2):  # not violated enough for a lazy step
@@ -307,8 +309,10 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     the phase's active set. Returns ``(y, report)``; on success the oracle
     approved y itself, so ``oracle.query(y) is None`` by construction.
     ``no_converge`` when a budget runs out or a phase ends ``out_of_range``.
-    ``hook(event, **data)`` observes each rescale.
+    ``hook(event, **data)`` observes each rescale. Needs ``m == oracle.dim >= 1``.
     """
+    if not m == oracle.dim >= 1:
+        raise ContractViolationError(f"m = {m} must equal oracle.dim = {oracle.dim} and be at least 1")
     limits = default_oracle_limits(m, given=limits)
     eps = rescale_epsilon(m)
 

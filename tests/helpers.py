@@ -6,6 +6,7 @@ so the two routes to each value stay independent.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -245,6 +246,28 @@ def bareiss_rank(mat):
         prev = p
         rank += 1
     return rank
+
+
+def fraction_kernel_point(rows, hint):
+    """The rational v with rows v = 0 equal to ``hint`` on the free columns, by Gauss-Jordan in Fractions."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(len(hint)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][col]
+        rows[r] = [c / lead for c in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    v = [Fraction(h) for h in hint]
+    for row, col in zip(rows, pivots):
+        v[col] -= sum(c * h for c, h in zip(row, v) if c)  # row[col] = 1, row = 0 at the other pivots
+    return v
 
 
 def exact_rank_wrapper(rank, mat):

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import lincone
+from helpers import fraction_kernel_point
 from lincone.certify import (
+    _kernel_point,
     certified,
     check_complementary_pair,
     check_image_certificate,
@@ -220,3 +224,25 @@ def test_reported_margin_and_residual_are_the_checkers(name):
         rep, numbers = check_image_certificate(mat, cert), (cert.min_margin, cert.residual_zero)
     assert rep.valid
     assert numbers == (report.margin, report.residual) == (rep.margin, rep.residual)
+
+
+def test_integer_kernel_point_is_the_fraction_reference():
+    # Rank-deficient systems with duplicated and dependent rows, 30% zeros,
+    # some rows past int64, and hints spanning 2^-40 to 2^40: the fraction-free
+    # point equals the Gauss-Jordan one in Fractions exactly.
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        r, k = int(rng.integers(1, 7)), int(rng.integers(1, 11))
+        a = rng.integers(-9, 10, size=(r, k))
+        a[rng.random((r, k)) < 0.3] = 0
+        if r > 1 and rng.random() < 0.5:
+            a[-1] = int(rng.integers(-3, 4)) * a[0]
+        if r > 2 and rng.random() < 0.5:
+            a[1] = a[0] + a[-1]
+        rows = a.tolist()
+        if rng.random() < 0.2:
+            rows[0] = [v * 2**70 for v in rows[0]]
+        hint = (rng.standard_normal(k) * 2.0 ** rng.integers(-40, 41, size=k)).tolist()
+        nums, den = _kernel_point(rows, hint)
+        assert den > 0
+        assert [Fraction(v, den) for v in nums] == fraction_kernel_point(rows, hint)

@@ -173,6 +173,15 @@ class TestOracleCmd:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_dimension_below_one_exit_one(self, capsys, dim):
+        cmd = " ".join(shlex.quote(p) for p in [sys.executable, "-c", self.SCRIPT])
+        code = run(["solve", "--mode", "image", "--oracle-cmd", cmd, "--dim", dim])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", [["--support", "max"], ["--cert-out", "oracle.cert"]])
     def test_flags_the_oracle_path_ignores_exit_one(self, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.chdir(tmp_path)

@@ -73,13 +73,18 @@ class TestHadamardDelta:
             assert hadamard_delta(mat) == pytest.approx(brute_force_delta(mat), rel=1e-9)
 
     def test_exact_square_agrees(self):
+        # Squared norms of these draws are at most 243, so the exhaustive
+        # float product, squared and rounded, is the exact integer.
         rng = np.random.default_rng(102)
         for _ in range(30):
             mat = rng.integers(-9, 10, size=(3, 5)).astype(float)
             if not np.any(mat):
                 continue
-            sq = hadamard_delta_sq_exact(mat)
-            assert float(sq) == pytest.approx(hadamard_delta(mat) ** 2, rel=1e-9)
+            assert hadamard_delta_sq_exact(mat) == round(brute_force_delta(mat) ** 2)
+
+    def test_rejects_fractional(self):
+        with pytest.raises(UnsupportedInstanceError):
+            hadamard_delta(np.array([[0.5, 1.0]]))
 
 
 class TestTheta:
@@ -91,6 +96,10 @@ class TestTheta:
 
     def test_single_row(self):
         assert theta(np.array([[2.0, 4.0]])) == pytest.approx(1.0 / 16.0)
+
+    def test_rejects_fractional(self):
+        with pytest.raises(UnsupportedInstanceError):
+            theta(np.array([[0.5, 1.0]]))
 
 
 class TestEncodingLength:
@@ -239,6 +248,7 @@ class TestLowerBoundChain:
     def test_report_float_input_has_no_bits(self):
         rep = condition_report(np.array([[0.5, -0.25]]))
         assert rep.encoding_length is None
+        assert rep.theta is None and rep.delta is None
         assert rep.kernel_feasible_hint
 
 
@@ -268,7 +278,7 @@ def test_integers_past_int64_stay_exact():
 
 
 def _greedy_delta_sq_by_bareiss(mat):
-    """delta^2 by the greedy scan of ``hadamard_delta``, each independence test an exact rank."""
+    """delta^2 by a greedy scan by decreasing squared norm, each independence test an exact rank."""
     sq = [sum(int(v) ** 2 for v in col) for col in mat.T.tolist()]
     chosen = []
     for j in sorted(range(len(sq)), key=lambda j: -sq[j]):

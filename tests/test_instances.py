@@ -210,6 +210,14 @@ class TestExactSupportOracle:
         rep = check_partition_exact(np.array([[1, 1, -2]]), *pair([1, 3, 2], [0, 1, 2], [1.0], []))
         assert not rep.valid and "x_0" in rep.message
 
+    def test_margin_is_the_least_exact_entry(self):
+        # x_S = (3, 3) and A_T^T y = 2 y_1, with y_0 solved to 0 from A_S^T y = 0
+        # whatever its hint: the margin is the least of x_S and A_T^T y.
+        mat = np.array([[1, -1, 0], [0, 0, 2]])
+        for y, margin in (([5.0, 0.25], 0.5), ([0.0, 4.0], 3.0)):
+            rep = check_partition_exact(mat, *pair([3, 3, 0], [0, 1], y, [2]))
+            assert rep.valid and rep.margin == margin, y
+
     def test_non_finite_hint_rejected(self):
         rep = check_partition_exact(np.array([[1, -1]]), *pair([np.nan, 1.0], [0, 1], [0.0], []))
         assert not rep.valid
@@ -223,6 +231,23 @@ class TestExactSupportOracle:
         s_found, t_found, rep = exact_pair(inst.mat)
         assert rep.valid, rep.message
         assert np.array_equal(s_found, inst.known_supports[0])
+
+    @pytest.mark.parametrize("m, n, s", [(15, 150, 75), (25, 300, 150)])
+    def test_planted_witnesses_proved_at_scale(self, m, n, s):
+        # The planted witnesses x = 1_S (x_j = |a_j| on the unit columns) and
+        # y = e_h prove the split, and moving one index either way breaks it.
+        inst = gen_degenerate(m, n, s, 0)
+        s_idx, t_idx = inst.known_supports
+        x = np.zeros(n)
+        x[s_idx] = np.linalg.norm(inst.mat[:, s_idx], axis=0)
+        y = np.eye(m)[min(m - 1, s - 1)]
+        rep = check_partition_exact(inst.mat, *pair(x, s_idx, y, t_idx))
+        assert rep.valid and rep.margin > 0.0, rep.message
+        for j in (s_idx[0], t_idx[0]):
+            s_moved = sorted(set(s_idx.tolist()) ^ {int(j)})
+            t_moved = sorted(set(range(n)) - set(s_moved))
+            x_moved = np.where(np.isin(np.arange(n), s_moved), np.maximum(x, 1.0), 0.0)
+            assert not check_partition_exact(inst.mat, *pair(x_moved, s_moved, y, t_moved)).valid, j
 
     def test_partition_and_sign_consistency(self):
         rng = np.random.default_rng(17)

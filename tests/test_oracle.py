@@ -453,9 +453,9 @@ class TestOracleVonNeumann:
             given.clear()
             return phase(oracle, gmap, *args, **kwargs)
 
-        def recording_daxpy(row, w, a):
+        def recording_daxpy(row, w, *args):
             stepped_on.append(row.tobytes() in given)
-            return daxpy(row, w, a=a)
+            return daxpy(row, w, *args)
 
         monkeypatch.setattr(oracle_module, "oracle_von_neumann", recording_phase)
         monkeypatch.setattr(oracle_module, "daxpy", recording_daxpy)
@@ -670,6 +670,23 @@ class TestStrictConicFeasibility:
         y, report = strict_conic_feasibility(YesOracle(), 2)
         assert report.status == SOLVED
         assert np.allclose(y, 0.0)
+
+    @pytest.mark.parametrize("m", [0, -2, 1, 3])
+    def test_dimension_must_match_the_oracle(self, m):
+        # m = 0 divided by zero in rescale_epsilon, m = -2 hit numpy's negative
+        # shape, and m != dim numpy's misaligned product.
+        with pytest.raises(ContractViolationError, match="dim"):
+            strict_conic_feasibility(MatrixSeparationOracle(np.eye(2)), m)
+
+    def test_zero_dimensional_oracle_rejected(self):
+        class EmptyOracle:
+            dim = 0
+
+            def query(self, v):
+                return None
+
+        with pytest.raises(ContractViolationError):
+            strict_conic_feasibility(EmptyOracle(), 0)
 
     def test_rescale_rejects_non_convex_coefficients(self, monkeypatch):
         # Weights that are not a convex combination, one negative or summing
