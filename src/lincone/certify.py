@@ -5,11 +5,12 @@ bug in a solver cannot vouch for itself. Kernel residuals are measured
 against unit-normalized columns (the scale the certificates are stated
 in); image margins use the raw columns with a tolerance scaled to the
 matrix. Each residual is judged relative to the certificate's own scale,
-max|x| or |y|, so scaling a vector down cannot make it pass. On integral
-input ``check_partition_exact`` proves a max-support pair exactly, in Python
-ints, with the float certificates as mere hints.
+max|x| or |y|, so scaling a vector down cannot make it pass.
 ``certified`` is where every solver turns a vector and its support into a
-certificate, which carries the residual and margin its checker measured.
+certificate, which carries the residual and margin its checker measured. On
+integral input it also proves the certificate exactly, in Python ints, with
+the floats as mere hints, as ``check_partition_exact`` does for both sides
+of a max-support pair: no integral verdict rests on rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conditioning import _insert, _require_integral
+from .conditioning import _insert, _is_integral, _require_integral
 from .errors import ContractViolationError
 from .linalg import as_matrix, normalize_columns, raw_weights
 
@@ -64,12 +65,18 @@ class ImageCertificate:
 
 
 def certified(mat, cert):
-    """``cert`` with the residual and margin its type's checker measured on ``mat``, or None if rejected."""
-    if isinstance(cert, KernelCertificate):
-        rep = check_kernel_certificate(mat, cert)
-        return replace(cert, residual=rep.residual, min_support_value=rep.margin) if rep.valid else None
-    rep = check_image_certificate(mat, cert)
-    return replace(cert, min_margin=rep.margin, residual_zero=rep.residual) if rep.valid else None
+    """``cert`` with the residual and margin its type's checker measured on ``mat``, or None if rejected.
+
+    On integral ``mat`` it is also rejected unless all its ``_exact_values`` are positive.
+    """
+    mat = as_matrix(mat)
+    kernel = isinstance(cert, KernelCertificate)
+    rep = (check_kernel_certificate if kernel else check_image_certificate)(mat, cert)
+    if not rep.valid or (_is_integral(mat) and min(_exact_values(mat, _require_integral(mat.T), cert)[1], default=1) <= 0):
+        return None
+    if kernel:
+        return replace(cert, residual=rep.residual, min_support_value=rep.margin)
+    return replace(cert, min_margin=rep.margin, residual_zero=rep.residual)
 
 
 def _support_mask(support, n):
@@ -194,16 +201,30 @@ def _kernel_point(rows, hint):
     return nums, den
 
 
+def _exact_values(mat, cols, cert):
+    """(indices, int numerators, denominator > 0) of the values ``cert`` claims positive; ``cols`` are A's, as ints.
+
+    The exact point takes the float hint's values on the free columns and
+    solves for the pivots: x_S with A_S x_S = 0 from x_j / |a_j| for a kernel
+    certificate on S; for an image certificate on T, A_T^T y with A_S^T y = 0, S the rest.
+    """
+    on = sorted(set(np.asarray(cert.support, dtype=int).reshape(-1).tolist()))
+    if isinstance(cert, KernelCertificate):
+        x = np.asarray(cert.x, dtype=float).reshape(-1)
+        return (on, *_kernel_point(list(zip(*(cols[j] for j in on))), raw_weights(mat[:, on], x[on]).tolist()))
+    off = sorted(set(range(len(cols))) - set(on))
+    y, den = _kernel_point([cols[j] for j in off], np.asarray(cert.y, dtype=float).reshape(-1).tolist())
+    return on, [sum(a * b for a, b in zip(cols[j], y) if a) for j in on], den
+
+
 def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
     """Prove exactly, in Python ints, that the two certificates' supports are (S*, T*).
 
     Integral input only, else UnsupportedInstanceError. Once
-    ``check_complementary_pair`` accepts (S, T), the floats are only hints:
-    the exact x on S with A_S x = 0 and y with A_S^T y = 0 take the hint's
-    values (x_j / |a_j|, as kernel certificates are stated on unit columns,
-    and y) on the free columns of A_S and A_S^T and solve for the pivots.
-    x_S > 0 and A_T^T y > 0 put S in S* and T in T*, which are disjoint,
-    so (S, T) = (S*, T*). residual is 0; margin is the least of x_S and A_T^T y.
+    ``check_complementary_pair`` accepts (S, T), ``_exact_values`` rebuilds
+    x_S and A_T^T y from the float hints. Both positive put S in S* and T in
+    T*, which are disjoint, so (S, T) = (S*, T*). residual is 0; margin is
+    the least of x_S and A_T^T y.
     """
     mat = as_matrix(mat)
     m, n = mat.shape
@@ -217,16 +238,10 @@ def check_partition_exact(mat, kernel_cert, image_cert) -> CertReport:
         return pair
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return CertReport(False, math.nan, math.nan, "certificate has non-finite entries")
-    s_idx = sorted(set(np.asarray(kernel_cert.support, dtype=int).reshape(-1).tolist()))
-    t_idx = sorted(set(range(n)) - set(s_idx))
-    a_s = [cols[j] for j in s_idx]
-    x_s, x_den = _kernel_point(list(zip(*a_s)), raw_weights(mat[:, s_idx], x[s_idx]).tolist())
-    y_q, y_den = _kernel_point(a_s, y.tolist())
-    margins = [sum(a * b for a, b in zip(cols[j], y_q) if a) for j in t_idx]
+    sides = [("x_{}", *_exact_values(mat, cols, kernel_cert)), ("a_{}^T y", *_exact_values(mat, cols, image_cert))]
     # Rounding is monotone, so the least of the two rounded minima is the least value rounded.
-    margin = min((min(v) / den for v, den in ((x_s, x_den), (margins, y_den)) if v), default=0.0)
-    bad = [f"x_{j}" for j, v in zip(s_idx, x_s) if v <= 0]
-    bad += [f"a_{j}^T y" for j, v in zip(t_idx, margins) if v <= 0]
+    margin = min((min(v) / den for _, _, v, den in sides if v), default=0.0)
+    bad = [label.format(j) for label, idx, v, _ in sides for j, a in zip(idx, v) if a <= 0]
     if bad:
         return CertReport(False, 0.0, margin, f"exact {bad[0]} is not positive")
     return CertReport(True, 0.0, margin, "ok")

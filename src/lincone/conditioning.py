@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedInstanceError
-from .linalg import TAU_RANK_FACTOR, as_matrix, normalize_columns
+from .linalg import _pivoted_qr, as_matrix, normalize_columns
 
 __all__ = [
     "ConditionReport",
@@ -38,6 +38,11 @@ _ROUNDING = 1e-12
 
 # Largest column-space rank whose convex hull the rho <= 0 branch builds.
 _MAX_HULL_RANK = 7
+
+
+def _is_integral(mat: np.ndarray) -> bool:
+    """Whether every entry of ``mat`` is a finite integer, read on the floats without a Python int."""
+    return bool(np.isfinite(mat).all() and (mat == np.rint(mat)).all())
 
 
 def _require_integral(mat: np.ndarray) -> list[list[int]]:
@@ -119,13 +124,13 @@ def encoding_length(mat) -> int:
 def goffin_oracle(mat) -> float:
     """Signed margin ``max_{|y|=1} min_j a_hat_j . y`` of the normalized columns.
 
-    Works in an orthonormal basis of the column space (rank r), where the
-    normalized columns become unit vectors g_j. When the margin is positive it
-    is the distance from 0 to conv(g), found exactly by the least-distance
-    problem min |y| subject to g_j . y >= 1 (rho = 1/|y*|), which Lawson and
-    Hanson reduce to nonnegative least squares. When that system is
-    infeasible, 0 lies in conv(g), the hull is full-dimensional, and rho is
-    minus the distance from 0 to the nearest hull facet. Only that branch
+    Works in an orthonormal basis of the column space (rank r, from the shared
+    pivoted QR), where the normalized columns become unit vectors g_j. When the
+    margin is positive it is the distance from 0 to conv(g), found exactly by
+    the least-distance problem min |y| subject to g_j . y >= 1 (rho = 1/|y*|),
+    which Lawson and Hanson reduce to nonnegative least squares. When that
+    system is infeasible, 0 lies in conv(g), the hull is full-dimensional, and
+    rho is minus the distance from 0 to the nearest hull facet. Only that branch
     builds a hull, and it rejects ranks above 7, where qhull's facet count
     grows too fast. Values within rounding of 0 are returned as exactly 0.0.
 
@@ -138,9 +143,8 @@ def goffin_oracle(mat) -> float:
     nz = mat.any(axis=0)
     hat = normalize_columns(mat[:, nz])
 
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    r = int(np.sum(s > TAU_RANK_FACTOR * s[0]))
-    basis = u[:, :r]
+    basis, r = _pivoted_qr(hat.T, "economic")
+    basis = basis[:, :r]
     # Coordinates of the normalized columns in the column-space basis; these
     # are still unit vectors because each lies in the span of the basis.
     gt = (basis.T @ hat).T  # (n_nonzero, r)
@@ -193,6 +197,6 @@ def condition_report(mat) -> ConditionReport:
     """Compute the full set of condition measures for a desk-scale instance."""
     mat = as_matrix(mat)
     rep = ConditionReport(goffin_oracle(mat), None, None, None)
-    if np.all(mat == np.round(mat)):  # the bit-size measures are defined on integral input only
+    if _is_integral(mat):  # the bit-size measures are defined on integral input only
         rep.delta, rep.theta, rep.encoding_length = hadamard_delta(mat), theta(mat), encoding_length(mat)
     return rep

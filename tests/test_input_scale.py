@@ -2,11 +2,10 @@
 
 A power-of-two multiple of A has the same unit columns as A, bit for bit;
 2^600 and 2^-600 put every |a_j|^2 past float range, one each way. Row
-scaling changes the unit columns, but not the rank ``full_support_image``
-requires; ``max_support_image`` still cuts the raw rank, as its checker
-cannot yet tell such rows apart. The kernel checker judges each row against
-its own terms, so ``max_support_kernel`` cannot pass off a wrong support on
-such rows as solved.
+scaling changes the unit columns, but not the rank or the kernel projector,
+which ``linalg`` reads on unit rows. On integral input ``certify.certified``
+proves each certificate exactly, so neither max-support solver can pass off
+a wrong support on such rows as solved.
 """
 
 import functools
@@ -16,7 +15,6 @@ import pytest
 
 from helpers import integer_draw
 from lincone.certify import check_image_certificate, check_kernel_certificate
-from lincone.errors import ContractViolationError
 from lincone.image import ImageCertificate, full_support_image, max_support_image
 from lincone.instances import gen_image_feasible, gen_kernel_feasible
 from lincone.kernel import KernelCertificate, full_support_kernel, max_support_kernel
@@ -75,17 +73,19 @@ def test_row_scaled_draws_pass_the_rank_test(seed):
 
 
 @pytest.mark.parametrize("seed", [5, 10, 14, 16])
-def test_row_scaled_max_support_image_raises_or_keeps_the_support(seed):
+def test_row_scaled_max_support_image_solves_only_with_the_support(seed):
     # Rows alternately times 1e12 and 1 leave the max support unchanged; on
-    # these draws a row-scale-free rank test let through a wrong support.
+    # these draws a row-scale-free rank test alone let through a wrong support,
+    # which only the exact proof rejects.
     mat = integer_draw(seed)
     _, support, report = max_support_image(mat)
     assert report.status == SOLVED
-    try:
-        _, scaled_support, _ = max_support_image(mat * np.where(np.arange(mat.shape[0]) % 2 == 0, 1e12, 1.0)[:, None])
-    except ContractViolationError:
-        return
-    assert np.array_equal(scaled_support, support)
+    scaled = mat * np.where(np.arange(mat.shape[0]) % 2 == 0, 1e12, 1.0)[:, None]
+    cert, scaled_support, scaled_report = max_support_image(scaled)
+    assert scaled_report.status in (SOLVED, NO_CONVERGE)
+    if scaled_report.status == SOLVED:
+        assert np.array_equal(scaled_support, support)
+        assert check_image_certificate(scaled, cert).valid
 
 
 @pytest.mark.parametrize("seed", [2, 3, 19, 22, 25, 34, 35, 36, 39])

@@ -12,7 +12,7 @@ from lincone.linalg import (
     raw_weights,
 )
 
-from helpers import bareiss_rank, gs_kernel_projector, householder_orthocomplement
+from helpers import bareiss_rank, gs_kernel_projector, householder_orthocomplement, integer_draw
 
 
 def random_spd(rng, dim, spread=1.0):
@@ -137,6 +137,20 @@ class TestKernelProjector:
             proj = kernel_projector(mat)
             assert 6 - round(np.trace(proj)) == np.linalg.matrix_rank(mat)
 
+    def test_row_scaling_leaves_the_projector(self):
+        # Row scaling keeps the kernel; the projector is read on unit rows.
+        rng = np.random.default_rng(24)
+        for seed in range(40):
+            mat = integer_draw(seed)
+            for _ in range(3):
+                scaled = 10.0 ** rng.uniform(-12, 12, size=(mat.shape[0], 1)) * mat
+                assert np.abs(kernel_projector(scaled) - kernel_projector(mat)).max() < 1e-12, seed
+
+    def test_zero_rows_are_ignored(self):
+        mat = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        assert np.array_equal(kernel_projector(mat), kernel_projector(mat[[0, 2]]))
+        assert np.array_equal(kernel_projector(np.zeros((2, 3))), np.eye(3))
+
     def test_rejects_non_orthonormal_basis(self, monkeypatch):
         qr = linalg_module.qr
 
@@ -160,6 +174,24 @@ class TestRank:
             r = rng.integers(0, min(m, n) + 1)
             mat = rng.integers(-4, 5, size=(m, r)) @ rng.integers(-4, 5, size=(r, n))
             assert pivoted_rank(mat.astype(float)) == bareiss_rank(mat)
+
+    def test_rank_is_exact_on_row_scaled_draws(self):
+        # Rows alternately times 1e12 and 1: each draw whole and on a random column subset.
+        rng = np.random.default_rng(33)
+        for seed in range(200):
+            mat = integer_draw(seed)
+            mat[::2] *= 1e12
+            subset = rng.choice(mat.shape[1], int(rng.integers(1, mat.shape[1] + 1)), replace=False)
+            for cols in (mat, mat[:, np.sort(subset)]):
+                assert pivoted_rank(cols) == bareiss_rank(cols), seed
+
+    def test_rank_reads_columns_after_rows(self):
+        # Unit rows alone are parallel to within 1e-12; unit columns part them.
+        assert pivoted_rank(np.array([[1e12, 1.0, 0.0], [1e12, 0.0, 1.0]])) == 2
+
+    def test_zero_rows_and_columns_are_ignored(self):
+        assert pivoted_rank(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])) == 1
+        assert pivoted_rank(np.zeros((3, 2))) == 0
 
     def test_rank_matches_numpy(self):
         rng = np.random.default_rng(31)
