@@ -7,8 +7,8 @@ metric is the identity, and then every euclidean quantity of the loop is the
 Q-quantity of the original columns. The oracle solver's loop,
 ``oracle_von_neumann``, is the same euclidean loop in whitened coordinates on
 the answers the oracle has returned, querying only when none is violated
-enough. It takes the same step through ``_vn_step``, keeps its coefficients
-as the same lazy scale times a vector and |y|^2 by the same formula.
+enough. Both loops keep their coefficients and w in one lazy scale and step
+through ``_vn_step``, which gives the step, the new scale and |y|^2.
 
 Cost model: one O(mn) normalization per call, and each step is one O(mn)
 matrix-vector product plus O(m) work: x and w = A_hat x share one lazy scale,
@@ -40,26 +40,33 @@ SEPARATED = "separated"
 SMALL_NORM = "small_norm"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
-# Incremental quantities are recomputed from scratch this often.
+# The image and kernel loops recompute their incremental quantities this often.
 _DRIFT_INTERVAL = 10_000
 
 
 def _vn_cap(eps: float, budget: int | None) -> int:
+    if not 0.0 < eps < math.inf:
+        raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
     cap = math.ceil(1.0 / (eps * eps))
     return cap if budget is None else min(cap, int(budget))
 
 
-def _vn_step(ynorm2: float, z: float) -> float:
-    """Step length minimizing |(1-l) y + l a| over l in [0, 1].
+def _vn_step(ynorm2: float, z: float, scale: float) -> tuple[float, float, float]:
+    """One von Neumann step y' = (1-l) y + l a, l minimizing |y'| over [0, 1].
 
     ``ynorm2`` is |y|^2 and ``z`` <= 0 the inner product of y with the unit
     vector a, so the minimizer already lies in [0, 1]. Both callers pass
     z <= 0: the image loop steps only on a column with z <= 0, and the
     oracle loop clamps its z, which rounding can leave just above 0, to 0.
+    The caller keeps its coefficients and w as ``scale`` times a vector.
+    Returns (l / scale', scale' = (1-l) scale, |y'|^2): the increment of a's
+    coefficient and of w's vector per unit of a, the new scale and |y'|^2.
     """
     lam = (ynorm2 - z) / (ynorm2 - 2.0 * z + 1.0)
     assert -1e-12 <= lam <= 1.0 + 1e-12
-    return min(max(lam, 0.0), 1.0)
+    lam = min(max(lam, 0.0), 1.0)
+    scale *= 1.0 - lam
+    return lam / scale, scale, (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * z + lam * lam
 
 
 def von_neumann(mat, eps: float, budget: int | None = None):
@@ -76,15 +83,14 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     ``A_hat = A / |a_j|``, held as one C-ordered m x n array whatever the
     caller's layout, so the cosines z of y with the columns are one BLAS
     gemv into a preallocated n-vector. Besides it a step costs O(m): x and
-    w are one shared scale times a vector, the step updates the scale, one
-    entry of x and one column's worth of w, the latter by one in-place
-    strided ``daxpy`` (column k starts at offset k, stride n), and |y|^2
-    follows (1-l)^2 |y|^2 + 2 l (1-l) z_k + l^2. At m = 25, n = 500 that is
-    about 4.2 us per step, the gemv 2.3 us and the daxpy 0.3 us. daxpy may
-    fuse the multiply-add, so w can differ from the two-op update in the
-    last bit. Every ``_DRIFT_INTERVAL`` steps, and before every verdict, w
-    and |y|^2 are recomputed from x. Set-up and each step cost O(mn); no
-    n x n array is formed.
+    w are one shared scale times a vector, ``_vn_step`` updates the scale
+    and |y|^2, and the step one entry of x and one column's worth of w, the
+    latter by one in-place strided ``daxpy`` (column k starts at offset k,
+    stride n). At m = 25, n = 500 that is about 4.2 us per step, the gemv
+    2.3 us and the daxpy 0.3 us. daxpy may fuse the multiply-add, so w can
+    differ from the two-op update in the last bit. Every ``_DRIFT_INTERVAL``
+    steps, and before every verdict, w and |y|^2 are recomputed from x.
+    Set-up and each step cost O(mn); no n x n array is formed.
 
     Parameters
     ----------
@@ -101,8 +107,7 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     # C order whatever the caller's layout, so the column norms, the gemv and
     # the daxpy offsets below (column k starts at k, stride n) are the same.
     mat = np.ascontiguousarray(as_matrix(mat))
-    if not 0.0 < eps < math.inf:
-        raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
+    cap = _vn_cap(eps, budget)
     with np.errstate(over="ignore"):  # |a_j|^2 past float range reads inf
         norms = column_norms(mat)
     if not np.all((norms > 0.0) & (norms < math.inf)):
@@ -111,7 +116,6 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     m, n = mat.shape
     bhat = mat / norms
     bhat_flat = bhat.ravel()
-    cap = _vn_cap(eps, budget)
     eps2 = eps * eps
     # x = scale * xs and w = scale * ws, so a step rescales one float instead
     # of the n-vector x and the m-vector w. With z <= 0 a step gives
@@ -132,8 +136,7 @@ def von_neumann(mat, eps: float, budget: int | None = None):
         # Verdicts are taken on a freshly recomputed w only.
         if not fresh and (verdict or iterations % _DRIFT_INTERVAL == 0):
             xs *= scale
-            scale = 1.0
-            ws = bhat @ xs
+            scale, ws = 1.0, bhat @ xs
             ynorm2, fresh = float(ws @ ws), True
         cosines(ws, out=z)
         k = int(z.argmin())  # lowest index among ties
@@ -147,12 +150,9 @@ def von_neumann(mat, eps: float, budget: int | None = None):
         if iterations >= cap:
             status = BUDGET_EXHAUSTED
             break
-        lam = _vn_step(ynorm2, zk)
-        scale *= 1.0 - lam
-        step = lam / scale
+        step, scale, ynorm2 = _vn_step(ynorm2, zk, scale)
         xs[k] += step
         daxpy(bhat_flat, ws, m, step, k, n)  # ws += step * bhat[:, k], in place
-        ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * zk + lam * lam
         fresh = False
         iterations += 1
     x = xs * scale

@@ -7,9 +7,9 @@ ellipsoid E(R). R is never stored: each rescale moves it into the coordinates,
 so in the current ones R = I and a column's Q-norm is its euclidean length,
 and each step factors only R' = (I + sum x_i c_i c_i^T / |c_i|^2) / (1+eps),
 of condition at most 2. The max-support solver passes theta and the
-full-support solver passes 0: after each rescale the loop projects out every
+full-support solver None: after each rescale the loop projects out every
 column whose Q-norm dropped below theta (such a column can never be strictly
-positive), so with theta = 0 no column is ever scanned or removed. Either
+positive), so with None no column is ever scanned or removed. Either
 solver reports ``solved`` only once ``certify.certified`` accepts its
 certificate on the caller's matrix, and ``no_converge`` otherwise.
 """
@@ -84,7 +84,7 @@ class ImageState:
     alpha: float
     A_cur: np.ndarray
     T: np.ndarray
-    theta: float
+    theta: float | None
     eps: float
     slack: float = 0.0
 
@@ -166,18 +166,18 @@ def _check_decomposition(state: ImageState) -> float:
     return max(float(np.abs(recon - np.eye(cols.shape[0])).max()) - state.slack, 0.0)
 
 
-def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float, *, hook):
+def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float | None, *, hook):
     """Inner-loop phases and rescales over the columns ``ahat[:, active]``.
 
-    ``th = 0`` is the full-support policy: no column scan and no removal.
-    A positive theta projects out every active column whose Q-norm drops
-    below it after a rescale. The run ends ``no_converge`` before a rescale
-    whose columns on supp(x) have current norms below 1 / ``_NORM_RANGE``:
-    on an image-infeasible cone they shrink geometrically, and past that
-    their squares underflow and the growth step reads rounding. Counters and
-    ledger bound checks go to ``report``. Returns (y, support) with support
-    the surviving columns: y = M y_cur, of unit length, once the inner loop
-    separates them, 0 once none survive, else None.
+    ``th = None`` is the full-support policy: no scan and no removal. A
+    theta projects out each active column whose Q-norm drops below it after
+    a rescale (none at theta = 0). The run ends ``no_converge`` before a
+    rescale whose columns on supp(x) have current norms below 1 /
+    ``_NORM_RANGE``: on an image-infeasible cone they shrink geometrically,
+    and past that their squares underflow and the growth step reads rounding.
+    Counters and ledger bound checks go to ``report``. Returns (y, support)
+    with support the surviving columns: y = M y_cur, of unit length, once
+    the inner loop separates them, 0 once none survive, else None.
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m)
@@ -196,7 +196,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     min_removal = math.inf
     # The gamma cap 2/theta^2 and the removal floor theta^2/(2(n+1)) are held
     # as logs: theta^2 underflows for theta below 1e-154.
-    log_theta = math.log(th) if th > 0.0 else -math.inf
+    log_theta = math.log(th) if th else -math.inf
     log_gamma_cap = math.log(2.0) - 2.0 * log_theta + math.log1p(_LEDGER_SLACK)
     log_removal_floor = 2.0 * log_theta - math.log(2.0 * (n + 1.0))
     max_phase_iters = 0
@@ -235,7 +235,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         ledger_checks()
         if hook is not None:
             hook("rescale", state=state, x=x, y=y, ratio=ratio)
-        if th == 0.0:
+        if th is None:
             continue
         # Project out short columns one at a time, re-scanning after each.
         while True:
@@ -281,8 +281,8 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     """Find y with A^T y > 0 strictly, assuming full row rank.
 
     Alternates von Neumann phases on the columns in the current coordinates
-    with multi-rank rescales of the metric: the shared loop with theta = 0, so no
-    column is ever removed. A separated outcome hands back y_bar = M y, the
+    with multi-rank rescales of the metric: the shared loop with no theta, so
+    no column is ever removed. A separated outcome hands back y_bar = M y, the
     paper's Qy. An image-infeasible cone ends ``no_converge``, at a budget or
     at the loop's float-range stop.
     Returns (ImageCertificate, SolveReport).
@@ -295,7 +295,7 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
-    y, support = _rescaling_loop(ahat, np.arange(n), limits, report, 0.0, hook=hook)
+    y, support = _rescaling_loop(ahat, np.arange(n), limits, report, None, hook=hook)
     return _outcome(mat, y, support, report), report
 
 

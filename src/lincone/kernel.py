@@ -18,7 +18,8 @@ one vector, zx = [z | xbar], so a DV step is the single row update
 zx -= z_k rows[k], one in-place BLAS daxpy of 2n floats. Consecutive DV
 steps run in one inner loop with their scalar state in locals, so a step
 costs that daxpy, one argmin of z and a few scalar reads: about 1.7 us at
-n = 80 on a 2-vCPU x86 box.
+n = 80 on a 2-vCPU x86 box. Every ``firstorder._DRIFT_INTERVAL`` DV steps
+z, |y|^2 and xbar are recomputed from x_hat.
 
 The two entry points differ only in the policy passed to the loop. Full
 support passes ``accept``: every column stays active, and a y that strictly
@@ -38,8 +39,9 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .certify import ImageCertificate, KernelCertificate, certified
-from .conditioning import encoding_length, hadamard_delta_sq_exact, theta
+from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
+from .firstorder import _DRIFT_INTERVAL
 from .image import _NORM_RANGE
 from .linalg import as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
 from .report import (
@@ -60,8 +62,6 @@ __all__ = [
     "max_support_kernel",
 ]
 
-# z, |y|^2 and xbar, updated per DV step, are recomputed from x_hat this often.
-_DV_REFRESH = 10_000
 # The loop ends once a log Q-norm passes this, so that |U a_k|^2 stays in
 # float range through the next rescale, which at most doubles |U a_k|.
 _LOG_CEILING = math.log(_NORM_RANGE)
@@ -260,7 +260,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
                 since += 1
                 if hook is not None:
                     hook("dv", ynorm_q2_before=before, ynorm_q2_after=y2, cos=v)
-                if since >= _DV_REFRESH or steps >= cap or xbar.item(low) > 0.0 or y2 <= 0.0:
+                if since >= _DRIFT_INTERVAL or steps >= cap or xbar.item(low) > 0.0 or y2 <= 0.0:
                     break
                 k = int(z.argmin())
                 zk = z.item(k)
@@ -268,7 +268,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
                 if not v < -eps:
                     break
             report.fo_iters, dv_since_refresh, ynorm_q2 = steps, since, y2
-            if since >= _DV_REFRESH and refresh():
+            if since >= _DRIFT_INTERVAL and refresh():
                 break
             continue
 
@@ -372,8 +372,8 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     The metric is held as a factor U with Q = U^T U: the column norms that
     drive marking reach 1/theta, so Q itself would need condition 1/theta^2
     (past float range for m >= 4) while U stays at 1/theta. Marking compares
-    logs, and log(1/theta) comes from the exact integer m^2 delta^2 when
-    theta itself is below float range.
+    logs; a theta that underflows to 0 reads log(1/theta) = inf, above any
+    log Q-norm the loop reaches (at most ``_LOG_CEILING`` + log 2).
 
     Returns (KernelCertificate, support array, SolveReport); ``solved`` only
     once ``check_kernel_certificate`` accepts the certificate on ``mat``.
@@ -382,7 +382,7 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     m, n = mat.shape
     enc = encoding_length(mat)  # also enforces integrality
     th = theta(mat)
-    log_inv_theta = -math.log(th) if th > 0.0 else math.log(m * m * hadamard_delta_sq_exact(mat))
+    log_inv_theta = -math.log(th) if th > 0.0 else math.inf
     limits = default_limits(m, n, encoding_estimate=float(enc), given=limits)
 
     nz = mat.any(axis=0)

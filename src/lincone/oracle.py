@@ -197,10 +197,10 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
 
     Cost model: a lazy step is one k x m product on the stored rows, an
     argmin and O(m) work; a query step adds the oracle's call, the m x m
-    products G a and G^T w and three m-vector dots. As x in ``von_neumann``,
-    the coefficients are one lazy scale times a vector, so a step updates one
-    float and one entry of them, w takes one scale and one in-place BLAS
-    ``daxpy``, and |w|^2 follows the step's own formula between verdicts.
+    products G a and G^T w and three m-vector dots. As in ``von_neumann``,
+    the coefficients and w are one lazy scale times a vector: a step is
+    ``_vn_step``, one entry of the coefficients and one in-place BLAS
+    ``daxpy`` on w, with no separate scaling of w.
 
     Returns ``(vectors, coeffs, w, status, steps, queries)``: the stored unit
     vectors, one per row, their convex coefficients, and w, which is
@@ -209,8 +209,6 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
     counts steps after the seeding answer became w, lazy ones included, and
     ``queries`` every oracle call, the seeding one at 0 included.
     """
-    if not 0.0 < eps < math.inf:
-        raise ContractViolationError(f"eps must be positive and finite, got {eps!r}")
     cap = _vn_cap(eps, budget)
     size_cap = _vn_cap(eps, None)
     m = oracle.dim
@@ -220,16 +218,16 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
 
     # The first k rows and entries hold the stored vectors and their
     # coefficients, which are scale * cs[:k]; both arrays double when full.
-    # scale is the product of the steps' 1 - lam, and with z <= 0 the step
-    # formula gives both 1 - lam >= 1/2 and 1 - lam >= |w'|^2 / |w|^2. Since
-    # the seeding step or the last fold, each at |w| <= 1, scale >= |w|^2 >
-    # eps^2 until a step ends at |w| <= eps, and that step keeps scale >
-    # eps^2 / 2. So scale cannot underflow, cs sums to 1 / scale < 2 / eps^2,
-    # and the scale is folded back only before a verdict recompute and on
-    # return.
+    # w = scale * ws is formed only for a query and the return. scale is the
+    # product of the steps' 1 - lam, and with z <= 0 the step formula gives
+    # both 1 - lam >= 1/2 and 1 - lam >= |w'|^2 / |w|^2. Since the seeding
+    # step or the last fold, each at |w| <= 1, scale >= |w|^2 > eps^2 until a
+    # step ends at |w| <= eps, and that step keeps scale > eps^2 / 2. So
+    # scale cannot underflow, cs sums to 1 / scale < 2 / eps^2, |ws| is at
+    # most that, and the scale is folded back only before a verdict recompute.
     vecs, cs = np.empty((16, m)), np.zeros(16)
     rows = {}  # a stored vector's bits -> its row
-    v, w = np.zeros(m), np.zeros(m)
+    v, ws = np.zeros(m), np.zeros(m)
     answer = oracle.query(v)
     queries, steps, k, scale = 1, 0, 0, 1.0
     status = INTERIOR  # unless the loop below ends otherwise
@@ -265,40 +263,36 @@ def oracle_von_neumann(oracle: SeparationOracle, gmap: np.ndarray, eps: float, b
             z = min(av / unorm, 0.0)
             bar = _LAZY_FRACTION * z / math.sqrt(ynorm2)
         else:  # the seeding answer becomes w itself, with no step to take
-            cs[pos], w, ynorm2 = 1.0, u, float(u.dot(u))
+            cs[pos], ws, ynorm2 = 1.0, u, float(u.dot(u))
             z, bar = math.inf, 0.0
         while True:  # the answer's step, then lazy ones
             if z <= 0.0:
-                lam = _vn_step(ynorm2, z)
-                scale *= 1.0 - lam
-                cs[pos] += lam / scale
-                ynorm2 = (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * z + lam * lam
-                w *= 1.0 - lam
-                daxpy(vecs[pos], w, m, lam)  # w += lam * u, in place; n and a positional, the cheaper call
+                step, scale, ynorm2 = _vn_step(ynorm2, z, scale)
+                cs[pos] += step
+                daxpy(vecs[pos], ws, m, step)  # ws += step * u, in place; n and a positional, the cheaper call
                 steps += 1
             if ynorm2 <= eps * eps:
                 # Verdicts are taken on a freshly recomputed w only.
                 cs[:k] *= scale
-                scale = 1.0
-                w = cs[:k].dot(stored)
-                ynorm2 = float(w.dot(w))
+                scale, ws = 1.0, cs[:k].dot(stored)
+                ynorm2 = float(ws.dot(ws))
                 if ynorm2 <= eps * eps:
                     status = SMALL_NORM
                     break
             if steps >= cap:
                 status = BUDGET_EXHAUSTED
                 break
-            zs = stored.dot(w)
+            zs = stored.dot(ws)
             pos = int(zs.argmin())  # the most violated stored row, lowest index among ties
-            z = zs.item(pos)
+            z = zs.item(pos) * scale
             if not z < bar * math.sqrt(ynorm2):  # not violated enough for a lazy step
                 break
         if status != INTERIOR:
             break
-        v = query_point(w)
+        v = query_point(ws * scale)
         answer = oracle.query(v)
         queries += 1
-    return vecs[:k], cs[:k] * scale, w, status, steps, queries
+    return vecs[:k], cs[:k] * scale, ws * scale, status, steps, queries
 
 
 @timed
@@ -325,7 +319,7 @@ def strict_conic_feasibility(oracle: SeparationOracle, m: int, limits: Limits | 
     ybar = np.zeros(m)
     min_ratio = math.inf
     max_phase_steps = 0
-    while report.rescalings <= limits.max_rescalings:
+    while True:
         fo_budget = limits.max_iterations - report.fo_iters
         if fo_budget <= 0:
             break

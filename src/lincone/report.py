@@ -7,6 +7,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
+from .errors import ContractViolationError
+
 __all__ = [
     "SOLVED",
     "NO_CONVERGE",
@@ -57,10 +59,14 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Limits:
-    """Iteration and rescale budgets; a field left None takes the solver's default."""
+    """Iteration and rescale budgets, none negative; a field left None takes the solver's default."""
 
     max_rescalings: int | None = None
     max_iterations: int | None = None
+
+    def __post_init__(self):
+        if any(budget is not None and budget < 0 for budget in (self.max_rescalings, self.max_iterations)):
+            raise ContractViolationError(f"budgets must be at least 0, got {self}")
 
 
 def _complete(given: Limits | None, max_rescalings: int, max_iterations: int) -> Limits:

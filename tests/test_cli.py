@@ -122,6 +122,16 @@ class TestSolve:
         assert code in (0, 2)
         assert seen == [(Limits(None, 500), Limits(max_rescalings=7770, max_iterations=500))]
 
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "-5"), ("--max-rescalings", "-1")])
+    def test_negative_budget_exit_one(self, tmp_path, capsys, flag, value):
+        # Before any step: a negative budget is a usage error, not a run.
+        run(["gen", "--mode", "image", "--m", "3", "--n", "8", "--output", str(tmp_path / "inst.txt")])
+        capsys.readouterr()
+        code = run(["solve", "--mode", "image", "--input", str(tmp_path / "inst.txt"), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "must be at least 0" in captured.err
+
     def test_missing_file_exit_one(self, capsys):
         code = run(["solve", "--mode", "kernel", "--input", "/nonexistent/x.txt"])
         captured = capsys.readouterr()

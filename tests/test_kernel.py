@@ -18,6 +18,7 @@ from lincone import kernel as kernel_module
 from lincone.certify import check_image_certificate, check_kernel_certificate
 from lincone.conditioning import theta
 from lincone.errors import ContractViolationError, UnsupportedInstanceError
+from lincone.firstorder import _DRIFT_INTERVAL
 from lincone.image import ImageCertificate, max_support_image
 from lincone.instances import gen_degenerate
 from lincone.kernel import KernelCertificate, full_support_kernel, kernel_rescale, max_support_kernel
@@ -152,7 +153,7 @@ class TestUnitMetricCache:
             run(full_support_kernel, narrow_kernel_cone(rng, 6, 80, 0.03, 0.8))
         steps = run(max_support_kernel, integer_row_mix(gen_degenerate(6, 40, 20, 4).mat, 4),
                     Limits(max_rescalings=200, max_iterations=300_000))[-1].fo_iters
-        assert steps > 2 * kernel_module._DV_REFRESH
+        assert steps > 2 * _DRIFT_INTERVAL
         assert checked >= 60 and drifted >= 5
 
 
@@ -463,6 +464,25 @@ def test_theta_below_float_square_does_not_crash(solver):
     if report.status == SOLVED:
         check = check_kernel_certificate if solver is max_support_kernel else check_image_certificate
         assert check(mat, cert).valid
+
+
+@pytest.mark.parametrize("solver", [max_support_kernel, max_support_image])
+@pytest.mark.parametrize("seed", range(3))
+def test_theta_underflow_marks_nothing(solver, seed):
+    # Every entry times 2^300 puts theta below the least subnormal, so it
+    # reads 0.0: neither solver may remove a column, and both end at their
+    # float-range stop without a float warning. The unscaled draw returns
+    # its planted support.
+    inst = gen_degenerate(4, 12, 6, seed)
+    planted = inst.known_supports[0 if solver is max_support_kernel else 1]
+    cert, support, report = solver(inst.mat)
+    assert report.status == SOLVED and np.array_equal(support, planted)
+    scaled = inst.mat * 2.0**300
+    assert theta(scaled) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert, support, report = solver(scaled)
+    assert report.status == NO_CONVERGE and report.removals == 0
 
 
 @pytest.mark.parametrize("seed", range(16))

@@ -8,11 +8,12 @@ import pytest
 
 from conebench.families import flat_image
 from helpers import flat_image_cone
+from lincone import firstorder as firstorder_module
 from lincone import oracle as oracle_module
 from lincone.certify import check_image_certificate
 from lincone.conditioning import goffin_oracle
 from lincone.errors import ContractViolationError, OracleFaultError
-from lincone.firstorder import _DRIFT_INTERVAL, BUDGET_EXHAUSTED, _vn_cap, _vn_step
+from lincone.firstorder import _DRIFT_INTERVAL, BUDGET_EXHAUSTED, _vn_cap
 from lincone.image import ImageCertificate, _grow_metric, full_support_image
 from lincone.linalg import SymPosDef
 from lincone.oracle import (
@@ -183,7 +184,7 @@ def reference_von_neumann(oracle, gmap, eps, budget=None):
             pos = active.slot(ahat)
             cosine = min(float(wa @ wy) / (anorm * ynorm), 0.0)
             half_cosine = 0.5 * cosine
-        lam = _vn_step(ynorm * ynorm, cosine * ynorm)
+        lam = min(max(ynorm * (ynorm - cosine) / (ynorm * ynorm - 2.0 * cosine * ynorm + 1.0), 0.0), 1.0)
         active.mix(pos, lam)
         y = (1.0 - lam) * y + lam * ahat
         steps += 1
@@ -463,6 +464,26 @@ class TestOracleVonNeumann:
         assert report.status == SOLVED and len(metric) == report.rescalings + 1 > 1
         assert len(stepped_on) == report.fo_iters > report.oracle_calls
         assert all(stepped_on)
+
+
+def test_every_step_is_one_vn_step(monkeypatch):
+    # _vn_step is the whole step of both von Neumann loops: one call per
+    # counted step, in the image loop and in the oracle loop alike.
+    calls = []
+    vn_step = firstorder_module._vn_step
+
+    def counted(*args):
+        calls.append(args)
+        return vn_step(*args)
+
+    monkeypatch.setattr(firstorder_module, "_vn_step", counted)
+    monkeypatch.setattr(oracle_module, "_vn_step", counted)
+    mat = flat_image(8, 40, 1e-3, 0)[0]
+    for solve in (full_support_image, lambda a: strict_conic_feasibility(MatrixSeparationOracle(a), 8)):
+        calls.clear()
+        report = solve(mat)[-1]
+        assert report.status == SOLVED and report.rescalings > 0
+        assert len(calls) == report.fo_iters
 
 
 class NudgingOracle(MatrixSeparationOracle):

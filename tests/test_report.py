@@ -14,6 +14,7 @@ from lincone import (
 from lincone import image as image_module
 from lincone import kernel as kernel_module
 from lincone import oracle as oracle_module
+from lincone.errors import ContractViolationError
 from lincone.instances import gen_degenerate
 from lincone.report import NO_CONVERGE, Limits, default_limits, default_oracle_limits
 
@@ -47,6 +48,12 @@ def test_each_unset_field_is_completed_independently(complete):
     assert complete(Limits(max_iterations=7)) == Limits(full.max_rescalings, 7)
     # zero is a budget, not an unset field
     assert complete(Limits(0, 0)) == Limits(0, 0)
+
+
+@pytest.mark.parametrize("fields", [(-1, None), (None, -5), (-1, -1)])
+def test_negative_budget_rejected(fields):
+    with pytest.raises(ContractViolationError, match="must be at least 0"):
+        Limits(*fields)
 
 
 def _partial_budget_cases():
