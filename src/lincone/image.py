@@ -5,12 +5,12 @@ convex combination the inner loop returns whenever that combination is short,
 which inflates det(R) geometrically while the feasible cap stays inside the
 ellipsoid E(R). R is never stored: each rescale moves it into the coordinates,
 so in the current ones R = I and a column's Q-norm is its euclidean length,
-and each step factors only R' = (I + sum x_i c_i c_i^T / |c_i|^2) / (1+eps),
-of condition at most 2. The max-support solver passes theta and the
-full-support solver None: after each rescale the loop projects out every
-column whose Q-norm dropped below theta (such a column can never be strictly
-positive), so with None no column is ever scanned or removed. Either
-solver reports ``solved`` only once ``certify.certified`` accepts its
+and each step factors only R' = (I + sum x_i b_i b_i^T) / (1+eps) on the
+unit columns b_i, of condition at most 2. The max-support solver passes theta
+and the full-support solver None: after each rescale the loop projects out
+every column whose Q-norm dropped below theta (such a column can never be
+strictly positive), so with None no column is ever scanned or removed.
+Either solver reports ``solved`` only once ``certify.certified`` accepts its
 certificate on the caller's matrix, and ``no_converge`` otherwise.
 """
 
@@ -59,8 +59,8 @@ __all__ = [
 _DET_GROWTH = 16.0 / 9.0
 _LEDGER_SLACK = 1e-8
 # Every rescaling loop ends ``no_converge`` once the metric has moved a
-# column's norm by this factor (the kernel's Q-norms up, the image and oracle
-# solvers' current columns down), so their squares stay in float range.
+# column's norm by this factor (the kernel's Q-norms up, the image solver's
+# Q-norms and the oracle's answers down), so their squares stay in float range.
 _NORM_RANGE = 1e150
 
 
@@ -69,20 +69,22 @@ class ImageState:
     """The projected problem the rescaling loop works on, in coordinates where R = I.
 
     E (r x |T|, r = m until a removal) holds the surviving columns in
-    euclidean coordinates of the subspace left by the removals; A_cur = W E
-    holds them in the current coordinates (W the accumulated whitening, R =
-    W^-1 W^-T), so |A_cur_j| is a Q-norm. M maps a current point back, y =
-    M y_cur. gamma and alpha track alpha W W^T + sum gamma_i c_i c_i^T / |E_i|^2
-    = I over the current columns c_i for invariant checking, up to ``slack``:
+    euclidean coordinates of the subspace left by the removals, E_norms their
+    lengths. The current coordinates hold them as c_j = W E_j (R = W^-1 W^-T):
+    C-ordered unit columns B_hat and log Q-norms log_q = log |c_j|. M maps a
+    current point back, y = M y_cur. gamma and alpha track alpha W W^T + sum
+    gamma_i c_i c_i^T / |E_i|^2 = I for invariant checking, up to ``slack``:
     the mass of the terms removals dropped, zero in exact arithmetic, but the
     rounding a column shrunk to Q-norm q keeps is magnified by gamma_i ~ 1/q^2.
     """
 
     M: np.ndarray
     E: np.ndarray
+    E_norms: np.ndarray
     gamma: np.ndarray
     alpha: float
-    A_cur: np.ndarray
+    B_hat: np.ndarray
+    log_q: np.ndarray
     T: np.ndarray
     theta: float | None
     eps: float
@@ -130,38 +132,39 @@ def image_rescale(state: ImageState, x: np.ndarray):
     """Grow the metric by the weighted outer products of the active columns.
 
     R' = (R + sum_i x_i a_i a_i^T / |a_i|_Q^2) / (1+eps) for convex x reads
-    (I + sum_i x_i c_i c_i^T / |c_i|^2) / (1+eps) in the current coordinates:
-    ``_grow_metric`` on the unit columns c_i / |c_i| and the weights x_i of
-    supp(x), which it checks; a zero weight adds nothing to R' or to the
-    check, so Q-norms, unit columns and |E_i|^2 are read on supp(x) only.
-    Its factor W' re-bases, A_cur <- W' A_cur (O(m^2 n)) and M <- M W'^T;
-    gamma and alpha keep the decomposition exact: gamma_i grows on supp(x),
-    then every gamma_i and alpha is divided by 1+eps. Returns (new state,
-    det growth).
+    (I + sum_i x_i b_i b_i^T) / (1+eps) in the current coordinates:
+    ``_grow_metric`` on the unit columns b_i and the weights x_i of supp(x),
+    which it checks; a zero weight adds nothing to R' or to the check. Its
+    factor W' re-bases, B_hat <- W' B_hat (O(m^2 n)) rescaled to unit columns
+    whose norms' logs add to log_q, and M <- M W'^T; gamma and alpha keep the
+    decomposition exact: gamma_i grows on supp(x), then every gamma_i and
+    alpha is divided by 1+eps. Returns (new state, det growth).
     """
     x = np.asarray(x, dtype=float)
     used = np.flatnonzero(x)
-    weights, cols = x[used], state.A_cur[:, used]
-    qnorm = column_norms(cols)
-    if np.any(qnorm <= 0.0):
+    wfac, ratio = _grow_metric(state.B_hat[:, used], x[used], state.eps)
+    cur = wfac @ state.B_hat
+    nu2 = np.einsum("ij,ij->j", cur, cur)
+    if not nu2.min() > 0.0:
         raise ContractViolationError("zero Q-norm column in rescale")
-    wfac, ratio = _grow_metric(cols / qnorm, weights, state.eps)
+    cur *= 1.0 / np.sqrt(nu2)
     gamma = state.gamma.copy()
-    gamma[used] += weights * column_norms(state.E[:, used]) ** 2 / qnorm**2
+    gamma[used] += x[used] * (state.E_norms[used] * np.exp(-state.log_q[used])) ** 2
     gamma /= 1.0 + state.eps
     alpha = state.alpha / (1.0 + state.eps)
-    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ state.A_cur), ratio
+    log_q = state.log_q + 0.5 * np.log(nu2)
+    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, B_hat=cur, log_q=log_q), ratio
 
 
 def _check_decomposition(state: ImageState) -> float:
     """Max entrywise error of alpha W W^T + sum gamma_i c_i c_i^T / |E_i|^2 = I beyond the slack.
 
-    W = A_cur E^+, as E keeps full row rank: a removal drops only columns in
-    the span of the removed one.
+    c = B_hat e^log_q and W = c E^+, as E keeps full row rank: a removal
+    drops only columns in the span of the removed one.
     """
-    cols = state.A_cur
+    cols = state.B_hat * np.exp(state.log_q)
     wfac = cols @ np.linalg.pinv(state.E)
-    scaled = cols / column_norms(state.E)
+    scaled = cols / state.E_norms
     recon = state.alpha * (wfac @ wfac.T) + (scaled * state.gamma) @ scaled.T
     return max(float(np.abs(recon - np.eye(cols.shape[0])).max()) - state.slack, 0.0)
 
@@ -172,22 +175,24 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     ``th = None`` is the full-support policy: no scan and no removal. A
     theta projects out each active column whose Q-norm drops below it after
     a rescale (none at theta = 0). The run ends ``no_converge`` before a
-    rescale whose columns on supp(x) have current norms below 1 /
-    ``_NORM_RANGE``: on an image-infeasible cone they shrink geometrically,
-    and past that their squares underflow and the growth step reads rounding.
-    Counters and ledger bound checks go to ``report``. Returns (y, support)
-    with support the surviving columns: y = M y_cur, of unit length, once
-    the inner loop separates them, 0 once none survive, else None.
+    rescale on columns of Q-norm below 1 / ``_NORM_RANGE``, where those of an
+    image-infeasible cone end up and the gamma ledger nears float range.
+    Counters and bound checks go to ``report``. Returns (y, support) with
+    support the surviving columns: y = M y_cur, of unit length, once the
+    inner loop separates them, 0 once none survive, else None.
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m)
 
+    bhat = ahat.take(active, axis=1)  # C-ordered, unlike ahat[:, active]
     state = ImageState(
         M=np.eye(m),
-        E=ahat[:, active].copy(),
+        E=bhat.copy(),
+        E_norms=column_norms(bhat),
         gamma=np.zeros(len(active)),
         alpha=1.0,
-        A_cur=ahat[:, active].copy(),
+        B_hat=bhat,
+        log_q=np.zeros(len(active)),
         T=np.asarray(active, dtype=int),
         theta=th,
         eps=eps,
@@ -214,7 +219,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if len(state.T) == 0:
             ybar = np.zeros(m)
             break
-        x, y, fo_status, iters = von_neumann(state.A_cur, eps, limits.max_iterations - report.fo_iters)
+        x, y, fo_status, iters = von_neumann(state.B_hat, eps, limits.max_iterations - report.fo_iters)
         report.fo_iters += iters
         max_phase_iters = max(max_phase_iters, iters)
         if fo_status == SEPARATED:
@@ -227,7 +232,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             break
         if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
             break
-        if column_norms(state.A_cur[:, np.flatnonzero(x)]).min() < 1.0 / _NORM_RANGE:
+        if state.log_q[np.flatnonzero(x)].min() < -math.log(_NORM_RANGE):
             break
         state, ratio = image_rescale(state, x)
         min_growth = min(min_growth, ratio)
@@ -301,7 +306,7 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
 
 def short_column_scan(state: ImageState) -> np.ndarray:
     """Original indices of active columns with |a_hat_k|_Q = |c_k| / |E_k| below theta."""
-    short = column_norms(state.A_cur) / column_norms(state.E) < state.theta
+    short = np.exp(state.log_q) / state.E_norms < state.theta
     return state.T[short]
 
 
@@ -310,34 +315,33 @@ def _remove_column(state: ImageState, pos: int):
 
     a_k^T y = 0 reads c_k^T y_cur = 0, so the current coordinates restrict to
     c_k^perp, where the metric stays I, and E to E_k^perp; columns whose E copy
-    is in the span of E_k drop out. det shrinks by |c_k|^2 / |E_k|^2 =
+    is in the span of E_k drop out; only the kept ones are renormalized, as
+    a dropped one's projection is rounding. det shrinks by |c_k|^2 / |E_k|^2 =
     |a_hat_k|_Q^2. Returns (new_state, det_ratio, dropped_original_indices).
     """
-    c_k = state.A_cur[:, pos]
-    e_k = state.E[:, pos]
-    ratio = float(c_k @ c_k) / float(e_k @ e_k)
-    v = orthocomplement_basis(c_k)
-    w = orthocomplement_basis(e_k)
-    cur = v.T @ state.A_cur
+    ratio = math.exp(2.0 * state.log_q[pos]) / state.E_norms[pos] ** 2
+    v = orthocomplement_basis(state.B_hat[:, pos])
+    w = orthocomplement_basis(state.E[:, pos])
+    cur = v.T @ state.B_hat
     proj = w.T @ state.E
-    old_norms = column_norms(state.E)
+    nu = column_norms(cur)
     new_norms = column_norms(proj)
-    keep = new_norms > TAU_RANK_FACTOR * old_norms
+    keep = new_norms > TAU_RANK_FACTOR * state.E_norms
     keep[pos] = False
-    dropped = state.T[~keep]
-    shrink = (new_norms / old_norms) ** 2
-    lost = state.gamma * (column_norms(cur) / old_norms) ** 2
+    lost = state.gamma[~keep] * (np.exp(state.log_q[~keep]) * nu[~keep] / state.E_norms[~keep]) ** 2
 
     new_state = replace(
         state,
         M=state.M @ v,
         E=proj[:, keep],
-        gamma=(state.gamma * shrink)[keep],
-        A_cur=cur[:, keep],
+        E_norms=new_norms[keep],
+        gamma=(state.gamma * (new_norms / state.E_norms) ** 2)[keep],
+        B_hat=cur.compress(keep, axis=1) / nu[keep],
+        log_q=state.log_q[keep] + np.log(nu[keep]),
         T=state.T[keep],
-        slack=state.slack + float(lost[~keep].sum()),
+        slack=state.slack + float(lost.sum()),
     )
-    return new_state, ratio, dropped
+    return new_state, ratio, state.T[~keep]
 
 
 @timed

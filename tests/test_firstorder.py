@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lincone.errors import ContractViolationError, DegenerateColumnError
+from lincone.errors import ContractViolationError
 from lincone.firstorder import (
     _DRIFT_INTERVAL,
     BUDGET_EXHAUSTED,
@@ -12,7 +12,7 @@ from lincone.firstorder import (
     von_neumann,
 )
 from lincone.instances import gen_image_feasible
-from lincone.linalg import SymPosDef
+from lincone.linalg import SymPosDef, normalize_columns
 
 
 def random_spd(rng, m):
@@ -78,10 +78,20 @@ class TestVonNeumannTraces:
         assert np.all(z > 0)
 
     def test_single_positive_column_separates_at_start(self):
-        x, y, status, iterations = von_neumann(np.array([[2.0]]), 0.5)
+        x, y, status, iterations = von_neumann(normalize_columns(np.array([[2.0]])), 0.5)
         assert status == SEPARATED
         assert iterations == 0
         assert x[0] == 1.0
+
+    def test_no_separation_on_a_rounding_margin(self):
+        # The first step lands on y with a_2^T y = 0 exactly (a_0 and a_1
+        # are antipodal in the coordinates a_2 reads), which rounding puts
+        # at +5e-18. That is no separation: the loop steps on a_2 and
+        # separates with a clear margin.
+        mat = normalize_columns(np.array([[1.0, -3.0, 3.0], [-1.0, 3.0, 3.0], [4.0, 1.0, 0.0]]))
+        x, y, status, iterations = von_neumann(mat, 1 / 33)
+        assert (status, iterations) == (SEPARATED, 2)
+        assert np.all(mat.T @ y > 0.3)
 
     def test_tie_break_lowest_index(self):
         # Columns 1 and 2 are identical; the minimizer must be column 1.
@@ -102,7 +112,7 @@ class TestVonNeumannInvariants:
             if trial % 3 == 0:
                 mat = whiten(random_spd(rng, m), mat)
             eps = float(rng.uniform(0.05, 0.5))
-            x, y, status, iterations = von_neumann(mat, eps)
+            x, y, status, iterations = von_neumann(normalize_columns(mat), eps)
             assert abs(x.sum() - 1.0) <= 1e-10
             assert np.all(x >= -1e-15)
             recon = mat @ (x / np.linalg.norm(mat, axis=0))
@@ -140,10 +150,10 @@ class TestVonNeumannInvariants:
             metric = random_spd(rng, m) if trial % 2 else None
             eps = float(rng.uniform(0.05, 0.5))
             if metric is None:
-                x, y, status, iterations = von_neumann(mat, eps)
+                x, y, status, iterations = von_neumann(normalize_columns(mat), eps)
                 x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.eye(m), eps)
             else:
-                x, y, status, iterations = von_neumann(whiten(metric, mat), eps)
+                x, y, status, iterations = von_neumann(normalize_columns(whiten(metric, mat)), eps)
                 x_ref, status_ref, iters_ref = gram_von_neumann(mat, np.linalg.inv(metric), eps)
             assert status == status_ref
             assert iterations == iters_ref
@@ -175,7 +185,7 @@ class TestVonNeumannInvariants:
         # of a C-ordered copy, whatever order or strides the caller's array has.
         big = np.random.default_rng(3).standard_normal((6, 160))
         big[0] = np.abs(big[0]) * 0.05
-        view = big[:, ::2]
+        view = normalize_columns(big)[:, ::2]
         runs = [von_neumann(a, 1e-3, 400) for a in (np.ascontiguousarray(view), np.asfortranarray(view), view)]
         assert not view.flags.c_contiguous and not view.flags.f_contiguous
         assert runs[0][3] > 50
@@ -192,16 +202,32 @@ class TestVonNeumannInvariants:
 
     @pytest.mark.parametrize("exponent", [600, -600])
     def test_columns_past_float_range_run_as_the_unscaled(self, exponent):
-        # |a_j|^2 overflows at 2^600 and underflows to 0 at 2^-600; the
-        # loop then normalizes exactly, so it runs as on the unscaled columns.
+        # |a_j|^2 overflows at 2^600 and underflows to 0 at 2^-600, but the
+        # exact normalization gives the unscaled unit columns, so the loop
+        # runs on them bit for bit as on the unscaled ones.
         mat = gen_image_feasible(4, 12, 0.1, 0).mat
-        x, _, status, iterations = von_neumann(mat, 1 / 44)
-        got = von_neumann(np.ldexp(mat, exponent), 1 / 44)
+        x, y, status, iterations = von_neumann(normalize_columns(mat), 1 / 44)
+        got = von_neumann(normalize_columns(np.ldexp(mat, exponent)), 1 / 44)
         assert (got[2], got[3]) == (status, iterations) == (SEPARATED, 6)
-        assert np.array_equal(got[0], x)
+        assert got[0].tobytes() == x.tobytes()
+        assert got[1].tobytes() == y.tobytes()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):
             von_neumann(np.eye(2), 0.0)
-        with pytest.raises(DegenerateColumnError):
-            von_neumann(np.array([[1.0, 0.0]]), 0.1)
+        # Columns must be unit vectors: a zero, a non-unit, a NaN or an
+        # infinite column breaks the contract, and so does no column at all.
+        bad = {
+            "zero": [[1.0, 0.0]],
+            "non-unit": [[1.0, 0.0], [0.0, 1.0 + 1e-9]],
+            "nan": [[1.0, np.nan], [0.0, 0.0]],
+            "inf": [[1.0, np.inf], [0.0, 0.0]],
+            "empty": np.zeros((2, 0)),
+            "1-d": [1.0],
+        }
+        for mat in bad.values():
+            with pytest.raises(ContractViolationError):
+                von_neumann(np.array(mat), 0.1)
+        # Past float range too, where |b|^2 overflows.
+        with pytest.raises(ContractViolationError, match="unit columns"):
+            von_neumann(np.ldexp(np.eye(2), 600), 0.1)

@@ -52,29 +52,43 @@ def fresh_state(mat, eps=1.0 / 22.0, rmat=None):
     """A state on the columns of mat whose metric so far is rmat (default I).
 
     The current coordinates whiten rmat: with rmat = L L^T they are W = L^-1
-    applied to the euclidean ones, so A_cur = W mat and M = W^T.
+    applied to the euclidean ones, so the current columns are W mat, held
+    as their unit columns and log norms, and M = W^T.
     """
     m, n = mat.shape
     wfac = np.eye(m) if rmat is None else np.linalg.inv(np.linalg.cholesky(rmat))
+    cur = wfac @ mat
     return ImageState(
         M=wfac.T,
         E=mat.astype(float).copy(),
+        E_norms=np.linalg.norm(mat, axis=0),
         gamma=np.zeros(n),
         alpha=1.0,
-        A_cur=wfac @ mat,
+        B_hat=cur / np.linalg.norm(cur, axis=0),
+        log_q=np.log(np.linalg.norm(cur, axis=0)),
         T=np.arange(n),
         theta=0.5,
         eps=eps,
     )
 
 
+def current(state):
+    """The current columns c_j = B_hat_j e^log_q_j."""
+    return state.B_hat * np.exp(state.log_q)
+
+
 def decomposition_hook(log):
     """Hook appending (kind, decomposition error) for every rescale and remove state.
 
-    A state with no active columns logs 0.0: W = A_cur E^+ needs E to have columns.
+    It also checks the loop's state at every event: B_hat C-ordered with
+    unit columns, log_q finite. A state with no active columns logs 0.0:
+    W = c E^+ needs E to have columns.
     """
 
     def hook(kind, state, **_):
+        assert state.B_hat.flags.c_contiguous
+        assert np.all(np.abs(np.linalg.norm(state.B_hat, axis=0) - 1.0) <= 1e-12)
+        assert np.all(np.isfinite(state.log_q))
         log.append((kind, _check_decomposition(state) if state.T.size else 0.0))
 
     return hook
@@ -86,13 +100,21 @@ def metric(state):
 
 
 def dense_image_rescale(state, x):
-    """The rescale formula on every column, zero weights included: the reference."""
-    qnorm = np.linalg.norm(state.A_cur, axis=0)
-    wfac, ratio = _grow_metric(state.A_cur / qnorm, x, state.eps)
+    """The rescale formula on every column, zero weights included: the reference.
+
+    It works on the raw current columns A_cur = B_hat e^log_q, maps them,
+    A_cur <- W' A_cur, and only then splits them into unit columns and logs.
+    """
+    a_cur = current(state)
+    qnorm = np.linalg.norm(a_cur, axis=0)
+    wfac, ratio = _grow_metric(a_cur / qnorm, x, state.eps)
     eucl2 = np.linalg.norm(state.E, axis=0) ** 2
     gamma = (state.gamma + x * eucl2 / qnorm**2) / (1.0 + state.eps)
     alpha = state.alpha / (1.0 + state.eps)
-    return replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, A_cur=wfac @ state.A_cur), ratio
+    a_new = wfac @ a_cur
+    norms = np.linalg.norm(a_new, axis=0)
+    new = replace(state, M=state.M @ wfac.T, gamma=gamma, alpha=alpha, B_hat=a_new / norms, log_q=np.log(norms))
+    return new, ratio
 
 
 class TestImageRescale:
@@ -100,7 +122,7 @@ class TestImageRescale:
         rng = np.random.default_rng(17)
         mat = rng.standard_normal((4, 9))
         state = fresh_state(mat, 1.0 / 44.0)
-        # Two earlier rescales make gamma, alpha, M and A_cur nontrivial.
+        # Two earlier rescales make gamma, alpha, M and the current columns nontrivial.
         for _ in range(2):
             x = rng.uniform(0.0, 1.0, 9)
             state, _ = image_rescale(state, x / x.sum())
@@ -109,8 +131,9 @@ class TestImageRescale:
         x /= x.sum()
         out, ratio = image_rescale(state, x)
         ref, ratio_ref = dense_image_rescale(state, x)
-        for name in ("A_cur", "M", "gamma"):
+        for name in ("B_hat", "log_q", "M", "gamma"):
             assert np.abs(getattr(out, name) - getattr(ref, name)).max() <= 1e-12
+        assert np.abs(current(out) - current(ref)).max() <= 1e-12
         assert ratio == pytest.approx(ratio_ref, rel=1e-12, abs=0.0)
         assert out.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
         # A column outside supp(x) only has its gamma divided by 1 + eps.
@@ -135,7 +158,7 @@ class TestImageRescale:
         state = fresh_state(np.eye(2), eps)
         out, ratio = image_rescale(state, np.array([1.0, 0.0]))
         assert np.allclose(metric(out), np.diag([2.0, 1.0]) / (1 + eps))
-        assert np.allclose(out.A_cur, out.M.T)
+        assert np.allclose(current(out), out.M.T)
         assert ratio == pytest.approx(2.0 / (1 + eps) ** 2, rel=1e-12)
         assert ratio >= 16.0 / 9.0
 
@@ -458,9 +481,11 @@ class TestRemoveColumn:
             kept = np.delete(mat, pos, axis=1)
             restricted = w.T @ kept
             gram = restricted.T @ np.linalg.solve(w.T @ rmat @ w, restricted)
-            assert np.allclose(new_state.A_cur.T @ new_state.A_cur, gram, atol=1e-10)
+            cur = current(new_state)
+            assert np.allclose(cur.T @ cur, gram, atol=1e-10)
             assert np.allclose(new_state.E.T @ new_state.E, restricted.T @ restricted, atol=1e-10)
-            assert np.allclose(new_state.M.T @ kept, new_state.A_cur, atol=1e-10)
+            assert np.allclose(new_state.M.T @ kept, cur, atol=1e-10)
+            assert np.allclose(new_state.E_norms, np.linalg.norm(new_state.E, axis=0), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("cap", [1, 10, 50])
@@ -490,6 +515,19 @@ def test_benchmark_counts(seed, counts):
     cert, report = full_support_image(mat)
     assert (report.status, report.fo_iters, report.rescalings) == counts
     assert check_image_certificate(mat, cert).valid
+
+
+def test_benchmark_totals():
+    # The whole image_flat pool, seeds 0-39: a trajectory that drifts on any
+    # instance moves the step or rescale total.
+    steps = rescalings = certified = 0
+    for seed in range(40):
+        mat = flat_image(25, 500, 1e-3, seed)[0]
+        cert, report = full_support_image(mat)
+        steps += report.fo_iters
+        rescalings += report.rescalings
+        certified += report.status == SOLVED and check_image_certificate(mat, cert).valid
+    assert (steps, rescalings, certified) == (45_406, 820, 40)
 
 
 @pytest.mark.parametrize(
