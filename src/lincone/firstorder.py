@@ -1,14 +1,14 @@
 """The von Neumann loop, the image solvers' first-order method.
 
-It drives a convex combination ``y`` of unit columns toward either a strict
-separator or a short vector. It is a euclidean loop on the columns as given:
-the image solvers keep theirs as unit vectors in coordinates where the
-metric is the identity, so every euclidean quantity of the loop is the
-Q-quantity of the original columns. The oracle solver's loop,
-``oracle_von_neumann``, is the same euclidean loop in whitened coordinates on
-the answers the oracle has returned, querying only when none is violated
-enough. Both loops keep their coefficients and w in one lazy scale and step
-through ``_vn_step``, which gives the step, the new scale and |y|^2.
+It drives a convex combination ``y`` of unit columns, from the first column or
+a given convex start, toward either a strict separator or a short vector. It is
+a euclidean loop on the columns as given: the image solvers keep theirs as unit
+vectors in coordinates where the metric is the identity, so every euclidean
+quantity of the loop is the Q-quantity of the original columns. The oracle
+solver's loop, ``oracle_von_neumann``, is the same euclidean loop in whitened
+coordinates on the answers the oracle has returned, querying only when none is
+violated enough. Both loops keep their coefficients and w in one lazy scale and
+step through ``_vn_step``, which gives the step, the new scale and |y|^2.
 
 Cost model: one O(mn) pass per call checks that the columns are unit, and
 none is normalized; each step is one O(mn) BLAS gemv plus O(m) work, about
@@ -68,16 +68,18 @@ def _vn_step(ynorm2: float, z: float, scale: float) -> tuple[float, float, float
     return lam / scale, scale, (1.0 - lam) ** 2 * ynorm2 + 2.0 * lam * (1.0 - lam) * z + lam * lam
 
 
-def von_neumann(mat, eps: float, budget: int | None = None):
+def von_neumann(mat, eps: float, budget: int | None = None, x0=None):
     """Drive a convex combination of unit columns toward 0 or a separator.
 
-    Starts from the first column. Each iteration either certifies
-    ``B^T y > 0`` strictly (status ``separated``), moves y to the nearest
-    point of the segment toward the worst column, or stops with
-    ``|y| <= eps`` (status ``small_norm``). A cosine reads positive only
-    above 4 m ulps, the slack its column is checked to, so no separation
-    rests on rounding. At most ``ceil(1/eps^2)`` iterations are ever needed;
-    a smaller ``budget`` may stop the loop early (``budget_exhausted``).
+    Starts from the convex combination ``x0``, by default the first column.
+    Each iteration either certifies ``B^T y > 0`` strictly (status
+    ``separated``), moves y to the nearest point of the segment toward the
+    worst column, or stops with ``|y| <= eps`` (status ``small_norm``). A
+    cosine reads positive only above 4 m ulps, the slack its column is
+    checked to, so no separation rests on rounding. A step gives
+    1/|y'|^2 >= 1/|y|^2 + 1 and any start has |y| <= 1, so at most
+    ``ceil(1/eps^2)`` iterations are ever needed; a smaller ``budget`` may
+    stop the loop early (``budget_exhausted``).
 
     The columns must be unit vectors (``linalg.normalize_columns`` makes
     them), held as one C-ordered m x n array B whatever the caller's layout.
@@ -97,6 +99,7 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     mat : array (m, n) of unit columns, whitened for a non-euclidean metric
     eps : target norm, positive and finite
     budget : optional iteration cap below the intrinsic bound
+    x0 : optional start, n weights >= 0 summing to 1 within 1e-10
 
     Returns
     -------
@@ -119,9 +122,12 @@ def von_neumann(mat, eps: float, budget: int | None = None):
     # stays >= |y|^2 / |y at the last refresh|^2: it falls only as far as
     # |y|^2 does, which the eps target bounds, and cannot leave float range.
     # Each refresh folds it back into xs, which is needed against drift only.
-    xs = np.zeros(n)
-    xs[0] = scale = 1.0
-    ws = mat[:, 0].copy()
+    xs = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x0 is None:
+        xs[0] = 1.0
+    elif xs.shape != (n,) or not (xs.min() >= 0.0 and abs(xs.sum() - 1.0) <= 1e-10):
+        raise ContractViolationError("x0 must be a convex combination of the n columns")  # a NaN fails too
+    scale, ws = 1.0, mat @ xs
     ynorm2 = float(ws @ ws)
     z = np.empty(n)
     cosines = mat.T.dot  # z = mat^T ws, one gemv into z

@@ -172,14 +172,15 @@ def _check_decomposition(state: ImageState) -> float:
 def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float | None, *, hook):
     """Inner-loop phases and rescales over the columns ``ahat[:, active]``.
 
-    ``th = None`` is the full-support policy: no scan and no removal. A
-    theta projects out each active column whose Q-norm drops below it after
-    a rescale (none at theta = 0). The run ends ``no_converge`` before a
-    rescale on columns of Q-norm below 1 / ``_NORM_RANGE``, where those of an
+    ``th = None`` is the full-support policy: no scan, no removal, and each
+    phase after the first starts where the last one ended. A theta projects out
+    each active column whose Q-norm drops below it after a rescale (none at
+    theta = 0), and its phases start cold. The run ends ``no_converge`` before
+    a rescale on columns of Q-norm below 1 / ``_NORM_RANGE``, where those of an
     image-infeasible cone end up and the gamma ledger nears float range.
     Counters and bound checks go to ``report``. Returns (y, support) with
-    support the surviving columns: y = M y_cur, of unit length, once the
-    inner loop separates them, 0 once none survive, else None.
+    support the surviving columns: y = M y_cur, of unit length, once the inner
+    loop separates them, 0 once none survive, else None.
     """
     m, n = ahat.shape
     eps = rescale_epsilon(m)
@@ -205,7 +206,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
     log_gamma_cap = math.log(2.0) - 2.0 * log_theta + math.log1p(_LEDGER_SLACK)
     log_removal_floor = 2.0 * log_theta - math.log(2.0 * (n + 1.0))
     max_phase_iters = 0
-    ybar = None
+    ybar = x0 = None
 
     def ledger_checks():
         gmax = float(state.gamma.max(initial=0.0))
@@ -219,7 +220,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
         if len(state.T) == 0:
             ybar = np.zeros(m)
             break
-        x, y, fo_status, iters = von_neumann(state.B_hat, eps, limits.max_iterations - report.fo_iters)
+        x, y, fo_status, iters = von_neumann(state.B_hat, eps, limits.max_iterations - report.fo_iters, x0)
         report.fo_iters += iters
         max_phase_iters = max(max_phase_iters, iters)
         if fo_status == SEPARATED:
@@ -234,13 +235,16 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             break
         if state.log_q[np.flatnonzero(x)].min() < -math.log(_NORM_RANGE):
             break
+        log_q = state.log_q
         state, ratio = image_rescale(state, x)
         min_growth = min(min_growth, ratio)
         report.rescalings += 1
         ledger_checks()
         if hook is not None:
             hook("rescale", state=state, x=x, y=y, ratio=ratio)
-        if th is None:
+        if th is None:  # the point x ended on, on B_hat' = W' B_hat diag(e^(log_q - log_q'))
+            x0 = x * np.exp(state.log_q - log_q)
+            x0 /= x0.sum()
             continue
         # Project out short columns one at a time, re-scanning after each.
         while True:
@@ -287,9 +291,10 @@ def full_support_image(mat, limits: Limits | None = None, *, hook=None):
 
     Alternates von Neumann phases on the columns in the current coordinates
     with multi-rank rescales of the metric: the shared loop with no theta, so
-    no column is ever removed. A separated outcome hands back y_bar = M y, the
-    paper's Qy. An image-infeasible cone ends ``no_converge``, at a budget or
-    at the loop's float-range stop.
+    no column is ever removed, and each phase after the first starts from the
+    point the last one ended on. A separated outcome hands back y_bar = M y,
+    the paper's Qy. An image-infeasible cone ends ``no_converge``, at a budget
+    or at the loop's float-range stop.
     Returns (ImageCertificate, SolveReport).
     """
     mat = as_matrix(mat)

@@ -112,10 +112,13 @@ def _unit_metric(ufac, cols, fmat):
     """Log Q-norms ell and unit columns B_hat = U cols diag(e^-ell), derived from U.
 
     Writes F_hat = B_hat^T B_hat into ``fmat`` (which may be a view), with
-    its diagonal set to exactly 1. Returns (ell, B_hat).
+    its diagonal set to exactly 1. Returns (ell, B_hat), or (None, None)
+    before any division when a Q-norm reads 0 or not finite.
     """
     wcols = ufac @ cols
     qnorms = column_norms(wcols)
+    if not (qnorms.min() > 0.0 and qnorms.max() < math.inf):  # a NaN fails too
+        return None, None
     bhat = wcols / qnorms
     np.matmul(bhat.T, bhat, out=fmat)
     np.fill_diagonal(fmat, 1.0)
@@ -152,9 +155,9 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     gate min xbar > 0 is read at ``low``, the last scanned argmin of xbar:
     min xbar <= xbar[low], so it rescans only when xbar[low] > 0 (a NaN there
     fails the gate, as the minimum would). The run ends ``no_converge``
-    early when a log Q-norm passes ``_LOG_CEILING`` before a rescale, or
-    when after a refresh |y| is at its rounding floor 4 n u |x_hat|_1 (the
-    columns of B_hat are unit vectors), where the cosines read noise.
+    early when a log Q-norm passes ``_LOG_CEILING`` before a rescale, reads
+    0 or not finite (ell None), or when after a refresh |y| is at its
+    rounding floor 4 n u |x_hat|_1, where the unit columns' cosines read noise.
 
     Consecutive DV steps run in one inner loop, hook or no hook. It hands
     back to the outer loop, with ``report.fo_iters`` written back, once
@@ -211,6 +214,8 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             rowlist = list(rows)
             fmat, pimat = rows[:, :n], rows[:, n:]
             ell, bhat = _unit_metric(ufac, cols, fmat)
+            if ell is None:
+                return
             np.multiply(proj, np.exp(-ell)[:, None], out=pimat)
             x = np.exp(ell - ell.max())
             refresh(drifted=False)
@@ -281,6 +286,8 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
         ufac = kernel_rescale(ufac, w, eps)
         old_ell = ell
         ell, bhat = _unit_metric(ufac, cols, fmat)
+        if ell is None:
+            break
         grow = np.exp(ell - old_ell)
         x *= grow
         pimat /= grow[:, None]
@@ -319,6 +326,8 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             rebuild()
             if hook is not None:
                 hook("remove", removed=removed)
+            if ell is None:
+                break
     return NO_CONVERGE, S, None
 
 

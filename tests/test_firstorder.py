@@ -194,6 +194,75 @@ class TestVonNeumannInvariants:
             assert x.tobytes() == runs[0][0].tobytes()
             assert y.tobytes() == runs[0][1].tobytes()
 
+    def test_first_column_start_retraces_the_default(self):
+        # x0 = e_0 is the default start: on the trajectory tests' matrices the
+        # run is the default one bit for bit, x, y, status and iterations.
+        rng = np.random.default_rng(13)
+        cases = []
+        for trial in range(100):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(1, 31))
+            mat = rng.standard_normal((m, n))
+            if trial % 2:
+                mat = whiten(random_spd(rng, m), mat)
+            cases.append((normalize_columns(mat), float(rng.uniform(0.05, 0.5))))
+        d = 0.003
+        long_phase = np.array([[0.1, 0.3, 1.0], [d, 1.0, 0.0], [d, -1.0, 0.0]]).T
+        cases.append((long_phase / np.linalg.norm(long_phase, axis=0), d / 2))
+        seen = set()
+        for mat, eps in cases:
+            start = np.zeros(mat.shape[1])
+            start[0] = 1.0
+            x, y, status, iterations = von_neumann(mat, eps)
+            got = von_neumann(mat, eps, x0=start)
+            assert (got[2], got[3]) == (status, iterations)
+            assert got[0].tobytes() == x.tobytes()
+            assert got[1].tobytes() == y.tobytes()
+            seen.add(status)
+        assert seen == {SEPARATED, SMALL_NORM}
+        assert iterations > 2 * _DRIFT_INTERVAL
+
+    def test_short_start_is_small_norm_at_once(self):
+        # A start with |B x0| <= eps is already the verdict: no step is taken.
+        mat = normalize_columns(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))
+        x0 = np.array([0.5, 0.5, 0.0])
+        x, y, status, iterations = von_neumann(mat, 0.1, x0=x0)
+        assert (status, iterations) == (SMALL_NORM, 0)
+        assert np.array_equal(x, x0)
+        assert np.linalg.norm(y) <= 0.1
+
+    def test_warm_start_keeps_the_step_bound(self):
+        # From any convex start |y| <= 1, so ceil(1/eps^2) steps still bound a run.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(2, 20))
+            mat = normalize_columns(rng.standard_normal((m, n)))
+            x0 = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
+            x0[int(rng.integers(n))] += 0.1
+            x0 /= x0.sum()
+            eps = float(rng.uniform(0.05, 0.5))
+            x, y, status, iterations = von_neumann(mat, eps, x0=x0)
+            assert status in (SEPARATED, SMALL_NORM)
+            assert iterations <= math.ceil(1.0 / eps**2)
+            assert abs(x.sum() - 1.0) <= 1e-10 and np.all(x >= 0.0)
+            assert np.linalg.norm(mat @ x - y) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "x0",
+        [
+            [1.0, 0.0],
+            [0.5, 0.25, 0.25, 0.0],
+            [0.5, np.nan, 0.5],
+            [1.5, -0.5, 0.0],
+            [0.5, 0.5, 1e-9],
+            np.full((3, 1), 1.0 / 3.0),
+        ],
+        ids=["short", "long", "nan", "negative", "sum-off", "2-d"],
+    )
+    def test_rejects_a_start_that_is_not_convex(self, x0):
+        with pytest.raises(ContractViolationError, match="x0"):
+            von_neumann(np.eye(3), 0.1, x0=np.array(x0))
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_eps_outside_positive_reals(self, eps):
         for budget in (None, 10):

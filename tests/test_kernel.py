@@ -9,6 +9,7 @@ from conebench.families import narrow_kernel, planted_partition
 from helpers import (
     exact_rank_wrapper,
     flat_image_cone,
+    integer_draw,
     integer_row_mix,
     narrow_kernel_cone,
     symmetric_hull_intersection_area,
@@ -380,6 +381,21 @@ class TestFullSupportKernel:
 
 
 class TestMaxSupportKernel:
+    def test_collapsed_q_norm_ends_no_converge(self):
+        # Integral, rows scaled by 1e12, 2^39, 1e12, 2^40 and 1e12. At the
+        # rebuild after the fourth removal (rescale 1,390) the one survivor's
+        # |U a_hat| reads 0. The loop stops there, before dividing by it,
+        # instead of running on NaN through its whole rescale budget.
+        scales = np.array([1e12, 2.0**39, 1e12, 2.0**40, 1e12])
+        mat = integer_draw(22) * scales[:, None]
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert, support, report = max_support_kernel(mat)
+        assert time.perf_counter() - t0 < 2.0
+        assert (report.status, report.rescalings, report.removals) == (NO_CONVERGE, 1_390, 4)
+        assert support.size == 0 and not cert.x.any()
+
     def test_partial_support_example(self):
         mat = np.array([[1, -1, 1], [0, 0, 1]])
         cert, support, report = max_support_kernel(mat)
