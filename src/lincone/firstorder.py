@@ -10,10 +10,11 @@ coordinates on the answers the oracle has returned, querying only when none is
 violated enough. Both loops keep their coefficients and w in one lazy scale and
 step through ``_vn_step``, which gives the step, the new scale and |y|^2.
 
-Cost model: one O(mn) pass per call checks that the columns are unit, and
-none is normalized; each step is one O(mn) BLAS gemv plus O(m) work, about
-4.2 us at m = 25, n = 500 (2.3 us of it the gemv) on a 2-vCPU x86 box with
-one BLAS thread. No n x n Gram matrix is formed, so memory stays O(mn).
+Cost model: per call one O(mn) pass checks that the columns are unit and one
+gemv gives w = B x0; a w no longer than eps ends the call before any cosine
+gemv, with y = w. A step is one O(mn) BLAS gemv plus O(m) work, about 4.2 us
+at m = 25, n = 500 (2.3 us of it the gemv) on a 2-vCPU x86 box with one BLAS
+thread. No n x n Gram matrix is formed, so memory stays O(mn).
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def von_neumann(mat, eps: float, budget: int | None = None, x0=None):
     of w, the latter by one in-place strided ``daxpy`` (column k starts at
     offset k, stride n), which may fuse the multiply-add, so w can differ
     from the two-op update in the last bit. Every ``_DRIFT_INTERVAL`` steps,
-    and before every verdict, w and |y|^2 are recomputed from x.
+    and before every verdict, w and |y|^2 are recomputed from x; a short w
+    is the verdict before any cosine is taken, and y is the w it was taken on.
 
     Parameters
     ----------
@@ -135,14 +137,15 @@ def von_neumann(mat, eps: float, budget: int | None = None, x0=None):
     verdict = False
     iterations = 0
     while True:
-        # Verdicts are taken on a freshly recomputed w only.
+        # Verdicts are taken on a freshly recomputed w only; a short w needs no cosines.
         if not fresh and (verdict or iterations % _DRIFT_INTERVAL == 0):
             xs *= scale
             scale, ws = 1.0, mat @ xs
             ynorm2, fresh = float(ws @ ws), True
-        cosines(ws, out=z)
-        k = int(z.argmin())  # lowest index among ties
-        zk = z.item(k) * scale
+        if ynorm2 > eps2:
+            cosines(ws, out=z)
+            k = int(z.argmin())  # lowest index among ties
+            zk = z.item(k) * scale
         verdict = ynorm2 <= eps2 or zk > tol
         if verdict:
             if not fresh:
@@ -158,4 +161,4 @@ def von_neumann(mat, eps: float, budget: int | None = None, x0=None):
         fresh = False
         iterations += 1
     x = xs * scale
-    return x, mat @ x, status, iterations
+    return x, ws if fresh else mat @ x, status, iterations  # fresh: scale = 1 and ws = B x

@@ -106,7 +106,9 @@ def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
     """
     if not (weights.min(initial=0.0) >= 0.0 and abs(math.fsum(weights.tolist()) - 1.0) <= 1e-10):
         raise ContractViolationError("rescale weights must be a convex combination")
-    new_r = SymPosDef((np.eye(cols.shape[0]) + (cols * weights) @ cols.T) / (1.0 + eps))
+    new_r = (cols * weights) @ cols.T  # a fresh C-ordered array, which R' is built in
+    new_r.ravel()[:: len(new_r) + 1] += 1.0
+    new_r = SymPosDef(np.divide(new_r, 1.0 + eps, out=new_r))
     ratio = math.exp(new_r.logdet)
     if ratio < _DET_GROWTH * (1.0 - _LEDGER_SLACK):
         raise ContractViolationError(f"determinant grew only by {ratio}, below 16/9")
@@ -233,7 +235,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, th: float
             break
         if report.rescalings >= limits.max_rescalings or report.fo_iters >= limits.max_iterations:
             break
-        if state.log_q[np.flatnonzero(x)].min() < -math.log(_NORM_RANGE):
+        if state.log_q.min(where=x > 0.0, initial=math.inf) < -math.log(_NORM_RANGE):
             break
         log_q = state.log_q
         state, ratio = image_rescale(state, x)

@@ -80,34 +80,37 @@ def raw_weights(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 class SymPosDef:
     """A symmetric positive definite matrix R, held by its inverse Cholesky factor.
 
-    With R = L L^T, the inverse lower factor W = L^{-1} (``inv_factor``) and
-    the log-determinant are computed once at construction by two LAPACK calls:
-    potrf for L (strict upper triangle zeroed) and trtri for W. W R W^T = I,
+    With R = L L^T, potrf on (R + R^T) / 2 gives L (strict upper triangle
+    zeroed) and the log-determinant from its diagonal, and trtri the inverse
+    lower factor W = L^{-1} (``inv_factor``), once at construction. W R W^T = I,
     so W maps to coordinates where R is the identity. The solvers build one
     per rescale, for the step R', whose condition number is at most 2.
 
     Raises
     ------
     ContractViolationError
-        If the matrix is not square, not symmetric to 1e-12 relative, or not
-        positive definite.
+        If the matrix is not square and nonempty, if its largest |entry| is 0,
+        NaN or infinite, if it is not symmetric to 1e-12 of that entry, or if
+        potrf finds it not positive definite.
     """
 
     __slots__ = ("inv_factor", "logdet")
 
     def __init__(self, entries):
-        mat = as_matrix(entries)
-        m, n = mat.shape
-        if m != n:
-            raise ContractViolationError(f"matrix of shape {mat.shape} is not square")
+        mat = np.asarray(entries, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ContractViolationError(f"expected a nonempty square matrix, got shape {mat.shape}")
         scale = np.abs(mat).max()
-        if scale == 0.0 or np.abs(mat - mat.T).max() > 1e-12 * scale:
+        if not 0.0 < scale < np.inf:  # a NaN fails too
+            raise ContractViolationError("matrix is zero or has non-finite entries")
+        if np.abs(mat - mat.T).max() > 1e-12 * scale:
             raise ContractViolationError("matrix is not symmetric")
-        lower, info = lapack.dpotrf(0.5 * (mat + mat.T), lower=1, clean=1)
+        sym = 0.5 * (mat + mat.T)  # exactly symmetric: sym.T is sym in the Fortran order potrf factors in place
+        lower, info = lapack.dpotrf(sym.T, lower=1, clean=1, overwrite_a=1)
         if info != 0:
             raise ContractViolationError("matrix is not positive definite")
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
-        self.inv_factor, _ = lapack.dtrtri(lower, lower=1)
+        self.logdet = 2.0 * float(np.log(lower.diagonal()).sum())
+        self.inv_factor, _ = lapack.dtrtri(lower, lower=1, overwrite_c=1)
 
 
 def _pivoted_qr(mat: np.ndarray, mode: str):
@@ -117,7 +120,8 @@ def _pivoted_qr(mat: np.ndarray, mode: str):
     |R_kk| > ``TAU_RANK_FACTOR`` |R_00|; a zero ``mat`` has rank 0.
     Returns (first factor, rank): Q for ``mode="economic"``, R for ``mode="r"``.
     """
-    *factors, _ = qr(normalize_columns(mat[mat.any(axis=1)].T), mode=mode, pivoting=True, check_finite=False)
+    unit = normalize_columns(mat[mat.any(axis=1)].T)  # a fresh array, which qr may overwrite
+    *factors, _ = qr(unit, mode=mode, pivoting=True, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diag(factors[-1]))
     return factors[0], int(np.count_nonzero(pivots > TAU_RANK_FACTOR * pivots[:1]))
 
@@ -125,7 +129,8 @@ def _pivoted_qr(mat: np.ndarray, mode: str):
 def pivoted_rank(mat: np.ndarray) -> int:
     """Numerical rank: ``_pivoted_qr`` of unit rows, then unit columns; no small row or column falls under the cut."""
     mat = as_matrix(np.atleast_2d(mat))
-    mat = mat[np.ix_(mat.any(axis=1), mat.any(axis=0))]
+    rows, cols = mat.any(axis=1), mat.any(axis=0)  # either branch gives C order, which the bits below read
+    mat = np.ascontiguousarray(mat) if rows.all() and cols.all() else mat[np.ix_(rows, cols)]
     return _pivoted_qr(normalize_columns(normalize_columns(mat.T).T), "r")[1] if mat.size else 0
 
 

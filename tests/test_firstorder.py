@@ -224,12 +224,14 @@ class TestVonNeumannInvariants:
 
     def test_short_start_is_small_norm_at_once(self):
         # A start with |B x0| <= eps is already the verdict: no step is taken.
-        mat = normalize_columns(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))
+        mat = normalize_columns(np.array([[1.0, -1.0, 0.0], [0.0, 0.05, 1.0]]))
         x0 = np.array([0.5, 0.5, 0.0])
         x, y, status, iterations = von_neumann(mat, 0.1, x0=x0)
         assert (status, iterations) == (SMALL_NORM, 0)
         assert np.array_equal(x, x0)
         assert np.linalg.norm(y) <= 0.1
+        # y is the w the verdict was taken on, B x0 bit for bit (and not 0).
+        assert np.array_equal(y, mat @ x0) and y.any()
 
     def test_warm_start_keeps_the_step_bound(self):
         # From any convex start |y| <= 1, so ceil(1/eps^2) steps still bound a run.

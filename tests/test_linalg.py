@@ -64,6 +64,25 @@ class TestSymPosDef:
         with pytest.raises(ContractViolationError):
             SymPosDef(np.array([[1.0, 0.0], [0.0, -2.0]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -np.inf]],
+            np.zeros((0, 0)),
+            np.zeros((2, 2)),
+        ],
+        ids=["nan-diagonal", "nan-pair", "inf-pair", "inf-diagonal", "minus-inf", "0x0", "zero"],
+    )
+    def test_rejects_nonfinite_empty_or_zero(self, entries):
+        # The finiteness check is the largest |entry| being finite, so no
+        # RuntimeWarning (an error in this suite) is raised on the way.
+        with pytest.raises(ContractViolationError):
+            SymPosDef(np.array(entries, dtype=float))
+
     def test_rejects_singular_psd(self):
         # positive semidefinite but singular: potrf meets a zero pivot
         with pytest.raises(ContractViolationError):
