@@ -57,15 +57,14 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve a conic feasibility instance")
-    solve.add_argument("--input", help="instance file; required unless --oracle-cmd with --dim")
+    solve.add_argument("--input", help="instance file; required unless --oracle-cmd")
     solve.add_argument("--mode", choices=["kernel", "image"], required=True)
     solve.add_argument("--support", choices=["full", "max"], default="full")
     solve.add_argument("--max-rescalings", type=int, default=None)
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--oracle-cmd", default=None,
                        help="run the separation-oracle solver against this command")
-    solve.add_argument("--dim", type=int, default=None,
-                       help="ambient dimension when --oracle-cmd runs without --input")
+    solve.add_argument("--dim", type=int, default=None, help="ambient dimension, required with --oracle-cmd")
     solve.add_argument("--cert-out", default=None, help="also write the certificate file here")
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -130,16 +129,12 @@ def _cmd_solve(args) -> int:
     if args.oracle_cmd is not None:
         if args.mode != "image":
             raise _Usage("--oracle-cmd solves the image problem; use --mode image")
-        if args.support != "full" or args.cert_out is not None:
-            raise _Usage("--oracle-cmd takes neither --support max nor --cert-out")
-        if args.input is not None:
-            m = parse_instance(_read_file(args.input)).mat.shape[0]
-        elif args.dim is not None:
-            m = args.dim
-        else:
-            raise _Usage("--oracle-cmd needs --input or --dim for the dimension")
-        with SubprocessOracle(args.oracle_cmd, m) as oracle:
-            y, report = strict_conic_feasibility(oracle, m, limits, hook=hook)
+        if args.support != "full" or args.cert_out is not None or args.input is not None:
+            raise _Usage("--oracle-cmd takes none of --support max, --cert-out and --input")
+        if args.dim is None:
+            raise _Usage("--oracle-cmd needs --dim for the dimension")
+        with SubprocessOracle(args.oracle_cmd, args.dim) as oracle:
+            y, report = strict_conic_feasibility(oracle, args.dim, limits, hook=hook)
         cert_obj = {"kind": "image", "vector": [float(v) for v in y], "support": None}
         print(json.dumps(cert_obj))
         print(json.dumps(report.as_dict()))

@@ -51,6 +51,11 @@ def _vn_cap(eps: float, budget: int | None) -> int:
     return cap if budget is None else min(cap, int(budget))
 
 
+def _is_convex(weights: np.ndarray) -> bool:
+    """Every weight >= 0 and |sum - 1| <= 1e-10: the simplex rule of x0 and rescale weights. A NaN fails."""
+    return weights.min(initial=0.0) >= 0.0 and abs(weights.sum() - 1.0) <= 1e-10
+
+
 def _vn_step(ynorm2: float, z: float, scale: float) -> tuple[float, float, float]:
     """One von Neumann step y' = (1-l) y + l a, l minimizing |y'| over [0, 1].
 
@@ -127,8 +132,8 @@ def von_neumann(mat, eps: float, budget: int | None = None, x0=None):
     xs = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x0 is None:
         xs[0] = 1.0
-    elif xs.shape != (n,) or not (xs.min() >= 0.0 and abs(xs.sum() - 1.0) <= 1e-10):
-        raise ContractViolationError("x0 must be a convex combination of the n columns")  # a NaN fails too
+    elif xs.shape != (n,) or not _is_convex(xs):
+        raise ContractViolationError("x0 must be a convex combination of the n columns")
     scale, ws = 1.0, mat @ xs
     ynorm2 = float(ws @ ws)
     z = np.empty(n)

@@ -24,7 +24,7 @@ import numpy as np
 from .certify import ImageCertificate, certified
 from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
-from .firstorder import BUDGET_EXHAUSTED, SEPARATED, _vn_cap, von_neumann
+from .firstorder import BUDGET_EXHAUSTED, SEPARATED, _is_convex, _vn_cap, von_neumann
 from .linalg import (
     TAU_RANK_FACTOR,
     SymPosDef,
@@ -97,14 +97,14 @@ def _grow_metric(cols: np.ndarray, weights: np.ndarray, eps: float):
     The one rescale step of the image and oracle solvers, in coordinates where
     the metric so far is I. Its columns c_i are unit vectors: the image
     solver passes those in supp(x), the oracle solver its active set, since a
-    zero weight adds nothing. Its weights x must be a convex combination:
-    every x_i >= 0 and |sum x - 1| <= 1e-10 (a NaN fails both), or it raises. Then R' has its eigenvalues in
-    [1/(1+eps), 2/(1+eps)]. det R' is the metric's growth and must be at
-    least 16/9; anything less means the caller rescaled on a combination that
-    was not short, and raises. Returns (W' = L'^-1 for R' = L' L'^T, det R'):
-    W' maps to the next coordinates, where the metric is I again.
+    zero weight adds nothing. Its weights x must pass ``_is_convex``, or it
+    raises. Then R' has its eigenvalues in [1/(1+eps), 2/(1+eps)]. det R' is
+    the metric's growth and must be at least 16/9; anything less means the
+    caller rescaled on a combination that was not short, and raises. Returns
+    (W' = L'^-1 for R' = L' L'^T, det R'): W' maps to the next coordinates,
+    where the metric is I again.
     """
-    if not (weights.min(initial=0.0) >= 0.0 and abs(math.fsum(weights.tolist()) - 1.0) <= 1e-10):
+    if not _is_convex(weights):
         raise ContractViolationError("rescale weights must be a convex combination")
     new_r = (cols * weights) @ cols.T  # a fresh C-ordered array, which R' is built in
     new_r.ravel()[:: len(new_r) + 1] += 1.0
@@ -161,7 +161,7 @@ def image_rescale(state: ImageState, x: np.ndarray):
 def _check_decomposition(state: ImageState) -> float:
     """Max entrywise error of alpha W W^T + sum gamma_i c_i c_i^T / |E_i|^2 = I beyond the slack.
 
-    c = B_hat e^log_q and W = c E^+, as E keeps full row rank: a removal
+    c = B_hat e^log_q and W = c E^+, as E keeps A's full row rank: a removal
     drops only columns in the span of the removed one.
     """
     cols = state.B_hat * np.exp(state.log_q)
@@ -289,21 +289,22 @@ def _outcome(mat, y, support, report: SolveReport) -> ImageCertificate:
 
 @timed
 def full_support_image(mat, limits: Limits | None = None, *, hook=None):
-    """Find y with A^T y > 0 strictly, assuming full row rank.
+    """Find y with A^T y > 0 strictly, for any A with no zero column.
 
     Alternates von Neumann phases on the columns in the current coordinates
     with multi-rank rescales of the metric: the shared loop with no theta, so
     no column is ever removed, and each phase after the first starts from the
-    point the last one ended on. A separated outcome hands back y_bar = M y,
-    the paper's Qy. An image-infeasible cone ends ``no_converge``, at a budget
-    or at the loop's float-range stop.
-    Returns (ImageCertificate, SolveReport).
+    point the last one ended on. Nothing in it reads rank(A): each rescale
+    grows det R by at least 16/9 at any rank. A separated outcome hands back
+    y_bar = M y, the paper's Qy. An image-infeasible cone ends
+    ``no_converge``, at a budget or at the loop's float-range stop, as does a
+    separation the checker rejects, such as one read from rounding outside
+    the columns' span. A zero column, never strictly positive, raises
+    ``DegenerateColumnError``. Returns (ImageCertificate, SolveReport).
     """
     mat = as_matrix(mat)
     m, n = mat.shape
     ahat = normalize_columns(mat)
-    if pivoted_rank(mat) != m:
-        raise ContractViolationError("image solver requires full row rank")
     limits = default_limits(m, n, given=limits)
 
     report = SolveReport(status=NO_CONVERGE)
@@ -355,7 +356,9 @@ def _remove_column(state: ImageState, pos: int):
 def max_support_image(mat, limits: Limits | None = None, *, hook=None):
     """Find y maximizing the set of strict inequalities a_i^T y > 0.
 
-    Integral full-row-rank input. Runs the shared loop with theta: columns
+    Integral input of full row rank (else ``ContractViolationError``): the
+    gamma ledger reads W = c E^+, which needs E of full row rank. Zero
+    columns are never in the support. Runs the shared loop with theta: columns
     whose Q-norm falls below theta are provably zero in every image vector;
     each such column is projected out, shrinking the working dimension, until
     the inner loop separates whatever is left. Returns (ImageCertificate,

@@ -21,10 +21,11 @@ costs that daxpy, one argmin of z and a few scalar reads: about 1.7 us at
 n = 80 on a 2-vCPU x86 box. Every ``firstorder._DRIFT_INTERVAL`` DV steps
 z, |y|^2 and xbar are recomputed from x_hat.
 
-The two entry points differ only in the policy passed to the loop. Full
-support passes ``accept``: every column stays active, and a y that strictly
-separates all of them is returned as the image certificate Qy once
-``certify.certified`` accepts it on the caller's matrix. Max support
+The two entry points share one preamble, ``_solve``, which puts zero
+columns in the support, and differ only in the policy passed to the loop.
+Full support passes ``accept``: every nonzero column stays active, and a y
+that strictly separates all of them is returned as the image certificate Qy
+once ``certify.certified`` accepts it on the caller's matrix. Max support
 passes log(1/theta): a column whose log Q-norm passes it provably lies outside
 the maximum support and is marked, and marked columns are deleted once
 dropping them lowers the rank. Either solver keeps a kernel certificate as
@@ -66,31 +67,6 @@ __all__ = [
 # float range through the next rescale, which at most doubles |U a_k|.
 _LOG_CEILING = math.log(_NORM_RANGE)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-
-
-def _outcome(mat, status, active, v, zero_cols, report: SolveReport):
-    """The certificate a run of the loop ends with, its status and checked numbers in ``report``.
-
-    ``solved``: the kernel point v on the active columns, ones on the zero
-    columns, if ``certified`` accepts it on ``mat``. ``infeasible_detected``:
-    v, the image certificate ``accept`` returned. Otherwise, or when the
-    check fails, an empty KernelCertificate, and ``report`` keeps its
-    ``no_converge``.
-    """
-    n = mat.shape[1]
-    if status == SOLVED:
-        x = np.zeros(n)
-        x[active] = v
-        x[zero_cols] = 1.0
-        v = certified(mat, KernelCertificate(x, np.sort(np.concatenate([active, zero_cols])).astype(int)))
-    if v is None:
-        return KernelCertificate(np.zeros(n), np.arange(0))
-    report.status = status
-    if status == SOLVED:
-        report.margin, report.residual = v.min_support_value, v.residual
-    else:
-        report.margin, report.residual = v.min_margin, v.residual_zero
-    return v
 
 
 def kernel_rescale(ufac, w, eps):
@@ -331,27 +307,21 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     return NO_CONVERGE, S, None
 
 
-@timed
-def full_support_kernel(mat, limits: Limits | None = None, *, hook=None):
-    """Find x > 0 with Ax = 0 by DV steps plus rescaling.
+def _solve(mat, limits: Limits, hook, log_inv_theta=None):
+    """Both entry points' preamble and outcome: zero columns take x_j = 1, the loop runs on the rest.
 
-    Columns are normalized up front; the kernel projector of the normalized
-    matrix never changes, so the positivity test Pi x > 0 is exact bookkeeping.
-    Returns (certificate, SolveReport): a KernelCertificate, checked by
-    ``check_kernel_certificate`` on ``mat`` when ``solved``. Status is
-    ``infeasible_detected``, with the ImageCertificate of Qy instead, when
-    some iterate y strictly separates all columns and that certificate passes
-    ``check_image_certificate`` on ``mat``; a witness that fails the check is
-    dropped and the loop rescales on. ``no_converge`` when budgets run out,
-    the metric nears float range, |y| sinks to its rounding floor, or the
-    kernel certificate fails its check.
-    ``hook(event, **data)`` observes the loop's events.
+    Full support (no ``log_inv_theta``) passes ``accept``: a witness Qy with
+    a_j^T y > 0 on every nonzero column rules out x > 0 with Ax = 0 whatever
+    the zero columns (Gordan), once ``certified`` accepts it on ``mat``. A
+    ``solved`` run's kernel point, v on the surviving columns and ones on the
+    zero ones, counts only once ``certified`` accepts it too. Otherwise the
+    certificate is an empty KernelCertificate and ``report`` keeps its
+    ``no_converge``. Returns (certificate, report).
     """
-    mat = as_matrix(mat)
-    m, n = mat.shape
-    ahat = normalize_columns(mat)
-    limits = default_limits(m, n, given=limits)
-
+    nz = mat.any(axis=0)
+    active = np.flatnonzero(nz)
+    ahat = np.zeros_like(mat)
+    ahat[:, nz] = normalize_columns(mat[:, nz])
     report = SolveReport(status=NO_CONVERGE)
 
     def accept(v):
@@ -361,10 +331,44 @@ def full_support_kernel(mat, limits: Limits | None = None, *, hook=None):
         wn = float(np.linalg.norm(v))
         if not (math.isfinite(wn) and wn > 0.0):
             return None
-        return certified(mat, ImageCertificate(v / wn, np.arange(n)))
+        return certified(mat, ImageCertificate(v / wn, active))
 
-    status, support, v = _rescaling_loop(ahat, np.arange(n), limits, report, accept=accept, hook=hook)
-    return _outcome(mat, status, support, v, np.arange(0), report), report
+    status, support, v = _rescaling_loop(ahat, active, limits, report, log_inv_theta=log_inv_theta,
+                                         accept=accept if log_inv_theta is None else None, hook=hook)
+    if status == SOLVED:
+        x = (~nz).astype(float)
+        x[support] = v
+        v = certified(mat, KernelCertificate(x, np.union1d(support, np.flatnonzero(~nz))))
+    if v is None:
+        return KernelCertificate(np.zeros(mat.shape[1]), np.arange(0)), report
+    report.status = status
+    if status == SOLVED:
+        report.margin, report.residual = v.min_support_value, v.residual
+    else:
+        report.margin, report.residual = v.min_margin, v.residual_zero
+    return v, report
+
+
+@timed
+def full_support_kernel(mat, limits: Limits | None = None, *, hook=None):
+    """Find x > 0 with Ax = 0 by DV steps plus rescaling.
+
+    Columns are normalized up front; the kernel projector of the normalized
+    matrix never changes, so the positivity test Pi x > 0 is exact bookkeeping.
+    A zero column takes x_j = 1 and the loop runs on the others.
+    Returns (certificate, SolveReport): a KernelCertificate, checked by
+    ``check_kernel_certificate`` on ``mat`` when ``solved``. Status is
+    ``infeasible_detected``, with the ImageCertificate of Qy on the nonzero
+    columns instead, when some iterate y strictly separates them and that
+    certificate passes ``check_image_certificate`` on ``mat``; a witness that
+    fails the check is dropped and the loop rescales on. ``no_converge`` when
+    budgets run out, the metric nears float range, |y| sinks to its rounding
+    floor, or the kernel certificate fails its check.
+    ``hook(event, **data)`` observes the loop's events.
+    """
+    mat = as_matrix(mat)
+    m, n = mat.shape
+    return _solve(mat, default_limits(m, n, given=limits), hook)
 
 
 @timed
@@ -393,14 +397,5 @@ def max_support_kernel(mat, limits: Limits | None = None, *, hook=None):
     th = theta(mat)
     log_inv_theta = -math.log(th) if th > 0.0 else math.inf
     limits = default_limits(m, n, encoding_estimate=float(enc), given=limits)
-
-    nz = mat.any(axis=0)
-    ahat = np.zeros_like(mat)
-    ahat[:, nz] = normalize_columns(mat[:, nz])
-
-    report = SolveReport(status=NO_CONVERGE)
-    status, support, xbar = _rescaling_loop(
-        ahat, np.flatnonzero(nz), limits, report, log_inv_theta=log_inv_theta, hook=hook
-    )
-    cert = _outcome(mat, status, support, xbar, np.flatnonzero(~nz), report)
+    cert, report = _solve(mat, limits, hook, log_inv_theta)
     return cert, cert.support, report

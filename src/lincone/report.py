@@ -83,10 +83,10 @@ def default_limits(
 ) -> Limits:
     """Budgets generous enough for any instance the bit-length bound admits.
 
-    Rescale budget scales like m times the encoding length; the iteration
-    budget multiplies the per-phase contraction bound (about 1/eps^2 steps
-    with eps = 1/(11m)) by the number of phases. Fields that ``given`` sets
-    are kept.
+    The rescale budget is 10 m (log2 n + 4 L), L the encoding estimate (8m
+    by default). The step budget gives each of its phases, plus one,
+    ceil(300 m^2 (log2 n + 4)) steps, above the 1/eps^2 = 121 m^2 that
+    eps = 1/(11m) needs. Fields that ``given`` sets are kept.
     """
     if encoding_estimate is None:
         encoding_estimate = 8.0 * max(m, 1)

@@ -204,7 +204,7 @@ class TestOracleCmd:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flag", [["--support", "max"], ["--cert-out", "oracle.cert"]])
+    @pytest.mark.parametrize("flag", [["--support", "max"], ["--cert-out", "oracle.cert"], ["--input", "inst.txt"]])
     def test_flags_the_oracle_path_ignores_exit_one(self, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.chdir(tmp_path)
         cmd = " ".join(shlex.quote(p) for p in [sys.executable, "-c", self.SCRIPT])

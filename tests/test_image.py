@@ -238,9 +238,13 @@ class TestFullSupportImage:
         assert np.allclose(cert.y, [np.sqrt(0.5), np.sqrt(0.5)])
         assert cert.min_margin > 0
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(ContractViolationError):
-            full_support_image(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    def test_rank_deficient_solved(self):
+        # Nothing in the loop reads rank(A): parallel columns are one ray.
+        mat = np.array([[1.0, 2.0], [2.0, 4.0]])
+        cert, report = full_support_image(mat)
+        assert report.status == SOLVED
+        assert check_image_certificate(mat, cert).valid
+        assert np.allclose(cert.y, [1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0)])
 
     def test_random_instances_strictly_separated(self):
         rng = np.random.default_rng(29)

@@ -255,8 +255,9 @@ class TestExactSupportOracle:
             m = int(rng.integers(1, 4))
             n = int(rng.integers(2, 7))
             mat = rng.integers(-5, 6, size=(m, n))
-            # The image solver needs full row rank; a maximal independent set
-            # of rows has the same kernel and the same image set.
+            # max_support_image needs full row rank (its gamma ledger reads
+            # W = c E^+); a maximal independent set of rows has the same
+            # kernel and the same image set.
             rows = []
             for i in range(m):
                 if bareiss_rank(mat[rows + [i]]) == len(rows) + 1:
