@@ -21,6 +21,17 @@ costs that daxpy, one argmin of z and a few scalar reads: about 1.7 us at
 n = 80 on a 2-vCPU x86 box. Every ``firstorder._DRIFT_INTERVAL`` DV steps
 z, |y|^2 and xbar are recomputed from x_hat.
 
+DV steps can zig-zag between two columns k and j whose cosine c = F_hat_kj
+is near -1 or 1 (Wolfe 1976): each step shrinks |y|^2 only by the factor
+1 - cos^2 of a pivot that stays just below -eps, for thousands of steps.
+When the pivot k is the one two steps back, with j != k in between, and
+1e-8 < 1 - c^2 < eps, the loop takes instead one exact step on the pair,
+the limit of that zig-zag: the minimizer (alpha, beta) of
+|y + alpha b_hat_k + beta b_hat_j|, from [[1, c], [c, 1]] (alpha, beta) =
+-(z_k, z_j), if alpha, beta >= 0. (alpha, beta) = (-z_k, 0) is a
+candidate, so the step lowers |y|^2 at least as far as the DV step it
+replaces, and x_hat stays positive and only grows. It counts as one DV step.
+
 The two entry points share one preamble, ``_solve``, which puts zero
 columns in the support, and differ only in the policy passed to the loop.
 Full support passes ``accept``: every nonzero column stays active, and a y
@@ -44,7 +55,7 @@ from .conditioning import encoding_length, theta
 from .errors import ContractViolationError
 from .firstorder import _DRIFT_INTERVAL
 from .image import _NORM_RANGE
-from .linalg import as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
+from .linalg import _pow2_scaled, as_matrix, column_norms, kernel_projector, normalize_columns, pivoted_rank
 from .report import (
     INFEASIBLE_DETECTED,
     NO_CONVERGE,
@@ -67,6 +78,7 @@ __all__ = [
 # float range through the next rescale, which at most doubles |U a_k|.
 _LOG_CEILING = math.log(_NORM_RANGE)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_PAIR_DET_FLOOR = 1e-8
 
 
 def kernel_rescale(ufac, w, eps):
@@ -140,7 +152,13 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     xbar[low] > 0, the next pivot is no DV step (cos >= -eps or |y|^2 <= 0),
     the budget is spent or a refresh is due. Each step is one in-place
     ``daxpy`` on zx (``rowlist`` holds the row views): about 1.7 us at
-    n = 80 on a 2-vCPU x86 box. daxpy may fuse the multiply-add, so z and
+    n = 80 on a 2-vCPU x86 box. A pair step is two, with
+    |y'|^2 = |y|^2 + alpha z_k + beta z_j. Its pivots k, j are the last two
+    since the last rescale (``back``, ``last``), so an alternation that the
+    outer loop interrupts still counts. The guard 1 - c^2 < eps leaves
+    alternations that shrink |y| fast to single steps, and 1 - c^2 > 1e-8,
+    tested before dividing, keeps the 2 x 2 solve well posed (c = +-1 would
+    divide by 0). daxpy may fuse the multiply-add, so z and
     xbar can differ from the two-op update zx -= z_k rows[k] in the last
     bit; on draws at the rounding floor that moves the step count. zx must
     stay one contiguous float64 array, or f2py hands back a copy and the
@@ -154,6 +172,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
     # for removal, ``low`` is the position of the last scanned minimum of xbar.
     cols = x = rows = rowlist = fmat = pimat = zx = z = xbar = marked = ell = bhat = None
     low = 0
+    back = last = -1  # the pivots of the last two DV steps since the last rescale
     ynorm_q2 = 0.0
     dv_since_refresh = 0
 
@@ -234,13 +253,33 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             steps, since, y2 = report.fo_iters, dv_since_refresh, ynorm_q2
             cap, size = limits.max_iterations, zx.size
             while True:
-                x[k] -= zk
-                daxpy(rowlist[k], zx, size, -zk)
-                before, y2 = y2, max(y2 - zk * zk, 0.0)
+                # k was the pivot two steps back, with another since: step
+                # to the minimizer of |y| over the pair when they are nearly
+                # (anti)parallel and it moves both weights up.
+                pair = False
+                if k == back != last:
+                    c = fmat.item(k, last)
+                    det = 1.0 - c * c
+                    if _PAIR_DET_FLOOR < det < eps:
+                        zj = z.item(last)
+                        alpha, beta = (c * zj - zk) / det, (c * zk - zj) / det
+                        pair = alpha >= 0.0 and beta >= 0.0
+                before = y2
+                if pair:
+                    x[k] += alpha
+                    x[last] += beta
+                    daxpy(rowlist[k], zx, size, alpha)
+                    daxpy(rowlist[last], zx, size, beta)
+                    y2 = max(y2 + alpha * zk + beta * zj, 0.0)
+                else:
+                    x[k] -= zk
+                    daxpy(rowlist[k], zx, size, -zk)
+                    y2 = max(y2 - zk * zk, 0.0)
                 steps += 1
                 since += 1
                 if hook is not None:
-                    hook("dv", ynorm_q2_before=before, ynorm_q2_after=y2, cos=v)
+                    hook("dv", ynorm_q2_before=before, ynorm_q2_after=y2, cos=v, pivots=(k, last) if pair else (k,))
+                back, last = last, k
                 if since >= _DRIFT_INTERVAL or steps >= cap or xbar.item(low) > 0.0 or y2 <= 0.0:
                     break
                 k = int(z.argmin())
@@ -260,6 +299,7 @@ def _rescaling_loop(ahat, active, limits: Limits, report: SolveReport, *, log_in
             break
         mat_before = ufac @ cols if hook is not None else None
         ufac = kernel_rescale(ufac, w, eps)
+        back = last = -1
         old_ell = ell
         ell, bhat = _unit_metric(ufac, cols, fmat)
         if ell is None:
@@ -328,6 +368,7 @@ def _solve(mat, limits: Limits, hook, log_inv_theta=None):
         # A DV step leaves its pivot at cosine 0 and a rescale keeps it there,
         # so strict separation can be float noise; only a witness that the
         # checker accepts on the caller's matrix, margin > 0 included, counts.
+        v = _pow2_scaled(v)[0]  # |Qy| can pass float range where Qy does not
         wn = float(np.linalg.norm(v))
         if not (math.isfinite(wn) and wn > 0.0):
             return None

@@ -2,7 +2,8 @@
 
 The paper states both problems for any A in R^{m x n}. Each draw below is
 padded with a zero row, given a duplicated row, rotated after padding, or
-given zero columns; every run must end with a status or raise only the
+given zero columns, and the two kernel entry points also take a column
+duplicated or negated; every run must end with a status or raise only the
 contract its entry point documents, and every ``solved`` or
 ``infeasible_detected`` certificate must pass ``certified`` on the caller's
 matrix.
@@ -64,9 +65,16 @@ DRAWS = [("flat", seed, _flat(seed)) for seed in range(3)] + [("int", seed, inte
 CASES = [(f"{kind}{seed}-{shape}", mat) for kind, seed, base in DRAWS for shape, mat in _shapes(base, seed)]
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("name, mat", CASES, ids=[name for name, _ in CASES])
-def test_every_input_ends_with_a_status_or_its_contract(entry, name, mat):
+# Kernel inputs whose unit columns k and j have F_kj = +1 or -1, where the
+# pair step's 2 x 2 system is singular: column 0 appended again, or negated.
+PARALLEL_CASES = [
+    (f"{kind}{seed}-{shape}", np.hstack([base, sign * base[:, :1]]))
+    for kind, seed, base in DRAWS
+    for shape, sign in (("duplicate_column", 1.0), ("negated_column", -1.0))
+]
+
+
+def _assert_status_or_contract(entry, mat):
     solve, contracts = ENTRY_POINTS[entry]
     try:
         cert, report = solve(mat)
@@ -78,6 +86,18 @@ def test_every_input_ends_with_a_status_or_its_contract(entry, name, mat):
     infeasible = entry.endswith("kernel") and isinstance(cert, ImageCertificate)
     assert report.status == (INFEASIBLE_DETECTED if infeasible else SOLVED)
     assert certified(mat, cert) is not None
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("name, mat", CASES, ids=[name for name, _ in CASES])
+def test_every_input_ends_with_a_status_or_its_contract(entry, name, mat):
+    _assert_status_or_contract(entry, mat)
+
+
+@pytest.mark.parametrize("entry", ["full_support_kernel", "max_support_kernel"])
+@pytest.mark.parametrize("name, mat", PARALLEL_CASES, ids=[name for name, _ in PARALLEL_CASES])
+def test_parallel_kernel_columns_end_with_a_status_or_their_contract(entry, name, mat):
+    _assert_status_or_contract(entry, mat)
 
 
 @pytest.mark.parametrize("shape", ["zero_row", "duplicate_row", "rotated"])

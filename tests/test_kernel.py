@@ -159,14 +159,16 @@ class TestUnitMetricCache:
 
 
 # (status, fo_iters, rescalings) of the kernel benchmark's first four
-# instances, narrow_kernel(6, 80, 0.03, 0.8, seed), run with no hook.
+# instances, narrow_kernel(6, 80, 0.03, 0.8, seed), run with no hook. Single
+# DV steps alone took 4,832, 4,014, 4,118 and 4,988 steps, almost all of them
+# alternating between column 0 and its near-antipode 79; one pair step ends that.
 @pytest.mark.parametrize(
     "seed, counts",
     [
-        (0, (SOLVED, 4832, 2)),
-        (1, (SOLVED, 4014, 2)),
-        (2, (SOLVED, 4118, 2)),
-        (3, (SOLVED, 4988, 2)),
+        (0, (SOLVED, 4, 2)),
+        (1, (SOLVED, 4, 2)),
+        (2, (SOLVED, 4, 2)),
+        (3, (SOLVED, 4, 2)),
     ],
 )
 def test_benchmark_counts(seed, counts):
@@ -197,6 +199,71 @@ def test_hook_does_not_change_the_run(solve, make):
     assert (hooked[-1].fo_iters, hooked[-1].rescalings) == (plain[-1].fo_iters, plain[-1].rescalings)
     assert hooked[0].x.tobytes() == plain[0].x.tobytes()
     assert kinds.count("dv") == plain[-1].fo_iters > 0
+
+
+def test_pair_step_ends_a_slow_alternation():
+    # A narrow 3-d fan, columns 0-3, and column 4 near the antipode of column
+    # 0 (cosine -0.99934, so 1 - c^2 < eps = 1/33). After the first DV step
+    # the pivots alternate between columns 0 and 4: single steps alone took
+    # 1,408 steps and a rescale. The third step is one exact step on the
+    # pair; the loop refreshes right after it, so the refresh event holds the
+    # pair step's incremental z and xbar next to their fresh values.
+    mat = np.array([
+        [-0.53, -0.67, -0.58, -0.46, 0.55],
+        [0.82, 0.58, 0.62, 0.85, -0.81],
+        [-0.2, -0.46, -0.53, -0.27, 0.23],
+    ])
+    events = []
+
+    def hook(kind, **d):
+        events.append((kind, {key: v.copy() if isinstance(v, np.ndarray) else v for key, v in d.items()}))
+
+    cert, report = full_support_kernel(mat, hook=hook)
+    assert (report.status, report.fo_iters, report.rescalings) == (SOLVED, 3, 0)
+    assert check_kernel_certificate(mat, cert).valid
+    steps = [(i, d) for i, (kind, d) in enumerate(events) if kind == "dv"]
+    assert [d["pivots"] for _, d in steps] == [(4,), (0,), (4, 0)]
+    at, step = steps[-1]
+    kind, fresh = events[at + 1]
+    assert kind == "refresh"
+    n, xhat = 5, fresh["xhat"]
+    z, xbar = fresh["zx_drifted"][:n], fresh["zx_drifted"][n:]
+    tol = 8 * n * np.finfo(float).eps * xhat.sum()
+    assert step["ynorm_q2_after"] <= step["ynorm_q2_before"] * (1.0 - step["cos"] ** 2)
+    assert np.all(xhat > 0.0)
+    assert abs(z[4]) <= tol and abs(z[0]) <= tol
+    assert np.abs(z - fresh["zx"][:n]).max() <= tol
+    assert np.abs(xbar - fresh["zx"][n:]).max() <= tol
+    assert step["ynorm_q2_after"] == pytest.approx(float(xhat @ fresh["zx"][:n]), rel=0.0, abs=tol)
+
+
+def test_huge_witness_is_normalized_without_overflow(monkeypatch):
+    # integer_draw(2) with rows 0, 2 and 4 times 1e12: late witnesses Qy have
+    # entries past 2^512, where |Qy|^2 overflows. ``accept`` scales each by a
+    # power of two before taking its norm, so the checker sees unit vectors
+    # and no RuntimeWarning is raised.
+    base = integer_draw(2)
+    mat = base * np.where(np.arange(base.shape[0]) % 2 == 0, 1e12, 1.0)[:, None]
+    largest, norms = [], []
+    scaled, check = kernel_module._pow2_scaled, kernel_module.certified
+
+    def recording_scale(v):
+        largest.append(float(np.abs(v).max()))
+        return scaled(v)
+
+    def recording_check(a, c):
+        if isinstance(c, ImageCertificate):
+            norms.append(float(np.linalg.norm(c.y)))
+        return check(a, c)
+
+    monkeypatch.setattr(kernel_module, "_pow2_scaled", recording_scale)
+    monkeypatch.setattr(kernel_module, "certified", recording_check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert, report = full_support_kernel(mat)
+    assert max(largest) > 2.0**512
+    assert len(norms) == len(largest) and np.allclose(norms, 1.0, rtol=1e-14)
+    assert report.status == NO_CONVERGE and cert.support.size == 0
 
 
 class TestFullSupportKernel:
@@ -248,10 +315,15 @@ class TestFullSupportKernel:
             full_support_kernel(mat, hook=lambda kind, **d: events.append((kind, d)))
         dv = [d for kind, d in events if kind == "dv"]
         rs = [d for kind, d in events if kind == "rescale"]
-        assert dv and rs
+        pairs = sum(len(d["pivots"]) == 2 for d in dv)
+        assert rs and 0 < pairs < len(dv)
         for d in dv:
             expect = d["ynorm_q2_before"] * (1.0 - d["cos"] ** 2)
-            assert d["ynorm_q2_after"] == pytest.approx(expect, rel=1e-10, abs=1e-12)
+            if len(d["pivots"]) == 1:
+                assert d["ynorm_q2_after"] == pytest.approx(expect, rel=1e-10, abs=1e-12)
+            else:
+                # a pair step lowers |y|^2 at least as far as the DV step it replaces
+                assert d["ynorm_q2_after"] <= expect * (1.0 + 1e-10) + 1e-12
             # the DV branch only fires strictly below the guard
             assert d["cos"] < -eps
         for d in rs:
@@ -381,20 +453,44 @@ class TestFullSupportKernel:
 
 
 class TestMaxSupportKernel:
-    def test_collapsed_q_norm_ends_no_converge(self):
-        # Integral, rows scaled by 1e12, 2^39, 1e12, 2^40 and 1e12. At the
-        # rebuild after the fourth removal (rescale 1,390) the one survivor's
-        # |U a_hat| reads 0. The loop stops there, before dividing by it,
-        # instead of running on NaN through its whole rescale budget.
-        scales = np.array([1e12, 2.0**39, 1e12, 2.0**40, 1e12])
-        mat = integer_draw(22) * scales[:, None]
+    def test_collapsed_q_norm_ends_no_converge(self, monkeypatch):
+        # Integral, rows scaled by 1e12, 2^38, 1e12 and 2^41. At the rebuild
+        # after the third removal (rescale 1,000) a survivor's |U a_hat| reads
+        # 0. The loop stops there, before dividing by it, instead of running
+        # on NaN through its whole rescale budget.
+        mat = integer_draw(19) * np.array([1e12, 2.0**38, 1e12, 2.0**41])[:, None]
+        collapsed = []
+        metric = kernel_module._unit_metric
+
+        def recording(*args):
+            out = metric(*args)
+            collapsed.append(out[0] is None)
+            return out
+
+        monkeypatch.setattr(kernel_module, "_unit_metric", recording)
+        kinds = []
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cert, support, report = max_support_kernel(mat)
+            cert, support, report = max_support_kernel(mat, hook=lambda kind, **d: kinds.append(kind))
         assert time.perf_counter() - t0 < 2.0
-        assert (report.status, report.rescalings, report.removals) == (NO_CONVERGE, 1_390, 4)
+        assert (report.status, report.rescalings, report.removals) == (NO_CONVERGE, 1_000, 3)
+        assert collapsed[-1] and not any(collapsed[:-1]) and kinds[-1] == "remove"
         assert support.size == 0 and not cert.x.any()
+
+    def test_unequal_row_scales_solve_past_their_removals(self):
+        # Integral, rows scaled by 1e12, 2^39, 1e12, 2^40 and 1e12. Single DV
+        # steps alone collapsed a Q-norm here at the rebuild after the fourth
+        # removal (rescale 1,390); with pair steps the run keeps its metric
+        # and proves the unscaled draw's support.
+        scales = np.array([1e12, 2.0**39, 1e12, 2.0**40, 1e12])
+        mat = integer_draw(22) * scales[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert, support, report = max_support_kernel(mat)
+        assert (report.status, report.rescalings, report.removals) == (SOLVED, 1_513, 4)
+        assert check_kernel_certificate(mat, cert).valid
+        assert np.array_equal(support, max_support_kernel(integer_draw(22))[1])
 
     def test_partial_support_example(self):
         mat = np.array([[1, -1, 1], [0, 0, 1]])

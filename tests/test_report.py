@@ -60,7 +60,7 @@ def _partial_budget_cases():
     deg = gen_degenerate(3, 8, 4, 0).mat
     own_deg = default_limits(3, 8, encoding_estimate=float(encoding_length(deg)))
     flat, _ = flat_image_cone(np.random.default_rng(0), 3, 30, 1e-2)
-    narrow = narrow_kernel_cone(np.random.default_rng(0), 3, 20, 0.1, 0.9)
+    narrow = narrow_kernel_cone(np.random.default_rng(12), 3, 20, 0.1, 0.9)  # 77 steps
     # name -> (run with limits, module whose completion it calls, that completion's name, own defaults)
     return {
         "full_support_kernel": (lambda lim: full_support_kernel(narrow, lim), kernel_module,
